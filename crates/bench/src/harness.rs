@@ -385,7 +385,7 @@ pub struct SampledRunResult {
     /// Uops the projection stands in for (the full trace).
     pub represented_uops: u64,
     /// Wall-clock spent building this cell's [`SamplingPrep`] (fingerprint
-    /// + clustering + the sequential functional warm pass) — `0.0` when
+    /// + clustering + the functional warm pass) — `0.0` when
     /// the prep cache already held it. Amortised across every sampled run
     /// of the same cell, the SimPoint checkpoint economics.
     pub prep_wall_ms: f64,

@@ -81,7 +81,7 @@ pub struct SampledOutcome {
     pub plan: ClusterPlan,
     /// Uops simulated in detail (detailed warm-ups included).
     pub simulated_uops: u64,
-    /// Uops replayed by the sequential functional warm-up pass
+    /// Uops replayed by the functional warm-up pass
     /// (architectural only, several times cheaper per uop than
     /// `simulated_uops`, and amortisable across runs via [`WarmSet`]).
     pub warmed_uops: u64,
@@ -181,19 +181,20 @@ pub fn project(plan: &ClusterPlan, measurements: &[SimStats], measured_uops: &[u
 
 /// Per-cluster functional warm-up checkpoints for one `(trace, plan,
 /// predictor, core)` combination — the expensive, reusable half of a
-/// sampled run. Built by [`warm_checkpoints`] in **one** sequential
-/// architectural pass over the trace prefix, frozen at each
-/// representative's warm-up boundary; consumed (by cloning) every time
-/// [`run_sampled_with`] measures the windows. Callers that sweep many
-/// configurations over the same trace build this once and amortise it —
-/// the SimPoint checkpoint workflow.
+/// sampled run. Built by [`warm_checkpoints`] in **one** architectural pass
+/// over the trace prefix, run as two independent halves on two threads
+/// (cache hierarchy + branch predictor, memory-dependence predictor) and
+/// frozen at each representative's warm-up boundary; consumed (by cloning)
+/// every time [`run_sampled_with`] measures the windows. Callers that sweep
+/// many configurations over the same trace build this once and amortise
+/// it — the SimPoint checkpoint workflow.
 #[derive(Debug)]
 pub struct WarmSet {
     /// One frozen warmer per [`ClusterPlan::clusters`] entry (same order),
     /// holding the architectural state of a full replay of the trace up to
     /// that cluster's representative warm-up boundary.
     pub checkpoints: Vec<FunctionalWarmer<AnyPredictor>>,
-    /// Uops the sequential pass replayed (the furthest boundary).
+    /// Uops the functional pass replayed (the furthest boundary).
     pub warmed_uops: u64,
 }
 
@@ -212,12 +213,16 @@ fn window_ranges(plan: &ClusterPlan, cfg: &SamplingConfig) -> Vec<(Range<usize>,
 
 /// Builds the [`WarmSet`] for a plan: walks the trace **once**, replaying
 /// it architecturally (caches, prefetcher, branch predictor,
-/// memory-dependence predictor — no timing) through a
-/// [`FunctionalWarmer`], and clones the warmer at every representative's
-/// warm-up boundary. Each checkpoint is bit-identical to an independent
-/// functional replay of the whole prefix before its window — replay is
-/// deterministic and history-only — so windows measure against
-/// full-prefix state while the warm cost stays O(trace), not
+/// memory-dependence predictor — no timing) with
+/// [`FunctionalWarmer::at_boundaries`], which checkpoints at every
+/// representative's warm-up boundary. The pass runs its two independent
+/// halves concurrently: the memory-dependence predictor on a second
+/// thread, the cache hierarchy and branch predictor on the calling thread
+/// (so the large per-cluster cache clones come from the main allocator
+/// arena, which keeps peak RSS flat). Each checkpoint is bit-identical to
+/// an independent functional replay of the whole prefix before its
+/// window — replay is deterministic and history-only — so windows measure
+/// against full-prefix state while the warm cost stays O(trace), not
 /// O(clusters × trace).
 pub fn warm_checkpoints(
     trace: &Trace,
@@ -226,28 +231,26 @@ pub fn warm_checkpoints(
     core: &CoreConfig,
     cfg: &SamplingConfig,
 ) -> WarmSet {
-    let mut boundaries: Vec<(usize, usize)> = window_ranges(plan, cfg)
+    let mut order: Vec<(usize, usize)> = window_ranges(plan, cfg)
         .iter()
         .enumerate()
         .map(|(ci, (range, _))| (ci, range.start))
         .collect();
-    boundaries.sort_by_key(|&(_, start)| start);
+    order.sort_by_key(|&(_, start)| start);
+    let boundaries: Vec<usize> = order.iter().map(|&(_, start)| start).collect();
 
-    let mut warmer = FunctionalWarmer::new(core, kind.build());
+    let warmed = FunctionalWarmer::at_boundaries(core, kind.build(), &trace.uops, &boundaries);
     let mut checkpoints: Vec<Option<FunctionalWarmer<AnyPredictor>>> =
         (0..plan.clusters.len()).map(|_| None).collect();
-    let mut cursor = 0usize;
-    for (ci, start) in boundaries {
-        warmer.replay(&trace.uops[cursor..start]);
-        cursor = start;
-        checkpoints[ci] = Some(warmer.clone());
+    for ((ci, _), warmer) in order.into_iter().zip(warmed) {
+        checkpoints[ci] = Some(warmer);
     }
     WarmSet {
         checkpoints: checkpoints
             .into_iter()
             .map(|c| c.expect("every cluster checkpointed"))
             .collect(),
-        warmed_uops: cursor as u64,
+        warmed_uops: boundaries.last().map_or(0, |&b| b as u64),
     }
 }
 
@@ -433,6 +436,45 @@ mod tests {
         assert_eq!(a.plan, b.plan);
         assert_eq!(a.projected, b.projected);
         assert_eq!(a.simulated_uops, b.simulated_uops);
+    }
+
+    /// A 2k-uop detailed window at `start`, seeded from `warmer`.
+    fn seeded_window(
+        t: &Trace,
+        core: &CoreConfig,
+        warmer: &FunctionalWarmer<AnyPredictor>,
+        start: usize,
+    ) -> SimStats {
+        let sub = slice(t, start..start + 2_000);
+        let mut pred = warmer.predictor().clone();
+        let mut sim = Simulator::new(&sub, core, &mut pred);
+        sim.seed_from_warmer(warmer);
+        sim.run()
+    }
+
+    // The two-thread checkpoint pass must hand every window exactly the
+    // state the sequential replay of its prefix leaves, at a cold boundary
+    // (0), at repeated boundaries and mid-trace.
+    #[test]
+    fn two_thread_checkpoints_match_sequential_replay() {
+        let t = trace("perlbench2", 16_000);
+        let core = CoreConfig::golden_cove();
+        let boundaries = [0, 0, 3_000, 7_500, 7_500, 12_000];
+        for kind in [PredictorKind::Mascot, PredictorKind::StoreSets] {
+            let checkpoints =
+                FunctionalWarmer::at_boundaries(&core, kind.build(), &t.uops, &boundaries);
+            assert_eq!(checkpoints.len(), boundaries.len());
+            for (warmer, &b) in checkpoints.iter().zip(&boundaries) {
+                let mut reference = FunctionalWarmer::new(&core, kind.build());
+                reference.replay(&t.uops[..b]);
+                assert_eq!(warmer.warmed_uops(), b as u64);
+                assert_eq!(
+                    seeded_window(&t, &core, warmer, b),
+                    seeded_window(&t, &core, &reference, b),
+                    "{kind:?} window at boundary {b}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crate::cache::Hierarchy;
 use crate::config::CoreConfig;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::stats::SimStats;
-use crate::uop::{Trace, Uop, UopKind};
+use crate::uop::{Trace, TraceDep, Uop, UopKind};
 
 /// Cycles without a commit after which the engine declares a hang.
 const WATCHDOG_CYCLES: u64 = 500_000;
@@ -631,37 +631,6 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
             .next()
             .expect("commit hook must have fired at the warm boundary");
         total.delta_since(&warm)
-    }
-
-    /// Functional (architectural) warm-up: replays `uops` — typically the
-    /// trace prefix *before* this simulator's own trace — through the cache
-    /// hierarchy, the branch predictor and the memory-dependence predictor
-    /// with no timing simulation at all. Afterwards every stateful
-    /// structure holds the contents a full detailed run of that prefix
-    /// would have left (caches by architectural reference order, branch
-    /// tables by actual outcomes, dependence tables by the trace's
-    /// ground-truth annotations), at an order of magnitude less cost than
-    /// simulating it. This is what lets sampled simulation measure a
-    /// mid-trace representative interval without paying for the whole
-    /// prefix in detail (DESIGN.md §13).
-    ///
-    /// Statistics touched while warming (cache hit/miss tallies, branch
-    /// counters) are charged to the pre-measurement epoch: callers pair
-    /// this with [`run_measured`](Self::run_measured), whose snapshot delta
-    /// subtracts them from the measured window.
-    ///
-    /// Must be called before the first [`step`](Self::run); the store
-    /// sequence counter advances so in-window store distances line up with
-    /// the prefix.
-    pub fn warm_functional(&mut self, uops: &[Uop]) {
-        assert_eq!(self.now, 0, "functional warm-up must precede the run");
-        warm_replay(
-            &mut self.mem,
-            &mut self.bp,
-            self.pred,
-            &mut self.store_seq_next,
-            uops,
-        );
     }
 
     /// Adopts a [`FunctionalWarmer`]'s architectural state: cache
@@ -1445,16 +1414,10 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
                         stalled_at = Some(avail);
                         break;
                     }
-                    let oracle = dep.and_then(|d| {
-                        Some(GroundTruth {
-                            distance: StoreDistance::new(d.distance)?,
-                            class: d.class,
-                        })
-                    });
                     self.batch_reqs.push(PredictReq {
                         pc: u.pc,
                         store_seq: store_count,
-                        oracle,
+                        oracle: ground_truth(dep),
                     });
                 }
                 let mut out = std::mem::take(&mut self.batch_out);
@@ -1616,15 +1579,9 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
                 let conservative = self.conservative.contains(&trace_idx);
                 let (prediction, meta) = match precomputed {
                     Some(pm) => pm,
-                    None => {
-                        let oracle = dep.and_then(|d| {
-                            Some(GroundTruth {
-                                distance: StoreDistance::new(d.distance)?,
-                                class: d.class,
-                            })
-                        });
-                        self.pred.predict(uop.pc, store_count, oracle.as_ref())
-                    }
+                    None => self
+                        .pred
+                        .predict(uop.pc, store_count, ground_truth(dep).as_ref()),
                 };
 
                 let mut effective_bypass = false;
@@ -2050,8 +2007,19 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
     }
 }
 
+/// Helper: the oracle annotation handed to the predictor for a load's
+/// trace dependence (none when the distance is beyond the encodable window).
+fn ground_truth(dep: Option<TraceDep>) -> Option<GroundTruth> {
+    dep.and_then(|d| {
+        Some(GroundTruth {
+            distance: StoreDistance::new(d.distance)?,
+            class: d.class,
+        })
+    })
+}
+
 /// Helper: the observed outcome for an in-flight dependence.
-fn observed_outcome(d: &crate::uop::TraceDep) -> LoadOutcome {
+fn observed_outcome(d: &TraceDep) -> LoadOutcome {
     match StoreDistance::new(d.distance) {
         Some(distance) => LoadOutcome::dependent(ObservedDependence {
             distance,
@@ -2066,44 +2034,21 @@ fn observed_outcome(d: &crate::uop::TraceDep) -> LoadOutcome {
     }
 }
 
-/// The shared functional-replay loop behind [`Simulator::warm_functional`]
-/// and [`FunctionalWarmer::replay`]: drives every stateful structure a
-/// detailed run would train — cache hierarchy (demand lines *and* the
-/// stride prefetcher), branch predictor, memory-dependence predictor,
-/// store-sequence counter — with no timing machinery at all.
-fn warm_replay<P: MemDepPredictor>(
-    mem: &mut Hierarchy,
-    bp: &mut TagePredictor,
-    pred: &mut P,
-    store_seq_next: &mut u64,
-    uops: &[Uop],
-) {
+/// The cache half of the functional replay: drives the cache hierarchy
+/// (demand lines *and* the stride prefetcher) and the branch predictor a
+/// detailed run would train, with no timing machinery at all. It needs
+/// only PCs, addresses and branch outcomes, and never reads the
+/// memory-dependence half's state.
+fn warm_cache_and_branch(mem: &mut Hierarchy, bp: &mut TagePredictor, uops: &[Uop]) {
     for uop in uops {
         mem.warm_inst(uop.pc);
         match uop.kind {
             UopKind::Alu => {}
-            UopKind::Load { addr, dep, .. } => {
+            UopKind::Load { addr, .. } => {
                 mem.warm_data(addr);
                 mem.warm_prefetch(uop.pc, addr);
-                let oracle = dep.and_then(|d| {
-                    Some(GroundTruth {
-                        distance: StoreDistance::new(d.distance)?,
-                        class: d.class,
-                    })
-                });
-                let (prediction, meta) = pred.predict(uop.pc, *store_seq_next, oracle.as_ref());
-                let outcome = dep
-                    .as_ref()
-                    .map_or_else(LoadOutcome::independent, observed_outcome);
-                pred.train(uop.pc, meta, prediction, &outcome);
             }
-            UopKind::Store { addr, .. } => {
-                mem.warm_data(addr);
-                let store_seq = *store_seq_next;
-                *store_seq_next += 1;
-                let _ = pred.predict_store_wait(uop.pc, store_seq);
-                pred.on_store_dispatch(uop.pc, store_seq);
-            }
+            UopKind::Store { addr, .. } => mem.warm_data(addr),
             UopKind::Branch {
                 kind,
                 taken,
@@ -2113,33 +2058,74 @@ fn warm_replay<P: MemDepPredictor>(
                     BranchKind::Conditional => bp.predict_and_train(uop.pc, taken),
                     BranchKind::Indirect => bp.predict_indirect_and_train(uop.pc, target),
                 };
-                let ev = BranchEvent {
-                    pc: uop.pc,
-                    kind,
-                    taken,
-                    target,
-                };
-                bp.on_branch(&ev);
-                pred.on_branch(&ev);
+                bp.on_branch(&branch_event(uop.pc, kind, taken, target));
             }
         }
     }
 }
 
-/// A standalone functional (architectural) warm-up engine: owns exactly the
-/// state [`Simulator::warm_functional`] mutates — cache hierarchy, branch
-/// predictor, memory-dependence predictor, store-sequence counter — and
-/// replays trace uops through it with no timing simulation.
+/// The memory-dependence half of the functional replay: trains the
+/// predictor on every load's ground-truth outcome and advances the
+/// store-sequence counter. It needs only loads, stores and branch events,
+/// and never reads the cache half's state.
+fn warm_mem_dep<P: MemDepPredictor>(pred: &mut P, store_seq_next: &mut u64, uops: &[Uop]) {
+    for uop in uops {
+        match uop.kind {
+            UopKind::Alu => {}
+            UopKind::Load { dep, .. } => {
+                let (prediction, meta) =
+                    pred.predict(uop.pc, *store_seq_next, ground_truth(dep).as_ref());
+                let outcome = dep
+                    .as_ref()
+                    .map_or_else(LoadOutcome::independent, observed_outcome);
+                pred.train(uop.pc, meta, prediction, &outcome);
+            }
+            UopKind::Store { .. } => {
+                let store_seq = *store_seq_next;
+                *store_seq_next += 1;
+                let _ = pred.predict_store_wait(uop.pc, store_seq);
+                pred.on_store_dispatch(uop.pc, store_seq);
+            }
+            UopKind::Branch {
+                kind,
+                taken,
+                target,
+            } => pred.on_branch(&branch_event(uop.pc, kind, taken, target)),
+        }
+    }
+}
+
+/// Helper: the history event both warm halves feed a committed branch.
+fn branch_event(pc: u64, kind: BranchKind, taken: bool, target: u64) -> BranchEvent {
+    BranchEvent {
+        pc,
+        kind,
+        taken,
+        target,
+    }
+}
+
+/// A standalone functional (architectural) warm-up engine: owns the cache
+/// hierarchy, branch predictor, memory-dependence predictor and
+/// store-sequence counter a detailed run would train, and replays trace
+/// uops through them with no timing simulation. Afterwards every structure
+/// holds the contents a full detailed run of that prefix would have left
+/// (caches by architectural reference order, branch tables by actual
+/// outcomes, dependence tables by the trace's ground-truth annotations), at
+/// an order of magnitude less cost than simulating it.
 ///
-/// Unlike warming inside a `Simulator`, a warmer is **checkpointable**:
-/// because it is `Clone` (for `P: Clone`), one sequential pass over a trace
-/// can be frozen at each sampled window's warm-up boundary, and each frozen
-/// clone seeds that window's detailed simulator via
-/// [`Simulator::seed_from_warmer`]. The state a clone holds at commit
+/// The state splits into two halves that never read each other: the cache
+/// hierarchy plus branch predictor, and the memory-dependence predictor
+/// plus store-sequence counter. [`replay`](Self::replay) drives both in
+/// turn; [`at_boundaries`](Self::at_boundaries) drives them on two threads.
+///
+/// A warmer is **checkpointable**: frozen at each sampled window's warm-up
+/// boundary, it seeds that window's detailed simulator via
+/// [`Simulator::seed_from_warmer`]. The state a checkpoint holds at commit
 /// boundary `b` is bit-identical to an independent functional replay of
 /// `trace[..b]` — replay is deterministic and history-only — so sampled
-/// windows see full-prefix warm state while the pass walks the trace only
-/// once (DESIGN.md §13).
+/// windows see full-prefix warm state while the trace is walked only once
+/// (DESIGN.md §13).
 #[derive(Debug, Clone)]
 pub struct FunctionalWarmer<P> {
     mem: Hierarchy,
@@ -2165,14 +2151,81 @@ impl<P: MemDepPredictor> FunctionalWarmer<P> {
     /// Architecturally replays `uops`, continuing from wherever the warmer
     /// already is (callers feed consecutive trace segments).
     pub fn replay(&mut self, uops: &[Uop]) {
-        warm_replay(
-            &mut self.mem,
-            &mut self.bp,
-            &mut self.pred,
-            &mut self.store_seq_next,
-            uops,
-        );
+        warm_cache_and_branch(&mut self.mem, &mut self.bp, uops);
+        warm_mem_dep(&mut self.pred, &mut self.store_seq_next, uops);
         self.warmed += uops.len() as u64;
+    }
+
+    /// Checkpoints of one functional pass over `uops`, starting cold with
+    /// `pred`: element `i` is bit-identical to
+    /// `new(cfg, pred).replay(&uops[..boundaries[i]])`.
+    ///
+    /// The two halves of the state run concurrently: the memory-dependence
+    /// half on a scoped thread, the cache and branch half on the calling
+    /// thread, each cloning its own state at every boundary. The cache
+    /// hierarchy (the large clone, one per boundary) stays on the calling
+    /// thread on purpose: allocating the clones on a second thread spreads
+    /// them over a second allocator arena and measurably raises peak RSS.
+    /// On a single-CPU host the halves simply share the core.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `boundaries` is not sorted ascending or its last entry
+    /// exceeds `uops.len()`.
+    pub fn at_boundaries(
+        cfg: &CoreConfig,
+        pred: P,
+        uops: &[Uop],
+        boundaries: &[usize],
+    ) -> Vec<Self>
+    where
+        P: Clone + Send,
+    {
+        assert!(boundaries.is_sorted(), "warm boundaries must be sorted");
+        assert!(
+            boundaries.last().is_none_or(|&b| b <= uops.len()),
+            "warm boundary beyond the {}-uop trace",
+            uops.len()
+        );
+        std::thread::scope(|scope| {
+            let mem_dep = scope.spawn(move || {
+                let mut pred = pred;
+                let mut store_seq_next = 0;
+                let mut cursor = 0;
+                boundaries
+                    .iter()
+                    .map(|&b| {
+                        warm_mem_dep(&mut pred, &mut store_seq_next, &uops[cursor..b]);
+                        cursor = b;
+                        (pred.clone(), store_seq_next)
+                    })
+                    .collect::<Vec<_>>()
+            });
+            let mut mem = Hierarchy::new(cfg);
+            let mut bp = TagePredictor::default();
+            let mut cursor = 0;
+            let cache_and_branch: Vec<_> = boundaries
+                .iter()
+                .map(|&b| {
+                    warm_cache_and_branch(&mut mem, &mut bp, &uops[cursor..b]);
+                    cursor = b;
+                    (mem.clone(), bp.clone())
+                })
+                .collect();
+            let mem_dep = mem_dep.join().expect("memory-dependence warm-up panicked");
+            cache_and_branch
+                .into_iter()
+                .zip(mem_dep)
+                .zip(boundaries)
+                .map(|(((mem, bp), (pred, store_seq_next)), &b)| Self {
+                    mem,
+                    bp,
+                    pred,
+                    store_seq_next,
+                    warmed: b as u64,
+                })
+                .collect()
+        })
     }
 
     /// The predictor as trained so far — clone it to build the simulator
@@ -2212,7 +2265,6 @@ pub fn simulate<P: MemDepPredictor>(trace: &Trace, cfg: &CoreConfig, pred: &mut 
 mod tests {
     use super::*;
     use mascot::prediction::BypassClass;
-    use crate::uop::TraceDep;
 
     /// A predictor with a fixed response, for engine testing.
     #[derive(Debug)]

@@ -4,7 +4,8 @@
 #   scripts/check.sh            # offline build + tests + perf checks
 #   CARGO_FLAGS= scripts/check.sh   # allow network (e.g. first-time fetch)
 #
-# Fails if the build (warnings are errors) or any test fails, if the
+# Fails if the build (warnings are errors) or any test fails (the
+# repository benchmark's own tests under perfbench/ included), if the
 # seeded audit soak (cycle-granular invariant checks, the batch-vs-scalar
 # prediction differential over every registered predictor kind, and
 # differential runs across every workload profile and the mistraining
@@ -53,6 +54,12 @@ cargo build --release ${CARGO_FLAGS} --workspace
 
 echo "== tier-1: tests =="
 cargo test -q ${CARGO_FLAGS}
+
+echo "== benchmark tests (perfbench builds against the public API) =="
+# perfbench is its own Cargo workspace driving the crates through their
+# public functions; building and testing it here makes a sampling or sim
+# API change that breaks the repository benchmark fail the gate.
+cargo test --release ${CARGO_FLAGS} --manifest-path perfbench/Cargo.toml
 
 echo "== audit soak (batch differential + seeded, all workload profiles) =="
 # Starts with the batch-vs-scalar equivalence differential for every

@@ -6,15 +6,18 @@
 //!
 //! Regenerate with:
 //! `cargo test --release --test golden_stats -- --ignored print_golden --nocapture`
+//! (and `print_sampled_golden` / `print_mistrain_golden` for the other pins).
 
 use mascot_bench::{run_one, run_trace, PredictorKind};
+use mascot_sampling::{run_sampled, SampledOutcome, SamplingConfig};
 use mascot_sim::{CoreConfig, SimStats, TenantCounters};
 use mascot_workloads::adversarial::{compose, AttackKind, TENANT_BOUNDARY};
-use mascot_workloads::spec;
+use mascot_workloads::{generate, spec};
 
 const GOLDEN_UOPS: usize = 20_000;
 const GOLDEN_SEED: u64 = 2025;
 const MISTRAIN_UOPS: usize = 12_000;
+const SAMPLED_UOPS: usize = 24_000;
 
 fn matrix() -> Vec<(&'static str, PredictorKind)> {
     let profiles = ["perlbench2", "exchange2"];
@@ -140,6 +143,81 @@ fn mistrain_stats_match_golden() {
         0,
         "randomized defense must blank the alias attack"
     );
+}
+
+fn sampled_matrix() -> Vec<(&'static str, PredictorKind)> {
+    let profiles = ["perlbench2", "bwaves"];
+    let kinds = [PredictorKind::Mascot, PredictorKind::StoreSets];
+    profiles
+        .iter()
+        .flat_map(|&p| kinds.iter().map(move |&k| (p, k)))
+        .collect()
+}
+
+/// Small enough to run in a test, large enough that the plan keeps several
+/// clusters; a ramp as long as an interval puts the warm boundary of any
+/// representative among the first two intervals at uop 0.
+fn sampled_cfg() -> SamplingConfig {
+    SamplingConfig {
+        interval_uops: 2_000,
+        clusters: 4,
+        warmup_uops: 2_000,
+        ..SamplingConfig::default()
+    }
+}
+
+fn run_sampled_cell(profile: &str, kind: PredictorKind) -> SampledOutcome {
+    let profile = spec::profile(profile).expect("known profile");
+    let trace = generate(&profile, GOLDEN_SEED, SAMPLED_UOPS);
+    run_sampled(&trace, kind, &CoreConfig::golden_cove(), &sampled_cfg())
+}
+
+/// Prints the current sampled pins for updating `sampled_golden()`.
+#[test]
+#[ignore = "generator for the sampled golden values below"]
+fn print_sampled_golden() {
+    for (profile, kind) in sampled_matrix() {
+        let out = run_sampled_cell(profile, kind);
+        println!("// ({profile:?}, PredictorKind::{kind:?})");
+        println!(
+            "({}, {}, {:#?}),",
+            out.simulated_uops, out.warmed_uops, out.projected
+        );
+    }
+}
+
+/// Bit-exact pins of the sampled pipeline (plan, functional warm-up
+/// checkpoints, window measurement, projection): the projected stats and
+/// the detailed/functional uop budgets. Every cell keeps at least three
+/// clusters, and at least one representative warms from uop 0, so both
+/// the cold and the mid-trace checkpoint paths are pinned.
+#[test]
+fn sampled_stats_match_golden() {
+    let golden = sampled_golden();
+    assert_eq!(golden.len(), sampled_matrix().len());
+    let cfg = sampled_cfg();
+    for ((profile, kind), expected) in sampled_matrix().into_iter().zip(golden) {
+        let out = run_sampled_cell(profile, kind);
+        assert!(
+            out.plan.clusters.len() >= 3,
+            "({profile}, {kind:?}): only {} clusters",
+            out.plan.clusters.len()
+        );
+        assert!(
+            out.plan
+                .clusters
+                .iter()
+                .any(|c| out.plan.intervals[c.representative].start <= cfg.warmup_uops),
+            "({profile}, {kind:?}): no representative warms from uop 0"
+        );
+        let got = (out.simulated_uops, out.warmed_uops, out.projected);
+        assert_eq!(
+            got, expected,
+            "sampled stats drifted for ({profile}, {kind:?}) — if the model \
+             or the sampling pipeline intentionally changed, regenerate with \
+             print_sampled_golden"
+        );
+    }
 }
 
 #[rustfmt::skip]
@@ -408,5 +486,223 @@ fn golden() -> Vec<SimStats> {
             l3_misses: 284,
             ..SimStats::default()
         },
+    ]
+}
+
+#[rustfmt::skip]
+fn sampled_golden() -> Vec<(u64, u64, SimStats)> {
+    vec![
+        // ("perlbench2", PredictorKind::Mascot)
+        (12068, 22000, SimStats {
+            cycles: 79724,
+            committed_uops: 24068,
+            committed_loads: 4203,
+            committed_stores: 3060,
+            committed_branches: 4066,
+            pred_no_dep: 2208,
+            pred_mdp: 812,
+            pred_smb: 1183,
+            missed_dependencies: 252,
+            false_dependencies: 33,
+            wrong_store: 165,
+            smb_errors: 0,
+            correct_mdp: 617,
+            correct_smb: 1180,
+            correct_no_dep: 1956,
+            mem_order_squashes: 36,
+            smb_squashes: 3,
+            branch_mispredicts: 1113,
+            indirect_mispredicts: 0,
+            loads_bypassed: 1180,
+            loads_forwarded: 1034,
+            loads_from_cache: 1989,
+            class_direct_bypass: 1760,
+            class_no_offset: 159,
+            class_offset: 0,
+            class_mdp_only: 295,
+            dependent_wait_cycles: 32004,
+            dependent_wait_count: 2327,
+            stall_frontend: 73752,
+            stall_rob: 0,
+            stall_iq: 0,
+            stall_lq: 0,
+            stall_sb: 0,
+            l1i_misses: 576,
+            l1d_misses: 2309,
+            l2_misses: 2886,
+            l3_misses: 2886,
+            tenant_boundary: 0,
+            victim: TenantCounters {
+                loads: 0,
+                missed_dependencies: 0,
+                false_dependencies: 0,
+                false_bypasses: 0,
+            },
+            attacker: TenantCounters {
+                loads: 0,
+                missed_dependencies: 0,
+                false_dependencies: 0,
+                false_bypasses: 0,
+            },
+        }),
+        // ("perlbench2", PredictorKind::StoreSets)
+        (12068, 22000, SimStats {
+            cycles: 80127,
+            committed_uops: 24068,
+            committed_loads: 4203,
+            committed_stores: 3060,
+            committed_branches: 4066,
+            pred_no_dep: 2163,
+            pred_mdp: 2040,
+            pred_smb: 0,
+            missed_dependencies: 252,
+            false_dependencies: 78,
+            wrong_store: 0,
+            smb_errors: 0,
+            correct_mdp: 1962,
+            correct_smb: 0,
+            correct_no_dep: 1911,
+            mem_order_squashes: 36,
+            smb_squashes: 0,
+            branch_mispredicts: 1113,
+            indirect_mispredicts: 0,
+            loads_bypassed: 0,
+            loads_forwarded: 2214,
+            loads_from_cache: 1989,
+            class_direct_bypass: 1760,
+            class_no_offset: 159,
+            class_offset: 0,
+            class_mdp_only: 295,
+            dependent_wait_cycles: 42731,
+            dependent_wait_count: 2321,
+            stall_frontend: 74151,
+            stall_rob: 0,
+            stall_iq: 0,
+            stall_lq: 0,
+            stall_sb: 0,
+            l1i_misses: 576,
+            l1d_misses: 2318,
+            l2_misses: 2889,
+            l3_misses: 2889,
+            tenant_boundary: 0,
+            victim: TenantCounters {
+                loads: 0,
+                missed_dependencies: 0,
+                false_dependencies: 0,
+                false_bypasses: 0,
+            },
+            attacker: TenantCounters {
+                loads: 0,
+                missed_dependencies: 0,
+                false_dependencies: 0,
+                false_bypasses: 0,
+            },
+        }),
+        // ("bwaves", PredictorKind::Mascot)
+        (12042, 22000, SimStats {
+            cycles: 22304,
+            committed_uops: 24042,
+            committed_loads: 8381,
+            committed_stores: 844,
+            committed_branches: 2235,
+            pred_no_dep: 7846,
+            pred_mdp: 535,
+            pred_smb: 0,
+            missed_dependencies: 12,
+            false_dependencies: 0,
+            wrong_store: 0,
+            smb_errors: 0,
+            correct_mdp: 535,
+            correct_smb: 0,
+            correct_no_dep: 7834,
+            mem_order_squashes: 12,
+            smb_squashes: 0,
+            branch_mispredicts: 346,
+            indirect_mispredicts: 0,
+            loads_bypassed: 0,
+            loads_forwarded: 547,
+            loads_from_cache: 7834,
+            class_direct_bypass: 0,
+            class_no_offset: 0,
+            class_offset: 0,
+            class_mdp_only: 547,
+            dependent_wait_cycles: 5556,
+            dependent_wait_count: 559,
+            stall_frontend: 17722,
+            stall_rob: 0,
+            stall_iq: 0,
+            stall_lq: 0,
+            stall_sb: 0,
+            l1i_misses: 132,
+            l1d_misses: 234,
+            l2_misses: 2328,
+            l3_misses: 2328,
+            tenant_boundary: 0,
+            victim: TenantCounters {
+                loads: 0,
+                missed_dependencies: 0,
+                false_dependencies: 0,
+                false_bypasses: 0,
+            },
+            attacker: TenantCounters {
+                loads: 0,
+                missed_dependencies: 0,
+                false_dependencies: 0,
+                false_bypasses: 0,
+            },
+        }),
+        // ("bwaves", PredictorKind::StoreSets)
+        (12042, 22000, SimStats {
+            cycles: 22304,
+            committed_uops: 24042,
+            committed_loads: 8381,
+            committed_stores: 844,
+            committed_branches: 2235,
+            pred_no_dep: 7846,
+            pred_mdp: 535,
+            pred_smb: 0,
+            missed_dependencies: 12,
+            false_dependencies: 0,
+            wrong_store: 0,
+            smb_errors: 0,
+            correct_mdp: 535,
+            correct_smb: 0,
+            correct_no_dep: 7834,
+            mem_order_squashes: 12,
+            smb_squashes: 0,
+            branch_mispredicts: 346,
+            indirect_mispredicts: 0,
+            loads_bypassed: 0,
+            loads_forwarded: 547,
+            loads_from_cache: 7834,
+            class_direct_bypass: 0,
+            class_no_offset: 0,
+            class_offset: 0,
+            class_mdp_only: 547,
+            dependent_wait_cycles: 5556,
+            dependent_wait_count: 559,
+            stall_frontend: 17722,
+            stall_rob: 0,
+            stall_iq: 0,
+            stall_lq: 0,
+            stall_sb: 0,
+            l1i_misses: 132,
+            l1d_misses: 234,
+            l2_misses: 2328,
+            l3_misses: 2328,
+            tenant_boundary: 0,
+            victim: TenantCounters {
+                loads: 0,
+                missed_dependencies: 0,
+                false_dependencies: 0,
+                false_bypasses: 0,
+            },
+            attacker: TenantCounters {
+                loads: 0,
+                missed_dependencies: 0,
+                false_dependencies: 0,
+                false_bypasses: 0,
+            },
+        }),
     ]
 }
