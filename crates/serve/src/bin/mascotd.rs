@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! mascotd [--addr HOST:PORT] [--predictor KIND] [--shards N]
-//!         [--queue-depth N] [--max-batch N]
 //!         [--replay TRACE] [--audit] [--port-file PATH]
 //!         [--snapshot-dir DIR]
 //! ```
@@ -20,9 +19,13 @@
 //! Any mismatch is fatal before the server accepts a single connection.
 //! Audit mode also runs the shard pool with `strict_tickets`: a
 //! pending-table eviction (an in-flight prediction recycled before its
-//! train arrived) is a shard-fatal error instead of an `evicted_pending`
-//! statistic, so an audited run cannot silently train on a diverged
-//! stream (DESIGN.md §12).
+//! train arrived) panics the offending `Predict` — and with it the server
+//! — instead of counting an `evicted_pending` statistic, so an audited run
+//! cannot silently train on a diverged stream (DESIGN.md §12).
+//!
+//! The server is one thread: the event loop runs every shard's work to
+//! completion itself (DESIGN.md §11), so `--shards` partitions predictor
+//! state without adding threads.
 //!
 //! `--port-file` writes the bound address (one line) once the listener is
 //! registered with the event loop's poller — i.e. once the server is
@@ -65,7 +68,6 @@ struct Args {
 
 fn usage() -> &'static str {
     "usage: mascotd [--addr HOST:PORT] [--predictor KIND] [--shards N]\n\
-    \x20              [--queue-depth N] [--max-batch N]\n\
     \x20              [--replay TRACE.mtrc|WORKLOAD] [--audit] [--port-file PATH]\n\
     \x20              [--snapshot-dir DIR]\n\
     KIND is a predictor label (default: mascot); see `mascot-loadgen --help`.\n\
@@ -99,13 +101,6 @@ fn parse_args() -> Result<Args, String> {
             "--shards" => {
                 args.cfg.pool.shards = parse_positive(&value("--shards")?, "--shards")?;
             }
-            "--queue-depth" => {
-                args.cfg.pool.queue_depth =
-                    parse_positive(&value("--queue-depth")?, "--queue-depth")?;
-            }
-            "--max-batch" => {
-                args.cfg.pool.max_batch = parse_positive(&value("--max-batch")?, "--max-batch")?;
-            }
             "--replay" => args.replay = Some(value("--replay")?),
             "--audit" => args.audit = true,
             "--port-file" => args.port_file = Some(value("--port-file")?),
@@ -121,7 +116,7 @@ fn parse_args() -> Result<Args, String> {
         return Err("--audit requires --replay".to_string());
     }
     // Audit runs refuse to silently drop in-flight predictions: a
-    // pending-table eviction becomes a shard-fatal error instead of a
+    // pending-table eviction becomes a fatal error instead of a
     // stale-train statistic.
     args.cfg.pool.strict_tickets = args.audit;
     Ok(args)

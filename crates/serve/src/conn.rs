@@ -19,11 +19,10 @@
 //! (backpressure: a peer that won't read its responses stops being served,
 //! rather than ballooning server memory — see DESIGN.md §11).
 //!
-//! [`Conn`] ties the two to a stream plus the in-order pipeline of
-//! responses ([`Inflight`]): requests may *complete* out of order across
-//! shards, but responses are written strictly in request order.
+//! [`Conn`] ties the two to a stream. Every request is answered before
+//! the next frame is parsed, so responses enter the send buffer — and
+//! leave it — strictly in request order.
 
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
@@ -39,11 +38,6 @@ pub const READ_CHUNK: usize = 64 * 1024;
 /// delivered; the peer just can't mint new work until it drains its
 /// receive side.
 pub const WRITE_BUF_PAUSE: usize = 256 * 1024;
-
-/// Maximum responses owed to one connection before reading pauses. Bounds
-/// per-connection server memory against a client that pipelines thousands
-/// of requests and never reads.
-pub const MAX_INFLIGHT: usize = 128;
 
 /// A growable receive buffer with start-offset consumption: bytes are
 /// appended by [`RecvBuf::fill`] and logically removed by advancing
@@ -185,32 +179,16 @@ impl SendBuf {
     }
 }
 
-/// One queued response on a connection: either already encoded, or still
-/// waiting on a scatter/gather whose sub-replies are in flight.
-#[derive(Debug)]
-pub enum Inflight {
-    /// An encoded response frame, ready to write.
-    Done(Vec<u8>),
-    /// The response will materialize when gather slot `gather` completes.
-    Waiting {
-        /// Index into the event loop's gather table.
-        gather: usize,
-    },
-}
-
-/// Per-connection state for the event loop: the stream, both buffers, the
-/// in-order response pipeline, and the lifecycle/interest flags the loop
-/// mirrors into epoll.
+/// Per-connection state for the event loop: the stream, both buffers, and
+/// the lifecycle/interest flags the loop mirrors into epoll.
 #[derive(Debug)]
 pub struct Conn {
     /// The non-blocking stream.
     pub stream: TcpStream,
     /// Reassembles request frames from partial reads.
     pub rd: RecvBuf,
-    /// Holds response bytes across partial writes.
+    /// Encoded responses, in request order, across partial writes.
     pub wr: SendBuf,
-    /// Responses owed, in request order.
-    pub inflight: VecDeque<Inflight>,
     /// Peer half-closed its write side: no more requests will arrive, but
     /// responses already owed are still flushed before the close.
     pub eof: bool,
@@ -232,7 +210,6 @@ impl Conn {
             stream,
             rd: RecvBuf::new(),
             wr: SendBuf::new(),
-            inflight: VecDeque::new(),
             eof: false,
             poisoned: false,
             reading: true,
@@ -244,19 +221,19 @@ impl Conn {
     /// Whether the loop should stop parsing new requests from this
     /// connection until responses drain (backpressure).
     pub fn should_pause(&self) -> bool {
-        self.inflight.len() >= MAX_INFLIGHT || self.wr.pending() >= WRITE_BUF_PAUSE
+        self.wr.pending() >= WRITE_BUF_PAUSE
     }
 
-    /// Whether parsing may resume (hysteresis: half the pause thresholds,
+    /// Whether parsing may resume (hysteresis: half the pause threshold,
     /// so the interest doesn't flap on every frame).
     pub fn may_resume(&self) -> bool {
-        self.inflight.len() < MAX_INFLIGHT / 2 && self.wr.pending() < WRITE_BUF_PAUSE / 2
+        self.wr.pending() < WRITE_BUF_PAUSE / 2
     }
 
     /// Whether the connection has delivered everything it owes and will
     /// never owe more — the loop closes it.
     pub fn finished(&self) -> bool {
-        (self.eof || self.poisoned) && self.inflight.is_empty() && self.wr.is_empty()
+        (self.eof || self.poisoned) && self.wr.is_empty()
     }
 }
 
@@ -396,20 +373,20 @@ mod tests {
 
     #[test]
     fn conn_backpressure_thresholds() {
-        let (_client, server) = pair();
+        let (mut client, server) = pair();
         let mut conn = Conn::new(server);
         assert!(!conn.should_pause());
-        for _ in 0..MAX_INFLIGHT {
-            conn.inflight.push_back(Inflight::Done(Vec::new()));
-        }
+        conn.wr.push(&vec![0u8; WRITE_BUF_PAUSE]);
         assert!(conn.should_pause());
-        while conn.inflight.len() >= MAX_INFLIGHT / 2 {
-            conn.inflight.pop_front();
+        assert!(!conn.may_resume(), "hysteresis: resume only below half");
+        conn.eof = true;
+        assert!(!conn.finished(), "owed bytes keep the connection open");
+        // Drain through the socket while the peer reads what was flushed.
+        let mut sink = vec![0u8; WRITE_BUF_PAUSE];
+        while !conn.wr.flush(&mut conn.stream).unwrap() {
+            assert!(client.read(&mut sink).unwrap() > 0, "flushed bytes arrive");
         }
         assert!(conn.may_resume());
-        assert!(!conn.finished());
-        conn.eof = true;
-        conn.inflight.clear();
         assert!(conn.finished());
     }
 }

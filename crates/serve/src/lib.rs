@@ -7,20 +7,20 @@
 //! * [`wire`] — the versioned `MSRV` frame format: Predict / Train /
 //!   Stats / Shutdown opcodes carrying length-prefixed micro-batches of
 //!   fixed-size items, validated arithmetically before allocation.
-//! * [`shard`] — the worker pool. Each OS thread owns one predictor
-//!   instance; requests are routed by a hash of the load PC through
-//!   bounded queues (full queue → `Busy`, never an unbounded buffer), and
-//!   workers drain several jobs per queue pop to amortise wakeups.
+//! * [`shard`] — the shard pool. Each shard owns one predictor instance
+//!   and is addressed by a hash of the load PC; its work runs to
+//!   completion on the calling thread, under a per-shard lock.
 //!   Predict→train metadata stays server-side in a per-shard ticket slab.
-//! * [`poll`] — a level-triggered `epoll` wrapper and an `eventfd` waker
-//!   over raw syscalls (the workspace builds offline; no I/O crates).
+//! * [`poll`] — a level-triggered `epoll` wrapper over raw syscalls (the
+//!   workspace builds offline; no I/O crates).
 //! * [`conn`] — per-connection receive/send buffers: incremental frame
 //!   reassembly with zero-copy payload access, partial-write resumption,
-//!   and the backpressure thresholds.
+//!   and the backpressure threshold.
 //! * [`server`] — the readiness-driven event loop: nonblocking accept,
-//!   per-connection state machines over [`conn`], scatter/gather dispatch
-//!   into the shard queues with in-order pipelined responses, and graceful
-//!   drain on `Shutdown` (DESIGN.md §11).
+//!   per-connection state machines over [`conn`], each request split over
+//!   its shards and answered before the next is parsed (so pipelined
+//!   responses stay in order), and graceful drain on `Shutdown`
+//!   (DESIGN.md §11). `mascotd` is this one thread.
 //! * [`client`] — a small synchronous client used by the load generator
 //!   and the integration tests.
 //! * [`replay`] — feeds an `.mtrc` trace through the pool as training

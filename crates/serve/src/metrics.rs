@@ -1,8 +1,8 @@
 //! Per-shard service metrics: lock-free counters plus a fixed-bucket
 //! latency histogram.
 //!
-//! Shard workers and connection handlers update atomics on the hot path;
-//! `Stats` requests snapshot them without stopping the world. The
+//! Shard calls update atomics on the hot path; `Stats` requests snapshot
+//! them without taking any shard's lock. The
 //! histogram uses **log-linear** nanosecond buckets (HDR-style): each
 //! power-of-two octave is split into [`SUB_BUCKETS`] linear sub-buckets,
 //! so recording is a `leading_zeros`, a shift, and one relaxed
@@ -136,8 +136,7 @@ impl HistogramSnapshot {
     }
 }
 
-/// Counters owned by one shard worker (plus the queue-full count, which the
-/// connection handlers increment on that shard's behalf).
+/// Counters of one shard, updated by whichever thread runs its work.
 #[derive(Debug, Default)]
 pub struct ShardMetrics {
     /// Predict + train items processed.
@@ -162,10 +161,9 @@ pub struct ShardMetrics {
     /// outcome — the squash-causing shape a mistraining attacker induces
     /// (DESIGN.md §12).
     pub false_bypasses: AtomicU64,
-    /// Queue pops that did work.
+    /// Jobs executed: one per predict, train, sync, snapshot or restore
+    /// call, each also one `service` sample.
     pub batches: AtomicU64,
-    /// Items rejected with `Busy` because this shard's queue was full.
-    pub rejected_full: AtomicU64,
     /// Entries restored into this shard's predictor at the last warm start
     /// or `Restore` (0 when the shard started cold).
     pub restored_entries: AtomicU64,
@@ -196,7 +194,8 @@ impl ShardMetrics {
             false_dependencies: self.false_dependencies.load(Ordering::Relaxed),
             false_bypasses: self.false_bypasses.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
-            rejected_full: self.rejected_full.load(Ordering::Relaxed),
+            // A shard runs every job it is given; nothing is ever rejected.
+            rejected_full: 0,
             service_samples: service.total(),
             service_p50_ns: service.quantile_ns(0.50),
             service_p99_ns: service.quantile_ns(0.99),

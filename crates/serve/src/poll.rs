@@ -1,21 +1,14 @@
 //! Minimal readiness polling over raw Linux syscalls: a level-triggered
-//! `epoll` wrapper plus an `eventfd`-based cross-thread waker.
+//! `epoll` wrapper.
 //!
 //! The workspace builds offline with no crates.io I/O dependencies, so the
 //! event loop talks to the kernel directly: `std` already links the C
-//! library, and the five symbols below (`epoll_create1`, `epoll_ctl`,
-//! `epoll_wait`, `eventfd`, plus `read`/`write`/`close` on the raw fds)
-//! are all a readiness loop needs. Everything is level-triggered on
-//! purpose — a connection whose buffered input was only partially consumed
-//! is simply re-reported on the next wait, which is what gives the server
-//! its round-robin fairness without a user-space ready list (DESIGN.md
-//! §11).
-//!
-//! [`Waker`] wraps a non-blocking `eventfd` registered with the poller
-//! like any connection: shard workers write 8 bytes after posting a
-//! completion, which makes a parked `epoll_wait` return. Wakes coalesce
-//! (an eventfd is a counter, not a queue), so a storm of completions costs
-//! one wakeup.
+//! library, and the four symbols below (`epoll_create1`, `epoll_ctl`,
+//! `epoll_wait`, `close`) are all a readiness loop needs. Everything is
+//! level-triggered on purpose — a connection whose buffered input was only
+//! partially consumed is simply re-reported on the next wait, which is
+//! what gives the server its round-robin fairness without a user-space
+//! ready list (DESIGN.md §11).
 
 use std::io;
 use std::os::fd::RawFd;
@@ -29,8 +22,6 @@ const EPOLLOUT: u32 = 0x004;
 const EPOLLERR: u32 = 0x008;
 const EPOLLHUP: u32 = 0x010;
 const EPOLLRDHUP: u32 = 0x2000;
-const EFD_NONBLOCK: i32 = 0x800;
-const EFD_CLOEXEC: i32 = 0x8_0000;
 
 /// Kernel ABI: on x86_64 `struct epoll_event` is packed (12 bytes); other
 /// architectures use natural alignment.
@@ -46,10 +37,7 @@ extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-    fn eventfd(initval: u32, flags: i32) -> i32;
     fn close(fd: i32) -> i32;
-    fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
-    fn write(fd: i32, buf: *const u8, count: usize) -> isize;
 }
 
 fn cvt(ret: i32) -> io::Result<i32> {
@@ -191,57 +179,6 @@ impl Drop for Poller {
     }
 }
 
-/// A cross-thread wakeup for a parked [`Poller`], backed by a non-blocking
-/// `eventfd`. Register [`Waker::fd`] with the poller; any thread may call
-/// [`Waker::wake`]; the poller's owner calls [`Waker::drain`] when the
-/// token fires.
-pub struct Waker {
-    fd: RawFd,
-}
-
-impl std::fmt::Debug for Waker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Waker").field("fd", &self.fd).finish()
-    }
-}
-
-impl Waker {
-    /// Creates the eventfd.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `eventfd` failure.
-    pub fn new() -> io::Result<Waker> {
-        let fd = cvt(unsafe { eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC) })?;
-        Ok(Waker { fd })
-    }
-
-    /// The fd to register with a [`Poller`] (readable interest).
-    pub fn fd(&self) -> RawFd {
-        self.fd
-    }
-
-    /// Wakes the poller. Never blocks: an eventfd at `u64::MAX - 1` would
-    /// reject the write with EAGAIN, which only means a wake is already
-    /// pending — exactly the desired state.
-    pub fn wake(&self) {
-        let one: u64 = 1;
-        let _ = unsafe { write(self.fd, (&one as *const u64).cast(), 8) };
-    }
-
-    /// Resets the counter so the next [`Poller::wait`] can park again.
-    pub fn drain(&self) {
-        let mut buf = [0u8; 8];
-        let _ = unsafe { read(self.fd, buf.as_mut_ptr(), 8) };
-    }
-}
-
-impl Drop for Waker {
-    fn drop(&mut self) {
-        let _ = unsafe { close(self.fd) };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,22 +220,5 @@ mod tests {
         poller.delete(server.as_raw_fd());
         poller.wait(&mut events, 0).unwrap();
         assert!(events.is_empty(), "deleted fd must not report");
-    }
-
-    #[test]
-    fn waker_wakes_and_drains() {
-        let waker = Waker::new().unwrap();
-        let mut poller = Poller::new().unwrap();
-        poller.add(waker.fd(), 42, true, false).unwrap();
-        let mut events = Vec::new();
-        poller.wait(&mut events, 0).unwrap();
-        assert!(events.is_empty());
-        waker.wake();
-        waker.wake(); // wakes coalesce
-        poller.wait(&mut events, 2_000).unwrap();
-        assert!(events.iter().any(|e| e.token == 42 && e.readable));
-        waker.drain();
-        poller.wait(&mut events, 0).unwrap();
-        assert!(events.is_empty(), "drained waker must park again");
     }
 }

@@ -14,15 +14,13 @@
 //! predictors tolerate this — their history registers shift the same
 //! events in the same order, just slightly earlier relative to each
 //! lookup — and it is what lets replay batch work per shard instead of
-//! doing one synchronous round-trip per uop.
-
-use std::sync::mpsc::channel;
+//! doing one predictor call per uop.
 
 use mascot::prediction::{LoadOutcome, ObservedDependence, StoreDistance};
 use mascot_sim::uop::{Trace, UopKind};
 
-use crate::shard::{ReplySink, ShardJob, ShardPool, ShardReply, SyncEvent};
-use crate::wire::{PredictItem, TrainItem, MAX_BATCH};
+use crate::shard::{ShardPool, SyncEvent};
+use crate::wire::{PredictItem, TrainItem};
 
 /// Uops per replay segment (events broadcast + loads predicted/trained).
 pub const SEGMENT_UOPS: usize = 1024;
@@ -64,8 +62,7 @@ fn outcome_of(dep: Option<mascot_sim::uop::TraceDep>) -> LoadOutcome {
     }
 }
 
-/// Replays `trace` through `pool`, blocking until every segment has been
-/// trained.
+/// Replays `trace` through `pool`; every segment is trained on return.
 pub fn replay_trace(pool: &ShardPool, trace: &Trace) -> ReplayReport {
     let mut report = ReplayReport::default();
     let mut events: Vec<SyncEvent> = Vec::with_capacity(SEGMENT_UOPS);
@@ -111,11 +108,12 @@ pub fn replay_trace(pool: &ShardPool, trace: &Trace) -> ReplayReport {
         }
     }
     flush_segment(pool, &mut events, &mut loads, &mut report);
-    pool.fence();
     report
 }
 
-/// Broadcasts the segment's events, then predicts and trains its loads.
+/// Broadcasts the segment's events, then predicts and trains its loads:
+/// per shard, every load is predicted (in program order) before any is
+/// trained, as a core predicts at dispatch and trains at commit.
 fn flush_segment(
     pool: &ShardPool,
     events: &mut Vec<SyncEvent>,
@@ -126,88 +124,33 @@ fn flush_segment(
         return;
     }
     report.segments += 1;
-    pool.broadcast_sync(std::mem::take(events));
-    if loads.is_empty() {
-        return;
-    }
+    pool.broadcast_sync(events);
+    events.clear();
 
-    // Scatter the loads by shard (preserving per-shard program order).
-    let shards = pool.num_shards();
-    let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); shards];
-    for (i, load) in loads.iter().enumerate() {
-        by_shard[pool.shard_of(load.item.pc)].push(i);
+    let mut by_shard: Vec<Vec<PendingLoad>> = (0..pool.num_shards()).map(|_| Vec::new()).collect();
+    for load in loads.drain(..) {
+        by_shard[pool.shard_of(load.item.pc)].push(load);
     }
-
-    let (tx, rx) = channel();
-    let mut outstanding = 0usize;
-    for (shard, idxs) in by_shard.iter().enumerate() {
-        for chunk in idxs.chunks(MAX_BATCH) {
-            pool.send(
-                shard,
-                ShardJob::Predict {
-                    items: chunk.iter().map(|&i| loads[i].item).collect(),
-                    tag: shard as u64,
-                    reply: ReplySink::new(tx.clone()),
-                },
-            );
-            outstanding += 1;
+    for (shard, shard_loads) in by_shard.iter().enumerate() {
+        if shard_loads.is_empty() {
+            continue;
         }
-    }
-
-    // Gather tickets and train each shard's loads as its predictions
-    // arrive; chunk boundaries are tracked per shard. Train replies share
-    // the channel and may interleave with later predict replies.
-    let mut next_chunk_start = vec![0usize; shards];
-    let mut train_outstanding = 0usize;
-    let mut predicts_seen = 0usize;
-    while predicts_seen < outstanding {
-        let (shard, reply) = rx.recv().expect("shard worker alive during replay");
-        let shard = shard as usize;
-        let replies = match reply {
-            ShardReply::Predict(r) => {
-                predicts_seen += 1;
-                r
-            }
-            ShardReply::Train { applied, stale } => {
-                report.applied += u64::from(applied);
-                report.stale += u64::from(stale);
-                train_outstanding -= 1;
-                continue;
-            }
-            // Replay never issues snapshot/restore jobs on this channel.
-            ShardReply::Snapshot(_) | ShardReply::Restore(_) => continue,
-        };
-        let start = next_chunk_start[shard];
-        let idxs = &by_shard[shard][start..start + replies.len()];
-        next_chunk_start[shard] = start + replies.len();
-        let items: Vec<TrainItem> = idxs
+        let items: Vec<PredictItem> = shard_loads.iter().map(|l| l.item).collect();
+        let trains: Vec<TrainItem> = pool
+            .predict(shard, &items)
             .iter()
-            .zip(&replies)
-            .map(|(&i, r)| TrainItem {
+            .zip(shard_loads)
+            .map(|(r, l)| TrainItem {
                 ticket: r.ticket,
-                pc: loads[i].item.pc,
-                outcome: loads[i].outcome,
+                pc: l.item.pc,
+                outcome: l.outcome,
             })
             .collect();
-        report.loads += items.len() as u64;
-        pool.send(
-            shard,
-            ShardJob::Train {
-                items,
-                tag: shard as u64,
-                reply: ReplySink::new(tx.clone()),
-            },
-        );
-        train_outstanding += 1;
+        let (applied, stale) = pool.train(shard, &trains);
+        report.loads += trains.len() as u64;
+        report.applied += u64::from(applied);
+        report.stale += u64::from(stale);
     }
-    drop(tx);
-    for _ in 0..train_outstanding {
-        if let Ok((_, ShardReply::Train { applied, stale })) = rx.recv() {
-            report.applied += u64::from(applied);
-            report.stale += u64::from(stale);
-        }
-    }
-    loads.clear();
 }
 
 #[cfg(test)]

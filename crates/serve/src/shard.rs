@@ -1,13 +1,16 @@
-//! The sharded worker pool: one OS thread per shard, each owning a private
-//! predictor instance.
+//! The shard pool: PC-hash partitions of the service, each owning a private
+//! predictor instance and pending-ticket slab, run to completion on the
+//! calling thread.
 //!
 //! Requests are routed by a hash of the load PC, so every dynamic instance
 //! of a load trains and queries the *same* predictor — the property the
-//! PC-indexed tables rely on — while shards share nothing and never lock.
-//! Each shard is fed through a **bounded** `sync_channel`; when a queue is
-//! full the caller gets the job back and answers `Busy` (explicit
-//! backpressure, never an unbounded buffer). A worker amortises queue
-//! synchronisation by draining up to `max_batch` jobs per blocking `recv`.
+//! PC-indexed tables rely on — while shards share nothing with each other.
+//! There are no worker threads and no queues: [`ShardPool::send`] (and,
+//! inside the crate, `ShardPool::predict` / `ShardPool::train`) execute
+//! the job on the caller's thread (in `mascotd`, the event loop) under the
+//! shard's own `Mutex`, and return once it is done. The server calls from
+//! one thread, so the locks are never contended; they only make the pool
+//! `Sync`.
 //!
 //! Because [`mascot::MemDepPredictor`] threads opaque metadata from
 //! `predict` to `train`, each shard keeps a fixed-size *pending table*: a
@@ -18,9 +21,8 @@
 //! trained with someone else's metadata.
 
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Barrier};
-use std::thread::JoinHandle;
+use std::sync::mpsc::Sender;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use mascot::history::BranchEvent;
@@ -28,27 +30,18 @@ use mascot::prediction::{MemDepPredictor, MemDepPrediction, PredictReq, TrainReq
 use mascot_predictors::{AnyMeta, AnyPredictor, PredictorKind};
 
 use crate::metrics::ShardMetrics;
-use crate::poll::Waker;
 use crate::wire::{PredictItem, PredictReply, StatsReport, TrainItem};
 
 /// Default shard count.
 pub const DEFAULT_SHARDS: usize = 4;
-/// Default bounded queue depth per shard (jobs, not items).
-pub const DEFAULT_QUEUE_DEPTH: usize = 256;
-/// Default maximum jobs drained per blocking queue pop.
-pub const DEFAULT_MAX_BATCH: usize = 32;
 /// Default pending-prediction slots per shard (power of two).
 pub const DEFAULT_PENDING_CAPACITY: usize = 1 << 15;
 
 /// Sizing knobs for a [`ShardPool`].
 #[derive(Debug, Clone)]
 pub struct ShardPoolConfig {
-    /// Number of worker threads / predictor instances.
+    /// Number of shards (predictor instances).
     pub shards: usize,
-    /// Bounded queue depth per shard.
-    pub queue_depth: usize,
-    /// Maximum jobs drained per blocking queue pop.
-    pub max_batch: usize,
     /// Pending-prediction slots per shard (rounded up to a power of two).
     pub pending_capacity: usize,
     /// Treat a pending-table eviction as fatal instead of a silent drop.
@@ -66,8 +59,6 @@ impl Default for ShardPoolConfig {
     fn default() -> Self {
         Self {
             shards: DEFAULT_SHARDS,
-            queue_depth: DEFAULT_QUEUE_DEPTH,
-            max_batch: DEFAULT_MAX_BATCH,
             pending_capacity: DEFAULT_PENDING_CAPACITY,
             strict_tickets: false,
         }
@@ -88,56 +79,30 @@ pub enum SyncEvent {
     },
 }
 
-/// Where a shard worker posts a job's reply: an unbounded channel plus an
-/// optional [`Waker`] for a parked event loop.
-///
-/// Workers never block on delivery — the channel is unbounded and the
-/// eventfd write behind [`Waker::wake`] is non-blocking — which is what
-/// lets the event loop safely park in `epoll_wait` and issue blocking
-/// in-loop snapshot/restore fences without risking a worker/loop deadlock.
-#[derive(Clone)]
+/// Where [`ShardPool::send`] delivers a job's reply: a channel the caller
+/// reads after `send` returns.
+#[derive(Debug, Clone)]
 pub struct ReplySink {
     tx: Sender<(u64, ShardReply)>,
-    waker: Option<Arc<Waker>>,
-}
-
-impl std::fmt::Debug for ReplySink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReplySink")
-            .field("waker", &self.waker.is_some())
-            .finish()
-    }
 }
 
 impl ReplySink {
-    /// A sink that only delivers to `tx` (the receiver is being polled or
-    /// blocked on directly).
+    /// A sink delivering to `tx`.
     pub fn new(tx: Sender<(u64, ShardReply)>) -> Self {
-        Self { tx, waker: None }
-    }
-
-    /// A sink that additionally wakes `waker` after every delivery, for
-    /// receivers parked in [`crate::poll::Poller::wait`].
-    pub fn with_waker(tx: Sender<(u64, ShardReply)>, waker: Arc<Waker>) -> Self {
-        Self {
-            tx,
-            waker: Some(waker),
-        }
+        Self { tx }
     }
 
     /// Delivers one reply. A gone receiver is fine — the work is already
-    /// done either way (e.g. the client disconnected mid-flight).
+    /// done either way.
     pub fn send(&self, tag: u64, reply: ShardReply) {
         let _ = self.tx.send((tag, reply));
-        if let Some(waker) = &self.waker {
-            waker.wake();
-        }
     }
 }
 
-/// A unit of work on a shard queue.
+/// A unit of work for [`ShardPool::send`].
+#[derive(Debug)]
 pub enum ShardJob {
-    /// Predict a sub-batch; the reply carries `tag` for reassembly.
+    /// Predict a sub-batch; the reply carries `tag`.
     Predict {
         /// The items, all owned by this shard.
         items: Vec<PredictItem>,
@@ -155,56 +120,9 @@ pub enum ShardJob {
         /// Where to deliver the reply.
         reply: ReplySink,
     },
-    /// Apply predictor-state events (no reply).
-    Sync(Vec<SyncEvent>),
-    /// Serialize this shard's predictor state.
-    Snapshot {
-        /// Caller-chosen tag echoed in the reply.
-        tag: u64,
-        /// Where to deliver the reply.
-        reply: ReplySink,
-    },
-    /// Swap in a fully-built replacement predictor (decoded and validated by
-    /// the caller) and clear the pending table — parked tickets reference
-    /// metadata from the predictor being replaced.
-    Restore {
-        /// The replacement predictor.
-        predictor: Box<AnyPredictor>,
-        /// Caller-chosen tag echoed in the reply.
-        tag: u64,
-        /// Where to deliver the reply.
-        reply: ReplySink,
-    },
-    /// Park the worker on a barrier (used by tests and by callers that need
-    /// a completion fence: the worker has necessarily finished everything
-    /// queued before this job when the barrier releases).
-    Wait(Arc<Barrier>),
 }
 
-impl std::fmt::Debug for ShardJob {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardJob::Predict { items, tag, .. } => f
-                .debug_struct("Predict")
-                .field("items", &items.len())
-                .field("tag", tag)
-                .finish(),
-            ShardJob::Train { items, tag, .. } => f
-                .debug_struct("Train")
-                .field("items", &items.len())
-                .field("tag", tag)
-                .finish(),
-            ShardJob::Sync(events) => f.debug_tuple("Sync").field(&events.len()).finish(),
-            ShardJob::Snapshot { tag, .. } => {
-                f.debug_struct("Snapshot").field("tag", tag).finish()
-            }
-            ShardJob::Restore { tag, .. } => f.debug_struct("Restore").field("tag", tag).finish(),
-            ShardJob::Wait(_) => f.write_str("Wait"),
-        }
-    }
-}
-
-/// A shard's answer to a [`ShardJob::Predict`] or [`ShardJob::Train`].
+/// A shard's answer to a [`ShardJob`].
 #[derive(Debug)]
 pub enum ShardReply {
     /// Predictions, in sub-batch order.
@@ -216,10 +134,6 @@ pub enum ShardReply {
         /// Items dropped on a stale ticket.
         stale: u32,
     },
-    /// The shard's serialized predictor state.
-    Snapshot(Vec<u8>),
-    /// Entries resident in the freshly swapped-in predictor.
-    Restore(u64),
 }
 
 /// Routes a PC to a shard: multiply-shift mixing (fibonacci hashing) so
@@ -291,227 +205,8 @@ impl PendingTable {
     }
 }
 
-/// The pool: shard senders, metrics, and worker join handles.
-#[derive(Debug)]
-pub struct ShardPool {
-    senders: Vec<SyncSender<ShardJob>>,
-    metrics: Vec<Arc<ShardMetrics>>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl ShardPool {
-    /// Spawns `cfg.shards` workers, each owning a freshly built `kind`
-    /// predictor.
-    pub fn new(kind: PredictorKind, cfg: &ShardPoolConfig) -> Self {
-        assert!(cfg.shards > 0, "at least one shard");
-        Self::with_predictors((0..cfg.shards).map(|_| kind.build()).collect(), cfg)
-    }
-
-    /// Spawns one worker per element of `predictors`, each owning its
-    /// pre-built (e.g. snapshot-restored) predictor. `cfg.shards` is
-    /// ignored; the pool's shard count is `predictors.len()`.
-    pub fn with_predictors(predictors: Vec<AnyPredictor>, cfg: &ShardPoolConfig) -> Self {
-        assert!(!predictors.is_empty(), "at least one shard");
-        assert!(cfg.queue_depth > 0, "queue depth must be positive");
-        let shards = predictors.len();
-        let mut senders = Vec::with_capacity(shards);
-        let mut metrics = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for (shard, predictor) in predictors.into_iter().enumerate() {
-            let (tx, rx) = sync_channel(cfg.queue_depth);
-            let m = Arc::new(ShardMetrics::new());
-            let worker_metrics = Arc::clone(&m);
-            let max_batch = cfg.max_batch.max(1);
-            let pending_capacity = cfg.pending_capacity;
-            let strict_tickets = cfg.strict_tickets;
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("mascot-shard-{shard}"))
-                    .spawn(move || {
-                        worker(
-                            rx,
-                            predictor,
-                            worker_metrics,
-                            max_batch,
-                            pending_capacity,
-                            strict_tickets,
-                        )
-                    })
-                    .expect("spawn shard worker"),
-            );
-            senders.push(tx);
-            metrics.push(m);
-        }
-        Self {
-            senders,
-            metrics,
-            handles,
-        }
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// The shard owning `pc`.
-    pub fn shard_of(&self, pc: u64) -> usize {
-        shard_of(pc, self.senders.len())
-    }
-
-    /// Clones of the per-shard senders (for connection handlers).
-    pub fn senders(&self) -> &[SyncSender<ShardJob>] {
-        &self.senders
-    }
-
-    /// The per-shard metrics blocks.
-    pub fn metrics(&self) -> &[Arc<ShardMetrics>] {
-        &self.metrics
-    }
-
-    /// Non-blocking enqueue; hands the job back when the queue is full or
-    /// the shard worker is gone.
-    pub fn try_send(&self, shard: usize, job: ShardJob) -> Result<(), ShardJob> {
-        self.senders[shard].try_send(job).map_err(|e| match e {
-            TrySendError::Full(job) | TrySendError::Disconnected(job) => job,
-        })
-    }
-
-    /// Blocking enqueue (replay traffic, which wants throughput rather than
-    /// a `Busy` signal).
-    pub fn send(&self, shard: usize, job: ShardJob) {
-        let _ = self.senders[shard].send(job);
-    }
-
-    /// Broadcasts predictor-state events to every shard (blocking).
-    pub fn broadcast_sync(&self, events: Vec<SyncEvent>) {
-        if events.is_empty() {
-            return;
-        }
-        for tx in &self.senders {
-            let _ = tx.send(ShardJob::Sync(events.clone()));
-        }
-    }
-
-    /// Blocks until every shard has drained everything queued before this
-    /// call (a barrier job per shard).
-    pub fn fence(&self) {
-        let barrier = Arc::new(Barrier::new(self.senders.len() + 1));
-        for tx in &self.senders {
-            let _ = tx.send(ShardJob::Wait(Arc::clone(&barrier)));
-        }
-        barrier.wait();
-    }
-
-    /// Serializes every shard's predictor state, in shard order (blocking:
-    /// each shard finishes the work queued ahead of its snapshot job first,
-    /// so the result is a consistent point-in-time cut per shard).
-    pub fn snapshot_shards(&self) -> Vec<Vec<u8>> {
-        let (tx, rx) = std::sync::mpsc::channel();
-        for (shard, sender) in self.senders.iter().enumerate() {
-            let _ = sender.send(ShardJob::Snapshot {
-                tag: shard as u64,
-                reply: ReplySink::new(tx.clone()),
-            });
-        }
-        drop(tx);
-        let mut payloads = vec![Vec::new(); self.senders.len()];
-        for (tag, reply) in rx.iter() {
-            if let ShardReply::Snapshot(bytes) = reply {
-                payloads[tag as usize] = bytes;
-            }
-        }
-        payloads
-    }
-
-    /// Swaps one pre-built predictor into each shard (in shard order),
-    /// clears the pending tables, and records each shard's restored entry
-    /// count in its metrics. Returns the total across shards.
-    ///
-    /// # Panics
-    ///
-    /// When `predictors.len()` differs from the pool's shard count — the
-    /// caller performs any resharding *before* handing the pool its new
-    /// per-shard states.
-    pub fn restore_shards(&self, predictors: Vec<AnyPredictor>) -> u64 {
-        assert_eq!(
-            predictors.len(),
-            self.senders.len(),
-            "one replacement predictor per shard"
-        );
-        let (tx, rx) = std::sync::mpsc::channel();
-        for (shard, (sender, predictor)) in
-            self.senders.iter().zip(predictors.into_iter()).enumerate()
-        {
-            let _ = sender.send(ShardJob::Restore {
-                predictor: Box::new(predictor),
-                tag: shard as u64,
-                reply: ReplySink::new(tx.clone()),
-            });
-        }
-        drop(tx);
-        let mut total = 0u64;
-        for (tag, reply) in rx.iter() {
-            if let ShardReply::Restore(entries) = reply {
-                self.metrics[tag as usize]
-                    .restored_entries
-                    .store(entries, Ordering::Relaxed);
-                total += entries;
-            }
-        }
-        total
-    }
-
-    /// Stamps the warm-start observability counters (snapshot age at
-    /// restore, checkpoint/restore generation) on every shard's metrics.
-    pub fn set_warm_start(&self, snapshot_age_s: u64, restarts: u64) {
-        for m in &self.metrics {
-            m.snapshot_age_s.store(snapshot_age_s, Ordering::Relaxed);
-            m.restarts.store(restarts, Ordering::Relaxed);
-        }
-    }
-
-    /// Snapshots every shard's counters.
-    pub fn stats_report(&self) -> StatsReport {
-        StatsReport {
-            shards: self.metrics.iter().map(|m| m.snapshot()).collect(),
-        }
-    }
-
-    /// Drops the senders and joins the workers; each worker drains every
-    /// job already queued before exiting (`sync_channel` delivers buffered
-    /// messages before reporting disconnect). Returns the final snapshot.
-    ///
-    /// # Panics
-    ///
-    /// When a shard worker died of a panic — most notably the
-    /// `strict_tickets` pending-eviction hard error — so an audit run
-    /// cannot silently absorb a dead shard into a clean exit.
-    pub fn shutdown(self) -> StatsReport {
-        let Self {
-            senders,
-            metrics,
-            handles,
-        } = self;
-        drop(senders);
-        let mut dead_shards = 0usize;
-        for handle in handles {
-            dead_shards += usize::from(handle.join().is_err());
-        }
-        let report = StatsReport {
-            shards: metrics.iter().map(|m| m.snapshot()).collect(),
-        };
-        assert_eq!(
-            dead_shards, 0,
-            "{dead_shards} shard worker(s) panicked (see stderr)"
-        );
-        report
-    }
-}
-
-/// Worker-owned scratch for the batched predictor calls: one request build,
-/// one `predict_batch`/`train_batch` per drained job, no per-item predictor
-/// dispatch.
+/// Scratch for the batched predictor calls: one request build, one
+/// `predict_batch`/`train_batch` per job, no per-item predictor dispatch.
 #[derive(Default)]
 struct BatchScratch {
     reqs: Vec<PredictReq>,
@@ -519,56 +214,111 @@ struct BatchScratch {
     trains: Vec<TrainReq<AnyMeta>>,
 }
 
-/// The shard worker loop: block for one job, then drain up to `max_batch`
-/// more without blocking, processing each in arrival order.
-fn worker(
-    rx: Receiver<ShardJob>,
-    mut predictor: AnyPredictor,
-    metrics: Arc<ShardMetrics>,
-    max_batch: usize,
-    pending_capacity: usize,
+/// One shard's state.
+struct Shard {
+    predictor: AnyPredictor,
+    pending: PendingTable,
+    scratch: BatchScratch,
+}
+
+/// The pool: per-shard state behind per-shard locks, plus metrics.
+pub struct ShardPool {
+    shards: Vec<Mutex<Shard>>,
+    metrics: Vec<Arc<ShardMetrics>>,
     strict_tickets: bool,
-) {
-    let mut pending = PendingTable::new(pending_capacity);
-    let mut scratch = BatchScratch::default();
-    while let Ok(first) = rx.recv() {
-        metrics.batches.fetch_add(1, Ordering::Relaxed);
-        process(
-            first,
-            &mut predictor,
-            &mut pending,
-            &mut scratch,
-            &metrics,
-            strict_tickets,
-        );
-        for _ in 1..max_batch {
-            match rx.try_recv() {
-                Ok(job) => process(
-                    job,
-                    &mut predictor,
-                    &mut pending,
-                    &mut scratch,
-                    &metrics,
-                    strict_tickets,
-                ),
-                Err(_) => break,
-            }
-        }
+}
+
+impl std::fmt::Debug for ShardPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShardPool")
+            .field("shards", &self.shards.len())
+            .field("strict_tickets", &self.strict_tickets)
+            .finish()
     }
 }
 
-fn process(
-    job: ShardJob,
-    predictor: &mut AnyPredictor,
-    pending: &mut PendingTable,
-    scratch: &mut BatchScratch,
-    metrics: &ShardMetrics,
-    strict_tickets: bool,
-) {
-    let t0 = Instant::now();
-    match job {
-        ShardJob::Predict { items, tag, reply } => {
-            let n = items.len() as u64;
+impl ShardPool {
+    /// Builds `cfg.shards` shards, each owning a freshly built `kind`
+    /// predictor.
+    pub fn new(kind: PredictorKind, cfg: &ShardPoolConfig) -> Self {
+        assert!(cfg.shards > 0, "at least one shard");
+        Self::with_predictors((0..cfg.shards).map(|_| kind.build()).collect(), cfg)
+    }
+
+    /// Builds one shard per element of `predictors`, each owning its
+    /// pre-built (e.g. snapshot-restored) predictor. `cfg.shards` is
+    /// ignored; the pool's shard count is `predictors.len()`.
+    pub fn with_predictors(predictors: Vec<AnyPredictor>, cfg: &ShardPoolConfig) -> Self {
+        assert!(!predictors.is_empty(), "at least one shard");
+        let shards: Vec<Mutex<Shard>> = predictors
+            .into_iter()
+            .map(|predictor| {
+                Mutex::new(Shard {
+                    predictor,
+                    pending: PendingTable::new(cfg.pending_capacity),
+                    scratch: BatchScratch::default(),
+                })
+            })
+            .collect();
+        Self {
+            metrics: shards
+                .iter()
+                .map(|_| Arc::new(ShardMetrics::new()))
+                .collect(),
+            shards,
+            strict_tickets: cfg.strict_tickets,
+        }
+    }
+
+    /// Number of shards.
+    pub fn num_shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// The shard owning `pc`.
+    pub fn shard_of(&self, pc: u64) -> usize {
+        shard_of(pc, self.shards.len())
+    }
+
+    /// The per-shard metrics blocks.
+    pub fn metrics(&self) -> &[Arc<ShardMetrics>] {
+        &self.metrics
+    }
+
+    /// Runs `job` on `shard` and delivers its reply to the job's sink
+    /// before returning.
+    ///
+    /// # Panics
+    ///
+    /// As `ShardPool::predict`.
+    pub fn send(&self, shard: usize, job: ShardJob) {
+        match job {
+            ShardJob::Predict { items, tag, reply } => {
+                reply.send(tag, ShardReply::Predict(self.predict(shard, &items)));
+            }
+            ShardJob::Train { items, tag, reply } => {
+                let (applied, stale) = self.train(shard, &items);
+                reply.send(tag, ShardReply::Train { applied, stale });
+            }
+        }
+    }
+
+    /// Predicts `items` (all owned by `shard`) and parks each prediction
+    /// for its train. Returns one reply per item, in order.
+    ///
+    /// # Panics
+    ///
+    /// Under `strict_tickets`, when parking recycles a slot whose
+    /// prediction was never trained. The shard is dead from then on: every
+    /// later call on it panics too, and so does [`ShardPool::shutdown`].
+    pub(crate) fn predict(&self, shard: usize, items: &[PredictItem]) -> Vec<PredictReply> {
+        let strict_tickets = self.strict_tickets;
+        self.run(shard, |s, metrics| {
+            let Shard {
+                predictor,
+                pending,
+                scratch,
+            } = s;
             scratch.reqs.clear();
             scratch.reqs.extend(items.iter().map(|item| PredictReq {
                 pc: item.pc,
@@ -584,7 +334,9 @@ fn process(
                 out.push(PredictReply { ticket, prediction });
             }
             if evicted > 0 {
-                metrics.evicted_pending.fetch_add(evicted, Ordering::Relaxed);
+                metrics
+                    .evicted_pending
+                    .fetch_add(evicted, Ordering::Relaxed);
                 assert!(
                     !strict_tickets,
                     "pending-table eviction under strict_tickets: {evicted} \
@@ -594,12 +346,22 @@ fn process(
                     pending.slots.len(),
                 );
             }
+            let n = items.len() as u64;
             metrics.predicts.fetch_add(n, Ordering::Relaxed);
             metrics.requests.fetch_add(n, Ordering::Relaxed);
-            reply.send(tag, ShardReply::Predict(out));
-        }
-        ShardJob::Train { items, tag, reply } => {
-            let n = items.len() as u64;
+            out
+        })
+    }
+
+    /// Trains `shard` from `items` (all owned by it), each quoting the
+    /// ticket of its prediction. Returns `(applied, stale)`.
+    pub(crate) fn train(&self, shard: usize, items: &[TrainItem]) -> (u32, u32) {
+        self.run(shard, |s, metrics| {
+            let Shard {
+                predictor,
+                pending,
+                scratch,
+            } = s;
             let (mut applied, mut stale) = (0u32, 0u32);
             // Misprediction taxonomy of the drained outcomes (the serving
             // mirror of the simulator's per-tenant pollution counters).
@@ -626,48 +388,132 @@ fn process(
                 }
             }
             predictor.train_batch(&mut scratch.trains);
-            metrics.missed_dependencies.fetch_add(missed, Ordering::Relaxed);
-            metrics.false_dependencies.fetch_add(false_dep, Ordering::Relaxed);
-            metrics.false_bypasses.fetch_add(false_byp, Ordering::Relaxed);
-            metrics.trains.fetch_add(u64::from(applied), Ordering::Relaxed);
+            metrics
+                .missed_dependencies
+                .fetch_add(missed, Ordering::Relaxed);
+            metrics
+                .false_dependencies
+                .fetch_add(false_dep, Ordering::Relaxed);
+            metrics
+                .false_bypasses
+                .fetch_add(false_byp, Ordering::Relaxed);
+            metrics
+                .trains
+                .fetch_add(u64::from(applied), Ordering::Relaxed);
             metrics
                 .stale_trains
                 .fetch_add(u64::from(stale), Ordering::Relaxed);
-            metrics.requests.fetch_add(n, Ordering::Relaxed);
-            reply.send(tag, ShardReply::Train { applied, stale });
+            metrics
+                .requests
+                .fetch_add(items.len() as u64, Ordering::Relaxed);
+            (applied, stale)
+        })
+    }
+
+    /// Applies predictor-state events to every shard.
+    pub fn broadcast_sync(&self, events: &[SyncEvent]) {
+        if events.is_empty() {
+            return;
         }
-        ShardJob::Sync(events) => {
-            for event in events {
-                match event {
-                    SyncEvent::Branch(e) => predictor.on_branch(&e),
-                    SyncEvent::StoreDispatch { pc, store_seq } => {
-                        predictor.on_store_dispatch(pc, store_seq);
+        for shard in 0..self.shards.len() {
+            self.run(shard, |s, _| {
+                for event in events {
+                    match *event {
+                        SyncEvent::Branch(e) => s.predictor.on_branch(&e),
+                        SyncEvent::StoreDispatch { pc, store_seq } => {
+                            s.predictor.on_store_dispatch(pc, store_seq);
+                        }
                     }
                 }
-            }
-        }
-        ShardJob::Snapshot { tag, reply } => {
-            reply.send(tag, ShardReply::Snapshot(predictor.snapshot_bytes()));
-        }
-        ShardJob::Restore {
-            predictor: replacement,
-            tag,
-            reply,
-        } => {
-            *predictor = *replacement;
-            // Parked tickets reference metadata minted by the predictor just
-            // replaced; training the restored one with it would be lying.
-            *pending = PendingTable::new(pending.slots.len());
-            reply.send(tag, ShardReply::Restore(predictor.entry_count()));
-        }
-        ShardJob::Wait(barrier) => {
-            barrier.wait();
-            return; // not service work; keep it out of the histogram
+            });
         }
     }
-    metrics
-        .service
-        .record_ns(t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
+
+    /// Serializes every shard's predictor state, in shard order.
+    pub fn snapshot_shards(&self) -> Vec<Vec<u8>> {
+        (0..self.shards.len())
+            .map(|shard| self.run(shard, |s, _| s.predictor.snapshot_bytes()))
+            .collect()
+    }
+
+    /// Swaps one pre-built predictor into each shard (in shard order),
+    /// clears the pending tables — parked tickets reference metadata from
+    /// the predictors being replaced — and records each shard's restored
+    /// entry count in its metrics. Returns the total across shards.
+    ///
+    /// # Panics
+    ///
+    /// When `predictors.len()` differs from the pool's shard count — the
+    /// caller performs any resharding *before* handing the pool its new
+    /// per-shard states.
+    pub fn restore_shards(&self, predictors: Vec<AnyPredictor>) -> u64 {
+        assert_eq!(
+            predictors.len(),
+            self.shards.len(),
+            "one replacement predictor per shard"
+        );
+        let mut total = 0u64;
+        for (shard, predictor) in predictors.into_iter().enumerate() {
+            let entries = self.run(shard, |s, _| {
+                s.predictor = predictor;
+                s.pending = PendingTable::new(s.pending.slots.len());
+                s.predictor.entry_count()
+            });
+            self.metrics[shard]
+                .restored_entries
+                .store(entries, Ordering::Relaxed);
+            total += entries;
+        }
+        total
+    }
+
+    /// Stamps the warm-start observability counters (snapshot age at
+    /// restore, checkpoint/restore generation) on every shard's metrics.
+    pub fn set_warm_start(&self, snapshot_age_s: u64, restarts: u64) {
+        for m in &self.metrics {
+            m.snapshot_age_s.store(snapshot_age_s, Ordering::Relaxed);
+            m.restarts.store(restarts, Ordering::Relaxed);
+        }
+    }
+
+    /// Snapshots every shard's counters.
+    pub fn stats_report(&self) -> StatsReport {
+        StatsReport {
+            shards: self.metrics.iter().map(|m| m.snapshot()).collect(),
+        }
+    }
+
+    /// Consumes the pool and returns its final statistics.
+    ///
+    /// # Panics
+    ///
+    /// When a shard died of a panic — most notably the `strict_tickets`
+    /// pending-eviction hard error — so an audit run that caught the panic
+    /// still cannot report a clean exit.
+    pub fn shutdown(self) -> StatsReport {
+        let dead_shards = self.shards.iter().filter(|s| s.is_poisoned()).count();
+        assert_eq!(
+            dead_shards, 0,
+            "{dead_shards} shard(s) panicked (see stderr)"
+        );
+        self.stats_report()
+    }
+
+    /// Runs `f` on `shard`'s state and records it as one job in the
+    /// shard's metrics (one `batches` count, one service-time sample).
+    fn run<R>(&self, shard: usize, f: impl FnOnce(&mut Shard, &ShardMetrics) -> R) -> R {
+        let metrics = &self.metrics[shard];
+        let mut state = self.shards[shard]
+            .lock()
+            .unwrap_or_else(|_| panic!("shard {shard} died of an earlier panic"));
+        let t0 = Instant::now();
+        let result = f(&mut state, metrics);
+        metrics.batches.fetch_add(1, Ordering::Relaxed);
+        metrics
+            .service
+            .record_ns(t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
+        result
+    }
 }
 
 #[cfg(test)]
@@ -761,6 +607,59 @@ mod tests {
         assert_eq!(report.total_requests(), 9);
     }
 
+    /// The run-to-completion contract: by the time `send` returns, the job
+    /// has run and its reply sits in the sink — `try_recv`, never `recv`,
+    /// finds it — and the shard counts exactly one job per `send`.
+    #[test]
+    fn send_delivers_the_reply_before_returning() {
+        let cfg = ShardPoolConfig {
+            shards: 2,
+            ..Default::default()
+        };
+        let pool = ShardPool::new(PredictorKind::Mascot, &cfg);
+        let (tx, rx) = channel();
+        for (tag, pc) in (0u64..).zip([0x40u64, 0x44, 0x48, 0x4c, 0x50]) {
+            let shard = pool.shard_of(pc);
+            pool.send(shard, predict_job(&[pc], tag, &tx));
+            let ticket = match rx.try_recv() {
+                Ok((t, ShardReply::Predict(r))) if t == tag => r[0].ticket,
+                other => panic!("predict reply not delivered by send: {other:?}"),
+            };
+            pool.send(
+                shard,
+                ShardJob::Train {
+                    items: vec![TrainItem {
+                        ticket,
+                        pc,
+                        outcome: mascot::prediction::LoadOutcome::independent(),
+                    }],
+                    tag,
+                    reply: ReplySink::new(tx.clone()),
+                },
+            );
+            match rx.try_recv() {
+                Ok((
+                    t,
+                    ShardReply::Train {
+                        applied: 1,
+                        stale: 0,
+                    },
+                )) if t == tag => {}
+                other => panic!("train reply not delivered by send: {other:?}"),
+            }
+        }
+        assert!(rx.try_recv().is_err(), "one reply per job");
+        let report = pool.shutdown();
+        assert_eq!(report.total_trains(), 5);
+        let jobs: u64 = report.shards.iter().map(|s| s.batches).sum();
+        let samples: u64 = report.shards.iter().map(|s| s.service_samples).sum();
+        assert_eq!(
+            (jobs, samples),
+            (10, 10),
+            "one batch and one sample per job"
+        );
+    }
+
     #[test]
     fn wrong_pc_on_ticket_is_stale() {
         let pool = ShardPool::new(PredictorKind::StoreSets, &ShardPoolConfig::default());
@@ -788,39 +687,6 @@ mod tests {
             ShardReply::Train { applied, stale } => assert_eq!((applied, stale), (0, 1)),
             other => panic!("unexpected reply {other:?}"),
         }
-        pool.shutdown();
-    }
-
-    #[test]
-    fn bounded_queue_rejects_when_worker_is_parked() {
-        let cfg = ShardPoolConfig {
-            shards: 1,
-            queue_depth: 1,
-            max_batch: 1,
-            ..Default::default()
-        };
-        let pool = ShardPool::new(PredictorKind::PerfectMdp, &cfg);
-        let barrier = Arc::new(Barrier::new(2));
-        // Park the worker. Retry until the worker has dequeued the job
-        // (depth-1 queue: acceptance of the *next* job proves it).
-        let mut job = ShardJob::Wait(Arc::clone(&barrier));
-        while let Err(back) = pool.try_send(0, job) {
-            job = back;
-        }
-        let (tx, _rx) = channel();
-        let mut filler = predict_job(&[1], 0, &tx);
-        loop {
-            match pool.try_send(0, filler) {
-                Ok(()) => break,
-                Err(back) => filler = back,
-            }
-        }
-        // Queue now holds one job and the worker is parked: full.
-        assert!(pool.try_send(0, predict_job(&[2], 1, &tx)).is_err());
-        barrier.wait(); // release the worker
-        pool.fence();
-        let report = pool.stats_report();
-        assert_eq!(report.total_predicts(), 1);
         pool.shutdown();
     }
 
@@ -958,7 +824,6 @@ mod tests {
                 rx.recv().unwrap();
             }
         }
-        warm.fence();
         let payloads = warm.snapshot_shards();
         assert_eq!(payloads.len(), 2);
 
@@ -1002,7 +867,7 @@ mod tests {
             ..Default::default()
         };
         let pool = ShardPool::new(PredictorKind::Mascot, &cfg);
-        pool.broadcast_sync(vec![
+        pool.broadcast_sync(&[
             SyncEvent::Branch(BranchEvent {
                 pc: 0x100,
                 kind: BranchKind::Conditional,
@@ -1014,8 +879,11 @@ mod tests {
                 store_seq: 1,
             },
         ]);
-        pool.fence();
-        pool.shutdown();
+        let report = pool.shutdown();
+        assert!(
+            report.shards.iter().all(|s| s.batches == 1),
+            "every shard ran the broadcast exactly once"
+        );
     }
 
     /// Repro for the in-flight-window overrun the audit flushed out: with a
@@ -1069,25 +937,36 @@ mod tests {
     }
 
     /// Under `strict_tickets` (the `mascotd --audit` configuration) the
-    /// same overrun is a hard error: the shard worker panics and
-    /// `shutdown` refuses to report a clean exit.
+    /// same overrun is a hard error: the offending `Predict` panics before
+    /// any reply is delivered, the shard stays dead, and `shutdown` still
+    /// refuses to report a clean exit.
     #[test]
     fn strict_tickets_turns_eviction_into_hard_error() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
         let cfg = ShardPoolConfig {
             shards: 1,
             pending_capacity: 2,
             strict_tickets: true,
-            ..Default::default()
         };
         let pool = ShardPool::new(PredictorKind::Mascot, &cfg);
         let (tx, rx) = channel();
-        pool.send(0, predict_job(&[0x40u64, 0x44, 0x48], 1, &tx));
-        // The worker dies mid-batch; once the job's ReplySink (the only
-        // other sender) is gone the channel disconnects without ever
-        // delivering a reply.
+        let predicted = catch_unwind(AssertUnwindSafe(|| {
+            pool.send(0, predict_job(&[0x40u64, 0x44, 0x48], 1, &tx));
+        }));
+        assert!(predicted.is_err(), "the offending Predict must panic");
         drop(tx);
         assert!(rx.recv().is_err(), "no reply escapes the dead shard");
-        let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.shutdown()));
+        let again = catch_unwind(AssertUnwindSafe(|| {
+            pool.predict(
+                0,
+                &[PredictItem {
+                    pc: 0x4c,
+                    store_seq: 0,
+                }],
+            )
+        }));
+        assert!(again.is_err(), "a dead shard serves nothing more");
+        let joined = catch_unwind(AssertUnwindSafe(|| pool.shutdown()));
         assert!(joined.is_err(), "shutdown must propagate the shard panic");
     }
 }

@@ -227,10 +227,11 @@ pub struct ShardStats {
     /// the squash-causing shape a mistraining attacker induces
     /// (DESIGN.md §12).
     pub false_bypasses: u64,
-    /// Queue pops that did work (each pop drains up to the configured
-    /// micro-batch of jobs).
+    /// Jobs the shard executed. `mascotd` runs each job on its own, so this
+    /// equals `service_samples`.
     pub batches: u64,
-    /// Items rejected with `Busy` because this shard's queue was full.
+    /// Items answered `Busy`. Always 0 from `mascotd`, which never
+    /// rejects; `mascot-router` counts the items it answers `Busy` here.
     pub rejected_full: u64,
     /// Number of service-time samples in the histogram.
     pub service_samples: u64,

@@ -57,8 +57,7 @@ fn loopback_mixed_traffic_accounts_for_every_item() {
                             store_seq: (b * BATCH + i) as u64,
                         })
                         .collect();
-                    // One closed-loop frame per connection can never fill a
-                    // 256-deep shard queue, so Busy here is a bug.
+                    // mascotd never answers Busy, so Busy here is a bug.
                     let replies = match client.predict(items.clone()).expect("predict") {
                         Served::Ok(replies) => replies,
                         Served::Busy => panic!("unexpected Busy under closed-loop load"),
@@ -246,20 +245,7 @@ fn concurrent_partial_writes_lose_nothing() {
     const CONNS: usize = 256;
     const BATCH: usize = 3;
 
-    // Deep queues: all 512 frames land in one burst once the second halves
-    // are written, and the exact accounting below requires zero Busy.
-    let cfg = ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        kind: PredictorKind::Mascot,
-        pool: ShardPoolConfig {
-            shards: 2,
-            queue_depth: 4096,
-            ..ShardPoolConfig::default()
-        },
-    };
-    let server = Server::bind(&cfg).expect("bind ephemeral port");
-    let (addr, handle) = server.spawn();
-    let addr = addr.to_string();
+    let (addr, handle) = spawn_server(2);
 
     // Each connection's byte stream: two predict frames, back to back.
     let mut streams: Vec<(TcpStream, Vec<u8>, usize)> = (0..CONNS)
@@ -322,7 +308,7 @@ fn concurrent_partial_writes_lose_nothing() {
         (CONNS * 2 * BATCH) as u64,
         "every item answered exactly once"
     );
-    assert_eq!(stats.total_rejected(), 0, "deep queues must absorb the burst");
+    assert_eq!(stats.total_rejected(), 0, "mascotd never answers Busy");
     control.shutdown().expect("shutdown");
     handle.join().expect("server thread");
 }
@@ -417,4 +403,188 @@ fn malformed_payload_keeps_the_connection_alive() {
     let mut client = Client::connect(&addr).expect("connect");
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread");
+}
+
+/// Threads of this process.
+fn thread_count() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .count()
+}
+
+/// `mascotd` is one thread: a 4-shard server adds exactly its event loop,
+/// and serving traffic spawns nothing more. The count runs in a child
+/// process (this test binary, filtered to `thread_count_probe`), where no
+/// concurrently running test can add threads to `/proc/self/task`.
+#[test]
+fn server_adds_exactly_one_thread() {
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+        .args([
+            "thread_count_probe",
+            "--exact",
+            "--ignored",
+            "--test-threads=1",
+        ])
+        .output()
+        .expect("run the probe");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("test thread_count_probe ... ok"),
+        "probe failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
+#[ignore = "run in a child process by server_adds_exactly_one_thread"]
+fn thread_count_probe() {
+    let before = thread_count();
+    let (addr, handle) = spawn_server(4);
+    let spawned = thread_count() - before;
+    let mut client = Client::connect(&addr).expect("connect");
+    let items: Vec<PredictItem> = (0..64u64)
+        .map(|i| PredictItem {
+            pc: 0x7000 + i * 4,
+            store_seq: i,
+        })
+        .collect();
+    let Served::Ok(replies) = client.predict(items.clone()).expect("predict") else {
+        panic!("unexpected Busy");
+    };
+    let trains = items
+        .iter()
+        .zip(&replies)
+        .map(|(item, r)| TrainItem {
+            ticket: r.ticket,
+            pc: item.pc,
+            outcome: LoadOutcome::independent(),
+        })
+        .collect();
+    assert!(matches!(
+        client.train(trains).expect("train"),
+        Served::Ok((64, 0))
+    ));
+    let serving = thread_count() - before;
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread");
+    assert_eq!(
+        (spawned, serving),
+        (1, 1),
+        "a server must add its event loop and nothing else"
+    );
+}
+
+/// One pipelined request stream: `BATCHES` predict frames, each followed by
+/// the train frame for the batch before it, then `Shutdown`. Tickets are
+/// per-shard counters from 0, so the stream can quote them before reading
+/// a single response. Returns the bytes and the opcode of every frame.
+fn pipelined_stream(shards: usize) -> (Vec<u8>, Vec<Opcode>) {
+    const BATCHES: u64 = 200;
+    const BATCH: u64 = 48;
+    let mut next_ticket = vec![0u32; shards];
+    let (mut bytes, mut ops) = (Vec::new(), Vec::new());
+    let mut owed: Vec<TrainItem> = Vec::new();
+    for b in 0..BATCHES {
+        let items: Vec<PredictItem> = (0..BATCH)
+            .map(|i| {
+                let k = b * BATCH + i;
+                PredictItem {
+                    pc: 0x4000 + (k * 7 % 389) * 4,
+                    store_seq: k,
+                }
+            })
+            .collect();
+        let trains: Vec<TrainItem> = items
+            .iter()
+            .map(|item| {
+                let shard = mascot_serve::shard::shard_of(item.pc, shards);
+                let ticket = next_ticket[shard];
+                next_ticket[shard] += 1;
+                let outcome = if item.pc % 3 == 0 {
+                    LoadOutcome::dependent(ObservedDependence {
+                        distance: StoreDistance::new(1 + (item.store_seq % 5) as u32)
+                            .expect("in window"),
+                        class: BypassClass::DirectBypass,
+                        store_pc: item.pc + 0x100,
+                        branches_between: 0,
+                    })
+                } else {
+                    LoadOutcome::independent()
+                };
+                TrainItem {
+                    ticket,
+                    pc: item.pc,
+                    outcome,
+                }
+            })
+            .collect();
+        let mut push = |req: wire::Request, op| {
+            bytes.extend(req.encode_frame().expect("encodable batch"));
+            ops.push(op);
+        };
+        push(wire::Request::Predict(items), Opcode::Predict);
+        if !owed.is_empty() {
+            push(
+                wire::Request::Train(std::mem::take(&mut owed)),
+                Opcode::Train,
+            );
+        }
+        owed = trains;
+    }
+    for (req, op) in [
+        (wire::Request::Train(owed), Opcode::Train),
+        (wire::Request::Shutdown, Opcode::Shutdown),
+    ] {
+        bytes.extend(req.encode_frame().expect("encodable batch"));
+        ops.push(op);
+    }
+    (bytes, ops)
+}
+
+/// Writes `stream` to a fresh server over one connection (from a second
+/// thread, so neither side waits on the other's buffers) and returns every
+/// response byte until the server hangs up after `Shutdown`.
+fn serve_stream(stream: &[u8], shards: usize) -> Vec<u8> {
+    let (addr, handle) = spawn_server(shards);
+    let mut conn = TcpStream::connect(&addr).expect("connect");
+    conn.set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .expect("set timeout");
+    let mut writer = conn.try_clone().expect("clone stream");
+    let bytes = stream.to_vec();
+    let sent = std::thread::spawn(move || writer.write_all(&bytes));
+    let mut responses = Vec::new();
+    std::io::Read::read_to_end(&mut conn, &mut responses).expect("responses until hang-up");
+    sent.join().expect("writer thread").expect("write stream");
+    handle.join().expect("server thread");
+    responses
+}
+
+/// Pipelined responses are a function of the request stream alone: two
+/// fresh 4-shard servers fed the same bytes answer with the same bytes,
+/// and every train finds its ticket.
+#[test]
+fn pipelined_responses_are_byte_identical_across_servers() {
+    let (stream, ops) = pipelined_stream(4);
+    let first = serve_stream(&stream, 4);
+    let second = serve_stream(&stream, 4);
+    assert!(first == second, "response streams differ");
+
+    let mut rd = std::io::Cursor::new(&first);
+    for op in ops {
+        let (code, payload) = wire::read_frame(&mut rd)
+            .expect("well-framed")
+            .expect("one response per request");
+        match Response::decode(op, code, &payload).expect("decode") {
+            Response::Predict(replies) => assert_eq!(replies.len(), 48),
+            Response::Train { applied, stale } => {
+                assert_eq!((applied, stale), (48, 0), "every ticket fresh");
+            }
+            Response::Shutdown { .. } => {}
+            other => panic!("{op:?} answered {other:?}"),
+        }
+    }
+    assert!(
+        matches!(wire::read_frame(&mut rd), Ok(None)),
+        "no extra responses"
+    );
 }
