@@ -1,7 +1,9 @@
 //! A minimal synchronous client for the `mascot-serve` wire protocol.
 //!
-//! One [`Client`] owns one TCP connection and issues one request at a
-//! time; the load generator opens a client per thread. Convenience
+//! One [`Client`] owns one TCP connection. [`Client::request`] issues one
+//! request and waits for its answer; [`Client::send`] and [`Client::recv`]
+//! split the two halves so requests can be pipelined (`mascot-router`
+//! scatters a batch over its nodes this way). Convenience
 //! wrappers return the typed payload and surface protocol-level `Busy` /
 //! `Error` responses as values rather than errors, since backpressure is
 //! an expected outcome the caller must handle.
@@ -10,7 +12,7 @@ use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 
 use crate::wire::{
-    self, PredictItem, PredictReply, Request, Response, StatsReport, TrainItem, WireError,
+    self, Opcode, PredictItem, PredictReply, Request, Response, StatsReport, TrainItem, WireError,
 };
 
 /// A connected `mascot-serve` client.
@@ -24,7 +26,8 @@ pub struct Client {
 pub enum Served<T> {
     /// The request was processed.
     Ok(T),
-    /// A shard queue was full; retry later.
+    /// The server pushed back; retry later. Neither `mascotd` nor
+    /// `mascot-router` answers `Busy`, but the wire keeps the status.
     Busy,
 }
 
@@ -49,9 +52,31 @@ impl Client {
     /// batch ([`WireError::BatchTooLarge`], rejected before any byte is
     /// written so the stream stays in sync).
     pub fn request(&mut self, req: &Request) -> Result<Response, WireError> {
+        self.send(req)?;
+        self.recv(req.opcode())
+    }
+
+    /// Writes one request frame without waiting for its response, so
+    /// requests can be pipelined; [`Client::recv`] collects the responses
+    /// in send order.
+    ///
+    /// # Errors
+    ///
+    /// As the write half of [`Client::request`].
+    pub fn send(&mut self, req: &Request) -> Result<(), WireError> {
         self.stream.write_all(&req.encode_frame()?)?;
+        Ok(())
+    }
+
+    /// Reads the next response frame, decoding it as the answer to a
+    /// request with opcode `op`.
+    ///
+    /// # Errors
+    ///
+    /// As the read half of [`Client::request`].
+    pub fn recv(&mut self, op: Opcode) -> Result<Response, WireError> {
         let (code, payload) = wire::read_frame(&mut self.stream)?.ok_or(WireError::Closed)?;
-        Response::decode(req.opcode(), code, &payload)
+        Response::decode(op, code, &payload)
     }
 
     /// Predicts a batch of loads.

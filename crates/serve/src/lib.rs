@@ -16,13 +16,15 @@
 //! * [`conn`] — per-connection receive/send buffers: incremental frame
 //!   reassembly with zero-copy payload access, partial-write resumption,
 //!   and the backpressure threshold.
-//! * [`server`] — the readiness-driven event loop: nonblocking accept,
-//!   per-connection state machines over [`conn`], each request split over
-//!   its shards and answered before the next is parsed (so pipelined
-//!   responses stay in order), and graceful drain on `Shutdown`
-//!   (DESIGN.md §11). `mascotd` is this one thread.
-//! * [`client`] — a small synchronous client used by the load generator
-//!   and the integration tests.
+//! * [`server`] — the readiness-driven event loop both binaries run:
+//!   nonblocking accept, per-connection state machines over [`conn`],
+//!   each request answered by a [`server::Handler`] before the next is
+//!   parsed (so pipelined responses stay in order), and graceful drain on
+//!   `Shutdown` (DESIGN.md §11). `mascotd`'s handler runs shard work.
+//! * [`router`] — `mascot-router`'s handler: PC-hash scatter-then-gather
+//!   over `mascotd` nodes, with replica failover.
+//! * [`client`] — a small synchronous client used by the load generator,
+//!   the router's upstreams and the integration tests.
 //! * [`replay`] — feeds an `.mtrc` trace through the pool as training
 //!   traffic (`mascotd --replay`).
 //! * [`metrics`] — lock-free per-shard counters and a fixed-bucket
@@ -46,6 +48,7 @@ pub mod conn;
 pub mod metrics;
 pub mod poll;
 pub mod replay;
+pub mod router;
 pub mod server;
 pub mod shard;
 pub mod wire;

@@ -1,18 +1,23 @@
-//! `mascotd`'s server core: a single-threaded, readiness-driven event loop
-//! multiplexing every connection over level-triggered `epoll`
-//! ([`crate::poll`]), running shard work to completion in place.
+//! The event loop both binaries serve from: a single-threaded,
+//! readiness-driven loop multiplexing every connection over
+//! level-triggered `epoll` ([`crate::poll`]), answering each request to
+//! completion in place through a [`Handler`].
 //!
-//! One thread owns the listener, all connections and the shard pool. Each
+//! One thread owns the listener, all connections and the handler. Each
 //! readable event pulls at most [`READ_CHUNK`] bytes into the connection's
-//! [`RecvBuf`] and handles every complete frame it holds: a batch is split
-//! over its owning shards, each sub-batch runs on the loop thread
-//! (`ShardPool::predict` / `ShardPool::train`), and the response is
-//! encoded onto the connection's send buffer before the next frame is
-//! parsed. Responses therefore leave strictly in request order with no
-//! reassembly state, and clients may pipeline as many requests as they
-//! like. Partial reads and writes resume where they stopped — the state
-//! machine per connection is exactly `reading frames ⇄ writing responses`,
-//! both sides restartable at any byte boundary (DESIGN.md §11).
+//! [`RecvBuf`] and handles every complete frame it holds: the decoded
+//! request goes to [`Handler::handle`], and its response is encoded onto
+//! the connection's send buffer before the next frame is parsed.
+//! Responses therefore leave strictly in request order with no reassembly
+//! state, and clients may pipeline as many requests as they like. Partial
+//! reads and writes resume where they stopped — the state machine per
+//! connection is exactly `reading frames ⇄ writing responses`, both sides
+//! restartable at any byte boundary (DESIGN.md §11).
+//!
+//! `mascotd`'s handler splits each batch over its owning shards and runs
+//! every sub-batch on the loop thread (`ShardPool::predict` /
+//! `ShardPool::train`); `mascot-router`'s forwards it to its nodes
+//! ([`crate::router`]).
 //!
 //! Fairness is the level-triggered contract: a connection with more
 //! buffered input than one chunk is simply re-reported by the kernel on
@@ -22,7 +27,7 @@
 //! Backpressure is per connection: reading pauses when the send buffer
 //! crosses [`crate::conn`]'s threshold and resumes at half (hysteresis),
 //! so a client that never reads its responses stops being served instead
-//! of ballooning server memory. The server never answers `Busy` — there is
+//! of ballooning server memory. The loop never answers `Busy` — there is
 //! no queue to fill — although the wire keeps the status for clients.
 //!
 //! Shutdown drains: the `Shutdown` response is flushed, the listener is
@@ -41,9 +46,9 @@ use mascot_snapshot::SnapshotFile;
 
 use crate::conn::{Conn, READ_CHUNK};
 use crate::poll::{Event, Poller};
-use crate::shard::{shard_of, ShardPool, ShardPoolConfig};
+use crate::shard::{ShardPool, ShardPoolConfig};
 use crate::wire::{
-    PredictItem, Request, Response, StatsReport, TrainItem, MAX_BATCH, MAX_SNAPSHOT_FRAME_PAYLOAD,
+    PredictItem, Request, Response, StatsReport, TrainItem, MAX_SNAPSHOT_FRAME_PAYLOAD,
 };
 
 /// Token of the listening socket in the poller.
@@ -81,7 +86,7 @@ pub struct Server {
     pool: ShardPool,
     kind: PredictorKind,
     addr: SocketAddr,
-    on_ready: Option<Box<dyn FnOnce() + Send>>,
+    on_ready: Box<dyn FnOnce() + Send>,
 }
 
 impl std::fmt::Debug for Server {
@@ -126,7 +131,7 @@ impl Server {
             pool,
             kind: cfg.kind,
             addr,
-            on_ready: None,
+            on_ready: Box::new(|| {}),
         })
     }
 
@@ -145,7 +150,7 @@ impl Server {
     /// accepting under load. `mascotd --port-file` writes its readiness
     /// file here, not before.
     pub fn set_on_ready(&mut self, f: Box<dyn FnOnce() + Send>) {
-        self.on_ready = Some(f);
+        self.on_ready = f;
     }
 
     /// Serves until a `Shutdown` request, then drains every connection and
@@ -166,14 +171,8 @@ impl Server {
             addr: _,
             on_ready,
         } = self;
-        listener
-            .set_nonblocking(true)
-            .expect("nonblocking listener");
-        let el = EventLoop::new(listener, &pool, kind).expect("event loop setup");
-        if let Some(ready) = on_ready {
-            ready();
-        }
-        el.run();
+        serve(listener, &mut ShardHandler { pool: &pool, kind }, on_ready)
+            .expect("event loop setup");
         // No connections remain, so no new work can arrive; a snapshot
         // taken now is the final state.
         let payloads = if collect_snapshot {
@@ -196,9 +195,49 @@ impl Server {
     }
 }
 
+/// Answers one decoded request. The event loop owns accept, framing,
+/// backpressure and the drain; a handler owns only what a request means.
+pub trait Handler {
+    /// Answers `req`. After queuing the answer to a `Shutdown`, the loop
+    /// stops accepting and drains.
+    fn handle(&mut self, req: Request) -> Response;
+}
+
+/// Serves `listener` through `handler` on the calling thread until a
+/// `Shutdown` has been answered and every connection has drained.
+/// `on_ready` runs once the listener is registered with the poller — the
+/// earliest point at which connections are actually served.
+///
+/// # Errors
+///
+/// Propagates a failure to set up the listener or the poller.
+pub fn serve<H: Handler>(
+    listener: TcpListener,
+    handler: &mut H,
+    on_ready: impl FnOnce(),
+) -> io::Result<()> {
+    listener.set_nonblocking(true)?;
+    let poller = Poller::new()?;
+    poller.add(listener.as_raw_fd(), TOKEN_LISTENER, true, false)?;
+    on_ready();
+    EventLoop {
+        poller,
+        listener,
+        conns: Vec::new(),
+        free_conns: Vec::new(),
+        dead: Vec::new(),
+        handler,
+        accepting: true,
+        draining: false,
+        deadline: None,
+    }
+    .run();
+    Ok(())
+}
+
 /// The event loop: owns the poller, the listener and the connection slab,
-/// and runs shard work on the pool it borrows.
-struct EventLoop<'a> {
+/// and answers requests through the handler it borrows.
+struct EventLoop<'a, H> {
     poller: Poller,
     listener: TcpListener,
     conns: Vec<Option<Conn>>,
@@ -206,31 +245,13 @@ struct EventLoop<'a> {
     /// Slots closed during the current poll batch; recycled only after the
     /// batch, so a stale event can't hit a freshly accepted connection.
     dead: Vec<usize>,
-    pool: &'a ShardPool,
-    kind: PredictorKind,
+    handler: &'a mut H,
     accepting: bool,
     draining: bool,
     deadline: Option<Instant>,
 }
 
-impl<'a> EventLoop<'a> {
-    fn new(listener: TcpListener, pool: &'a ShardPool, kind: PredictorKind) -> io::Result<Self> {
-        let poller = Poller::new()?;
-        poller.add(listener.as_raw_fd(), TOKEN_LISTENER, true, false)?;
-        Ok(Self {
-            poller,
-            listener,
-            conns: Vec::new(),
-            free_conns: Vec::new(),
-            dead: Vec::new(),
-            pool,
-            kind,
-            accepting: true,
-            draining: false,
-            deadline: None,
-        })
-    }
-
+impl<H: Handler> EventLoop<'_, H> {
     fn run(mut self) {
         let mut events: Vec<Event> = Vec::new();
         loop {
@@ -371,63 +392,13 @@ impl<'a> EventLoop<'a> {
 
     /// Runs one request to completion and queues its response.
     fn dispatch(&mut self, idx: usize, req: Request) {
-        let resp = match req {
-            Request::Predict(items) => self.predict(&items),
-            Request::Train(items) => self.train(&items),
-            Request::Stats => Response::Stats(self.pool.stats_report()),
-            Request::Shutdown => {
-                let served = self
-                    .pool
-                    .metrics()
-                    .iter()
-                    .map(|m| m.requests.load(Ordering::Relaxed))
-                    .sum();
-                // Queued first, so the drain keeps this connection open.
-                self.respond(idx, Response::Shutdown { served });
-                if !self.draining {
-                    self.begin_drain();
-                }
-                return;
-            }
-            Request::Snapshot => snapshot_response(self.pool, self.kind),
-            Request::Restore(bytes) => restore_response(&bytes, self.pool, self.kind),
-        };
+        let shutdown = matches!(req, Request::Shutdown);
+        let resp = self.handler.handle(req);
+        // Queued first, so the drain keeps this connection open.
         self.respond(idx, resp);
-    }
-
-    /// Splits the batch over its owning shards, runs each sub-batch, and
-    /// slots the replies back into request order.
-    fn predict(&self, items: &[PredictItem]) -> Response {
-        if items.len() > MAX_BATCH {
-            return Response::Error("batch exceeds MAX_BATCH".to_string());
+        if shutdown && !self.draining {
+            self.begin_drain();
         }
-        let mut out = vec![None; items.len()];
-        for (shard, idxs) in partition(items, |it| it.pc, self.pool.num_shards()) {
-            let sub: Vec<PredictItem> = idxs.iter().map(|&i| items[i]).collect();
-            for (&i, reply) in idxs.iter().zip(self.pool.predict(shard, &sub)) {
-                out[i] = Some(reply);
-            }
-        }
-        Response::Predict(
-            out.into_iter()
-                .map(|r| r.expect("every item has a shard"))
-                .collect(),
-        )
-    }
-
-    /// Splits the batch over its owning shards and sums their summaries.
-    fn train(&self, items: &[TrainItem]) -> Response {
-        if items.len() > MAX_BATCH {
-            return Response::Error("batch exceeds MAX_BATCH".to_string());
-        }
-        let (mut applied, mut stale) = (0, 0);
-        for (shard, idxs) in partition(items, |it| it.pc, self.pool.num_shards()) {
-            let sub: Vec<TrainItem> = idxs.iter().map(|&i| items[i]).collect();
-            let (a, s) = self.pool.train(shard, &sub);
-            applied += a;
-            stale += s;
-        }
-        Response::Train { applied, stale }
     }
 
     /// Flushes what the socket accepts, resumes paused parsing when below
@@ -511,6 +482,66 @@ impl<'a> EventLoop<'a> {
         let Some(conn) = self.conns[idx].take() else { return };
         self.poller.delete(conn.stream.as_raw_fd());
         self.dead.push(idx);
+    }
+}
+
+/// `mascotd`'s request work: each batch split over its owning shards, and
+/// every sub-batch run to completion on the loop thread.
+struct ShardHandler<'a> {
+    pool: &'a ShardPool,
+    kind: PredictorKind,
+}
+
+impl Handler for ShardHandler<'_> {
+    fn handle(&mut self, req: Request) -> Response {
+        match req {
+            Request::Predict(items) => self.predict(&items),
+            Request::Train(items) => self.train(&items),
+            Request::Stats => Response::Stats(self.pool.stats_report()),
+            Request::Shutdown => Response::Shutdown {
+                served: self
+                    .pool
+                    .metrics()
+                    .iter()
+                    .map(|m| m.requests.load(Ordering::Relaxed))
+                    .sum(),
+            },
+            Request::Snapshot => snapshot_response(self.pool, self.kind),
+            Request::Restore(bytes) => restore_response(&bytes, self.pool, self.kind),
+        }
+    }
+}
+
+impl ShardHandler<'_> {
+    /// Splits the batch over its owning shards, runs each sub-batch, and
+    /// slots the replies back into request order.
+    fn predict(&self, items: &[PredictItem]) -> Response {
+        let mut out = vec![None; items.len()];
+        let pool = self.pool;
+        for (shard, idxs) in partition(items, pool.num_shards(), |it| pool.shard_of(it.pc)) {
+            let sub: Vec<PredictItem> = idxs.iter().map(|&i| items[i]).collect();
+            for (&i, reply) in idxs.iter().zip(pool.predict(shard, &sub)) {
+                out[i] = Some(reply);
+            }
+        }
+        Response::Predict(
+            out.into_iter()
+                .map(|r| r.expect("every item has a shard"))
+                .collect(),
+        )
+    }
+
+    /// Splits the batch over its owning shards and sums their summaries.
+    fn train(&self, items: &[TrainItem]) -> Response {
+        let (mut applied, mut stale) = (0, 0);
+        let pool = self.pool;
+        for (shard, idxs) in partition(items, pool.num_shards(), |it| pool.shard_of(it.pc)) {
+            let sub: Vec<TrainItem> = idxs.iter().map(|&i| items[i]).collect();
+            let (a, s) = pool.train(shard, &sub);
+            applied += a;
+            stale += s;
+        }
+        Response::Train { applied, stale }
     }
 }
 
@@ -629,18 +660,19 @@ fn restore_response(bytes: &[u8], pool: &ShardPool, kind: PredictorKind) -> Resp
     Response::Restore { restored_entries }
 }
 
-/// Splits a batch's indices by owning shard: `(shard, indices)` for every
-/// shard that owns at least one item, indices in batch order.
-fn partition<T>(
+/// Splits a batch's indices over `buckets` owners (shards, or the router's
+/// nodes): `(owner, indices)` for every owner of at least one item, indices
+/// in batch order.
+pub(crate) fn partition<T>(
     items: &[T],
-    pc_of: impl Fn(&T) -> u64,
-    shards: usize,
+    buckets: usize,
+    owner_of: impl Fn(&T) -> usize,
 ) -> impl Iterator<Item = (usize, Vec<usize>)> {
-    let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); shards];
+    let mut by_owner: Vec<Vec<usize>> = vec![Vec::new(); buckets];
     for (i, item) in items.iter().enumerate() {
-        by_shard[shard_of(pc_of(item), shards)].push(i);
+        by_owner[owner_of(item)].push(i);
     }
-    by_shard
+    by_owner
         .into_iter()
         .enumerate()
         .filter(|(_, idxs)| !idxs.is_empty())

@@ -230,8 +230,8 @@ pub struct ShardStats {
     /// Jobs the shard executed. `mascotd` runs each job on its own, so this
     /// equals `service_samples`.
     pub batches: u64,
-    /// Items answered `Busy`. Always 0 from `mascotd`, which never
-    /// rejects; `mascot-router` counts the items it answers `Busy` here.
+    /// Items answered `Busy`. Always 0: neither `mascotd` nor
+    /// `mascot-router` answers `Busy`; the field stays for wire v3.
     pub rejected_full: u64,
     /// Number of service-time samples in the histogram.
     pub service_samples: u64,

@@ -1424,7 +1424,7 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
                 self.pred.predict_batch(&self.batch_reqs, &mut out);
                 for pm in out.drain(..) {
                     let u = self.trace.uops[self.fetch_idx];
-                    let stall = self.dispatch_one_inner(u, Some(pm));
+                    let stall = self.dispatch_one(u, Some(pm));
                     debug_assert!(!stall, "loads never stall the frontend");
                     budget -= 1;
                     dispatched += 1;
@@ -1444,7 +1444,7 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
                 blocker = Some("frontend");
                 break;
             }
-            let stall = self.dispatch_one(uop);
+            let stall = self.dispatch_one(uop, None);
             budget -= 1;
             dispatched += 1;
             self.fetch_idx += 1;
@@ -1465,18 +1465,10 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
     }
 
     /// Dispatches one micro-op; returns true when the frontend must stall
-    /// (mispredicted branch).
-    fn dispatch_one(&mut self, uop: Uop) -> bool {
-        self.dispatch_one_inner(uop, None)
-    }
-
-    /// Dispatch with an optional precomputed load prediction (the batched
-    /// dispatch path probes the predictor once for a run of loads).
-    fn dispatch_one_inner(
-        &mut self,
-        uop: Uop,
-        precomputed: Option<(MemDepPrediction, P::Meta)>,
-    ) -> bool {
+    /// (mispredicted branch). A load carries its prediction, made for its
+    /// whole run of loads by one `predict_batch`; other micro-ops pass
+    /// `None`.
+    fn dispatch_one(&mut self, uop: Uop, load_pred: Option<(MemDepPrediction, P::Meta)>) -> bool {
         let id = self.next_id;
         self.next_id += 1;
         self.audit_dispatched += 1;
@@ -1574,15 +1566,11 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
                 self.pred.on_store_dispatch(uop.pc, store_seq);
                 payload = Payload::Store { store_seq };
             }
-            UopKind::Load { dep, .. } => {
+            UopKind::Load { .. } => {
                 self.lq_count += 1;
                 let conservative = self.conservative.contains(&trace_idx);
-                let (prediction, meta) = match precomputed {
-                    Some(pm) => pm,
-                    None => self
-                        .pred
-                        .predict(uop.pc, store_count, ground_truth(dep).as_ref()),
-                };
+                let (prediction, meta) =
+                    load_pred.expect("every load is predicted through predict_batch");
 
                 let mut effective_bypass = false;
                 match prediction {

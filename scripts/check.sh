@@ -52,8 +52,10 @@ echo "== tier-1: release build (warnings are errors) =="
 # target/release/mascotd (or none at all on a fresh clone).
 cargo build --release ${CARGO_FLAGS} --workspace
 
-echo "== tier-1: tests =="
-cargo test -q ${CARGO_FLAGS}
+echo "== tier-1: tests (every workspace member) =="
+# --workspace for the same reason as the build: a bare `cargo test` runs
+# only the root package's tests, not the crates' own unit tests.
+cargo test -q ${CARGO_FLAGS} --workspace
 
 echo "== benchmark tests (perfbench builds against the public API) =="
 # perfbench is its own Cargo workspace driving the crates through their

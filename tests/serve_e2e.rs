@@ -1,22 +1,28 @@
 //! End-to-end loopback tests for `mascot-serve`: a real `mascotd` server on
 //! an ephemeral port, real TCP clients, mixed predict/train traffic from
-//! multiple threads, and protocol-level rejection of malformed frames.
+//! multiple threads, protocol-level rejection of malformed frames, and the
+//! router in front of in-process nodes.
 
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 use mascot_predictors::{AnyPredictor, PredictorKind};
+use mascot_serve::router::{self, RouterConfig};
 use mascot_serve::shard::ShardPoolConfig;
-use mascot_serve::wire::{self, Opcode, PredictItem, Response, TrainItem, HEADER_LEN, MAGIC};
+use mascot_serve::wire::{
+    self, Opcode, PredictItem, Request, Response, TrainItem, HEADER_LEN, MAGIC,
+};
 use mascot_serve::{Client, ServeConfig, Served, Server};
 use mascot_snapshot::SnapshotFile;
 use mascot::prediction::{
     BypassClass, LoadOutcome, MemDepPrediction, ObservedDependence, StoreDistance,
 };
 
-fn spawn_server(shards: usize) -> (String, std::thread::JoinHandle<wire::StatsReport>) {
+fn spawn_server(shards: usize) -> (String, JoinHandle<wire::StatsReport>) {
     let cfg = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         kind: PredictorKind::Mascot,
@@ -28,6 +34,22 @@ fn spawn_server(shards: usize) -> (String, std::thread::JoinHandle<wire::StatsRe
     let server = Server::bind(&cfg).expect("bind ephemeral port");
     let (addr, handle) = server.spawn();
     (addr.to_string(), handle)
+}
+
+/// Runs a router over `nodes` (and `replica`) on a background thread. The
+/// health thread pings once at start and then sleeps until the router
+/// stops, so a failed node is found by the request path.
+fn spawn_router(nodes: &[&str], replica: Option<&str>) -> (String, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().expect("bound address").to_string();
+    let cfg = RouterConfig {
+        nodes: nodes.iter().map(|n| n.to_string()).collect(),
+        replica: replica.map(str::to_string),
+        health_interval: Duration::from_secs(3600),
+    };
+    let handle =
+        std::thread::spawn(move || router::run(listener, &cfg, || {}).expect("router ran"));
+    (addr, handle)
 }
 
 /// Thousands of mixed predict/train requests from several client threads;
@@ -418,18 +440,18 @@ fn thread_count() -> usize {
 /// concurrently running test can add threads to `/proc/self/task`.
 #[test]
 fn server_adds_exactly_one_thread() {
+    run_probe("thread_count_probe");
+}
+
+/// Runs the ignored test `probe` alone in a child process.
+fn run_probe(probe: &str) {
     let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
-        .args([
-            "thread_count_probe",
-            "--exact",
-            "--ignored",
-            "--test-threads=1",
-        ])
+        .args([probe, "--exact", "--ignored", "--test-threads=1"])
         .output()
         .expect("run the probe");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        out.status.success() && stdout.contains("test thread_count_probe ... ok"),
+        out.status.success() && stdout.contains(&format!("test {probe} ... ok")),
         "probe failed:\n{stdout}\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
@@ -442,28 +464,7 @@ fn thread_count_probe() {
     let (addr, handle) = spawn_server(4);
     let spawned = thread_count() - before;
     let mut client = Client::connect(&addr).expect("connect");
-    let items: Vec<PredictItem> = (0..64u64)
-        .map(|i| PredictItem {
-            pc: 0x7000 + i * 4,
-            store_seq: i,
-        })
-        .collect();
-    let Served::Ok(replies) = client.predict(items.clone()).expect("predict") else {
-        panic!("unexpected Busy");
-    };
-    let trains = items
-        .iter()
-        .zip(&replies)
-        .map(|(item, r)| TrainItem {
-            ticket: r.ticket,
-            pc: item.pc,
-            outcome: LoadOutcome::independent(),
-        })
-        .collect();
-    assert!(matches!(
-        client.train(trains).expect("train"),
-        Served::Ok((64, 0))
-    ));
+    predict_then_train(&mut client, 0);
     let serving = thread_count() - before;
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread");
@@ -541,12 +542,20 @@ fn pipelined_stream(shards: usize) -> (Vec<u8>, Vec<Opcode>) {
     (bytes, ops)
 }
 
-/// Writes `stream` to a fresh server over one connection (from a second
-/// thread, so neither side waits on the other's buffers) and returns every
+/// Writes `stream` to a fresh server over one connection and returns every
 /// response byte until the server hangs up after `Shutdown`.
 fn serve_stream(stream: &[u8], shards: usize) -> Vec<u8> {
     let (addr, handle) = spawn_server(shards);
-    let mut conn = TcpStream::connect(&addr).expect("connect");
+    let responses = exchange(&addr, stream);
+    handle.join().expect("server thread");
+    responses
+}
+
+/// Writes `stream` to `addr` over one connection (from a second thread, so
+/// neither side waits on the other's buffers) and returns every response
+/// byte until the peer hangs up.
+fn exchange(addr: &str, stream: &[u8]) -> Vec<u8> {
+    let mut conn = TcpStream::connect(addr).expect("connect");
     conn.set_read_timeout(Some(std::time::Duration::from_secs(20)))
         .expect("set timeout");
     let mut writer = conn.try_clone().expect("clone stream");
@@ -555,7 +564,6 @@ fn serve_stream(stream: &[u8], shards: usize) -> Vec<u8> {
     let mut responses = Vec::new();
     std::io::Read::read_to_end(&mut conn, &mut responses).expect("responses until hang-up");
     sent.join().expect("writer thread").expect("write stream");
-    handle.join().expect("server thread");
     responses
 }
 
@@ -586,5 +594,118 @@ fn pipelined_responses_are_byte_identical_across_servers() {
     assert!(
         matches!(wire::read_frame(&mut rd), Ok(None)),
         "no extra responses"
+    );
+}
+
+/// A 1-node router is transparent: fed the same pipelined stream as a
+/// direct server, it answers with the same bytes, `Shutdown`'s served
+/// count (summed over the broadcast) included.
+#[test]
+fn one_node_router_answers_like_a_direct_server() {
+    let (stream, _) = pipelined_stream(2);
+    let direct = serve_stream(&stream, 2);
+
+    let (node, node_handle) = spawn_server(2);
+    let (addr, router_handle) = spawn_router(&[&node], None);
+    let routed = exchange(&addr, &stream);
+    router_handle.join().expect("router thread");
+    node_handle.join().expect("node thread");
+    assert!(routed == direct, "routed responses differ from direct ones");
+}
+
+/// One predict frame of 64 loads and the train frame answering it, through
+/// `client`. Panics on anything but a full answer with every ticket fresh.
+fn predict_then_train(client: &mut Client, base: u64) {
+    let items: Vec<PredictItem> = (0..64u64)
+        .map(|i| PredictItem {
+            pc: 0x9000 + (base * 64 + i) * 4,
+            store_seq: base * 64 + i,
+        })
+        .collect();
+    let replies = match client.request(&Request::Predict(items.clone())) {
+        Ok(Response::Predict(r)) if r.len() == items.len() => r,
+        other => panic!("predict {base} answered {other:?}"),
+    };
+    let trains = items
+        .iter()
+        .zip(&replies)
+        .map(|(item, r)| TrainItem {
+            ticket: r.ticket,
+            pc: item.pc,
+            outcome: LoadOutcome::independent(),
+        })
+        .collect();
+    match client.request(&Request::Train(trains)) {
+        Ok(Response::Train { applied, stale }) => assert_eq!((applied, stale), (64, 0)),
+        other => panic!("train {base} answered {other:?}"),
+    }
+}
+
+/// Failover loses nothing: one of two primaries shuts down mid-stream,
+/// every later frame is still answered in full, and the replica's
+/// pseudo-shard shows the redirected traffic. The health thread stays
+/// asleep, so only a failed request can have redirected it.
+#[test]
+fn router_failover_loses_no_frame() {
+    let (a, a_handle) = spawn_server(2);
+    let (b, b_handle) = spawn_server(2);
+    let (replica, replica_handle) = spawn_server(2);
+    let (addr, router_handle) = spawn_router(&[&a, &b], Some(&replica));
+    let mut client = Client::connect(&addr).expect("connect");
+    for base in 0..20 {
+        predict_then_train(&mut client, base);
+    }
+    Client::connect(&b)
+        .expect("connect to node b")
+        .shutdown()
+        .expect("shut node b down");
+    b_handle.join().expect("node b thread");
+    for base in 20..40 {
+        predict_then_train(&mut client, base);
+    }
+    let stats = client.stats().expect("router stats");
+    assert_eq!(stats.shards.len(), 3, "one pseudo-shard per backend");
+    assert!(
+        stats.shards[2].requests > 0,
+        "the replica served the failed node's slice: {stats:?}"
+    );
+    client.shutdown().expect("shutdown");
+    router_handle.join().expect("router thread");
+    for handle in [a_handle, replica_handle] {
+        handle.join().expect("node thread");
+    }
+}
+
+/// The router runs on the shared event loop: with 8 client connections
+/// open and served, it adds its loop and its health checker and nothing
+/// else.
+#[test]
+fn router_adds_exactly_two_threads() {
+    run_probe("router_thread_count_probe");
+}
+
+#[test]
+#[ignore = "run in a child process by router_adds_exactly_two_threads"]
+fn router_thread_count_probe() {
+    let (a, a_handle) = spawn_server(2);
+    let (b, b_handle) = spawn_server(2);
+    let before = thread_count();
+    let (addr, router_handle) = spawn_router(&[&a, &b], None);
+    let mut clients: Vec<Client> = (0..8)
+        .map(|_| Client::connect(&addr).expect("connect"))
+        .collect();
+    for (base, client) in clients.iter_mut().enumerate() {
+        predict_then_train(client, base as u64);
+    }
+    let serving = thread_count() - before;
+    clients[0].shutdown().expect("shutdown");
+    drop(clients);
+    router_handle.join().expect("router thread");
+    for handle in [a_handle, b_handle] {
+        handle.join().expect("node thread");
+    }
+    assert_eq!(
+        serving, 2,
+        "a router must add its loop and health checker only"
     );
 }
