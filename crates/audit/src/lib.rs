@@ -13,7 +13,7 @@
 //!   (catching nondeterminism), and walks `MascotMdpOnly` against full
 //!   MASCOT in lockstep, where every prediction must agree modulo bypass
 //!   demotion.
-//! * [`shrink`] — delta-debugs a failing trace down to a minimal repro,
+//! * [`shrink`](mod@shrink) — delta-debugs a failing trace down to a minimal repro,
 //!   renormalizing ground-truth dependence annotations after every cut so
 //!   each candidate is a well-formed trace, and writes the result as an
 //!   `.mtrc` artifact with a one-line reproduction command.

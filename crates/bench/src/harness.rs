@@ -117,7 +117,7 @@ impl TraceCache {
 ///
 /// Keyed by the full profile (not just its name), so ad-hoc profiles with
 /// colliding names stay distinct. The cache is a bounded LRU
-/// ([`TRACE_CACHE_MAX_ENTRIES`] entries, [`TRACE_CACHE_MAX_UOPS`] total
+/// (`TRACE_CACHE_MAX_ENTRIES` entries, `TRACE_CACHE_MAX_UOPS` total
 /// requested uops): least-recently-used traces are dropped once either
 /// bound is exceeded, so long-lived processes sweeping many long traces
 /// don't accumulate every trace they ever touched. Lookup is a linear

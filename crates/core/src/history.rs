@@ -291,7 +291,7 @@ const MAX_UNDO: usize = 16;
 /// redirect, which stalls the frontend the moment it dispatches). Folding
 /// is invertible, so those cases undo one push per popped event per fold —
 /// O(popped × tables) — instead of refolding every window — O(tables ×
-/// window). Replacements that pop more than [`MAX_UNDO`] events, or that
+/// window). Replacements that pop more than `MAX_UNDO` events, or that
 /// do not match a bounded undo exactly, fall back to the full recompute.
 pub fn rewind_hashers(
     history: &mut GlobalHistory,

@@ -82,17 +82,6 @@ impl MascotMdpOnly {
     pub fn entry_count(&self) -> u64 {
         self.inner.entry_count()
     }
-
-    /// Batched probe: [`Mascot::predict_batch_into`] with every prediction
-    /// demoted before it reaches the sink.
-    pub fn predict_batch_into(
-        &mut self,
-        reqs: &[PredictReq],
-        mut sink: impl FnMut(MemDepPrediction, MascotMeta),
-    ) {
-        self.inner
-            .predict_batch_into(reqs, |p, m| sink(p.demote_bypass(), m));
-    }
 }
 
 impl MemDepPredictor for MascotMdpOnly {
@@ -112,14 +101,15 @@ impl MemDepPredictor for MascotMdpOnly {
         (pred.demote_bypass(), meta)
     }
 
-    fn predict_batch(
+    /// Batched probe: MASCOT's table-major sweep with every prediction
+    /// demoted before it reaches the sink.
+    fn predict_batch_into(
         &mut self,
         reqs: &[PredictReq],
-        out: &mut Vec<(MemDepPrediction, Self::Meta)>,
+        mut sink: impl FnMut(MemDepPrediction, MascotMeta),
     ) {
-        out.clear();
-        out.reserve(reqs.len());
-        self.predict_batch_into(reqs, |p, m| out.push((p, m)));
+        self.inner
+            .predict_batch_into(reqs, |p, m| sink(p.demote_bypass(), m));
     }
 
     fn train(

@@ -190,7 +190,7 @@ pub struct GroundTruth {
 }
 
 /// One prediction request of a batch (see
-/// [`MemDepPredictor::predict_batch`]). Mirrors the arguments of
+/// [`MemDepPredictor::predict_batch_into`]). Mirrors the arguments of
 /// [`MemDepPredictor::predict`] exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PredictReq {
@@ -246,14 +246,8 @@ pub trait MemDepPredictor {
 
     /// Predicts for a micro-batch of loads, appending one
     /// `(prediction, meta)` pair per request — **in request order** — to
-    /// `out` (which is cleared first).
-    ///
-    /// The contract is strict sequential equivalence: the results, metas and
-    /// post-call predictor state must be identical to calling
-    /// [`Self::predict`] once per request in order. The default
-    /// implementation is exactly that scalar loop; predictors whose
-    /// `predict` does not write table state (MASCOT) override it with a
-    /// table-major sweep that probes each table once for the whole batch.
+    /// `out` (which is cleared first). Delegates to
+    /// [`Self::predict_batch_into`], the method to override.
     fn predict_batch(
         &mut self,
         reqs: &[PredictReq],
@@ -261,8 +255,26 @@ pub trait MemDepPredictor {
     ) {
         out.clear();
         out.reserve(reqs.len());
+        self.predict_batch_into(reqs, |p, m| out.push((p, m)));
+    }
+
+    /// Predicts for a micro-batch of loads, handing one `(prediction,
+    /// meta)` pair per request to `sink`, **in request order**.
+    ///
+    /// The contract is strict sequential equivalence: the results, metas and
+    /// post-call predictor state must be identical to calling
+    /// [`Self::predict`] once per request in order. The default
+    /// implementation is exactly that scalar loop; predictors whose
+    /// `predict` does not write table state (MASCOT) override it with a
+    /// table-major sweep that probes each table once for the whole batch.
+    fn predict_batch_into(
+        &mut self,
+        reqs: &[PredictReq],
+        mut sink: impl FnMut(MemDepPrediction, Self::Meta),
+    ) {
         for req in reqs {
-            out.push(self.predict(req.pc, req.store_seq, req.oracle.as_ref()));
+            let (p, m) = self.predict(req.pc, req.store_seq, req.oracle.as_ref());
+            sink(p, m);
         }
     }
 
@@ -277,7 +289,7 @@ pub trait MemDepPredictor {
 
     /// Trains on a micro-batch of commit records, draining `reqs`.
     ///
-    /// Same sequential-equivalence contract as [`Self::predict_batch`]:
+    /// Same sequential-equivalence contract as [`Self::predict_batch_into`]:
     /// behaviour must match calling [`Self::train`] once per record in
     /// order (training mutates table state, so the records are applied
     /// strictly in sequence). The default implementation is that loop;

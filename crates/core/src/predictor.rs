@@ -482,59 +482,6 @@ impl Mascot {
         self.stats.allocations_dropped += other.stats.allocations_dropped;
         Ok(written)
     }
-
-    /// Table-major batched probe: computes every request's lookups up front,
-    /// then sweeps each table once — longest history first — across all
-    /// still-unresolved requests, so a batch makes one pass over each tag
-    /// lane instead of N dependent random walks.
-    ///
-    /// Behaviourally identical to calling [`MemDepPredictor::predict`] per
-    /// request in order: `predict` never writes the tables (only the
-    /// commutative stats counters), so probe order cannot change any
-    /// prediction, and results are emitted to `sink` in request order.
-    pub fn predict_batch_into(
-        &mut self,
-        reqs: &[PredictReq],
-        mut sink: impl FnMut(MemDepPrediction, MascotMeta),
-    ) {
-        let mut slots = std::mem::take(&mut self.batch_scratch);
-        slots.clear();
-        for req in reqs {
-            let (lookups, num_tables) = self.compute_lookups(req.pc);
-            slots.push(BatchSlot {
-                meta: MascotMeta {
-                    lookups,
-                    num_tables,
-                    provider: None,
-                    provider_way: 0,
-                },
-                prediction: MemDepPrediction::NoDependence,
-                resolved: false,
-            });
-        }
-        for t in (0..self.tables.len()).rev() {
-            let table = &self.tables[t];
-            let mut hits = 0u64;
-            for slot in slots.iter_mut().filter(|s| !s.resolved) {
-                let lk = slot.meta.lookups[t];
-                if let Some((way, entry)) = table.find(u64::from(lk.index), u64::from(lk.tag)) {
-                    slot.meta.provider = Some(t as u8);
-                    slot.meta.provider_way = way as u8;
-                    slot.prediction = Self::entry_prediction(entry);
-                    slot.resolved = true;
-                    hits += 1;
-                }
-            }
-            self.stats.table_predictions[t] += hits;
-        }
-        for slot in &slots {
-            if !slot.resolved {
-                self.stats.base_predictions += 1;
-            }
-            sink(slot.prediction, slot.meta);
-        }
-        self.batch_scratch = slots;
-    }
 }
 
 impl MemDepPredictor for Mascot {
@@ -583,14 +530,57 @@ impl MemDepPredictor for Mascot {
         )
     }
 
-    fn predict_batch(
+    /// Table-major batched probe: computes every request's lookups up front,
+    /// then sweeps each table once — longest history first — across all
+    /// still-unresolved requests, so a batch makes one pass over each tag
+    /// lane instead of N dependent random walks.
+    ///
+    /// Behaviourally identical to calling [`MemDepPredictor::predict`] per
+    /// request in order: `predict` never writes the tables (only the
+    /// commutative stats counters), so probe order cannot change any
+    /// prediction, and results are emitted to `sink` in request order.
+    fn predict_batch_into(
         &mut self,
         reqs: &[PredictReq],
-        out: &mut Vec<(MemDepPrediction, Self::Meta)>,
+        mut sink: impl FnMut(MemDepPrediction, MascotMeta),
     ) {
-        out.clear();
-        out.reserve(reqs.len());
-        self.predict_batch_into(reqs, |p, m| out.push((p, m)));
+        let mut slots = std::mem::take(&mut self.batch_scratch);
+        slots.clear();
+        for req in reqs {
+            let (lookups, num_tables) = self.compute_lookups(req.pc);
+            slots.push(BatchSlot {
+                meta: MascotMeta {
+                    lookups,
+                    num_tables,
+                    provider: None,
+                    provider_way: 0,
+                },
+                prediction: MemDepPrediction::NoDependence,
+                resolved: false,
+            });
+        }
+        for t in (0..self.tables.len()).rev() {
+            let table = &self.tables[t];
+            let mut hits = 0u64;
+            for slot in slots.iter_mut().filter(|s| !s.resolved) {
+                let lk = slot.meta.lookups[t];
+                if let Some((way, entry)) = table.find(u64::from(lk.index), u64::from(lk.tag)) {
+                    slot.meta.provider = Some(t as u8);
+                    slot.meta.provider_way = way as u8;
+                    slot.prediction = Self::entry_prediction(entry);
+                    slot.resolved = true;
+                    hits += 1;
+                }
+            }
+            self.stats.table_predictions[t] += hits;
+        }
+        for slot in &slots {
+            if !slot.resolved {
+                self.stats.base_predictions += 1;
+            }
+            sink(slot.prediction, slot.meta);
+        }
+        self.batch_scratch = slots;
     }
 
     fn train(

@@ -1,9 +1,15 @@
-//! Type-erased predictor dispatch for the benchmark harness.
+//! Type-erased dispatch over every predictor kind.
 //!
 //! [`MemDepPredictor`] has an associated `Meta` type, so the simulator is
-//! generic over the predictor. The harness, however, wants to iterate over a
-//! runtime list of predictor kinds; [`AnyPredictor`] wraps every evaluated
-//! predictor behind a single enum with a unified [`AnyMeta`].
+//! generic over the predictor. The benchmark harness, the serve shards and
+//! the audit tools, however, pick a predictor at run time; [`AnyPredictor`]
+//! wraps every evaluated predictor behind a single enum with a unified
+//! [`AnyMeta`].
+//!
+//! The `any_predictor!` table below is the one place that lists the
+//! predictor set: each row names a variant, its wrapped type, its frozen
+//! snapshot tag and its [`AnyMeta`] kind, and the enum plus all of its
+//! forwarding code are generated from it.
 
 use mascot::history::BranchEvent;
 use mascot::mdp_only::MascotMdpOnly;
@@ -36,52 +42,265 @@ pub enum AnyMeta {
     Unit,
 }
 
-/// A runtime-selected predictor, wrapping every kind evaluated in §VI.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[allow(clippy::large_enum_variant)]
-pub enum AnyPredictor {
-    /// MASCOT (MDP + SMB), or the Fig. 11 ablation when built without
-    /// non-dependence allocation.
-    Mascot(Mascot),
-    /// MASCOT used for MDP only (Fig. 9).
-    MascotMdp(MascotMdpOnly),
-    /// PHAST (Kim & Ros 2024).
-    Phast(Phast),
-    /// NoSQ-style GShare MDP/SMB predictor.
-    NoSq(NoSq),
-    /// Historical MDP-TAGE baseline (§II).
-    MdpTage(MdpTage),
-    /// Store Sets (Chrysos & Emer 1998).
-    StoreSets(StoreSets),
-    /// Perfect memory-dependence oracle (no bypassing).
-    PerfectMdp(PerfectMdp),
-    /// Perfect memory-dependence + bypassing oracle.
-    PerfectMdpSmb(PerfectMdpSmb),
-    /// MASCOT behind keyed index randomization (DESIGN.md §12).
-    RandomizedMascot(RandomizedMascot),
+/// Wraps a variant's own metadata as the [`AnyMeta`] of `kind` (`Unit`
+/// rows carry `()`).
+macro_rules! wrap_meta {
+    (Unit, $m:expr) => {{
+        let () = $m;
+        AnyMeta::Unit
+    }};
+    ($kind:ident, $m:expr) => {
+        AnyMeta::$kind($m)
+    };
 }
 
-// Sharded serving moves whole predictor instances onto worker threads;
-// keep the enum (and thus every wrapped predictor) `Send` + `'static`.
+/// Unwraps an [`AnyMeta`] of `kind` back to the variant's own metadata;
+/// `None` on a kind mismatch.
+macro_rules! unwrap_meta {
+    (Unit, $m:expr) => {
+        matches!($m, AnyMeta::Unit).then_some(())
+    };
+    ($kind:ident, $m:expr) => {
+        if let AnyMeta::$kind(m) = $m {
+            Some(m)
+        } else {
+            None
+        }
+    };
+}
+
+/// Generates [`AnyPredictor`] and all of its forwarding code from one row
+/// per variant: `Variant(Type) = snapshot tag, meta: AnyMeta kind;`.
+macro_rules! any_predictor {
+    ($($(#[$doc:meta])* $v:ident($ty:ident) = $tag:literal, meta: $kind:ident;)*) => {
+        /// A runtime-selected predictor, wrapping every kind evaluated in §VI.
+        #[derive(Debug, Clone, Serialize, Deserialize)]
+        #[allow(clippy::large_enum_variant)]
+        pub enum AnyPredictor {
+            $($(#[$doc])* $v($ty),)*
+        }
+
+        impl AnyPredictor {
+            /// Total valid entries resident in the predictor's tables (0 for
+            /// the stateless oracles) — the snapshot/restore observability
+            /// unit.
+            pub fn entry_count(&self) -> u64 {
+                match self {
+                    $(AnyPredictor::$v(p) => p.entry_count(),)*
+                }
+            }
+
+            /// Serializes the predictor to an opaque snapshot payload: a
+            /// one-byte variant tag followed by the wrapped predictor's own
+            /// encoding (empty for the stateless oracles).
+            pub fn snapshot_bytes(&self) -> Vec<u8> {
+                let mut w = SnapWriter::new();
+                match self {
+                    $(AnyPredictor::$v(p) => {
+                        w.u8($tag);
+                        p.snap_encode(&mut w);
+                    })*
+                }
+                w.into_bytes()
+            }
+
+            /// Restores a predictor from a payload produced by
+            /// [`AnyPredictor::snapshot_bytes`], fail-closed: unknown variant
+            /// tags, truncation, trailing bytes (including any body after a
+            /// stateless oracle's tag), or any inner inconsistency reject the
+            /// whole payload.
+            ///
+            /// # Errors
+            ///
+            /// Any [`SnapError`] from the inner decode, or
+            /// [`SnapError::Corrupt`] for an unknown variant tag.
+            pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, SnapError> {
+                let mut r = SnapReader::new(bytes);
+                let p = match r.u8("predictor variant tag")? {
+                    $($tag => AnyPredictor::$v($ty::snap_decode(&mut r)?),)*
+                    _ => return Err(SnapError::Corrupt("unknown predictor variant tag")),
+                };
+                r.finish()?;
+                Ok(p)
+            }
+
+            /// Folds another predictor's state into this one — the
+            /// warm-resharding merge. Both must wrap the same variant (and,
+            /// transitively, the same configuration). Returns the number of
+            /// entries written from `other`.
+            ///
+            /// # Errors
+            ///
+            /// [`SnapError::Corrupt`] on a variant or configuration mismatch.
+            pub fn merge_from(&mut self, other: &Self) -> Result<u64, SnapError> {
+                match (self, other) {
+                    $((AnyPredictor::$v(a), AnyPredictor::$v(b)) => a.merge_from(b),)*
+                    _ => Err(SnapError::Corrupt("cannot merge different predictor kinds")),
+                }
+            }
+        }
+
+        impl MemDepPredictor for AnyPredictor {
+            type Meta = AnyMeta;
+
+            fn name(&self) -> &'static str {
+                match self {
+                    $(AnyPredictor::$v(p) => p.name(),)*
+                }
+            }
+
+            fn predict(
+                &mut self,
+                pc: u64,
+                store_seq: u64,
+                oracle: Option<&GroundTruth>,
+            ) -> (MemDepPrediction, AnyMeta) {
+                match self {
+                    $(AnyPredictor::$v(p) => {
+                        let (pred, m) = p.predict(pc, store_seq, oracle);
+                        (pred, wrap_meta!($kind, m))
+                    })*
+                }
+            }
+
+            // Overridden (not inherited) so that this non-generic body, and
+            // with it each variant's `predict_batch_into`, is compiled here
+            // with the inner `predict` inlined; the inherited generic
+            // default is instantiated in the calling crate and measured
+            // slower (EXPERIMENTS.md, "AnyPredictor from one table").
+            fn predict_batch(
+                &mut self,
+                reqs: &[PredictReq],
+                out: &mut Vec<(MemDepPrediction, AnyMeta)>,
+            ) {
+                out.clear();
+                out.reserve(reqs.len());
+                match self {
+                    $(AnyPredictor::$v(p) => p.predict_batch_into(reqs, |pred, m| {
+                        out.push((pred, wrap_meta!($kind, m)))
+                    }),)*
+                }
+            }
+
+            fn train(
+                &mut self,
+                pc: u64,
+                meta: AnyMeta,
+                predicted: MemDepPrediction,
+                outcome: &LoadOutcome,
+            ) {
+                match self {
+                    $(AnyPredictor::$v(p) => match unwrap_meta!($kind, meta) {
+                        Some(m) => p.train(pc, m, predicted, outcome),
+                        None => debug_assert!(
+                            false,
+                            "metadata kind {meta:?} does not match predictor {}",
+                            p.name()
+                        ),
+                    },)*
+                }
+            }
+
+            fn train_batch(&mut self, reqs: &mut Vec<TrainReq<AnyMeta>>) {
+                // Hoist the variant dispatch out of the per-record loop; each
+                // arm drains with its own meta unwrap (training order is
+                // preserved).
+                match self {
+                    $(AnyPredictor::$v(p) => {
+                        for r in reqs.drain(..) {
+                            match unwrap_meta!($kind, r.meta) {
+                                Some(m) => p.train(r.pc, m, r.predicted, &r.outcome),
+                                None => debug_assert!(
+                                    false,
+                                    "meta kind mismatch for {}",
+                                    p.name()
+                                ),
+                            }
+                        }
+                    })*
+                }
+            }
+
+            fn on_branch(&mut self, event: &BranchEvent) {
+                match self {
+                    $(AnyPredictor::$v(p) => p.on_branch(event),)*
+                }
+            }
+
+            fn rewind_history(&mut self, recent: &[BranchEvent]) {
+                match self {
+                    $(AnyPredictor::$v(p) => p.rewind_history(recent),)*
+                }
+            }
+
+            fn predict_store_wait(
+                &mut self,
+                pc: u64,
+                store_seq: u64,
+            ) -> Option<mascot::StoreDistance> {
+                match self {
+                    $(AnyPredictor::$v(p) => p.predict_store_wait(pc, store_seq),)*
+                }
+            }
+
+            fn on_store_dispatch(&mut self, pc: u64, store_seq: u64) {
+                match self {
+                    $(AnyPredictor::$v(p) => p.on_store_dispatch(pc, store_seq),)*
+                }
+            }
+
+            fn bypass_supports_offset(&self) -> bool {
+                match self {
+                    $(AnyPredictor::$v(p) => p.bypass_supports_offset(),)*
+                }
+            }
+
+            fn storage_bits(&self) -> u64 {
+                match self {
+                    $(AnyPredictor::$v(p) => p.storage_bits(),)*
+                }
+            }
+
+            fn end_tuning_period(&mut self) {
+                match self {
+                    $(AnyPredictor::$v(p) => p.end_tuning_period(),)*
+                }
+            }
+        }
+    };
+}
+
+// The snapshot tags are part of the persisted format, so they are frozen:
+// renumbering a row breaks every existing snapshot.
+any_predictor! {
+    /// MASCOT (MDP + SMB), or the Fig. 11 ablation when built without
+    /// non-dependence allocation.
+    Mascot(Mascot) = 0, meta: Mascot;
+    /// MASCOT used for MDP only (Fig. 9).
+    MascotMdp(MascotMdpOnly) = 1, meta: Mascot;
+    /// PHAST (Kim & Ros 2024).
+    Phast(Phast) = 2, meta: Phast;
+    /// NoSQ-style GShare MDP/SMB predictor.
+    NoSq(NoSq) = 3, meta: NoSq;
+    /// Historical MDP-TAGE baseline (§II).
+    MdpTage(MdpTage) = 4, meta: MdpTage;
+    /// Store Sets (Chrysos & Emer 1998).
+    StoreSets(StoreSets) = 5, meta: Unit;
+    /// Perfect memory-dependence oracle (no bypassing).
+    PerfectMdp(PerfectMdp) = 6, meta: Unit;
+    /// Perfect memory-dependence + bypassing oracle.
+    PerfectMdpSmb(PerfectMdpSmb) = 7, meta: Unit;
+    /// MASCOT behind keyed index randomization (DESIGN.md §12).
+    RandomizedMascot(RandomizedMascot) = 8, meta: Mascot;
+}
+
+// The serve event loop owns the shard pool and `Server::spawn` moves it
+// onto the loop thread; keep the enum (and thus every wrapped predictor)
+// `Send` + `'static`.
 const _: () = {
     const fn assert_send_static<T: Send + 'static>() {}
     assert_send_static::<AnyPredictor>();
 };
-
-/// Snapshot-payload variant tags for [`AnyPredictor`] — part of the
-/// persisted format, so the values are frozen: renumbering breaks every
-/// existing snapshot.
-mod variant {
-    pub const MASCOT: u8 = 0;
-    pub const MASCOT_MDP: u8 = 1;
-    pub const PHAST: u8 = 2;
-    pub const NOSQ: u8 = 3;
-    pub const MDP_TAGE: u8 = 4;
-    pub const STORE_SETS: u8 = 5;
-    pub const PERFECT_MDP: u8 = 6;
-    pub const PERFECT_MDP_SMB: u8 = 7;
-    pub const RANDOMIZED_MASCOT: u8 = 8;
-}
 
 impl AnyPredictor {
     /// The wrapped MASCOT instance, if this is a MASCOT-family predictor
@@ -93,443 +312,6 @@ impl AnyPredictor {
             _ => None,
         }
     }
-
-    /// Total valid entries resident in the predictor's tables (0 for the
-    /// stateless oracles) — the snapshot/restore observability unit.
-    pub fn entry_count(&self) -> u64 {
-        match self {
-            AnyPredictor::Mascot(p) => p.entry_count(),
-            AnyPredictor::MascotMdp(p) => p.entry_count(),
-            AnyPredictor::Phast(p) => p.entry_count(),
-            AnyPredictor::NoSq(p) => p.entry_count(),
-            AnyPredictor::MdpTage(p) => p.entry_count(),
-            AnyPredictor::StoreSets(p) => p.entry_count(),
-            AnyPredictor::RandomizedMascot(p) => p.entry_count(),
-            AnyPredictor::PerfectMdp(_) | AnyPredictor::PerfectMdpSmb(_) => 0,
-        }
-    }
-
-    /// Serializes the predictor to an opaque snapshot payload: a one-byte
-    /// variant tag followed by the wrapped predictor's own encoding (empty
-    /// for the stateless oracles).
-    pub fn snapshot_bytes(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        match self {
-            AnyPredictor::Mascot(p) => {
-                w.u8(variant::MASCOT);
-                p.snap_encode(&mut w);
-            }
-            AnyPredictor::MascotMdp(p) => {
-                w.u8(variant::MASCOT_MDP);
-                p.snap_encode(&mut w);
-            }
-            AnyPredictor::Phast(p) => {
-                w.u8(variant::PHAST);
-                p.snap_encode(&mut w);
-            }
-            AnyPredictor::NoSq(p) => {
-                w.u8(variant::NOSQ);
-                p.snap_encode(&mut w);
-            }
-            AnyPredictor::MdpTage(p) => {
-                w.u8(variant::MDP_TAGE);
-                p.snap_encode(&mut w);
-            }
-            AnyPredictor::StoreSets(p) => {
-                w.u8(variant::STORE_SETS);
-                p.snap_encode(&mut w);
-            }
-            AnyPredictor::PerfectMdp(_) => w.u8(variant::PERFECT_MDP),
-            AnyPredictor::PerfectMdpSmb(_) => w.u8(variant::PERFECT_MDP_SMB),
-            AnyPredictor::RandomizedMascot(p) => {
-                w.u8(variant::RANDOMIZED_MASCOT);
-                p.snap_encode(&mut w);
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Restores a predictor from a payload produced by
-    /// [`AnyPredictor::snapshot_bytes`], fail-closed: unknown variant tags,
-    /// truncation, trailing bytes, or any inner inconsistency reject the
-    /// whole payload.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapError`] from the inner decode, or
-    /// [`SnapError::Corrupt`] for an unknown variant tag.
-    pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<Self, SnapError> {
-        let mut r = SnapReader::new(bytes);
-        let p = match r.u8("predictor variant tag")? {
-            variant::MASCOT => AnyPredictor::Mascot(Mascot::snap_decode(&mut r)?),
-            variant::MASCOT_MDP => AnyPredictor::MascotMdp(MascotMdpOnly::snap_decode(&mut r)?),
-            variant::PHAST => AnyPredictor::Phast(Phast::snap_decode(&mut r)?),
-            variant::NOSQ => AnyPredictor::NoSq(NoSq::snap_decode(&mut r)?),
-            variant::MDP_TAGE => AnyPredictor::MdpTage(MdpTage::snap_decode(&mut r)?),
-            variant::STORE_SETS => AnyPredictor::StoreSets(StoreSets::snap_decode(&mut r)?),
-            variant::PERFECT_MDP => AnyPredictor::PerfectMdp(PerfectMdp::new()),
-            variant::PERFECT_MDP_SMB => AnyPredictor::PerfectMdpSmb(PerfectMdpSmb::new()),
-            variant::RANDOMIZED_MASCOT => {
-                AnyPredictor::RandomizedMascot(RandomizedMascot::snap_decode(&mut r)?)
-            }
-            _ => return Err(SnapError::Corrupt("unknown predictor variant tag")),
-        };
-        r.finish()?;
-        Ok(p)
-    }
-
-    /// Folds another predictor's state into this one — the warm-resharding
-    /// merge. Both must wrap the same variant (and, transitively, the same
-    /// configuration). Returns the number of entries written from `other`.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Corrupt`] on a variant or configuration mismatch.
-    pub fn merge_from(&mut self, other: &Self) -> Result<u64, SnapError> {
-        match (self, other) {
-            (AnyPredictor::Mascot(a), AnyPredictor::Mascot(b)) => a.merge_from(b),
-            (AnyPredictor::MascotMdp(a), AnyPredictor::MascotMdp(b)) => a.merge_from(b),
-            (AnyPredictor::Phast(a), AnyPredictor::Phast(b)) => a.merge_from(b),
-            (AnyPredictor::NoSq(a), AnyPredictor::NoSq(b)) => a.merge_from(b),
-            (AnyPredictor::MdpTage(a), AnyPredictor::MdpTage(b)) => a.merge_from(b),
-            (AnyPredictor::StoreSets(a), AnyPredictor::StoreSets(b)) => a.merge_from(b),
-            (AnyPredictor::RandomizedMascot(a), AnyPredictor::RandomizedMascot(b)) => {
-                a.merge_from(b)
-            }
-            (AnyPredictor::PerfectMdp(_), AnyPredictor::PerfectMdp(_))
-            | (AnyPredictor::PerfectMdpSmb(_), AnyPredictor::PerfectMdpSmb(_)) => Ok(0),
-            _ => Err(SnapError::Corrupt(
-                "cannot merge different predictor kinds",
-            )),
-        }
-    }
-}
-
-impl MemDepPredictor for AnyPredictor {
-    type Meta = AnyMeta;
-
-    fn name(&self) -> &'static str {
-        match self {
-            AnyPredictor::Mascot(p) => p.name(),
-            AnyPredictor::MascotMdp(p) => p.name(),
-            AnyPredictor::Phast(p) => p.name(),
-            AnyPredictor::NoSq(p) => p.name(),
-            AnyPredictor::MdpTage(p) => p.name(),
-            AnyPredictor::StoreSets(p) => p.name(),
-            AnyPredictor::PerfectMdp(p) => p.name(),
-            AnyPredictor::PerfectMdpSmb(p) => p.name(),
-            AnyPredictor::RandomizedMascot(p) => p.name(),
-        }
-    }
-
-    fn predict(
-        &mut self,
-        pc: u64,
-        store_seq: u64,
-        oracle: Option<&GroundTruth>,
-    ) -> (MemDepPrediction, AnyMeta) {
-        match self {
-            AnyPredictor::Mascot(p) => {
-                let (pred, m) = p.predict(pc, store_seq, oracle);
-                (pred, AnyMeta::Mascot(m))
-            }
-            AnyPredictor::MascotMdp(p) => {
-                let (pred, m) = p.predict(pc, store_seq, oracle);
-                (pred, AnyMeta::Mascot(m))
-            }
-            AnyPredictor::Phast(p) => {
-                let (pred, m) = p.predict(pc, store_seq, oracle);
-                (pred, AnyMeta::Phast(m))
-            }
-            AnyPredictor::NoSq(p) => {
-                let (pred, m) = p.predict(pc, store_seq, oracle);
-                (pred, AnyMeta::NoSq(m))
-            }
-            AnyPredictor::MdpTage(p) => {
-                let (pred, m) = p.predict(pc, store_seq, oracle);
-                (pred, AnyMeta::MdpTage(m))
-            }
-            AnyPredictor::StoreSets(p) => {
-                let (pred, ()) = p.predict(pc, store_seq, oracle);
-                (pred, AnyMeta::Unit)
-            }
-            AnyPredictor::PerfectMdp(p) => {
-                let (pred, ()) = p.predict(pc, store_seq, oracle);
-                (pred, AnyMeta::Unit)
-            }
-            AnyPredictor::PerfectMdpSmb(p) => {
-                let (pred, ()) = p.predict(pc, store_seq, oracle);
-                (pred, AnyMeta::Unit)
-            }
-            AnyPredictor::RandomizedMascot(p) => {
-                let (pred, m) = p.predict(pc, store_seq, oracle);
-                (pred, AnyMeta::Mascot(m))
-            }
-        }
-    }
-
-    fn predict_batch(
-        &mut self,
-        reqs: &[PredictReq],
-        out: &mut Vec<(MemDepPrediction, AnyMeta)>,
-    ) {
-        out.clear();
-        out.reserve(reqs.len());
-        // MASCOT-family predictors get the table-major batched probe via a
-        // sink closure (no intermediate allocation for the meta rewrap);
-        // predictors whose `predict` mutates per-hit state (LRU bits) keep
-        // the sequential scalar loop, preserving exact behaviour.
-        match self {
-            AnyPredictor::Mascot(p) => {
-                p.predict_batch_into(reqs, |pred, m| out.push((pred, AnyMeta::Mascot(m))));
-            }
-            AnyPredictor::MascotMdp(p) => {
-                p.predict_batch_into(reqs, |pred, m| out.push((pred, AnyMeta::Mascot(m))));
-            }
-            AnyPredictor::Phast(p) => {
-                for r in reqs {
-                    let (pred, m) = p.predict(r.pc, r.store_seq, r.oracle.as_ref());
-                    out.push((pred, AnyMeta::Phast(m)));
-                }
-            }
-            AnyPredictor::NoSq(p) => {
-                for r in reqs {
-                    let (pred, m) = p.predict(r.pc, r.store_seq, r.oracle.as_ref());
-                    out.push((pred, AnyMeta::NoSq(m)));
-                }
-            }
-            AnyPredictor::MdpTage(p) => {
-                for r in reqs {
-                    let (pred, m) = p.predict(r.pc, r.store_seq, r.oracle.as_ref());
-                    out.push((pred, AnyMeta::MdpTage(m)));
-                }
-            }
-            AnyPredictor::StoreSets(p) => {
-                for r in reqs {
-                    let (pred, ()) = p.predict(r.pc, r.store_seq, r.oracle.as_ref());
-                    out.push((pred, AnyMeta::Unit));
-                }
-            }
-            AnyPredictor::PerfectMdp(p) => {
-                for r in reqs {
-                    let (pred, ()) = p.predict(r.pc, r.store_seq, r.oracle.as_ref());
-                    out.push((pred, AnyMeta::Unit));
-                }
-            }
-            AnyPredictor::PerfectMdpSmb(p) => {
-                for r in reqs {
-                    let (pred, ()) = p.predict(r.pc, r.store_seq, r.oracle.as_ref());
-                    out.push((pred, AnyMeta::Unit));
-                }
-            }
-            AnyPredictor::RandomizedMascot(p) => {
-                p.predict_batch_into(reqs, |pred, m| out.push((pred, AnyMeta::Mascot(m))));
-            }
-        }
-    }
-
-    fn train_batch(&mut self, reqs: &mut Vec<TrainReq<AnyMeta>>) {
-        // Hoist the variant dispatch out of the per-record loop; each arm
-        // drains with its own meta unwrap (training order is preserved).
-        match self {
-            AnyPredictor::Mascot(p) => {
-                for r in reqs.drain(..) {
-                    if let AnyMeta::Mascot(m) = r.meta {
-                        p.train(r.pc, m, r.predicted, &r.outcome);
-                    } else {
-                        debug_assert!(false, "meta kind mismatch for mascot");
-                    }
-                }
-            }
-            AnyPredictor::MascotMdp(p) => {
-                for r in reqs.drain(..) {
-                    if let AnyMeta::Mascot(m) = r.meta {
-                        p.train(r.pc, m, r.predicted, &r.outcome);
-                    } else {
-                        debug_assert!(false, "meta kind mismatch for mascot-mdp");
-                    }
-                }
-            }
-            AnyPredictor::Phast(p) => {
-                for r in reqs.drain(..) {
-                    if let AnyMeta::Phast(m) = r.meta {
-                        p.train(r.pc, m, r.predicted, &r.outcome);
-                    } else {
-                        debug_assert!(false, "meta kind mismatch for phast");
-                    }
-                }
-            }
-            AnyPredictor::NoSq(p) => {
-                for r in reqs.drain(..) {
-                    if let AnyMeta::NoSq(m) = r.meta {
-                        p.train(r.pc, m, r.predicted, &r.outcome);
-                    } else {
-                        debug_assert!(false, "meta kind mismatch for nosq");
-                    }
-                }
-            }
-            AnyPredictor::MdpTage(p) => {
-                for r in reqs.drain(..) {
-                    if let AnyMeta::MdpTage(m) = r.meta {
-                        p.train(r.pc, m, r.predicted, &r.outcome);
-                    } else {
-                        debug_assert!(false, "meta kind mismatch for mdp-tage");
-                    }
-                }
-            }
-            AnyPredictor::StoreSets(p) => {
-                for r in reqs.drain(..) {
-                    p.train(r.pc, (), r.predicted, &r.outcome);
-                }
-            }
-            AnyPredictor::PerfectMdp(p) => {
-                for r in reqs.drain(..) {
-                    p.train(r.pc, (), r.predicted, &r.outcome);
-                }
-            }
-            AnyPredictor::PerfectMdpSmb(p) => {
-                for r in reqs.drain(..) {
-                    p.train(r.pc, (), r.predicted, &r.outcome);
-                }
-            }
-            AnyPredictor::RandomizedMascot(p) => {
-                for r in reqs.drain(..) {
-                    if let AnyMeta::Mascot(m) = r.meta {
-                        p.train(r.pc, m, r.predicted, &r.outcome);
-                    } else {
-                        debug_assert!(false, "meta kind mismatch for randomized-mascot");
-                    }
-                }
-            }
-        }
-    }
-
-    fn train(
-        &mut self,
-        pc: u64,
-        meta: AnyMeta,
-        predicted: MemDepPrediction,
-        outcome: &LoadOutcome,
-    ) {
-        match (self, meta) {
-            (AnyPredictor::Mascot(p), AnyMeta::Mascot(m)) => p.train(pc, m, predicted, outcome),
-            (AnyPredictor::MascotMdp(p), AnyMeta::Mascot(m)) => p.train(pc, m, predicted, outcome),
-            (AnyPredictor::Phast(p), AnyMeta::Phast(m)) => p.train(pc, m, predicted, outcome),
-            (AnyPredictor::NoSq(p), AnyMeta::NoSq(m)) => p.train(pc, m, predicted, outcome),
-            (AnyPredictor::MdpTage(p), AnyMeta::MdpTage(m)) => p.train(pc, m, predicted, outcome),
-            (AnyPredictor::StoreSets(p), AnyMeta::Unit) => p.train(pc, (), predicted, outcome),
-            (AnyPredictor::PerfectMdp(p), AnyMeta::Unit) => p.train(pc, (), predicted, outcome),
-            (AnyPredictor::PerfectMdpSmb(p), AnyMeta::Unit) => p.train(pc, (), predicted, outcome),
-            (AnyPredictor::RandomizedMascot(p), AnyMeta::Mascot(m)) => {
-                p.train(pc, m, predicted, outcome)
-            }
-            (this, meta) => {
-                debug_assert!(
-                    false,
-                    "metadata kind {meta:?} does not match predictor {}",
-                    this.name()
-                );
-            }
-        }
-    }
-
-    fn on_branch(&mut self, event: &BranchEvent) {
-        match self {
-            AnyPredictor::Mascot(p) => p.on_branch(event),
-            AnyPredictor::MascotMdp(p) => p.on_branch(event),
-            AnyPredictor::Phast(p) => p.on_branch(event),
-            AnyPredictor::NoSq(p) => p.on_branch(event),
-            AnyPredictor::MdpTage(p) => p.on_branch(event),
-            AnyPredictor::StoreSets(p) => p.on_branch(event),
-            AnyPredictor::PerfectMdp(p) => p.on_branch(event),
-            AnyPredictor::PerfectMdpSmb(p) => p.on_branch(event),
-            AnyPredictor::RandomizedMascot(p) => p.on_branch(event),
-        }
-    }
-
-    fn rewind_history(&mut self, recent: &[BranchEvent]) {
-        match self {
-            AnyPredictor::Mascot(p) => p.rewind_history(recent),
-            AnyPredictor::MascotMdp(p) => p.rewind_history(recent),
-            AnyPredictor::Phast(p) => p.rewind_history(recent),
-            AnyPredictor::NoSq(p) => p.rewind_history(recent),
-            AnyPredictor::MdpTage(p) => p.rewind_history(recent),
-            AnyPredictor::StoreSets(p) => p.rewind_history(recent),
-            AnyPredictor::PerfectMdp(p) => p.rewind_history(recent),
-            AnyPredictor::PerfectMdpSmb(p) => p.rewind_history(recent),
-            AnyPredictor::RandomizedMascot(p) => p.rewind_history(recent),
-        }
-    }
-
-    fn predict_store_wait(&mut self, pc: u64, store_seq: u64) -> Option<mascot::StoreDistance> {
-        match self {
-            AnyPredictor::Mascot(p) => p.predict_store_wait(pc, store_seq),
-            AnyPredictor::MascotMdp(p) => p.predict_store_wait(pc, store_seq),
-            AnyPredictor::Phast(p) => p.predict_store_wait(pc, store_seq),
-            AnyPredictor::NoSq(p) => p.predict_store_wait(pc, store_seq),
-            AnyPredictor::MdpTage(p) => p.predict_store_wait(pc, store_seq),
-            AnyPredictor::StoreSets(p) => p.predict_store_wait(pc, store_seq),
-            AnyPredictor::PerfectMdp(p) => p.predict_store_wait(pc, store_seq),
-            AnyPredictor::PerfectMdpSmb(p) => p.predict_store_wait(pc, store_seq),
-            AnyPredictor::RandomizedMascot(p) => p.predict_store_wait(pc, store_seq),
-        }
-    }
-
-    fn on_store_dispatch(&mut self, pc: u64, store_seq: u64) {
-        match self {
-            AnyPredictor::Mascot(p) => p.on_store_dispatch(pc, store_seq),
-            AnyPredictor::MascotMdp(p) => p.on_store_dispatch(pc, store_seq),
-            AnyPredictor::Phast(p) => p.on_store_dispatch(pc, store_seq),
-            AnyPredictor::NoSq(p) => p.on_store_dispatch(pc, store_seq),
-            AnyPredictor::MdpTage(p) => p.on_store_dispatch(pc, store_seq),
-            AnyPredictor::StoreSets(p) => p.on_store_dispatch(pc, store_seq),
-            AnyPredictor::PerfectMdp(p) => p.on_store_dispatch(pc, store_seq),
-            AnyPredictor::PerfectMdpSmb(p) => p.on_store_dispatch(pc, store_seq),
-            AnyPredictor::RandomizedMascot(p) => p.on_store_dispatch(pc, store_seq),
-        }
-    }
-
-    fn bypass_supports_offset(&self) -> bool {
-        match self {
-            AnyPredictor::Mascot(p) => p.bypass_supports_offset(),
-            AnyPredictor::MascotMdp(p) => p.bypass_supports_offset(),
-            AnyPredictor::Phast(p) => p.bypass_supports_offset(),
-            AnyPredictor::NoSq(p) => p.bypass_supports_offset(),
-            AnyPredictor::MdpTage(p) => p.bypass_supports_offset(),
-            AnyPredictor::StoreSets(p) => p.bypass_supports_offset(),
-            AnyPredictor::PerfectMdp(p) => p.bypass_supports_offset(),
-            AnyPredictor::PerfectMdpSmb(p) => p.bypass_supports_offset(),
-            AnyPredictor::RandomizedMascot(p) => p.bypass_supports_offset(),
-        }
-    }
-
-    fn storage_bits(&self) -> u64 {
-        match self {
-            AnyPredictor::Mascot(p) => p.storage_bits(),
-            AnyPredictor::MascotMdp(p) => p.storage_bits(),
-            AnyPredictor::Phast(p) => p.storage_bits(),
-            AnyPredictor::NoSq(p) => p.storage_bits(),
-            AnyPredictor::MdpTage(p) => p.storage_bits(),
-            AnyPredictor::StoreSets(p) => p.storage_bits(),
-            AnyPredictor::PerfectMdp(p) => p.storage_bits(),
-            AnyPredictor::PerfectMdpSmb(p) => p.storage_bits(),
-            AnyPredictor::RandomizedMascot(p) => p.storage_bits(),
-        }
-    }
-
-    fn end_tuning_period(&mut self) {
-        match self {
-            AnyPredictor::Mascot(p) => p.end_tuning_period(),
-            AnyPredictor::MascotMdp(p) => p.end_tuning_period(),
-            AnyPredictor::Phast(p) => p.end_tuning_period(),
-            AnyPredictor::NoSq(p) => p.end_tuning_period(),
-            AnyPredictor::MdpTage(p) => p.end_tuning_period(),
-            AnyPredictor::StoreSets(p) => p.end_tuning_period(),
-            AnyPredictor::PerfectMdp(p) => p.end_tuning_period(),
-            AnyPredictor::PerfectMdpSmb(p) => p.end_tuning_period(),
-            AnyPredictor::RandomizedMascot(p) => p.end_tuning_period(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -537,19 +319,33 @@ mod tests {
     use super::*;
     use mascot::config::MascotConfig;
 
-    #[test]
-    fn names_are_distinct() {
-        let ps = [
+    /// One default-built instance of every variant, in snapshot-tag order.
+    fn one_of_each() -> [AnyPredictor; 9] {
+        [
             AnyPredictor::Mascot(Mascot::new(MascotConfig::default()).unwrap()),
             AnyPredictor::MascotMdp(MascotMdpOnly::new(MascotConfig::default()).unwrap()),
             AnyPredictor::Phast(Phast::default()),
             AnyPredictor::NoSq(NoSq::default()),
+            AnyPredictor::MdpTage(MdpTage::default()),
             AnyPredictor::StoreSets(StoreSets::default()),
             AnyPredictor::PerfectMdp(PerfectMdp::new()),
             AnyPredictor::PerfectMdpSmb(PerfectMdpSmb::new()),
-        ];
+            AnyPredictor::RandomizedMascot(RandomizedMascot::new(MascotConfig::default()).unwrap()),
+        ]
+    }
+
+    #[test]
+    fn names_are_distinct() {
+        let ps = one_of_each();
         let names: std::collections::HashSet<_> = ps.iter().map(|p| p.name()).collect();
         assert_eq!(names.len(), ps.len());
+    }
+
+    #[test]
+    fn snapshot_tags_are_frozen() {
+        for (tag, p) in one_of_each().iter().enumerate() {
+            assert_eq!(p.snapshot_bytes()[0], tag as u8, "{}", p.name());
+        }
     }
 
     #[test]
@@ -646,9 +442,13 @@ mod tests {
 
     #[test]
     fn merge_rejects_kind_mismatch() {
-        let mut a = AnyPredictor::Phast(Phast::default());
-        let b = AnyPredictor::NoSq(NoSq::default());
-        assert!(a.merge_from(&b).is_err());
+        let ps = one_of_each();
+        for (i, a) in ps.iter().enumerate() {
+            for (j, b) in ps.iter().enumerate() {
+                let merged = a.clone().merge_from(b);
+                assert_eq!(merged.is_ok(), i == j, "{} <- {}", a.name(), b.name());
+            }
+        }
         let mut o = AnyPredictor::PerfectMdp(PerfectMdp::new());
         assert_eq!(
             o.merge_from(&AnyPredictor::PerfectMdp(PerfectMdp::new()))

@@ -13,7 +13,7 @@
 //!   noisy bypass confidence, the SPOILER-GUARD-style mistraining defense
 //!   (DESIGN.md §12).
 //! * [`AnyPredictor`] — enum dispatch over every predictor kind for the
-//!   benchmark harness.
+//!   benchmark harness, the serve shards and the audit tools.
 //!
 //! The Fig. 11 ablation ("TAGE without non-dependence allocation") is
 //! constructed via [`mascot::Mascot::without_non_dependence_allocation`].

@@ -10,7 +10,43 @@
 
 use mascot::history::BranchEvent;
 use mascot::prediction::{GroundTruth, LoadOutcome, MemDepPredictor, MemDepPrediction};
+use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
 use serde::{Deserialize, Serialize};
+
+/// The constructor plus the snapshot and merge surface that every
+/// [`crate::AnyPredictor`] variant forwards to, for a stateless oracle: no
+/// entries, an empty snapshot body and a no-op merge.
+macro_rules! stateless_oracle {
+    ($($t:ident),*) => {$(
+        impl $t {
+            /// Creates the oracle.
+            pub fn new() -> Self {
+                Self
+            }
+
+            /// Always 0: the oracle holds no table entries.
+            pub fn entry_count(&self) -> u64 {
+                0
+            }
+
+            /// Writes nothing: the snapshot body is empty.
+            pub fn snap_encode(&self, _w: &mut SnapWriter) {}
+
+            /// Reads nothing and never fails, so a caller that finishes the
+            /// reader rejects any byte after the variant tag as trailing.
+            pub fn snap_decode(_r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+                Ok(Self)
+            }
+
+            /// Writes nothing and never fails: there is no state to fold in.
+            pub fn merge_from(&mut self, _other: &Self) -> Result<u64, SnapError> {
+                Ok(0)
+            }
+        }
+    )*};
+}
+
+stateless_oracle!(PerfectMdp, PerfectMdpSmb);
 
 /// A perfect memory-dependence predictor (no bypassing).
 ///
@@ -21,13 +57,6 @@ use serde::{Deserialize, Serialize};
 /// speculation would have saved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PerfectMdp;
-
-impl PerfectMdp {
-    /// Creates the oracle.
-    pub fn new() -> Self {
-        Self
-    }
-}
 
 impl MemDepPredictor for PerfectMdp {
     type Meta = ();
@@ -67,13 +96,6 @@ impl MemDepPredictor for PerfectMdp {
 /// including offset cases.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PerfectMdpSmb;
-
-impl PerfectMdpSmb {
-    /// Creates the oracle.
-    pub fn new() -> Self {
-        Self
-    }
-}
 
 impl MemDepPredictor for PerfectMdpSmb {
     type Meta = ();

@@ -64,6 +64,25 @@ fn scramble(key: u64, pc: u64) -> u64 {
     x
 }
 
+/// Applies the confidence noise to one prediction: each *bypass*
+/// prediction, in request order, draws the keyed deterministic demotion
+/// coin and advances the noise phase `ctr`. A free function over the key
+/// and phase so the batched sweep's sink can run it while the inner
+/// predictor is borrowed.
+#[inline]
+fn apply_noise(key: u64, ctr: &mut u64, pred: MemDepPrediction) -> MemDepPrediction {
+    if !pred.is_bypass() {
+        return pred;
+    }
+    let draw = scramble(key.rotate_left(32), *ctr);
+    *ctr = ctr.wrapping_add(1);
+    if draw.is_multiple_of(NOISE_PERIOD) {
+        pred.demote_bypass()
+    } else {
+        pred
+    }
+}
+
 /// MASCOT behind keyed index randomization and noisy bypass confidence.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RandomizedMascot {
@@ -117,25 +136,6 @@ impl RandomizedMascot {
         self.inner.entry_count()
     }
 
-    /// The keyed deterministic bypass-demotion coin; advances the noise
-    /// phase. Called once per *bypass* prediction, in request order.
-    #[inline]
-    fn noise_coin(&mut self) -> bool {
-        let draw = scramble(self.key.rotate_left(32), self.noise_ctr);
-        self.noise_ctr = self.noise_ctr.wrapping_add(1);
-        draw % NOISE_PERIOD == 0
-    }
-
-    /// Applies the confidence noise to one prediction.
-    #[inline]
-    fn apply_noise(&mut self, pred: MemDepPrediction) -> MemDepPrediction {
-        if pred.is_bypass() && self.noise_coin() {
-            pred.demote_bypass()
-        } else {
-            pred
-        }
-    }
-
     /// Serializes key, noise phase and the wrapped predictor's state.
     pub fn snap_encode(&self, w: &mut SnapWriter) {
         w.u64(self.key);
@@ -177,42 +177,6 @@ impl RandomizedMascot {
         }
         self.inner.merge_from(&other.inner)
     }
-
-    /// Batched probe: scrambles the whole batch, then runs the inner
-    /// table-major sweep; noise is applied at emission, in request order,
-    /// so the result is identical to scalar [`MemDepPredictor::predict`]
-    /// calls in sequence.
-    pub fn predict_batch_into(
-        &mut self,
-        reqs: &[PredictReq],
-        mut sink: impl FnMut(MemDepPrediction, MascotMeta),
-    ) {
-        let mut scrambled = std::mem::take(&mut self.batch_scratch);
-        scrambled.clear();
-        scrambled.extend(reqs.iter().map(|r| PredictReq {
-            pc: scramble(self.key, r.pc),
-            ..*r
-        }));
-        // Split the borrow: the inner sweep must not alias the noise state.
-        let key = self.key;
-        let mut noise_ctr = self.noise_ctr;
-        self.inner.predict_batch_into(&scrambled, |pred, meta| {
-            let noisy = if pred.is_bypass() {
-                let draw = scramble(key.rotate_left(32), noise_ctr);
-                noise_ctr = noise_ctr.wrapping_add(1);
-                if draw % NOISE_PERIOD == 0 {
-                    pred.demote_bypass()
-                } else {
-                    pred
-                }
-            } else {
-                pred
-            };
-            sink(noisy, meta);
-        });
-        self.noise_ctr = noise_ctr;
-        self.batch_scratch = scrambled;
-    }
 }
 
 impl MemDepPredictor for RandomizedMascot {
@@ -230,17 +194,30 @@ impl MemDepPredictor for RandomizedMascot {
     ) -> (MemDepPrediction, MascotMeta) {
         let spc = scramble(self.key, pc);
         let (pred, meta) = self.inner.predict(spc, store_seq, oracle);
-        (self.apply_noise(pred), meta)
+        (apply_noise(self.key, &mut self.noise_ctr, pred), meta)
     }
 
-    fn predict_batch(
+    /// Batched probe: scrambles the whole batch, then runs the inner
+    /// table-major sweep; noise is applied at emission, in request order,
+    /// so the result is identical to scalar [`MemDepPredictor::predict`]
+    /// calls in sequence.
+    fn predict_batch_into(
         &mut self,
         reqs: &[PredictReq],
-        out: &mut Vec<(MemDepPrediction, Self::Meta)>,
+        mut sink: impl FnMut(MemDepPrediction, MascotMeta),
     ) {
-        out.clear();
-        out.reserve(reqs.len());
-        self.predict_batch_into(reqs, |p, m| out.push((p, m)));
+        let mut scrambled = std::mem::take(&mut self.batch_scratch);
+        scrambled.clear();
+        scrambled.extend(reqs.iter().map(|r| PredictReq {
+            pc: scramble(self.key, r.pc),
+            ..*r
+        }));
+        // The sink captures only the key and noise phase, disjoint from the
+        // inner predictor the sweep borrows.
+        self.inner.predict_batch_into(&scrambled, |pred, meta| {
+            sink(apply_noise(self.key, &mut self.noise_ctr, pred), meta);
+        });
+        self.batch_scratch = scrambled;
     }
 
     fn train(

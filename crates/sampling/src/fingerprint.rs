@@ -26,7 +26,7 @@ pub const FINGERPRINT_DIMS: usize = 3 + 1 + 4 + DISTANCE_BUCKETS + 1 + 1;
 
 /// A memory-access-vector signature for one trace interval. All components
 /// are normalised rates in `[0, 1]`, so unweighted Euclidean distance in
-/// [`crate::kmeans`] treats every axis comparably.
+/// [`crate::kmeans`](mod@crate::kmeans) treats every axis comparably.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fingerprint(pub [f64; FINGERPRINT_DIMS]);
 

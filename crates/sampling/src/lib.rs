@@ -11,11 +11,11 @@
 //! 1. **Slice** the trace into fixed-size intervals
 //!    ([`mascot_workloads::intervals`]).
 //! 2. **Fingerprint** each interval with a memory-access-vector signature
-//!    ([`fingerprint`]): log2 store-distance histogram, alias and
+//!    ([`fingerprint`](mod@fingerprint)): log2 store-distance histogram, alias and
 //!    dependence-class rates, load/store/branch mix, branch entropy,
 //!    data footprint.
 //! 3. **Cluster** the fingerprints with a seeded, deterministic k-means
-//!    ([`kmeans`]) — same trace and seed always produce bit-identical
+//!    ([`kmeans`](mod@kmeans)) — same trace and seed always produce bit-identical
 //!    assignments.
 //! 4. **Simulate** one representative interval per cluster, each primed by
 //!    a warm-up prefix, in parallel across worker threads ([`pool`], the

@@ -5,7 +5,7 @@
 //!
 //! One thread owns the listener, all connections and the handler. Each
 //! readable event pulls at most [`READ_CHUNK`] bytes into the connection's
-//! [`RecvBuf`] and handles every complete frame it holds: the decoded
+//! [`RecvBuf`](crate::conn::RecvBuf) and handles every complete frame it holds: the decoded
 //! request goes to [`Handler::handle`], and its response is encoded onto
 //! the connection's send buffer before the next frame is parsed.
 //! Responses therefore leave strictly in request order with no reassembly
@@ -32,7 +32,7 @@
 //!
 //! Shutdown drains: the `Shutdown` response is flushed, the listener is
 //! deregistered, idle connections close immediately, and connections with
-//! responses still owed get [`DRAIN_GRACE`] to take delivery.
+//! responses still owed get `DRAIN_GRACE` to take delivery.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};

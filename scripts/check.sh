@@ -4,13 +4,13 @@
 #   scripts/check.sh            # offline build + tests + perf checks
 #   CARGO_FLAGS= scripts/check.sh   # allow network (e.g. first-time fetch)
 #
-# Fails if the build (warnings are errors) or any test fails (the
-# repository benchmark's own tests under perfbench/ included), if the
-# seeded audit soak (cycle-granular invariant checks, the batch-vs-scalar
-# prediction differential over every registered predictor kind, and
-# differential runs across every workload profile and the mistraining
-# compositions) flags a violation, if the adversarial gate fails (the
-# alias attack must measurably pollute baseline mascot while
+# Fails if the build or rustdoc (warnings are errors in both) or any test
+# fails (the repository benchmark's own tests under perfbench/ included),
+# if the seeded audit soak (cycle-granular invariant checks, the
+# batch-vs-scalar prediction differential over every registered
+# predictor kind, and differential runs across every workload profile and
+# the mistraining compositions) flags a violation, if the adversarial
+# gate fails (the alias attack must measurably pollute baseline mascot while
 # RandomizedMascot cuts attack success >= 10x at <= 5% benign IPC cost),
 # if simulator throughput regresses against the committed
 # BENCH_sim_throughput.json baseline (median of 3 passes; >10% aggregate
@@ -56,6 +56,11 @@ echo "== tier-1: tests (every workspace member) =="
 # --workspace for the same reason as the build: a bare `cargo test` runs
 # only the root package's tests, not the crates' own unit tests.
 cargo test -q ${CARGO_FLAGS} --workspace
+
+echo "== rustdoc (doc warnings are errors) =="
+# Broken, private or ambiguous intra-doc links fail here instead of
+# rotting silently when an item they name moves.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps ${CARGO_FLAGS}
 
 echo "== benchmark tests (perfbench builds against the public API) =="
 # perfbench is its own Cargo workspace driving the crates through their
