@@ -5,14 +5,17 @@
 //! Conditional branches contribute one taken/not-taken bit; indirect
 //! branches contribute their target folded to 5 bits.
 //!
-//! [`FoldedHistory`] maintains the classic circular-shift-register folding:
-//! the folded value is a pure function of the *contents* of the history
-//! window (each event's contribution is rotated by its age), so identical
-//! contexts always hash to identical indices regardless of when they occur.
-//! Incremental updates are O(1); after a pipeline squash the register is
-//! recomputed from the architectural event log in O(window) — or, when the
-//! squash popped only a few events, unwound push-by-push in O(popped) via
-//! [`rewind_hashers`].
+//! The folded registers maintain the classic circular-shift-register
+//! folding: the folded value is a pure function of the *contents* of the
+//! history window (each event's contribution is rotated by its age), so
+//! identical contexts always hash to identical indices regardless of when
+//! they occur. Incremental updates are O(1); after a pipeline squash the
+//! register is recomputed from the architectural event log in O(window) —
+//! or, when the squash popped only a few events, unwound push-by-push in
+//! O(popped). The log, the registers and the per-table hashers are private
+//! to this crate: every table user reaches them through
+//! [`crate::tagged::TaggedTables`], which owns one log and one hasher per
+//! table.
 
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
 use serde::{Deserialize, Serialize};
@@ -66,7 +69,7 @@ impl BranchEvent {
 
 /// A bounded log of the most recent branch events, most recent last.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct GlobalHistory {
+pub(crate) struct GlobalHistory {
     events: VecDeque<BranchEvent>,
     capacity: usize,
     total: u64,
@@ -112,12 +115,8 @@ impl GlobalHistory {
         self.events.len()
     }
 
-    /// True when no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Total events ever pushed (not capped by capacity).
+    #[cfg(test)]
     pub fn total(&self) -> u64 {
         self.total
     }
@@ -132,6 +131,7 @@ impl GlobalHistory {
     }
 
     /// Iterates retained events, oldest first.
+    #[cfg(test)]
     pub fn iter(&self) -> impl Iterator<Item = &BranchEvent> {
         self.events.iter()
     }
@@ -217,7 +217,7 @@ impl GlobalHistory {
     }
 
     /// Pops and returns the newest event (squash-undo support; see
-    /// [`rewind_hashers`]).
+    /// `rewind_hashers`).
     pub fn pop_newest(&mut self) -> Option<BranchEvent> {
         let ev = self.events.pop_back();
         if ev.is_some() {
@@ -281,7 +281,7 @@ impl GlobalHistory {
 /// falls back to the full recompute. Each undone event costs four fold
 /// inversions per hasher, while the recompute folds every window from
 /// scratch, so the break-even sits well above this bound.
-const MAX_UNDO: usize = 16;
+pub(crate) const MAX_UNDO: usize = 16;
 
 /// Rewinds a history log and the table hashers folded over it to the
 /// architectural path `recent` (oldest first), as after a pipeline squash.
@@ -293,7 +293,7 @@ const MAX_UNDO: usize = 16;
 /// O(popped × tables) — instead of refolding every window — O(tables ×
 /// window). Replacements that pop more than `MAX_UNDO` events, or that
 /// do not match a bounded undo exactly, fall back to the full recompute.
-pub fn rewind_hashers(
+pub(crate) fn rewind_hashers(
     history: &mut GlobalHistory,
     hashers: &mut [TableHasher],
     recent: &[BranchEvent],
@@ -344,7 +344,7 @@ fn undo_depth(history: &GlobalHistory, max_window: u32, recent: &[BranchEvent]) 
 /// `%` in the naive formulation dominated the history-maintenance profile.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(from = "FoldedWire", into = "FoldedWire")]
-pub struct FoldedHistory {
+pub(crate) struct FoldedHistory {
     bits: u32,
     window: u32,
     reg: u64,
@@ -402,11 +402,6 @@ impl FoldedHistory {
     #[inline]
     pub fn value(&self) -> u64 {
         self.reg
-    }
-
-    /// The window length in events.
-    pub fn window(&self) -> u32 {
-        self.window
     }
 
     #[inline]
@@ -489,8 +484,9 @@ impl FoldedHistory {
         self.reg ^= self.rotl(self.squash_chunk(chunk), rot);
     }
 
-    /// Rebuilds the fold from scratch against a history log (used after a
-    /// squash rewinds the speculative path).
+    /// Rebuilds the fold from scratch against a history log: the reference
+    /// the incremental and fused paths are tested against.
+    #[cfg(test)]
     pub fn recompute<F>(&mut self, history: &GlobalHistory, chunk_of: F)
     where
         F: Fn(&BranchEvent) -> u64,
@@ -517,7 +513,7 @@ impl FoldedHistory {
 /// §IV-B ("the index and tag are computed by folding the load PC and
 /// increasing lengths of the global branch and path history").
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TableHasher {
+pub(crate) struct TableHasher {
     history_len: u32,
     index_bits: u32,
     tag_bits: u32,
@@ -557,6 +553,11 @@ impl TableHasher {
     /// The table's history length in branches.
     pub fn history_len(&self) -> u32 {
         self.history_len
+    }
+
+    /// The tag width in bits.
+    pub fn tag_bits(&self) -> u32 {
+        self.tag_bits
     }
 
     /// Advances all folds by one branch. Must be called with the history log

@@ -41,9 +41,12 @@
 //! * [`mdp_only::MascotMdpOnly`] — the MDP-only variant of Fig. 9.
 //! * [`config::MascotConfig`] — geometry presets: the default 14 KiB
 //!   configuration, MASCOT-OPT and the Fig. 15 tag-reduction sweep.
-//! * [`history`] — global branch/path history and TAGE folded registers.
-//! * [`table`] — the generic 4-way associative tagged table in
-//!   struct-of-arrays layout (shared with the baseline predictors).
+//! * [`history`] — branch events and the TAGE folded-history registers.
+//! * [`table`] — the generic set-associative tagged table in
+//!   struct-of-arrays layout.
+//! * [`tagged`] — [`tagged::TaggedTables`], the bank of history-indexed
+//!   tables plus the global history they fold, shared by MASCOT, the
+//!   baseline predictors and the simulator's TAGE branch predictor.
 //! * [`tuning`] — §IV-F per-slot F1 instrumentation (Figs. 13–14).
 //! * [`prediction`] — the [`MemDepPredictor`] trait and shared vocabulary
 //!   types used by the simulator and every baseline predictor.
@@ -58,13 +61,12 @@ pub mod mdp_only;
 pub mod prediction;
 pub mod predictor;
 pub mod table;
+pub mod tagged;
 pub mod tuning;
 
 pub use config::{ConfigError, MascotConfig};
 pub use entry::MascotEntry;
-pub use history::{
-    rewind_hashers, BranchEvent, BranchKind, FoldedHistory, GlobalHistory, TableHasher,
-};
+pub use history::{BranchEvent, BranchKind};
 pub use mdp_only::MascotMdpOnly;
 pub use prediction::{
     BypassClass, GroundTruth, LoadOutcome, MemDepPrediction, MemDepPredictor,

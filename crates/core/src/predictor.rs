@@ -16,25 +16,13 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::MascotConfig;
 use crate::entry::MascotEntry;
-use crate::history::{rewind_hashers, BranchEvent, GlobalHistory, TableHasher};
+use crate::history::BranchEvent;
 use crate::prediction::{
     GroundTruth, LoadOutcome, MemDepPredictor, MemDepPrediction, PredictReq, StoreDistance,
 };
 use crate::table::AssocTable;
+use crate::tagged::{TableLookup, TableShape, TaggedTables, MAX_TABLES};
 use crate::tuning::TuningState;
-
-/// Upper bound on the number of tagged tables supported by the fixed-size
-/// prediction metadata.
-pub const MAX_TABLES: usize = 16;
-
-/// One table's lookup coordinates, captured at prediction time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TableLookup {
-    /// Set index within the table.
-    pub index: u32,
-    /// Partial tag.
-    pub tag: u32,
-}
 
 /// Per-prediction metadata carried in the load's ROB entry and handed back
 /// at commit, so training uses exactly the speculative-history hashes the
@@ -106,9 +94,7 @@ enum EntryProto {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Mascot {
     cfg: MascotConfig,
-    tables: Vec<AssocTable<MascotEntry>>,
-    hashers: Vec<TableHasher>,
-    history: GlobalHistory,
+    bank: TaggedTables<MascotEntry>,
     tuning: Option<TuningState>,
     stats: MascotStats,
     /// True for MASCOT proper; false for the Fig. 11 ablation, which on a
@@ -149,31 +135,25 @@ impl Mascot {
         // The fill payload seeds the SoA data lane; it is never read while
         // a way's tag is invalid.
         let fill = MascotEntry::non_dependent(cfg.usefulness_bits, 0, cfg.bypass_bits);
-        let tables: Vec<_> = (0..cfg.num_tables())
-            .map(|i| AssocTable::new(cfg.sets(i), cfg.associativity as usize, fill.clone()))
-            .collect();
-        let hashers: Vec<_> = (0..cfg.num_tables())
-            .map(|i| {
-                TableHasher::new(
-                    cfg.history_lengths[i],
-                    tables[i].index_bits(),
-                    u32::from(cfg.tag_bits[i]),
-                )
+        let shapes: Vec<_> = (0..cfg.num_tables())
+            .map(|i| TableShape {
+                history_len: cfg.history_lengths[i],
+                sets: cfg.sets(i),
+                assoc: cfg.associativity as usize,
+                tag_bits: u32::from(cfg.tag_bits[i]),
             })
             .collect();
-        let max_hist = *cfg.history_lengths.last().expect("validated non-empty") as usize;
+        let bank = TaggedTables::new(&shapes, fill);
         let tuning = cfg
             .tuning
-            .then(|| TuningState::new(tables.iter().map(AssocTable::capacity)));
+            .then(|| TuningState::new(bank.tables().iter().map(AssocTable::capacity)));
         let stats = MascotStats {
             table_predictions: vec![0; cfg.num_tables()],
             ..MascotStats::default()
         };
         Ok(Self {
             cfg,
-            tables,
-            hashers,
-            history: GlobalHistory::new((max_hist * 2).max(64)),
+            bank,
             tuning,
             stats,
             allocate_non_dependencies: true,
@@ -221,18 +201,11 @@ impl Mascot {
 
     /// Occupancy of each table (diagnostics).
     pub fn occupancy(&self) -> Vec<usize> {
-        self.tables.iter().map(AssocTable::occupancy).collect()
-    }
-
-    fn compute_lookups(&self, pc: u64) -> ([TableLookup; MAX_TABLES], u8) {
-        let mut lookups = [TableLookup::default(); MAX_TABLES];
-        for (i, hasher) in self.hashers.iter().enumerate() {
-            lookups[i] = TableLookup {
-                index: hasher.index(pc) as u32,
-                tag: hasher.tag(pc) as u32,
-            };
-        }
-        (lookups, self.hashers.len() as u8)
+        self.bank
+            .tables()
+            .iter()
+            .map(AssocTable::occupancy)
+            .collect()
     }
 
     /// Interprets a providing entry as a three-way prediction (Fig. 5 left).
@@ -252,11 +225,11 @@ impl Mascot {
     /// Runs `f` on the providing entry if it still resides where the
     /// prediction found it (it may have been evicted in the interim).
     fn with_provider_entry(&mut self, meta: &MascotMeta, f: impl FnOnce(&mut MascotEntry)) {
-        if let Some(p) = meta.provider() {
-            let lk = meta.lookup(p);
-            if let Some((_, e)) = self.tables[p].find_mut(u64::from(lk.index), u64::from(lk.tag)) {
-                f(e);
-            }
+        if let Some(e) = meta
+            .provider()
+            .and_then(|p| self.bank.entry_mut(p, meta.lookup(p)))
+        {
+            f(e);
         }
     }
 
@@ -276,7 +249,7 @@ impl Mascot {
             return;
         }
         self.updates_since_decay = 0;
-        for table in &mut self.tables {
+        for table in self.bank.tables_mut() {
             table.for_each_valid_slot_mut(|_, _, e| e.decay());
         }
     }
@@ -306,10 +279,10 @@ impl Mascot {
     /// refuses when all its ways are useful, in which case all of its ways
     /// in the indexed set are decayed and the next table is tried.
     fn allocate(&mut self, meta: &MascotMeta, start_table: usize, proto: EntryProto) {
-        for t in start_table..self.tables.len() {
+        for t in start_table..self.bank.num_tables() {
             let lk = meta.lookup(t);
             let entry = self.build_entry(proto);
-            match self.tables[t].try_insert(
+            match self.bank.tables_mut()[t].try_insert(
                 u64::from(lk.index),
                 u64::from(lk.tag),
                 entry,
@@ -324,7 +297,8 @@ impl Mascot {
                 }
                 None => {
                     self.stats.allocation_failures += 1;
-                    self.tables[t].for_each_valid_mut(u64::from(lk.index), |_, e| e.decay());
+                    self.bank.tables_mut()[t]
+                        .for_each_valid_mut(u64::from(lk.index), |_, e| e.decay());
                 }
             }
         }
@@ -334,7 +308,7 @@ impl Mascot {
     /// Total valid entries across all tables (the snapshot/restore
     /// "restored entries" accounting unit).
     pub fn entry_count(&self) -> u64 {
-        self.tables.iter().map(|t| t.occupancy() as u64).sum()
+        self.bank.entry_count()
     }
 
     /// Serializes the full architectural state: configuration, tables,
@@ -349,7 +323,7 @@ impl Mascot {
         self.cfg.snap_encode(w);
         w.bool(self.allocate_non_dependencies);
         w.u32(self.updates_since_decay);
-        self.history.snap_encode(w);
+        self.bank.snap_encode_history(w);
         w.u32(self.stats.table_predictions.len() as u32);
         for &c in &self.stats.table_predictions {
             w.u64(c);
@@ -359,9 +333,7 @@ impl Mascot {
         w.u64(self.stats.nondep_allocations);
         w.u64(self.stats.allocation_failures);
         w.u64(self.stats.allocations_dropped);
-        for table in &self.tables {
-            table.snap_encode_with(w, |e, w| e.snap_encode(w));
-        }
+        self.bank.snap_encode_tables(w, |e, w| e.snap_encode(w));
     }
 
     /// Decodes a predictor from a snapshot payload, fail-closed: the
@@ -389,16 +361,9 @@ impl Mascot {
             }
             _ => p.updates_since_decay = updates,
         }
-        let history = GlobalHistory::snap_decode(r)?;
-        if history.capacity() != p.history.capacity() {
-            return Err(SnapError::Corrupt("history capacity does not match config"));
-        }
-        p.history = history;
-        for hasher in &mut p.hashers {
-            hasher.recompute(&p.history);
-        }
+        p.bank.snap_decode_history(r)?;
         let nt = r.u32("stats table count")? as usize;
-        if nt != p.tables.len() {
+        if nt != p.bank.num_tables() {
             return Err(SnapError::Corrupt("stats table count does not match config"));
         }
         let mut table_predictions = Vec::with_capacity(nt);
@@ -413,18 +378,7 @@ impl Mascot {
             allocation_failures: r.u64("allocation failure counter")?,
             allocations_dropped: r.u64("dropped allocation counter")?,
         };
-        let fill = MascotEntry::non_dependent(p.cfg.usefulness_bits, 0, p.cfg.bypass_bits);
-        for i in 0..p.tables.len() {
-            let tag_limit = 1u64 << p.cfg.tag_bits[i];
-            p.tables[i] = AssocTable::snap_decode_with(
-                r,
-                p.cfg.sets(i),
-                p.cfg.associativity as usize,
-                fill.clone(),
-                |t| t < tag_limit,
-                MascotEntry::snap_decode,
-            )?;
-        }
+        p.bank.snap_decode_tables(r, MascotEntry::snap_decode)?;
         Ok(p)
     }
 
@@ -456,9 +410,9 @@ impl Mascot {
                 "cannot merge predictors with different configurations",
             ));
         }
-        let mut written = 0;
-        for (mine, theirs) in self.tables.iter_mut().zip(&other.tables) {
-            written += mine.merge_from_resolve(theirs, |incoming, incumbent| {
+        let written = self
+            .bank
+            .merge_tables_from(&other.bank, |incoming, incumbent| {
                 let inc = incoming.usefulness().value();
                 let cur = incumbent.usefulness().value();
                 if inc == cur {
@@ -466,7 +420,6 @@ impl Mascot {
                 }
                 inc > cur
             })?;
-        }
         for (mine, theirs) in self
             .stats
             .table_predictions
@@ -501,14 +454,13 @@ impl MemDepPredictor for Mascot {
         _store_seq: u64,
         _oracle: Option<&GroundTruth>,
     ) -> (MemDepPrediction, MascotMeta) {
-        let (lookups, num_tables) = self.compute_lookups(pc);
+        let lookups = self.bank.lookups(pc);
         let mut provider = None;
         let mut provider_way = 0u8;
         let mut prediction = MemDepPrediction::NoDependence;
-        for t in (0..self.tables.len()).rev() {
+        for (t, table) in self.bank.tables().iter().enumerate().rev() {
             let lk = lookups[t];
-            if let Some((way, entry)) = self.tables[t].find(u64::from(lk.index), u64::from(lk.tag))
-            {
+            if let Some((way, entry)) = table.find(u64::from(lk.index), u64::from(lk.tag)) {
                 provider = Some(t as u8);
                 provider_way = way as u8;
                 prediction = Self::entry_prediction(entry);
@@ -523,7 +475,7 @@ impl MemDepPredictor for Mascot {
             prediction,
             MascotMeta {
                 lookups,
-                num_tables,
+                num_tables: self.bank.num_tables() as u8,
                 provider,
                 provider_way,
             },
@@ -546,11 +498,11 @@ impl MemDepPredictor for Mascot {
     ) {
         let mut slots = std::mem::take(&mut self.batch_scratch);
         slots.clear();
+        let num_tables = self.bank.num_tables() as u8;
         for req in reqs {
-            let (lookups, num_tables) = self.compute_lookups(req.pc);
             slots.push(BatchSlot {
                 meta: MascotMeta {
-                    lookups,
+                    lookups: self.bank.lookups(req.pc),
                     num_tables,
                     provider: None,
                     provider_way: 0,
@@ -559,8 +511,7 @@ impl MemDepPredictor for Mascot {
                 resolved: false,
             });
         }
-        for t in (0..self.tables.len()).rev() {
-            let table = &self.tables[t];
+        for (t, table) in self.bank.tables().iter().enumerate().rev() {
             let mut hits = 0u64;
             for slot in slots.iter_mut().filter(|s| !s.resolved) {
                 let lk = slot.meta.lookups[t];
@@ -595,7 +546,8 @@ impl MemDepPredictor for Mascot {
         if let Some(tuning) = &mut self.tuning {
             if let Some(p) = meta.provider() {
                 let lk = meta.lookup(p);
-                let slot = self.tables[p].slot_id(u64::from(lk.index), usize::from(meta.provider_way));
+                let slot = self.bank.tables()[p]
+                    .slot_id(u64::from(lk.index), usize::from(meta.provider_way));
                 tuning.record(p, slot, predicted.is_dependence(), outcome.is_dependent());
             }
         }
@@ -678,14 +630,11 @@ impl MemDepPredictor for Mascot {
     }
 
     fn on_branch(&mut self, event: &BranchEvent) {
-        for hasher in &mut self.hashers {
-            hasher.on_branch(&self.history, event);
-        }
-        self.history.push(*event);
+        self.bank.on_branch(event);
     }
 
     fn rewind_history(&mut self, recent: &[BranchEvent]) {
-        rewind_hashers(&mut self.history, &mut self.hashers, recent);
+        self.bank.rewind(recent);
     }
 
     fn bypass_supports_offset(&self) -> bool {
@@ -1202,10 +1151,9 @@ mod tests {
             let (_, meta) = p.predict(PC, 0, None);
             let t = meta.provider().expect("trained entry provides");
             let lk = meta.lookup(t);
-            p.tables[t]
-                .find(u64::from(lk.index), u64::from(lk.tag))
+            p.bank
+                .entry_mut(t, lk)
                 .expect("entry resides where predicted")
-                .1
                 .usefulness()
                 .value()
         };

@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// Tag value marking an invalid (empty) way.
 ///
 /// Safe as a sentinel because every producer masks tags to well under 64
-/// bits (`TableHasher` masks to `tag_bits`; NoSQ's widest tag is 22 bits).
+/// bits (tagged-table hashers mask to `tag_bits`; NoSQ's widest tag is 22 bits).
 pub const INVALID_TAG: u64 = u64::MAX;
 
 /// A set-associative table of tagged payloads in struct-of-arrays layout.
@@ -257,77 +257,60 @@ impl<P> AssocTable<P> {
             }
         }
     }
-}
 
-impl<P: Clone> AssocTable<P> {
-    /// Decodes a table encoded by [`Self::snap_encode_with`], fail-closed:
-    /// the stored shape must equal the shape the caller's configuration
-    /// dictates (`sets`, `assoc`), every stored tag must pass `valid_tag`,
-    /// and `dec` must accept every valid way's payload. On any mismatch the
-    /// error propagates and no table is produced.
+    /// Decodes a table encoded by [`Self::snap_encode_with`] into `self`,
+    /// fail-closed: the stored shape must equal this table's, every stored
+    /// tag must pass `valid_tag`, and `dec` must accept every valid way's
+    /// payload. On error the table is partially overwritten; callers decode
+    /// into a fresh predictor and drop it on failure.
     ///
     /// # Errors
     ///
     /// [`SnapError::Corrupt`] on a shape/tag mismatch, plus whatever `dec`
     /// or the reader return.
-    pub fn snap_decode_with<F, V>(
+    pub fn snap_decode_into<F, V>(
+        &mut self,
         r: &mut SnapReader<'_>,
-        sets: usize,
-        assoc: usize,
-        fill: P,
         valid_tag: V,
         mut dec: F,
-    ) -> Result<Self, SnapError>
+    ) -> Result<(), SnapError>
     where
         F: FnMut(&mut SnapReader<'_>) -> Result<P, SnapError>,
         V: Fn(u64) -> bool,
     {
         let stored_sets = r.u32("table set count")? as usize;
         let stored_assoc = r.u32("table associativity")? as usize;
-        if stored_sets != sets || stored_assoc != assoc {
+        if stored_sets != self.sets || stored_assoc != self.assoc {
             return Err(SnapError::Corrupt("table shape does not match config"));
         }
-        let mut table = Self::new(sets, assoc, fill);
-        for slot in 0..sets * assoc {
+        for slot in 0..self.tags.len() {
             let tag = r.u64("slot tag")?;
+            self.tags[slot] = tag;
             if tag == INVALID_TAG {
                 continue;
             }
             if !valid_tag(tag) {
                 return Err(SnapError::Corrupt("slot tag out of range"));
             }
-            table.tags[slot] = tag;
-            table.data[slot] = dec(r)?;
+            self.data[slot] = dec(r)?;
         }
-        Ok(table)
+        Ok(())
     }
+}
 
+impl<P: Clone> AssocTable<P> {
     /// Union-merges `other`'s valid entries into this table (the N→M
     /// resharding path; see DESIGN.md §10). An incoming entry lands in the
     /// set its stored index dictates — both tables were indexed by the same
     /// hash over the same broadcast history, so coordinates are comparable.
-    /// On a tag collision the incumbent is replaced only when
-    /// `prefer_new(incoming, incumbent)`; a full set drops the incoming
-    /// entry unless some way satisfies `prefer_new`. Returns the number of
-    /// entries written.
     ///
-    /// # Errors
-    ///
-    /// Fails when the shapes differ — merging across geometries would
-    /// scramble the index space.
-    pub fn merge_from_with<F>(&mut self, other: &Self, prefer_new: F) -> Result<u64, SnapError>
-    where
-        F: Fn(&P, &P) -> bool,
-    {
-        self.merge_from_resolve(other, |incoming, incumbent| prefer_new(incoming, incumbent))
-    }
-
-    /// [`Self::merge_from_with`] with a *mutating* conflict resolver: on a
-    /// tag collision (or a full set), `resolve(incoming, incumbent)` decides
-    /// whether the incoming entry replaces the incumbent, and may mutate the
-    /// losing incumbent in place (e.g. decay its usefulness so a tie does
-    /// not pin it forever — see DESIGN.md §12 on flooding attacks against
-    /// ties-keep-the-incumbent merges).
+    /// On a tag collision (or a full set), `resolve(incoming, incumbent)`
+    /// decides whether the incoming entry replaces the incumbent, and may
+    /// mutate the losing incumbent in place (e.g. decay its usefulness so a
+    /// tie does not pin it forever — see DESIGN.md §12 on flooding attacks
+    /// against ties-keep-the-incumbent merges). A full set drops the
+    /// incoming entry unless the resolver surrenders some way. Returns the
+    /// number of entries written.
     ///
     /// # Errors
     ///
@@ -509,11 +492,9 @@ mod tests {
         });
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        let out = AssocTable::snap_decode_with(
+        let mut out = table(t.sets(), t.assoc());
+        out.snap_decode_into(
             &mut r,
-            t.sets(),
-            t.assoc(),
-            e(0),
             |_| true,
             |r| {
                 Ok(E {
@@ -554,18 +535,18 @@ mod tests {
         let bytes = w.into_bytes();
         // Wrong expected shape.
         let mut r = SnapReader::new(&bytes);
-        assert!(AssocTable::snap_decode_with(&mut r, 4, 4, e(0), |_| true, |r| {
-            Ok(e(r.u32("v")?))
-        })
-        .is_err());
+        assert!(table(4, 4)
+            .snap_decode_into(&mut r, |_| true, |r| Ok(e(r.u32("v")?)))
+            .is_err());
         // Tag validator rejects.
         let mut r = SnapReader::new(&bytes);
-        assert!(AssocTable::snap_decode_with(&mut r, 8, 4, e(0), |t| t < 0x10, |r| {
-            let v = r.u32("v")?;
-            r.u8("evictable")?;
-            Ok(e(v))
-        })
-        .is_err());
+        assert!(table(8, 4)
+            .snap_decode_into(&mut r, |t| t < 0x10, |r| {
+                let v = r.u32("v")?;
+                r.u8("evictable")?;
+                Ok(e(v))
+            })
+            .is_err());
     }
 
     #[test]
@@ -613,13 +594,13 @@ mod tests {
         a.insert_at(0, 0, 0x1, e(10));
         b.insert_at(1, 0, 0x2, e(20)); // lands in an empty set of a
         b.insert_at(0, 1, 0x1, e(99)); // same (set, tag) as a's entry
-        let written = a.merge_from_with(&b, |new, old| new.v > old.v).unwrap();
+        let written = a.merge_from_resolve(&b, |new, old| new.v > old.v).unwrap();
         assert_eq!(written, 2);
         assert_eq!(a.find(0, 0x1).unwrap().1.v, 99, "higher value wins");
         assert_eq!(a.find(1, 0x2).unwrap().1.v, 20);
         // Merging the other way: a's (0, 0x1) holds 99, so b's 99 vs ... b
         // gains a's now-better entry; shapes must match.
         let tiny = table(2, 2);
-        assert!(a.merge_from_with(&tiny, |_, _| false).is_err());
+        assert!(a.merge_from_resolve(&tiny, |_, _| false).is_err());
     }
 }

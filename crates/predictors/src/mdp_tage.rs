@@ -9,17 +9,13 @@
 //! weaknesses MASCOT's 7-bit distance and richer counters address. Included
 //! as a historical baseline beyond the paper's Table II set.
 
-use mascot::history::{rewind_hashers, BranchEvent, GlobalHistory, TableHasher};
+use mascot::history::BranchEvent;
 use mascot::prediction::{
     GroundTruth, LoadOutcome, MemDepPredictor, MemDepPrediction, StoreDistance,
 };
-use mascot::predictor::TableLookup;
-use mascot::table::AssocTable;
+use mascot::tagged::{TableLookup, TableShape, TaggedTables, MAX_TABLES};
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
 use serde::{Deserialize, Serialize};
-
-/// Maximum tables supported by the fixed-size metadata.
-pub const MAX_TABLES: usize = 16;
 
 /// Configuration for [`MdpTage`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -65,6 +61,11 @@ impl MdpTageConfig {
         }
         if self.history_lengths.iter().any(|&h| h > 1 << 20) {
             return Err(SnapError::Corrupt("mdp-tage history length out of range"));
+        }
+        if !self.history_lengths.windows(2).all(|w| w[0] < w[1]) {
+            return Err(SnapError::Corrupt(
+                "mdp-tage history lengths must strictly increase",
+            ));
         }
         if self.tag_bits == 0 || self.tag_bits > 30 {
             return Err(SnapError::Corrupt("mdp-tage tag width out of range"));
@@ -158,9 +159,7 @@ pub struct MdpTageMeta {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MdpTage {
     cfg: MdpTageConfig,
-    tables: Vec<AssocTable<MdpTageEntry>>,
-    hashers: Vec<TableHasher>,
-    history: GlobalHistory,
+    bank: TaggedTables<MdpTageEntry>,
 }
 
 impl Default for MdpTage {
@@ -175,85 +174,73 @@ impl MdpTage {
     /// # Panics
     ///
     /// Panics if the per-table vectors disagree in length, exceed
-    /// [`MAX_TABLES`], or yield non-power-of-two set counts.
+    /// [`MAX_TABLES`], yield non-power-of-two set counts, or the history
+    /// lengths do not strictly increase.
     pub fn new(cfg: MdpTageConfig) -> Self {
         assert_eq!(
             cfg.history_lengths.len(),
             cfg.table_entries.len(),
             "history/table shape mismatch"
         );
-        assert!(cfg.history_lengths.len() <= MAX_TABLES, "too many tables");
+        assert!(
+            cfg.history_lengths.windows(2).all(|w| w[0] < w[1]),
+            "history lengths must strictly increase"
+        );
+        let shapes: Vec<_> = cfg
+            .history_lengths
+            .iter()
+            .zip(&cfg.table_entries)
+            .map(|(&history_len, &e)| TableShape {
+                history_len,
+                sets: (e / cfg.associativity) as usize,
+                assoc: cfg.associativity as usize,
+                tag_bits: u32::from(cfg.tag_bits),
+            })
+            .collect();
         let fill = MdpTageEntry {
             distance: 0,
             useful: false,
         };
-        let tables: Vec<_> = cfg
-            .table_entries
-            .iter()
-            .map(|&e| {
-                AssocTable::new(
-                    (e / cfg.associativity) as usize,
-                    cfg.associativity as usize,
-                    fill,
-                )
-            })
-            .collect();
-        let hashers: Vec<_> = cfg
-            .history_lengths
-            .iter()
-            .zip(&tables)
-            .map(|(&h, t)| TableHasher::new(h, t.index_bits(), u32::from(cfg.tag_bits)))
-            .collect();
-        let max_hist = *cfg.history_lengths.last().expect("at least one table") as usize;
         Self {
-            tables,
-            hashers,
-            history: GlobalHistory::new((max_hist * 2).max(64)),
+            bank: TaggedTables::new(&shapes, fill),
             cfg,
         }
     }
 
-    fn compute_lookups(&self, pc: u64) -> ([TableLookup; MAX_TABLES], u8) {
-        let mut lookups = [TableLookup::default(); MAX_TABLES];
-        for (i, h) in self.hashers.iter().enumerate() {
-            lookups[i] = TableLookup {
-                index: h.index(pc) as u32,
-                tag: h.tag(pc) as u32,
-            };
-        }
-        (lookups, self.hashers.len() as u8)
+    /// The entry that provided `meta`'s prediction, if it is still resident.
+    fn provider_entry(&mut self, meta: &MdpTageMeta) -> Option<&mut MdpTageEntry> {
+        let p = usize::from(meta.provider?);
+        self.bank.entry_mut(p, meta.lookups[p])
     }
 
     fn allocate(&mut self, meta: &MdpTageMeta, start: usize, distance: u8) {
-        for t in start..self.tables.len() {
+        for (t, table) in self.bank.tables_mut().iter_mut().enumerate().skip(start) {
             let lk = meta.lookups[t];
             let entry = MdpTageEntry {
                 distance,
                 useful: true,
             };
-            if self.tables[t]
+            if table
                 .try_insert(u64::from(lk.index), u64::from(lk.tag), entry, |e| !e.useful)
                 .is_some()
             {
                 return;
             }
-            self.tables[t].for_each_valid_mut(u64::from(lk.index), |_, e| e.useful = false);
+            table.for_each_valid_mut(u64::from(lk.index), |_, e| e.useful = false);
         }
     }
 
     /// Total valid entries across all tables.
     pub fn entry_count(&self) -> u64 {
-        self.tables.iter().map(|t| t.occupancy() as u64).sum()
+        self.bank.entry_count()
     }
 
     /// Serializes the full state (configuration, tables, history). Hashers
     /// are recomputed from the history on decode.
     pub fn snap_encode(&self, w: &mut SnapWriter) {
         self.cfg.snap_encode(w);
-        self.history.snap_encode(w);
-        for table in &self.tables {
-            table.snap_encode_with(w, |e, w| e.snap_encode(w));
-        }
+        self.bank.snap_encode_history(w);
+        self.bank.snap_encode_tables(w, |e, w| e.snap_encode(w));
     }
 
     /// Decodes a predictor from a snapshot payload, fail-closed.
@@ -265,29 +252,8 @@ impl MdpTage {
     pub fn snap_decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let cfg = MdpTageConfig::snap_decode(r)?;
         let mut p = Self::new(cfg);
-        let history = GlobalHistory::snap_decode(r)?;
-        if history.capacity() != p.history.capacity() {
-            return Err(SnapError::Corrupt("mdp-tage history capacity mismatch"));
-        }
-        p.history = history;
-        for hasher in &mut p.hashers {
-            hasher.recompute(&p.history);
-        }
-        let fill = MdpTageEntry {
-            distance: 0,
-            useful: false,
-        };
-        let tag_limit = 1u64 << p.cfg.tag_bits;
-        for i in 0..p.tables.len() {
-            p.tables[i] = AssocTable::snap_decode_with(
-                r,
-                (p.cfg.table_entries[i] / p.cfg.associativity) as usize,
-                p.cfg.associativity as usize,
-                fill,
-                |t| t < tag_limit,
-                MdpTageEntry::snap_decode,
-            )?;
-        }
+        p.bank.snap_decode_history(r)?;
+        p.bank.snap_decode_tables(r, MdpTageEntry::snap_decode)?;
         Ok(p)
     }
 
@@ -303,13 +269,10 @@ impl MdpTage {
                 "cannot merge mdp-tage predictors with different configurations",
             ));
         }
-        let mut written = 0;
-        for (mine, theirs) in self.tables.iter_mut().zip(&other.tables) {
-            written += mine.merge_from_with(theirs, |incoming, incumbent| {
+        self.bank
+            .merge_tables_from(&other.bank, |incoming, incumbent| {
                 incoming.useful && !incumbent.useful
-            })?;
-        }
-        Ok(written)
+            })
     }
 }
 
@@ -326,12 +289,12 @@ impl MemDepPredictor for MdpTage {
         _store_seq: u64,
         _oracle: Option<&GroundTruth>,
     ) -> (MemDepPrediction, MdpTageMeta) {
-        let (lookups, num_tables) = self.compute_lookups(pc);
+        let lookups = self.bank.lookups(pc);
         let mut provider = None;
         let mut prediction = MemDepPrediction::NoDependence;
-        for t in (0..self.tables.len()).rev() {
+        for (t, table) in self.bank.tables().iter().enumerate().rev() {
             let lk = lookups[t];
-            if let Some((_, e)) = self.tables[t].find(u64::from(lk.index), u64::from(lk.tag)) {
+            if let Some((_, e)) = table.find(u64::from(lk.index), u64::from(lk.tag)) {
                 provider = Some(t as u8);
                 // Only useful entries may predict ("if u is not 0").
                 if e.useful {
@@ -346,7 +309,7 @@ impl MemDepPredictor for MdpTage {
             prediction,
             MdpTageMeta {
                 lookups,
-                num_tables,
+                num_tables: self.bank.num_tables() as u8,
                 provider,
             },
         )
@@ -359,47 +322,30 @@ impl MemDepPredictor for MdpTage {
         predicted: MemDepPrediction,
         outcome: &LoadOutcome,
     ) {
-        let provider = meta.provider.map(usize::from);
         // Only near dependencies are encodable in the 3-bit field.
         let encodable = outcome
             .dependence
             .filter(|d| (1..=7).contains(&d.distance.get()));
         match encodable {
-            Some(dep) => {
-                if predicted.distance() == Some(dep.distance) {
-                    if let Some(p) = provider {
-                        let lk = meta.lookups[p];
-                        if let Some((_, e)) =
-                            self.tables[p].find_mut(u64::from(lk.index), u64::from(lk.tag))
-                        {
-                            e.useful = true;
-                        }
-                    }
-                } else {
-                    if let Some(p) = provider {
-                        let lk = meta.lookups[p];
-                        if let Some((_, e)) =
-                            self.tables[p].find_mut(u64::from(lk.index), u64::from(lk.tag))
-                        {
-                            e.useful = false;
-                        }
-                    }
-                    let start = provider.map_or(0, |p| p + 1);
-                    self.allocate(&meta, start, dep.distance.get());
+            Some(dep) if predicted.distance() == Some(dep.distance) => {
+                if let Some(e) = self.provider_entry(&meta) {
+                    e.useful = true;
                 }
+            }
+            Some(dep) => {
+                if let Some(e) = self.provider_entry(&meta) {
+                    e.useful = false;
+                }
+                let start = meta.provider.map_or(0, |p| usize::from(p) + 1);
+                self.allocate(&meta, start, dep.distance.get());
             }
             None => {
                 // False dependence (or unencodable distance): clear the
                 // single confidence bit — the scheme's whole unlearning
                 // mechanism, and its weakness (§III).
                 if predicted.is_dependence() {
-                    if let Some(p) = provider {
-                        let lk = meta.lookups[p];
-                        if let Some((_, e)) =
-                            self.tables[p].find_mut(u64::from(lk.index), u64::from(lk.tag))
-                        {
-                            e.useful = false;
-                        }
+                    if let Some(e) = self.provider_entry(&meta) {
+                        e.useful = false;
                     }
                 }
             }
@@ -407,14 +353,11 @@ impl MemDepPredictor for MdpTage {
     }
 
     fn on_branch(&mut self, event: &BranchEvent) {
-        for h in &mut self.hashers {
-            h.on_branch(&self.history, event);
-        }
-        self.history.push(*event);
+        self.bank.on_branch(event);
     }
 
     fn rewind_history(&mut self, recent: &[BranchEvent]) {
-        rewind_hashers(&mut self.history, &mut self.hashers, recent);
+        self.bank.rewind(recent);
     }
 
     fn storage_bits(&self) -> u64 {
@@ -522,11 +465,40 @@ mod tests {
             let pc = 0x2000 + i * 8;
             assert_eq!(p.predict(pc, 0, None).0, q.predict(pc, 0, None).0);
         }
-        for cut in [0, 2, bytes.len() / 2, bytes.len() - 1] {
-            let mut r = SnapReader::new(&bytes[..cut]);
-            let decoded = MdpTage::snap_decode(&mut r);
-            assert!(decoded.is_err() || r.finish().is_err(), "cut {cut}");
+    }
+
+    /// Decoding rejects malformed payloads instead of building a predictor
+    /// that mis-hashes: truncations, and a configuration whose history
+    /// lengths do not strictly increase (`[0, 200, 4, ..]` used to restore
+    /// cleanly, with a ring too short for its 200-branch window).
+    #[test]
+    fn snap_decode_is_fail_closed() {
+        let mut w = SnapWriter::new();
+        MdpTage::default().snap_encode(&mut w);
+        let good = w.into_bytes();
+        assert!(MdpTage::snap_decode(&mut SnapReader::new(&good)).is_ok());
+        for cut in 0..good.len() {
+            let mut r = SnapReader::new(&good[..cut]);
+            assert!(
+                MdpTage::snap_decode(&mut r).is_err() || r.finish().is_err(),
+                "cut {cut}"
+            );
         }
+        // The table count leads the config, then one u32 length per table.
+        let mut unordered = good.clone();
+        unordered[8..12].copy_from_slice(&200u32.to_le_bytes());
+        assert!(matches!(
+            MdpTage::snap_decode(&mut SnapReader::new(&unordered)),
+            Err(SnapError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increase")]
+    fn new_rejects_non_increasing_history() {
+        let mut cfg = MdpTageConfig::default();
+        cfg.history_lengths[1] = 200;
+        let _ = MdpTage::new(cfg);
     }
 
     #[test]

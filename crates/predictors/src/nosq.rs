@@ -13,12 +13,12 @@
 //! allowed to bypass; a miss lets the load execute speculatively. NoSQ's
 //! bypass datapath supports offset (partial-word) bypassing.
 
-use mascot::history::{rewind_hashers, BranchEvent, GlobalHistory, TableHasher};
+use mascot::history::BranchEvent;
 use mascot::prediction::{
     GroundTruth, LoadOutcome, MemDepPredictor, MemDepPrediction, StoreDistance,
 };
-use mascot::predictor::TableLookup;
 use mascot::table::AssocTable;
+use mascot::tagged::{TableLookup, TableShape, TaggedTables};
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
 use mascot_stats::SaturatingCounter;
 use serde::{Deserialize, Serialize};
@@ -125,20 +125,18 @@ impl NoSqEntry {
     }
 }
 
-/// Which table provided a prediction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-enum Provider {
-    PathDependent,
-    PathIndependent,
-    None,
-}
+/// Bank index of the path-dependent table (global history in the index).
+const PATH_DEP: usize = 0;
+/// Bank index of the path-independent table (PC alone).
+const PATH_INDEP: usize = 1;
 
 /// Per-prediction metadata for [`NoSq`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NoSqMeta {
-    path_dep: TableLookup,
-    path_indep: TableLookup,
-    provider: Provider,
+    /// Coordinates in the path-dependent and path-independent tables.
+    lookups: [TableLookup; 2],
+    /// The providing table, if any.
+    provider: Option<usize>,
 }
 
 /// The NoSQ-style predictor.
@@ -156,11 +154,8 @@ pub struct NoSqMeta {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NoSq {
     cfg: NoSqConfig,
-    path_dep: AssocTable<NoSqEntry>,
-    path_indep: AssocTable<NoSqEntry>,
-    dep_hasher: TableHasher,
-    indep_hasher: TableHasher,
-    history: GlobalHistory,
+    /// Tables `PATH_DEP` and `PATH_INDEP`, in snapshot order.
+    bank: TaggedTables<NoSqEntry>,
 }
 
 impl Default for NoSq {
@@ -176,22 +171,19 @@ impl NoSq {
     ///
     /// Panics if entries/associativity do not yield power-of-two set counts.
     pub fn new(cfg: NoSqConfig) -> Self {
-        let sets = (cfg.entries_per_table / cfg.associativity) as usize;
+        let shape = |history_len| TableShape {
+            history_len,
+            sets: (cfg.entries_per_table / cfg.associativity) as usize,
+            assoc: cfg.associativity as usize,
+            tag_bits: u32::from(cfg.tag_bits),
+        };
         let fill = NoSqEntry {
             distance: 0,
             confidence: SaturatingCounter::new(cfg.confidence_bits, 0),
             lru: 0,
         };
-        let path_dep = AssocTable::new(sets, cfg.associativity as usize, fill.clone());
-        let path_indep = AssocTable::new(sets, cfg.associativity as usize, fill);
-        let dep_hasher = TableHasher::new(cfg.history_len, path_dep.index_bits(), u32::from(cfg.tag_bits));
-        let indep_hasher = TableHasher::new(0, path_indep.index_bits(), u32::from(cfg.tag_bits));
         Self {
-            path_dep,
-            path_indep,
-            dep_hasher,
-            indep_hasher,
-            history: GlobalHistory::new((cfg.history_len as usize * 2).max(64)),
+            bank: TaggedTables::new(&[shape(cfg.history_len), shape(0)], fill),
             cfg,
         }
     }
@@ -209,15 +201,18 @@ impl NoSq {
         }
     }
 
-    /// Inserts or updates `(index, tag)` with the observed distance.
+    /// The entry that provided `meta`'s prediction, if it is still resident.
+    fn provider_entry(&mut self, meta: &NoSqMeta) -> Option<&mut NoSqEntry> {
+        let p = meta.provider?;
+        self.bank.entry_mut(p, meta.lookups[p])
+    }
+
+    /// Inserts or updates `lk` in bank table `t` with the observed distance.
     /// Existing entries are retargeted with confidence reset; new entries
     /// replace an invalid way, else the LRU way.
-    fn upsert(&mut self, table: Table, lk: TableLookup, distance: StoreDistance) {
+    fn upsert(&mut self, t: usize, lk: TableLookup, distance: StoreDistance) {
         let cfg_conf = self.cfg.confidence_bits;
-        let t = match table {
-            Table::PathDep => &mut self.path_dep,
-            Table::PathIndep => &mut self.path_indep,
-        };
+        let t = &mut self.bank.tables_mut()[t];
         let (index, tag) = (u64::from(lk.index), u64::from(lk.tag));
         if let Some((_, e)) = t.find_mut(index, tag) {
             if e.distance == distance.get() {
@@ -259,16 +254,15 @@ impl NoSq {
 
     /// Total valid entries across both tables.
     pub fn entry_count(&self) -> u64 {
-        (self.path_dep.occupancy() + self.path_indep.occupancy()) as u64
+        self.bank.entry_count()
     }
 
-    /// Serializes the full state (configuration, both tables, history).
+    /// Serializes the full state (configuration, history, both tables).
     /// Hashers are recomputed from the history on decode.
     pub fn snap_encode(&self, w: &mut SnapWriter) {
         self.cfg.snap_encode(w);
-        self.history.snap_encode(w);
-        self.path_dep.snap_encode_with(w, |e, w| e.snap_encode(w));
-        self.path_indep.snap_encode_with(w, |e, w| e.snap_encode(w));
+        self.bank.snap_encode_history(w);
+        self.bank.snap_encode_tables(w, |e, w| e.snap_encode(w));
     }
 
     /// Decodes a predictor from a snapshot payload, fail-closed.
@@ -280,37 +274,8 @@ impl NoSq {
     pub fn snap_decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let cfg = NoSqConfig::snap_decode(r)?;
         let mut p = Self::new(cfg);
-        let history = GlobalHistory::snap_decode(r)?;
-        if history.capacity() != p.history.capacity() {
-            return Err(SnapError::Corrupt("nosq history capacity mismatch"));
-        }
-        p.history = history;
-        p.dep_hasher.recompute(&p.history);
-        p.indep_hasher.recompute(&p.history);
-        let fill = NoSqEntry {
-            distance: 0,
-            confidence: SaturatingCounter::new(p.cfg.confidence_bits, 0),
-            lru: 0,
-        };
-        let sets = (p.cfg.entries_per_table / p.cfg.associativity) as usize;
-        let assoc = p.cfg.associativity as usize;
-        let tag_limit = 1u64 << p.cfg.tag_bits;
-        p.path_dep = AssocTable::snap_decode_with(
-            r,
-            sets,
-            assoc,
-            fill.clone(),
-            |t| t < tag_limit,
-            NoSqEntry::snap_decode,
-        )?;
-        p.path_indep = AssocTable::snap_decode_with(
-            r,
-            sets,
-            assoc,
-            fill,
-            |t| t < tag_limit,
-            NoSqEntry::snap_decode,
-        )?;
+        p.bank.snap_decode_history(r)?;
+        p.bank.snap_decode_tables(r, NoSqEntry::snap_decode)?;
         Ok(p)
     }
 
@@ -326,19 +291,11 @@ impl NoSq {
                 "cannot merge nosq predictors with different configurations",
             ));
         }
-        let prefer = |incoming: &NoSqEntry, incumbent: &NoSqEntry| {
-            incoming.confidence.value() > incumbent.confidence.value()
-        };
-        let mut written = self.path_dep.merge_from_with(&other.path_dep, prefer)?;
-        written += self.path_indep.merge_from_with(&other.path_indep, prefer)?;
-        Ok(written)
+        self.bank
+            .merge_tables_from(&other.bank, |incoming, incumbent| {
+                incoming.confidence.value() > incumbent.confidence.value()
+            })
     }
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Table {
-    PathDep,
-    PathIndep,
 }
 
 impl MemDepPredictor for NoSq {
@@ -354,40 +311,29 @@ impl MemDepPredictor for NoSq {
         _store_seq: u64,
         _oracle: Option<&GroundTruth>,
     ) -> (MemDepPrediction, NoSqMeta) {
-        let pd = TableLookup {
-            index: self.dep_hasher.index(pc) as u32,
-            tag: self.dep_hasher.tag(pc) as u32,
-        };
-        let pi = TableLookup {
-            index: self.indep_hasher.index(pc) as u32,
-            tag: self.indep_hasher.tag(pc) as u32,
-        };
-        let mut provider = Provider::None;
+        let lookups = [
+            self.bank.lookup(PATH_DEP, pc),
+            self.bank.lookup(PATH_INDEP, pc),
+        ];
+        let mut provider = None;
         let mut prediction = MemDepPrediction::NoDependence;
-        if let Some((_, e)) = self.path_dep.find(u64::from(pd.index), u64::from(pd.tag)) {
-            provider = Provider::PathDependent;
-            let distance = StoreDistance::new(u32::from(e.distance)).expect("stored distances are valid");
-            prediction = if e.confidence.is_saturated() {
-                MemDepPrediction::Bypass { distance }
-            } else {
-                MemDepPrediction::Dependence { distance }
-            };
-            Self::touch_lru(&mut self.path_dep, u64::from(pd.index), u64::from(pd.tag));
-        } else if let Some((_, e)) = self.path_indep.find(u64::from(pi.index), u64::from(pi.tag)) {
-            provider = Provider::PathIndependent;
-            let distance = StoreDistance::new(u32::from(e.distance)).expect("stored distances are valid");
-            // Path-independent predictions never bypass (§V).
-            prediction = MemDepPrediction::Dependence { distance };
-            Self::touch_lru(&mut self.path_indep, u64::from(pi.index), u64::from(pi.tag));
+        for (t, table) in self.bank.tables_mut().iter_mut().enumerate() {
+            let (index, tag) = (u64::from(lookups[t].index), u64::from(lookups[t].tag));
+            if let Some((_, e)) = table.find(index, tag) {
+                let distance =
+                    StoreDistance::new(u32::from(e.distance)).expect("stored distances are valid");
+                // Path-independent predictions never bypass (§V).
+                prediction = if t == PATH_DEP && e.confidence.is_saturated() {
+                    MemDepPrediction::Bypass { distance }
+                } else {
+                    MemDepPrediction::Dependence { distance }
+                };
+                provider = Some(t);
+                Self::touch_lru(table, index, tag);
+                break;
+            }
         }
-        (
-            prediction,
-            NoSqMeta {
-                path_dep: pd,
-                path_indep: pi,
-                provider,
-            },
-        )
+        (prediction, NoSqMeta { lookups, provider })
     }
 
     fn train(
@@ -398,65 +344,28 @@ impl MemDepPredictor for NoSq {
         outcome: &LoadOutcome,
     ) {
         match outcome.dependence {
-            Some(dep) => {
-                if predicted.distance() == Some(dep.distance) {
-                    // Correct: reinforce the provider.
-                    match meta.provider {
-                        Provider::PathDependent => {
-                            let lk = meta.path_dep;
-                            if let Some((_, e)) = self
-                                .path_dep
-                                .find_mut(u64::from(lk.index), u64::from(lk.tag))
-                            {
-                                e.confidence.increment();
-                            }
-                        }
-                        Provider::PathIndependent => {
-                            let lk = meta.path_indep;
-                            if let Some((_, e)) = self
-                                .path_indep
-                                .find_mut(u64::from(lk.index), u64::from(lk.tag))
-                            {
-                                e.confidence.increment();
-                            }
-                        }
-                        Provider::None => {}
-                    }
-                    // Grow path-dependent coverage even when the
-                    // path-independent table provided.
-                    if meta.provider == Provider::PathIndependent {
-                        self.upsert(Table::PathDep, meta.path_dep, dep.distance);
-                    }
-                } else {
-                    // Missed or mis-targeted: (re)install in both tables.
-                    self.upsert(Table::PathDep, meta.path_dep, dep.distance);
-                    self.upsert(Table::PathIndep, meta.path_indep, dep.distance);
+            Some(dep) if predicted.distance() == Some(dep.distance) => {
+                // Correct: reinforce the provider.
+                if let Some(e) = self.provider_entry(&meta) {
+                    e.confidence.increment();
                 }
+                // Grow path-dependent coverage even when the
+                // path-independent table provided.
+                if meta.provider == Some(PATH_INDEP) {
+                    self.upsert(PATH_DEP, meta.lookups[PATH_DEP], dep.distance);
+                }
+            }
+            Some(dep) => {
+                // Missed or mis-targeted: (re)install in both tables.
+                self.upsert(PATH_DEP, meta.lookups[PATH_DEP], dep.distance);
+                self.upsert(PATH_INDEP, meta.lookups[PATH_INDEP], dep.distance);
             }
             None => {
                 // False dependence: reset the provider's confidence so the
                 // entry stops bypassing and soon falls to LRU replacement.
                 if predicted.is_dependence() {
-                    match meta.provider {
-                        Provider::PathDependent => {
-                            let lk = meta.path_dep;
-                            if let Some((_, e)) = self
-                                .path_dep
-                                .find_mut(u64::from(lk.index), u64::from(lk.tag))
-                            {
-                                e.confidence.reset();
-                            }
-                        }
-                        Provider::PathIndependent => {
-                            let lk = meta.path_indep;
-                            if let Some((_, e)) = self
-                                .path_indep
-                                .find_mut(u64::from(lk.index), u64::from(lk.tag))
-                            {
-                                e.confidence.reset();
-                            }
-                        }
-                        Provider::None => {}
+                    if let Some(e) = self.provider_entry(&meta) {
+                        e.confidence.reset();
                     }
                 }
             }
@@ -464,22 +373,11 @@ impl MemDepPredictor for NoSq {
     }
 
     fn on_branch(&mut self, event: &BranchEvent) {
-        self.dep_hasher.on_branch(&self.history, event);
-        self.indep_hasher.on_branch(&self.history, event);
-        self.history.push(*event);
+        self.bank.on_branch(event);
     }
 
     fn rewind_history(&mut self, recent: &[BranchEvent]) {
-        // Two hashers share one log; borrow them as a slice so the shared
-        // squash-undo fast path applies (see `rewind_hashers`).
-        let mut hashers = [
-            std::mem::replace(&mut self.dep_hasher, TableHasher::new(0, 1, 1)),
-            std::mem::replace(&mut self.indep_hasher, TableHasher::new(0, 1, 1)),
-        ];
-        rewind_hashers(&mut self.history, &mut hashers, recent);
-        let [dep, indep] = hashers;
-        self.dep_hasher = dep;
-        self.indep_hasher = indep;
+        self.bank.rewind(recent);
     }
 
     fn bypass_supports_offset(&self) -> bool {

@@ -13,18 +13,15 @@
 //! MASCOT it records only dependencies — a false dependence merely
 //! decrements the provider's usefulness.
 
-use mascot::history::{rewind_hashers, BranchEvent, GlobalHistory, TableHasher};
+use mascot::history::BranchEvent;
 use mascot::prediction::{
     GroundTruth, LoadOutcome, MemDepPredictor, MemDepPrediction, StoreDistance,
 };
-use mascot::predictor::TableLookup;
 use mascot::table::AssocTable;
+use mascot::tagged::{TableLookup, TableShape, TaggedTables, MAX_TABLES};
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
 use mascot_stats::SaturatingCounter;
 use serde::{Deserialize, Serialize};
-
-/// Maximum tables supported by the fixed-size metadata.
-pub const MAX_TABLES: usize = 16;
 
 /// Configuration for [`Phast`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -77,6 +74,11 @@ impl PhastConfig {
         }
         if self.history_lengths.iter().any(|&h| h > 1 << 20) {
             return Err(SnapError::Corrupt("phast history length out of range"));
+        }
+        if !self.history_lengths.windows(2).all(|w| w[0] < w[1]) {
+            return Err(SnapError::Corrupt(
+                "phast history lengths must strictly increase",
+            ));
         }
         if self.tag_bits == 0 || self.tag_bits > 30 {
             return Err(SnapError::Corrupt("phast tag width out of range"));
@@ -193,9 +195,7 @@ impl PhastMeta {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Phast {
     cfg: PhastConfig,
-    tables: Vec<AssocTable<PhastEntry>>,
-    hashers: Vec<TableHasher>,
-    history: GlobalHistory,
+    bank: TaggedTables<PhastEntry>,
 }
 
 impl Default for Phast {
@@ -210,54 +210,44 @@ impl Phast {
     /// # Panics
     ///
     /// Panics if the per-table vectors disagree in length, exceed
-    /// [`MAX_TABLES`], or yield non-power-of-two set counts.
+    /// [`MAX_TABLES`], yield non-power-of-two set counts, or the history
+    /// lengths do not strictly increase.
     pub fn new(cfg: PhastConfig) -> Self {
         assert_eq!(
             cfg.history_lengths.len(),
             cfg.table_entries.len(),
             "history/table shape mismatch"
         );
-        assert!(cfg.history_lengths.len() <= MAX_TABLES, "too many tables");
+        assert!(
+            cfg.history_lengths.windows(2).all(|w| w[0] < w[1]),
+            "history lengths must strictly increase"
+        );
+        let shapes: Vec<_> = cfg
+            .history_lengths
+            .iter()
+            .zip(&cfg.table_entries)
+            .map(|(&history_len, &e)| TableShape {
+                history_len,
+                sets: (e / cfg.associativity) as usize,
+                assoc: cfg.associativity as usize,
+                tag_bits: u32::from(cfg.tag_bits),
+            })
+            .collect();
         let fill = PhastEntry {
             distance: 0,
             usefulness: SaturatingCounter::new(cfg.usefulness_bits, 0),
             lru: 0,
         };
-        let tables: Vec<_> = cfg
-            .table_entries
-            .iter()
-            .map(|&e| {
-                AssocTable::new(
-                    (e / cfg.associativity) as usize,
-                    cfg.associativity as usize,
-                    fill.clone(),
-                )
-            })
-            .collect();
-        let hashers: Vec<_> = cfg
-            .history_lengths
-            .iter()
-            .zip(&tables)
-            .map(|(&h, t)| TableHasher::new(h, t.index_bits(), u32::from(cfg.tag_bits)))
-            .collect();
-        let max_hist = *cfg.history_lengths.last().expect("at least one table") as usize;
         Self {
-            tables,
-            hashers,
-            history: GlobalHistory::new((max_hist * 2).max(64)),
+            bank: TaggedTables::new(&shapes, fill),
             cfg,
         }
     }
 
-    fn compute_lookups(&self, pc: u64) -> ([TableLookup; MAX_TABLES], u8) {
-        let mut lookups = [TableLookup::default(); MAX_TABLES];
-        for (i, h) in self.hashers.iter().enumerate() {
-            lookups[i] = TableLookup {
-                index: h.index(pc) as u32,
-                tag: h.tag(pc) as u32,
-            };
-        }
-        (lookups, self.hashers.len() as u8)
+    /// The entry that provided `meta`'s prediction, if it is still resident.
+    fn provider_entry(&mut self, meta: &PhastMeta) -> Option<&mut PhastEntry> {
+        let p = usize::from(meta.provider?);
+        self.bank.entry_mut(p, meta.lookup(p))
     }
 
     /// The table whose history window covers `branches_between` branches:
@@ -288,10 +278,11 @@ impl Phast {
         let t = self.table_for_span(branches_between);
         let lk = meta.lookup(t);
         let (index, tag) = (u64::from(lk.index), u64::from(lk.tag));
-        if let Some((way, e)) = self.tables[t].find_mut(index, tag) {
+        let table = &mut self.bank.tables_mut()[t];
+        if let Some((way, e)) = table.find_mut(index, tag) {
             e.distance = distance.get();
             e.usefulness.set(self.cfg.alloc_usefulness);
-            Self::touch_lru(&mut self.tables[t], index, way);
+            Self::touch_lru(table, index, way);
             return;
         }
         let entry = PhastEntry {
@@ -299,7 +290,6 @@ impl Phast {
             usefulness: SaturatingCounter::new(self.cfg.usefulness_bits, self.cfg.alloc_usefulness),
             lru: 3,
         };
-        let table = &mut self.tables[t];
         let ways = table.assoc();
         // Victim: first invalid way, else the LRU way among zero-usefulness
         // entries (first-minimal on ties, matching `min_by_key`).
@@ -321,17 +311,15 @@ impl Phast {
 
     /// Total valid entries across all tables.
     pub fn entry_count(&self) -> u64 {
-        self.tables.iter().map(|t| t.occupancy() as u64).sum()
+        self.bank.entry_count()
     }
 
     /// Serializes the full state (configuration, tables, history). Hashers
     /// are recomputed from the history on decode.
     pub fn snap_encode(&self, w: &mut SnapWriter) {
         self.cfg.snap_encode(w);
-        self.history.snap_encode(w);
-        for table in &self.tables {
-            table.snap_encode_with(w, |e, w| e.snap_encode(w));
-        }
+        self.bank.snap_encode_history(w);
+        self.bank.snap_encode_tables(w, |e, w| e.snap_encode(w));
     }
 
     /// Decodes a predictor from a snapshot payload, fail-closed.
@@ -343,30 +331,8 @@ impl Phast {
     pub fn snap_decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let cfg = PhastConfig::snap_decode(r)?;
         let mut p = Self::new(cfg);
-        let history = GlobalHistory::snap_decode(r)?;
-        if history.capacity() != p.history.capacity() {
-            return Err(SnapError::Corrupt("phast history capacity mismatch"));
-        }
-        p.history = history;
-        for hasher in &mut p.hashers {
-            hasher.recompute(&p.history);
-        }
-        let fill = PhastEntry {
-            distance: 0,
-            usefulness: SaturatingCounter::new(p.cfg.usefulness_bits, 0),
-            lru: 0,
-        };
-        let tag_limit = 1u64 << p.cfg.tag_bits;
-        for i in 0..p.tables.len() {
-            p.tables[i] = AssocTable::snap_decode_with(
-                r,
-                (p.cfg.table_entries[i] / p.cfg.associativity) as usize,
-                p.cfg.associativity as usize,
-                fill.clone(),
-                |t| t < tag_limit,
-                PhastEntry::snap_decode,
-            )?;
-        }
+        p.bank.snap_decode_history(r)?;
+        p.bank.snap_decode_tables(r, PhastEntry::snap_decode)?;
         Ok(p)
     }
 
@@ -382,13 +348,10 @@ impl Phast {
                 "cannot merge phast predictors with different configurations",
             ));
         }
-        let mut written = 0;
-        for (mine, theirs) in self.tables.iter_mut().zip(&other.tables) {
-            written += mine.merge_from_with(theirs, |incoming, incumbent| {
+        self.bank
+            .merge_tables_from(&other.bank, |incoming, incumbent| {
                 incoming.usefulness.value() > incumbent.usefulness.value()
-            })?;
-        }
-        Ok(written)
+            })
     }
 }
 
@@ -405,17 +368,17 @@ impl MemDepPredictor for Phast {
         _store_seq: u64,
         _oracle: Option<&GroundTruth>,
     ) -> (MemDepPrediction, PhastMeta) {
-        let (lookups, num_tables) = self.compute_lookups(pc);
+        let lookups = self.bank.lookups(pc);
         let mut provider = None;
         let mut prediction = MemDepPrediction::NoDependence;
-        for t in (0..self.tables.len()).rev() {
+        for (t, table) in self.bank.tables_mut().iter_mut().enumerate().rev() {
             let lk = lookups[t];
-            if let Some((way, e)) = self.tables[t].find(u64::from(lk.index), u64::from(lk.tag)) {
+            if let Some((way, e)) = table.find(u64::from(lk.index), u64::from(lk.tag)) {
                 let distance =
                     StoreDistance::new(u32::from(e.distance)).expect("stored distances valid");
                 provider = Some(t as u8);
                 prediction = MemDepPrediction::Dependence { distance };
-                Self::touch_lru(&mut self.tables[t], u64::from(lk.index), way);
+                Self::touch_lru(table, u64::from(lk.index), way);
                 break;
             }
         }
@@ -423,7 +386,7 @@ impl MemDepPredictor for Phast {
             prediction,
             PhastMeta {
                 lookups,
-                num_tables,
+                num_tables: self.bank.num_tables() as u8,
                 provider,
             },
         )
@@ -436,44 +399,27 @@ impl MemDepPredictor for Phast {
         predicted: MemDepPrediction,
         outcome: &LoadOutcome,
     ) {
-        let provider = meta.provider.map(usize::from);
         match outcome.dependence {
-            Some(dep) => {
-                if predicted.distance() == Some(dep.distance) {
-                    // Correct: reinforce.
-                    if let Some(p) = provider {
-                        let lk = meta.lookup(p);
-                        if let Some((_, e)) =
-                            self.tables[p].find_mut(u64::from(lk.index), u64::from(lk.tag))
-                        {
-                            e.usefulness.increment();
-                        }
-                    }
-                } else {
-                    // Missed or mis-targeted dependence: punish the provider
-                    // and install the pair at the span-selected table.
-                    if let Some(p) = provider {
-                        let lk = meta.lookup(p);
-                        if let Some((_, e)) =
-                            self.tables[p].find_mut(u64::from(lk.index), u64::from(lk.tag))
-                        {
-                            e.usefulness.decrement();
-                        }
-                    }
-                    self.allocate(&meta, dep.branches_between, dep.distance);
+            Some(dep) if predicted.distance() == Some(dep.distance) => {
+                // Correct: reinforce.
+                if let Some(e) = self.provider_entry(&meta) {
+                    e.usefulness.increment();
                 }
+            }
+            Some(dep) => {
+                // Missed or mis-targeted dependence: punish the provider
+                // and install the pair at the span-selected table.
+                if let Some(e) = self.provider_entry(&meta) {
+                    e.usefulness.decrement();
+                }
+                self.allocate(&meta, dep.branches_between, dep.distance);
             }
             None => {
                 // False dependence: PHAST only decays confidence (no
                 // non-dependence entries — MASCOT's key difference).
                 if predicted.is_dependence() {
-                    if let Some(p) = provider {
-                        let lk = meta.lookup(p);
-                        if let Some((_, e)) =
-                            self.tables[p].find_mut(u64::from(lk.index), u64::from(lk.tag))
-                        {
-                            e.usefulness.decrement();
-                        }
+                    if let Some(e) = self.provider_entry(&meta) {
+                        e.usefulness.decrement();
                     }
                 }
             }
@@ -481,14 +427,11 @@ impl MemDepPredictor for Phast {
     }
 
     fn on_branch(&mut self, event: &BranchEvent) {
-        for h in &mut self.hashers {
-            h.on_branch(&self.history, event);
-        }
-        self.history.push(*event);
+        self.bank.on_branch(event);
     }
 
     fn rewind_history(&mut self, recent: &[BranchEvent]) {
-        rewind_hashers(&mut self.history, &mut self.hashers, recent);
+        self.bank.rewind(recent);
     }
 
     fn storage_bits(&self) -> u64 {
@@ -581,7 +524,7 @@ mod tests {
         }
         // Usefulness has decayed to zero; the entry still predicts (PHAST
         // has no non-dependence state) but is now replaceable.
-        let t0 = &p.tables[0];
+        let t0 = &p.bank.tables()[0];
         let any_zero = t0
             .iter_occupied()
             .any(|(_, e)| e.usefulness.is_zero());
@@ -621,12 +564,40 @@ mod tests {
             let pc = 0x4000 + i * 8;
             assert_eq!(p.predict(pc, 0, None).0, q.predict(pc, 0, None).0);
         }
-        // Fail-closed on truncation.
-        for cut in [0, 1, 5, bytes.len() / 2, bytes.len() - 1] {
-            let mut r = SnapReader::new(&bytes[..cut]);
-            let decoded = Phast::snap_decode(&mut r);
-            assert!(decoded.is_err() || r.finish().is_err(), "cut {cut}");
+    }
+
+    /// Decoding rejects malformed payloads instead of building a predictor
+    /// that mis-hashes: truncations, and a configuration whose history
+    /// lengths do not strictly increase (`[0, 200, 4, ..]` used to restore
+    /// cleanly, with a ring too short for its 200-branch window).
+    #[test]
+    fn snap_decode_is_fail_closed() {
+        let mut w = SnapWriter::new();
+        Phast::default().snap_encode(&mut w);
+        let good = w.into_bytes();
+        assert!(Phast::snap_decode(&mut SnapReader::new(&good)).is_ok());
+        for cut in 0..good.len() {
+            let mut r = SnapReader::new(&good[..cut]);
+            assert!(
+                Phast::snap_decode(&mut r).is_err() || r.finish().is_err(),
+                "cut {cut}"
+            );
         }
+        // The table count leads the config, then one u32 length per table.
+        let mut unordered = good.clone();
+        unordered[8..12].copy_from_slice(&200u32.to_le_bytes());
+        assert!(matches!(
+            Phast::snap_decode(&mut SnapReader::new(&unordered)),
+            Err(SnapError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increase")]
+    fn new_rejects_non_increasing_history() {
+        let mut cfg = PhastConfig::default();
+        cfg.history_lengths[1] = 200;
+        let _ = Phast::new(cfg);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! with the architectural outcome; a mispredicted branch stalls fetch until
 //! the branch resolves plus the redirect penalty.
 
-use mascot::history::{rewind_hashers, BranchEvent, BranchKind, GlobalHistory, TableHasher};
-use mascot::table::AssocTable;
+use mascot::history::{BranchEvent, BranchKind};
+use mascot::tagged::{TableShape, TaggedTables};
 use mascot_stats::SaturatingCounter;
 use serde::{Deserialize, Serialize};
 
@@ -56,9 +56,7 @@ struct TageEntry {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TagePredictor {
     bimodal: Vec<SaturatingCounter>,
-    tables: Vec<AssocTable<TageEntry>>,
-    hashers: Vec<TableHasher>,
-    history: GlobalHistory,
+    bank: TaggedTables<TageEntry>,
     /// Indirect-branch last-target table: (pc, target).
     btb: Vec<Option<(u64, u64)>>,
     alloc_rotor: usize,
@@ -98,23 +96,19 @@ impl TagePredictor {
             ctr: SaturatingCounter::new(3, 0),
             useful: SaturatingCounter::new(2, 0),
         };
-        let tables: Vec<_> = cfg
+        let shapes: Vec<_> = cfg
             .history_lengths
             .iter()
-            .map(|_| AssocTable::new(cfg.table_entries as usize / 4, 4, fill.clone()))
+            .map(|&history_len| TableShape {
+                history_len,
+                sets: cfg.table_entries as usize / 4,
+                assoc: 4,
+                tag_bits: u32::from(cfg.tag_bits),
+            })
             .collect();
-        let hashers: Vec<_> = cfg
-            .history_lengths
-            .iter()
-            .zip(&tables)
-            .map(|(&h, t)| TableHasher::new(h, t.index_bits(), u32::from(cfg.tag_bits)))
-            .collect();
-        let max_hist = cfg.history_lengths.last().copied().unwrap_or(8) as usize;
         Self {
             bimodal: vec![SaturatingCounter::new(2, 2); cfg.bimodal_entries],
-            tables,
-            hashers,
-            history: GlobalHistory::new((max_hist * 2).max(64)),
+            bank: TaggedTables::new(&shapes, fill),
             btb: vec![None; cfg.btb_entries],
             alloc_rotor: 0,
             stats: BranchStats::default(),
@@ -137,13 +131,12 @@ impl TagePredictor {
     pub fn predict_and_train(&mut self, pc: u64, actual: bool) -> bool {
         self.stats.conditional += 1;
         // Lookup: longest-history hit provides, bimodal is the fallback.
-        let mut provider: Option<(usize, u64, u64)> = None; // (table, index, tag)
+        let mut provider = None;
         let mut prediction = None;
-        for t in (0..self.tables.len()).rev() {
-            let index = self.hashers[t].index(pc);
-            let tag = self.hashers[t].tag(pc);
-            if let Some((_, e)) = self.tables[t].find(index, tag) {
-                provider = Some((t, index, tag));
+        for (t, table) in self.bank.tables().iter().enumerate().rev() {
+            let lk = self.bank.lookup(t, pc);
+            if let Some((_, e)) = table.find(u64::from(lk.index), u64::from(lk.tag)) {
+                provider = Some((t, lk));
                 prediction = Some(e.ctr.value() >= 4);
                 break;
             }
@@ -158,9 +151,9 @@ impl TagePredictor {
 
         // Train the provider (or bimodal).
         match provider {
-            Some((t, index, tag)) => {
+            Some((t, lk)) => {
                 let alt_differs = prediction != Some(bimodal_pred);
-                if let Some((_, e)) = self.tables[t].find_mut(index, tag) {
+                if let Some(e) = self.bank.entry_mut(t, lk) {
                     if actual {
                         e.ctr.increment();
                     } else {
@@ -186,34 +179,35 @@ impl TagePredictor {
 
         // Allocate a longer-history entry on a misprediction.
         if !correct {
-            let start = provider.map_or(0, |(t, _, _)| t + 1);
+            let start = provider.map_or(0, |(t, _)| t + 1);
             self.allocate(pc, start, actual);
         }
         correct
     }
 
     fn allocate(&mut self, pc: u64, start: usize, actual: bool) {
-        if start >= self.tables.len() {
+        if start >= self.bank.num_tables() {
             return;
         }
         // Rotate the first candidate table to avoid pathological ping-pong.
-        let span = self.tables.len() - start;
+        let span = self.bank.num_tables() - start;
         let first = start + self.alloc_rotor % span.min(2);
         self.alloc_rotor = self.alloc_rotor.wrapping_add(1);
-        for t in first..self.tables.len() {
-            let index = self.hashers[t].index(pc);
-            let tag = self.hashers[t].tag(pc);
+        for t in first..self.bank.num_tables() {
+            let lk = self.bank.lookup(t, pc);
+            let (index, tag) = (u64::from(lk.index), u64::from(lk.tag));
             let entry = TageEntry {
                 ctr: SaturatingCounter::new(3, if actual { 4 } else { 3 }),
                 useful: SaturatingCounter::new(2, 0),
             };
-            if self.tables[t]
+            let table = &mut self.bank.tables_mut()[t];
+            if table
                 .try_insert(index, tag, entry, |e| e.useful.is_zero())
                 .is_some()
             {
                 return;
             }
-            self.tables[t].for_each_valid_mut(index, |_, e| e.useful.decrement());
+            table.for_each_valid_mut(index, |_, e| e.useful.decrement());
         }
     }
 
@@ -232,15 +226,12 @@ impl TagePredictor {
 
     /// Advances speculative history with a decoded branch.
     pub fn on_branch(&mut self, event: &BranchEvent) {
-        for h in &mut self.hashers {
-            h.on_branch(&self.history, event);
-        }
-        self.history.push(*event);
+        self.bank.on_branch(event);
     }
 
     /// Restores history after a pipeline squash.
     pub fn rewind_history(&mut self, recent: &[BranchEvent]) {
-        rewind_hashers(&mut self.history, &mut self.hashers, recent);
+        self.bank.rewind(recent);
     }
 
     /// Conditional misprediction rate over the predictor's lifetime.

@@ -242,3 +242,38 @@ fn resharding_matches_the_union_merge_on_every_target() {
         assert_eq!(restored.entry_count(), original.entry_count());
     }
 }
+
+/// Freezes the predictor snapshot format: a warmed predictor of every kind
+/// must encode to exactly the bytes it encoded to when these digests were
+/// taken. Round-trip tests alone would accept a format drift that still
+/// decodes its own output; this one does not.
+#[test]
+fn snapshot_bytes_are_frozen_for_every_kind() {
+    let frozen: [(PredictorKind, u64); 11] = [
+        (PredictorKind::Mascot, 0x8f46_e5c5_0ea2_053a),
+        (PredictorKind::MascotMdp, 0xeae5_3b41_7ec7_f82b),
+        (PredictorKind::MascotOpt(0), 0xbccd_b6f8_e4f3_7791),
+        (PredictorKind::TageNoNd, 0xdb31_9ac0_6b0c_5682),
+        (PredictorKind::Phast, 0xbcc0_5ace_72c9_f833),
+        (PredictorKind::NoSq, 0xbf8d_c734_b83a_c8c5),
+        (PredictorKind::MdpTage, 0x67df_5547_756e_b195),
+        (PredictorKind::StoreSets, 0x78e3_3171_c3ab_71ba),
+        (PredictorKind::PerfectMdp, 0xaf63_bb4c_8601_b479),
+        (PredictorKind::PerfectMdpSmb, 0xaf63_ba4c_8601_b2c6),
+        (PredictorKind::RandomizedMascot, 0x3e52_9803_9e7e_d90f),
+    ];
+    assert_eq!(
+        frozen.map(|(kind, _)| kind),
+        PredictorKind::ALL,
+        "every kind is frozen"
+    );
+    for (kind, digest) in frozen {
+        let bytes = warm_cluster(kind, 1, 1_500, 0x5EED)[0].snapshot_bytes();
+        assert_eq!(
+            mascot_snapshot::fnv1a64(&bytes),
+            digest,
+            "{}: snapshot format drifted",
+            kind.label()
+        );
+    }
+}
