@@ -200,20 +200,6 @@ pub fn check_determinism(
     Ok(s1)
 }
 
-/// The observed training outcome for a trace-annotated dependence, exactly
-/// as the engine reports it at commit for an in-window store.
-fn outcome_of(dep: Option<TraceDep>) -> LoadOutcome {
-    match dep.and_then(|d| StoreDistance::new(d.distance).map(|dist| (d, dist))) {
-        Some((d, dist)) => LoadOutcome::dependent(ObservedDependence {
-            distance: dist,
-            class: d.class,
-            store_pc: d.store_pc,
-            branches_between: d.branches_between,
-        }),
-        None => LoadOutcome::independent(),
-    }
-}
-
 /// Walks `trace` through a full MASCOT and a [`MascotMdpOnly`] in lockstep
 /// (same branch events, store dispatches, lookups and training outcomes)
 /// and verifies that every MDP-only prediction equals the full predictor's
@@ -257,7 +243,9 @@ pub fn check_mdp_agreement(trace: &Trace) -> Result<(), DiffError> {
                         mdp_only: mp,
                     });
                 }
-                let out = outcome_of(dep);
+                let out = dep
+                    .as_ref()
+                    .map_or_else(LoadOutcome::independent, TraceDep::outcome);
                 full.train(u.pc, fmeta, fp, &out);
                 mdp.train(u.pc, mmeta, mp, &out);
             }

@@ -40,11 +40,6 @@ impl MascotMdpOnly {
         })
     }
 
-    /// Wraps an existing MASCOT instance.
-    pub fn from_mascot(inner: Mascot) -> Self {
-        Self { inner }
-    }
-
     /// The wrapped predictor.
     pub fn inner(&self) -> &Mascot {
         &self.inner

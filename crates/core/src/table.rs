@@ -148,13 +148,6 @@ impl<P> AssocTable<P> {
         &self.data[self.set_base(index) + way]
     }
 
-    /// Mutable payload of `(index, way)`, valid or not.
-    #[inline]
-    pub fn payload_mut(&mut self, index: u64, way: usize) -> &mut P {
-        let base = self.set_base(index);
-        &mut self.data[base + way]
-    }
-
     /// Writes `(tag, payload)` into way `way` of set `index`, claiming the
     /// slot whether or not it was valid.
     #[inline]

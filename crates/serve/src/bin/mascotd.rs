@@ -43,7 +43,6 @@
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::atomic::Ordering;
 
 use mascot_predictors::{AnyPredictor, PredictorKind};
 use mascot_serve::{predictors_from_snapshot, replay_trace, unix_now_s, ServeConfig, Server};
@@ -152,10 +151,9 @@ fn load_replay_trace(spec_str: &str) -> Result<Trace, String> {
 /// The boot-time warm start, when `--snapshot-dir` holds a snapshot:
 /// decoded fail-closed, kind-checked, and resharded onto the configured
 /// shard count. Returns the per-shard predictors plus the observability
-/// numbers (per-shard restored entries, snapshot age, restart generation).
+/// numbers (snapshot age, restart generation).
 struct WarmStart {
     predictors: Vec<AnyPredictor>,
-    restored_per_shard: Vec<u64>,
     snapshot_age_s: u64,
     restarts: u64,
 }
@@ -183,10 +181,8 @@ fn load_warm_start(dir: &Path, cfg: &ServeConfig) -> Result<Option<WarmStart>, S
     }
     let predictors = predictors_from_snapshot(&file.shards, cfg.pool.shards)
         .map_err(|e| format!("{}: {e}", path.display()))?;
-    let restored_per_shard = predictors.iter().map(AnyPredictor::entry_count).collect();
     Ok(Some(WarmStart {
         predictors,
-        restored_per_shard,
         snapshot_age_s: unix_now_s().saturating_sub(file.created_unix_s),
         restarts: file.restarts + 1,
     }))
@@ -248,17 +244,11 @@ fn main() -> ExitCode {
         args.cfg.pool.shards
     );
 
-    // The restart generation survives the run (and any wire-level Restore
-    // overwrites it); capture one metrics handle for the final checkpoint.
-    let restarts_metric = std::sync::Arc::clone(&server.pool().metrics()[0]);
     if let Some(w) = &warm {
-        for (m, &restored) in server.pool().metrics().iter().zip(&w.restored_per_shard) {
-            m.restored_entries.store(restored, Ordering::Relaxed);
-        }
         server.pool().set_warm_start(w.snapshot_age_s, w.restarts);
         eprintln!(
             "mascotd: warm start: restored_entries={} snapshot_age_s={} restarts={}",
-            w.restored_per_shard.iter().sum::<u64>(),
+            server.pool().stats_report().total_restored(),
             w.snapshot_age_s,
             w.restarts
         );
@@ -326,10 +316,12 @@ fn main() -> ExitCode {
     );
 
     if let Some(dir) = &args.snapshot_dir {
+        // The restart generation survives the run; a wire-level Restore
+        // overwrites it.
         let file = SnapshotFile {
             kind_label: args.cfg.kind.label().into_owned(),
             created_unix_s: unix_now_s(),
-            restarts: restarts_metric.restarts.load(Ordering::Relaxed),
+            restarts: stats.shards[0].restarts,
             shards: payloads,
         };
         match write_snapshot_atomic(dir, &file.encode()) {

@@ -3,10 +3,9 @@
 //! One [`Client`] owns one TCP connection. [`Client::request`] issues one
 //! request and waits for its answer; [`Client::send`] and [`Client::recv`]
 //! split the two halves so requests can be pipelined (`mascot-router`
-//! scatters a batch over its nodes this way). Convenience
-//! wrappers return the typed payload and surface protocol-level `Busy` /
-//! `Error` responses as values rather than errors, since backpressure is
-//! an expected outcome the caller must handle.
+//! scatters a batch over its nodes this way). The convenience wrappers
+//! return the typed payload; a server-side `Error` response or a
+//! response of the wrong kind becomes a [`WireError`].
 
 use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -19,16 +18,6 @@ use crate::wire::{
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
-}
-
-/// Outcome of a predict or train call: served, or pushed back.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Served<T> {
-    /// The request was processed.
-    Ok(T),
-    /// The server pushed back; retry later. Neither `mascotd` nor
-    /// `mascot-router` answers `Busy`, but the wire keeps the status.
-    Busy,
 }
 
 impl Client {
@@ -85,10 +74,9 @@ impl Client {
     ///
     /// Wire errors as in [`Client::request`]; a server-side `Error`
     /// response is mapped to [`WireError::Corrupt`].
-    pub fn predict(&mut self, items: Vec<PredictItem>) -> Result<Served<Vec<PredictReply>>, WireError> {
+    pub fn predict(&mut self, items: Vec<PredictItem>) -> Result<Vec<PredictReply>, WireError> {
         match self.request(&Request::Predict(items))? {
-            Response::Predict(replies) => Ok(Served::Ok(replies)),
-            Response::Busy => Ok(Served::Busy),
+            Response::Predict(replies) => Ok(replies),
             Response::Error(_) => Err(WireError::Corrupt("server rejected predict")),
             _ => Err(WireError::Corrupt("mismatched response")),
         }
@@ -100,10 +88,9 @@ impl Client {
     ///
     /// Wire errors as in [`Client::request`]; a server-side `Error`
     /// response is mapped to [`WireError::Corrupt`].
-    pub fn train(&mut self, items: Vec<TrainItem>) -> Result<Served<(u32, u32)>, WireError> {
+    pub fn train(&mut self, items: Vec<TrainItem>) -> Result<(u32, u32), WireError> {
         match self.request(&Request::Train(items))? {
-            Response::Train { applied, stale } => Ok(Served::Ok((applied, stale))),
-            Response::Busy => Ok(Served::Busy),
+            Response::Train { applied, stale } => Ok((applied, stale)),
             Response::Error(_) => Err(WireError::Corrupt("server rejected train")),
             _ => Err(WireError::Corrupt("mismatched response")),
         }

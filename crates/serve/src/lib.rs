@@ -27,8 +27,8 @@
 //!   the router's upstreams and the integration tests.
 //! * [`replay`] — feeds an `.mtrc` trace through the pool as training
 //!   traffic (`mascotd --replay`).
-//! * [`metrics`] — lock-free per-shard counters and a fixed-bucket
-//!   service-time histogram behind the `Stats` opcode.
+//! * [`metrics`] — the fixed-bucket latency histogram each shard keeps,
+//!   next to its counters and under its lock, for the `Stats` opcode.
 //!
 //! Binaries: `mascotd` (the server), `mascot-loadgen` (closed- and
 //! open-loop benchmark client; maintains `BENCH_serve.json`), and
@@ -53,7 +53,7 @@ pub mod server;
 pub mod shard;
 pub mod wire;
 
-pub use client::{Client, Served};
+pub use client::Client;
 pub use replay::{replay_trace, ReplayReport};
 pub use server::{predictors_from_snapshot, unix_now_s, ServeConfig, Server};
 pub use shard::{ShardPool, ShardPoolConfig};

@@ -1,21 +1,17 @@
-//! Per-shard service metrics: lock-free counters plus a fixed-bucket
-//! latency histogram.
+//! The service-time histogram behind the `Stats` opcode's per-shard
+//! latency fields, and the load generator's client-side latency.
 //!
-//! Shard calls update atomics on the hot path; `Stats` requests snapshot
-//! them without taking any shard's lock. The
-//! histogram uses **log-linear** nanosecond buckets (HDR-style): each
-//! power-of-two octave is split into [`SUB_BUCKETS`] linear sub-buckets,
-//! so recording is a `leading_zeros`, a shift, and one relaxed
-//! `fetch_add`, and percentile queries are exact to within
-//! `1/SUB_BUCKETS` of the value (12.5%). That resolution matters for the
-//! p999 numbers `mascot-loadgen --soak` gates on — the plain log2 buckets
-//! this replaced could only bound a tail sample to within a factor of
-//! two, which would make any SLO check either meaningless or flaky. No
-//! allocation, no locks.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use crate::wire::ShardStats;
+//! Each shard owns one [`Histogram`] next to its
+//! [`ShardStats`](crate::wire::ShardStats) counters, under the shard's
+//! lock; `Stats` reads both while holding it. The histogram uses
+//! **log-linear** nanosecond buckets (HDR-style): each power-of-two octave
+//! is split into [`SUB_BUCKETS`] linear sub-buckets, so recording is a
+//! `leading_zeros`, a shift, and one increment, and percentile queries
+//! are exact to within `1/SUB_BUCKETS` of the value (12.5%). That
+//! resolution matters for the p999 numbers `mascot-loadgen --soak` gates
+//! on — the plain log2 buckets this replaced could only bound a tail
+//! sample to within a factor of two, which would make any SLO check
+//! either meaningless or flaky. No allocation.
 
 /// Linear sub-buckets per power-of-two octave (`2^SUB_BITS`). Quantile
 /// error is bounded by `1/SUB_BUCKETS` of the reported value.
@@ -27,10 +23,10 @@ const SUB_BITS: u32 = 3; // log2(SUB_BUCKETS)
 /// `SUB_BUCKETS` buckets.
 pub const NUM_BUCKETS: usize = (64 - SUB_BITS as usize + 1) * SUB_BUCKETS;
 
-/// A fixed-bucket, lock-free latency histogram.
-#[derive(Debug)]
+/// A fixed-bucket latency histogram; a snapshot is a `clone()`.
+#[derive(Debug, Clone)]
 pub struct Histogram {
-    buckets: [AtomicU64; NUM_BUCKETS],
+    buckets: [u64; NUM_BUCKETS],
 }
 
 impl Default for Histogram {
@@ -70,46 +66,23 @@ impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
         Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            buckets: [0; NUM_BUCKETS],
         }
     }
 
     /// Records one sample, in nanoseconds.
-    pub fn record_ns(&self, ns: u64) {
-        self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+    pub fn record_ns(&mut self, ns: u64) {
+        self.buckets[bucket_of(ns)] += 1;
     }
 
-    /// Takes a point-in-time copy of the bucket counts.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-        }
-    }
-}
-
-/// An owned copy of a [`Histogram`]'s counts.
-#[derive(Debug, Clone, Copy)]
-pub struct HistogramSnapshot {
-    buckets: [u64; NUM_BUCKETS],
-}
-
-impl Default for HistogramSnapshot {
-    fn default() -> Self {
-        Self {
-            buckets: [0; NUM_BUCKETS],
-        }
-    }
-}
-
-impl HistogramSnapshot {
     /// Total number of samples.
     pub fn total(&self) -> u64 {
         self.buckets.iter().sum()
     }
 
-    /// Accumulates another snapshot into this one (cross-shard or
+    /// Accumulates another histogram into this one (cross-shard or
     /// cross-thread aggregation).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
+    pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }
@@ -133,76 +106,6 @@ impl HistogramSnapshot {
             }
         }
         u64::MAX
-    }
-}
-
-/// Counters of one shard, updated by whichever thread runs its work.
-#[derive(Debug, Default)]
-pub struct ShardMetrics {
-    /// Predict + train items processed.
-    pub requests: AtomicU64,
-    /// Predict items processed.
-    pub predicts: AtomicU64,
-    /// Train items applied to the predictor.
-    pub trains: AtomicU64,
-    /// Train items dropped on a stale/mismatched ticket.
-    pub stale_trains: AtomicU64,
-    /// Pending predictions recycled before their train arrived (the
-    /// in-flight window outran `pending_capacity`); fatal under
-    /// `strict_tickets`.
-    pub evicted_pending: AtomicU64,
-    /// Applied trains whose prediction was `NoDependence` on a dependent
-    /// outcome.
-    pub missed_dependencies: AtomicU64,
-    /// Applied trains whose prediction was `Dependence` on an independent
-    /// outcome.
-    pub false_dependencies: AtomicU64,
-    /// Applied trains whose prediction was `Bypass` on an independent
-    /// outcome — the squash-causing shape a mistraining attacker induces
-    /// (DESIGN.md §12).
-    pub false_bypasses: AtomicU64,
-    /// Jobs executed: one per predict, train, sync, snapshot or restore
-    /// call, each also one `service` sample.
-    pub batches: AtomicU64,
-    /// Entries restored into this shard's predictor at the last warm start
-    /// or `Restore` (0 when the shard started cold).
-    pub restored_entries: AtomicU64,
-    /// Age of the restored snapshot at restore time, seconds.
-    pub snapshot_age_s: AtomicU64,
-    /// Checkpoint/restore cycles this predictor state has been through.
-    pub restarts: AtomicU64,
-    /// Per-job service time.
-    pub service: Histogram,
-}
-
-impl ShardMetrics {
-    /// A zeroed metrics block.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Snapshots every counter into the wire representation.
-    pub fn snapshot(&self) -> ShardStats {
-        let service = self.service.snapshot();
-        ShardStats {
-            requests: self.requests.load(Ordering::Relaxed),
-            predicts: self.predicts.load(Ordering::Relaxed),
-            trains: self.trains.load(Ordering::Relaxed),
-            stale_trains: self.stale_trains.load(Ordering::Relaxed),
-            evicted_pending: self.evicted_pending.load(Ordering::Relaxed),
-            missed_dependencies: self.missed_dependencies.load(Ordering::Relaxed),
-            false_dependencies: self.false_dependencies.load(Ordering::Relaxed),
-            false_bypasses: self.false_bypasses.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            // A shard runs every job it is given; nothing is ever rejected.
-            rejected_full: 0,
-            service_samples: service.total(),
-            service_p50_ns: service.quantile_ns(0.50),
-            service_p99_ns: service.quantile_ns(0.99),
-            restored_entries: self.restored_entries.load(Ordering::Relaxed),
-            snapshot_age_s: self.snapshot_age_s.load(Ordering::Relaxed),
-            restarts: self.restarts.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -239,9 +142,9 @@ mod tests {
     #[test]
     fn quantile_error_is_bounded() {
         for ns in [1u64, 9, 100, 512, 4_096, 65_000, 1_000_000, 123_456_789] {
-            let h = Histogram::new();
+            let mut h = Histogram::new();
             h.record_ns(ns);
-            let q = h.snapshot().quantile_ns(1.0);
+            let q = h.quantile_ns(1.0);
             assert!(q > ns, "bound is exclusive: {q} vs {ns}");
             assert!(
                 (q - ns) as f64 <= (ns as f64 / SUB_BUCKETS as f64) + 1.0,
@@ -252,7 +155,7 @@ mod tests {
 
     #[test]
     fn quantiles_walk_the_cumulative_distribution() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         // 90 fast samples (~512 ns), 9 medium (~64 µs), 1 slow (~8 ms).
         for _ in 0..90 {
             h.record_ns(512);
@@ -261,38 +164,21 @@ mod tests {
             h.record_ns(64_000);
         }
         h.record_ns(8_000_000);
-        let s = h.snapshot();
-        assert_eq!(s.total(), 100);
-        assert_eq!(s.quantile_ns(0.50), 576); // 512's bucket spans [512, 576)
-        assert!(s.quantile_ns(0.99) >= 64_000 && s.quantile_ns(0.99) < 8_000_000);
-        assert!(s.quantile_ns(1.0) >= 8_000_000);
-        assert_eq!(HistogramSnapshot::default().quantile_ns(0.5), 0);
+        assert_eq!(h.total(), 100);
+        assert_eq!(h.quantile_ns(0.50), 576); // 512's bucket spans [512, 576)
+        assert!(h.quantile_ns(0.99) >= 64_000 && h.quantile_ns(0.99) < 8_000_000);
+        assert!(h.quantile_ns(1.0) >= 8_000_000);
+        assert_eq!(Histogram::new().quantile_ns(0.5), 0);
     }
 
     #[test]
     fn merge_accumulates() {
-        let a = Histogram::new();
-        let b = Histogram::new();
+        let mut a = Histogram::new();
+        let mut b = Histogram::new();
         a.record_ns(100);
         b.record_ns(100);
         b.record_ns(1_000_000);
-        let mut m = a.snapshot();
-        m.merge(&b.snapshot());
-        assert_eq!(m.total(), 3);
-    }
-
-    #[test]
-    fn metrics_snapshot_carries_counters() {
-        let m = ShardMetrics::new();
-        m.requests.fetch_add(5, Ordering::Relaxed);
-        m.predicts.fetch_add(4, Ordering::Relaxed);
-        m.trains.fetch_add(1, Ordering::Relaxed);
-        m.service.record_ns(2_000);
-        let s = m.snapshot();
-        assert_eq!(s.requests, 5);
-        assert_eq!(s.predicts, 4);
-        assert_eq!(s.trains, 1);
-        assert_eq!(s.service_samples, 1);
-        assert!(s.service_p50_ns >= 2_000 && s.service_p50_ns <= 2_304);
+        a.merge(&b);
+        assert_eq!(a.total(), 3);
     }
 }

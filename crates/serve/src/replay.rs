@@ -16,8 +16,8 @@
 //! lookup — and it is what lets replay batch work per shard instead of
 //! doing one predictor call per uop.
 
-use mascot::prediction::{LoadOutcome, ObservedDependence, StoreDistance};
-use mascot_sim::uop::{Trace, UopKind};
+use mascot::prediction::LoadOutcome;
+use mascot_sim::uop::{Trace, TraceDep, UopKind};
 
 use crate::shard::{ShardPool, SyncEvent};
 use crate::wire::{PredictItem, TrainItem};
@@ -45,21 +45,6 @@ pub struct ReplayReport {
 struct PendingLoad {
     item: PredictItem,
     outcome: LoadOutcome,
-}
-
-/// Converts a trace dependence into the commit-time outcome the simulator
-/// would record: dependences beyond the 127-store window are out of reach
-/// of any in-flight store and train as independent.
-fn outcome_of(dep: Option<mascot_sim::uop::TraceDep>) -> LoadOutcome {
-    match dep.and_then(|d| StoreDistance::new(d.distance).map(|dist| (d, dist))) {
-        Some((d, distance)) => LoadOutcome::dependent(ObservedDependence {
-            distance,
-            class: d.class,
-            store_pc: d.store_pc,
-            branches_between: d.branches_between,
-        }),
-        None => LoadOutcome::independent(),
-    }
 }
 
 /// Replays `trace` through `pool`; every segment is trained on return.
@@ -96,7 +81,9 @@ pub fn replay_trace(pool: &ShardPool, trace: &Trace) -> ReplayReport {
                         pc: uop.pc,
                         store_seq: store_count,
                     },
-                    outcome: outcome_of(dep),
+                    outcome: dep
+                        .as_ref()
+                        .map_or_else(LoadOutcome::independent, TraceDep::outcome),
                 });
             }
         }
@@ -185,25 +172,5 @@ mod tests {
         let stats = pool.shutdown();
         assert_eq!(stats.total_predicts(), loads);
         assert_eq!(stats.total_trains(), loads);
-    }
-
-    #[test]
-    fn out_of_window_dependences_train_independent() {
-        use mascot::prediction::BypassClass;
-        let far = mascot_sim::uop::TraceDep {
-            distance: 500, // beyond StoreDistance::MAX
-            class: BypassClass::DirectBypass,
-            store_pc: 0x10,
-            branches_between: 0,
-        };
-        assert_eq!(outcome_of(Some(far)), LoadOutcome::independent());
-        let near = mascot_sim::uop::TraceDep {
-            distance: 3,
-            class: BypassClass::DirectBypass,
-            store_pc: 0x10,
-            branches_between: 0,
-        };
-        assert!(outcome_of(Some(near)).is_dependent());
-        assert_eq!(outcome_of(None), LoadOutcome::independent());
     }
 }

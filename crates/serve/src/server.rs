@@ -27,8 +27,8 @@
 //! Backpressure is per connection: reading pauses when the send buffer
 //! crosses [`crate::conn`]'s threshold and resumes at half (hysteresis),
 //! so a client that never reads its responses stops being served instead
-//! of ballooning server memory. The loop never answers `Busy` — there is
-//! no queue to fill — although the wire keeps the status for clients.
+//! of ballooning server memory. There is no queue to fill, so no request
+//! is ever turned away for load.
 //!
 //! Shutdown drains: the `Shutdown` response is flushed, the listener is
 //! deregistered, idle connections close immediately, and connections with
@@ -37,7 +37,6 @@
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::Ordering;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -499,12 +498,7 @@ impl Handler for ShardHandler<'_> {
             Request::Train(items) => self.train(&items),
             Request::Stats => Response::Stats(self.pool.stats_report()),
             Request::Shutdown => Response::Shutdown {
-                served: self
-                    .pool
-                    .metrics()
-                    .iter()
-                    .map(|m| m.requests.load(Ordering::Relaxed))
-                    .sum(),
+                served: self.pool.stats_report().total_requests(),
             },
             Request::Snapshot => snapshot_response(self.pool, self.kind),
             Request::Restore(bytes) => restore_response(&bytes, self.pool, self.kind),
@@ -624,7 +618,7 @@ fn snapshot_response(pool: &ShardPool, kind: PredictorKind) -> Response {
     let file = SnapshotFile {
         kind_label: kind.label().into_owned(),
         created_unix_s: unix_now_s(),
-        restarts: pool.metrics()[0].restarts.load(Ordering::Relaxed),
+        restarts: pool.stats_report().shards[0].restarts,
         shards: pool.snapshot_shards(),
     };
     let bytes = file.encode();

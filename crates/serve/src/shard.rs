@@ -10,7 +10,9 @@
 //! the job on the caller's thread (in `mascotd`, the event loop) under the
 //! shard's own `Mutex`, and return once it is done. The server calls from
 //! one thread, so the locks are never contended; they only make the pool
-//! `Sync`.
+//! `Sync`. A shard's counters ([`ShardStats`]) and service-time
+//! [`Histogram`] live in its state under that same lock: every job bumps
+//! them with plain adds, and [`ShardPool::stats_report`] reads them.
 //!
 //! Because [`mascot::MemDepPredictor`] threads opaque metadata from
 //! `predict` to `train`, each shard keeps a fixed-size *pending table*: a
@@ -20,17 +22,16 @@
 //! counts as a stale train and is dropped — predictor state is never
 //! trained with someone else's metadata.
 
-use std::sync::atomic::Ordering;
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use mascot::history::BranchEvent;
 use mascot::prediction::{MemDepPredictor, MemDepPrediction, PredictReq, TrainReq};
 use mascot_predictors::{AnyMeta, AnyPredictor, PredictorKind};
 
-use crate::metrics::ShardMetrics;
-use crate::wire::{PredictItem, PredictReply, StatsReport, TrainItem};
+use crate::metrics::Histogram;
+use crate::wire::{PredictItem, PredictReply, ShardStats, StatsReport, TrainItem};
 
 /// Default shard count.
 pub const DEFAULT_SHARDS: usize = 4;
@@ -214,17 +215,21 @@ struct BatchScratch {
     trains: Vec<TrainReq<AnyMeta>>,
 }
 
-/// One shard's state.
+/// One shard's state, counters included.
 struct Shard {
     predictor: AnyPredictor,
     pending: PendingTable,
     scratch: BatchScratch,
+    /// Work counters. The service-time fields stay 0 here; `stats_report`
+    /// fills them from `service`.
+    stats: ShardStats,
+    /// Per-job service time.
+    service: Histogram,
 }
 
-/// The pool: per-shard state behind per-shard locks, plus metrics.
+/// The pool: per-shard state behind per-shard locks.
 pub struct ShardPool {
     shards: Vec<Mutex<Shard>>,
-    metrics: Vec<Arc<ShardMetrics>>,
     strict_tickets: bool,
 }
 
@@ -246,25 +251,28 @@ impl ShardPool {
     }
 
     /// Builds one shard per element of `predictors`, each owning its
-    /// pre-built (e.g. snapshot-restored) predictor. `cfg.shards` is
-    /// ignored; the pool's shard count is `predictors.len()`.
+    /// pre-built (e.g. snapshot-restored) predictor and reporting that
+    /// predictor's entry count as `restored_entries` (0 for a fresh one).
+    /// `cfg.shards` is ignored; the pool's shard count is
+    /// `predictors.len()`.
     pub fn with_predictors(predictors: Vec<AnyPredictor>, cfg: &ShardPoolConfig) -> Self {
         assert!(!predictors.is_empty(), "at least one shard");
-        let shards: Vec<Mutex<Shard>> = predictors
+        let shards = predictors
             .into_iter()
             .map(|predictor| {
                 Mutex::new(Shard {
+                    stats: ShardStats {
+                        restored_entries: predictor.entry_count(),
+                        ..ShardStats::default()
+                    },
                     predictor,
                     pending: PendingTable::new(cfg.pending_capacity),
                     scratch: BatchScratch::default(),
+                    service: Histogram::new(),
                 })
             })
             .collect();
         Self {
-            metrics: shards
-                .iter()
-                .map(|_| Arc::new(ShardMetrics::new()))
-                .collect(),
             shards,
             strict_tickets: cfg.strict_tickets,
         }
@@ -278,11 +286,6 @@ impl ShardPool {
     /// The shard owning `pc`.
     pub fn shard_of(&self, pc: u64) -> usize {
         shard_of(pc, self.shards.len())
-    }
-
-    /// The per-shard metrics blocks.
-    pub fn metrics(&self) -> &[Arc<ShardMetrics>] {
-        &self.metrics
     }
 
     /// Runs `job` on `shard` and delivers its reply to the job's sink
@@ -313,11 +316,13 @@ impl ShardPool {
     /// later call on it panics too, and so does [`ShardPool::shutdown`].
     pub(crate) fn predict(&self, shard: usize, items: &[PredictItem]) -> Vec<PredictReply> {
         let strict_tickets = self.strict_tickets;
-        self.run(shard, |s, metrics| {
+        self.run(shard, |s| {
             let Shard {
                 predictor,
                 pending,
                 scratch,
+                stats,
+                ..
             } = s;
             scratch.reqs.clear();
             scratch.reqs.extend(items.iter().map(|item| PredictReq {
@@ -334,9 +339,7 @@ impl ShardPool {
                 out.push(PredictReply { ticket, prediction });
             }
             if evicted > 0 {
-                metrics
-                    .evicted_pending
-                    .fetch_add(evicted, Ordering::Relaxed);
+                stats.evicted_pending += evicted;
                 assert!(
                     !strict_tickets,
                     "pending-table eviction under strict_tickets: {evicted} \
@@ -346,9 +349,8 @@ impl ShardPool {
                     pending.slots.len(),
                 );
             }
-            let n = items.len() as u64;
-            metrics.predicts.fetch_add(n, Ordering::Relaxed);
-            metrics.requests.fetch_add(n, Ordering::Relaxed);
+            stats.predicts += items.len() as u64;
+            stats.requests += items.len() as u64;
             out
         })
     }
@@ -356,24 +358,30 @@ impl ShardPool {
     /// Trains `shard` from `items` (all owned by it), each quoting the
     /// ticket of its prediction. Returns `(applied, stale)`.
     pub(crate) fn train(&self, shard: usize, items: &[TrainItem]) -> (u32, u32) {
-        self.run(shard, |s, metrics| {
+        self.run(shard, |s| {
             let Shard {
                 predictor,
                 pending,
                 scratch,
+                stats,
+                ..
             } = s;
             let (mut applied, mut stale) = (0u32, 0u32);
-            // Misprediction taxonomy of the drained outcomes (the serving
-            // mirror of the simulator's per-tenant pollution counters).
-            let (mut missed, mut false_dep, mut false_byp) = (0u64, 0u64, 0u64);
             scratch.trains.clear();
             for item in items {
                 match pending.take(item.ticket, item.pc) {
                     Some(p) => {
+                        // Misprediction taxonomy of the drained outcomes (the
+                        // serving mirror of the simulator's per-tenant
+                        // pollution counters).
                         match (&p.prediction, item.outcome.dependence.is_some()) {
-                            (MemDepPrediction::NoDependence, true) => missed += 1,
-                            (MemDepPrediction::Dependence { .. }, false) => false_dep += 1,
-                            (MemDepPrediction::Bypass { .. }, false) => false_byp += 1,
+                            (MemDepPrediction::NoDependence, true) => {
+                                stats.missed_dependencies += 1;
+                            }
+                            (MemDepPrediction::Dependence { .. }, false) => {
+                                stats.false_dependencies += 1;
+                            }
+                            (MemDepPrediction::Bypass { .. }, false) => stats.false_bypasses += 1,
                             _ => {}
                         }
                         scratch.trains.push(TrainReq {
@@ -388,24 +396,9 @@ impl ShardPool {
                 }
             }
             predictor.train_batch(&mut scratch.trains);
-            metrics
-                .missed_dependencies
-                .fetch_add(missed, Ordering::Relaxed);
-            metrics
-                .false_dependencies
-                .fetch_add(false_dep, Ordering::Relaxed);
-            metrics
-                .false_bypasses
-                .fetch_add(false_byp, Ordering::Relaxed);
-            metrics
-                .trains
-                .fetch_add(u64::from(applied), Ordering::Relaxed);
-            metrics
-                .stale_trains
-                .fetch_add(u64::from(stale), Ordering::Relaxed);
-            metrics
-                .requests
-                .fetch_add(items.len() as u64, Ordering::Relaxed);
+            stats.trains += u64::from(applied);
+            stats.stale_trains += u64::from(stale);
+            stats.requests += items.len() as u64;
             (applied, stale)
         })
     }
@@ -416,7 +409,7 @@ impl ShardPool {
             return;
         }
         for shard in 0..self.shards.len() {
-            self.run(shard, |s, _| {
+            self.run(shard, |s| {
                 for event in events {
                     match *event {
                         SyncEvent::Branch(e) => s.predictor.on_branch(&e),
@@ -432,14 +425,14 @@ impl ShardPool {
     /// Serializes every shard's predictor state, in shard order.
     pub fn snapshot_shards(&self) -> Vec<Vec<u8>> {
         (0..self.shards.len())
-            .map(|shard| self.run(shard, |s, _| s.predictor.snapshot_bytes()))
+            .map(|shard| self.run(shard, |s| s.predictor.snapshot_bytes()))
             .collect()
     }
 
     /// Swaps one pre-built predictor into each shard (in shard order),
     /// clears the pending tables — parked tickets reference metadata from
     /// the predictors being replaced — and records each shard's restored
-    /// entry count in its metrics. Returns the total across shards.
+    /// entry count in its counters. Returns the total across shards.
     ///
     /// # Panics
     ///
@@ -454,33 +447,45 @@ impl ShardPool {
         );
         let mut total = 0u64;
         for (shard, predictor) in predictors.into_iter().enumerate() {
-            let entries = self.run(shard, |s, _| {
+            total += self.run(shard, |s| {
                 s.predictor = predictor;
                 s.pending = PendingTable::new(s.pending.slots.len());
-                s.predictor.entry_count()
+                s.stats.restored_entries = s.predictor.entry_count();
+                s.stats.restored_entries
             });
-            self.metrics[shard]
-                .restored_entries
-                .store(entries, Ordering::Relaxed);
-            total += entries;
         }
         total
     }
 
     /// Stamps the warm-start observability counters (snapshot age at
-    /// restore, checkpoint/restore generation) on every shard's metrics.
+    /// restore, checkpoint/restore generation) on every shard.
     pub fn set_warm_start(&self, snapshot_age_s: u64, restarts: u64) {
-        for m in &self.metrics {
-            m.snapshot_age_s.store(snapshot_age_s, Ordering::Relaxed);
-            m.restarts.store(restarts, Ordering::Relaxed);
+        for shard in 0..self.shards.len() {
+            let stats = &mut self.lock(shard).stats;
+            stats.snapshot_age_s = snapshot_age_s;
+            stats.restarts = restarts;
         }
     }
 
-    /// Snapshots every shard's counters.
+    /// Copies every shard's counters. A shard that died of a panic (see
+    /// [`ShardPool::shutdown`]) still reports what it counted before it
+    /// died: each counter update is a single add, so a panic leaves none
+    /// half-written, and reading through the poison is sound.
     pub fn stats_report(&self) -> StatsReport {
-        StatsReport {
-            shards: self.metrics.iter().map(|m| m.snapshot()).collect(),
-        }
+        let shards = self
+            .shards
+            .iter()
+            .map(|shard| {
+                let s = shard.lock().unwrap_or_else(PoisonError::into_inner);
+                ShardStats {
+                    service_samples: s.service.total(),
+                    service_p50_ns: s.service.quantile_ns(0.50),
+                    service_p99_ns: s.service.quantile_ns(0.99),
+                    ..s.stats
+                }
+            })
+            .collect();
+        StatsReport { shards }
     }
 
     /// Consumes the pool and returns its final statistics.
@@ -500,19 +505,27 @@ impl ShardPool {
     }
 
     /// Runs `f` on `shard`'s state and records it as one job in the
-    /// shard's metrics (one `batches` count, one service-time sample).
-    fn run<R>(&self, shard: usize, f: impl FnOnce(&mut Shard, &ShardMetrics) -> R) -> R {
-        let metrics = &self.metrics[shard];
-        let mut state = self.shards[shard]
-            .lock()
-            .unwrap_or_else(|_| panic!("shard {shard} died of an earlier panic"));
+    /// shard's counters (one `batches` count, one service-time sample).
+    fn run<R>(&self, shard: usize, f: impl FnOnce(&mut Shard) -> R) -> R {
+        let mut state = self.lock(shard);
         let t0 = Instant::now();
-        let result = f(&mut state, metrics);
-        metrics.batches.fetch_add(1, Ordering::Relaxed);
-        metrics
+        let result = f(&mut state);
+        state.stats.batches += 1;
+        state
             .service
             .record_ns(t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
         result
+    }
+
+    /// Locks `shard`'s state.
+    ///
+    /// # Panics
+    ///
+    /// When the shard died of an earlier panic.
+    fn lock(&self, shard: usize) -> MutexGuard<'_, Shard> {
+        self.shards[shard]
+            .lock()
+            .unwrap_or_else(|_| panic!("shard {shard} died of an earlier panic"))
     }
 }
 
@@ -781,49 +794,101 @@ mod tests {
         }
     }
 
+    /// The 16 load PCs, 4 bytes apart, that [`warmed_pool`] trains.
+    const WARM_PCS: std::ops::Range<u64> = 0x5000..0x5040;
+
+    /// A `shards`-wide MASCOT pool trained with 20 rounds of dependent
+    /// outcomes on the `WARM_PCS` loads, so its tables hold entries.
+    fn warmed_pool(shards: usize) -> ShardPool {
+        let cfg = ShardPoolConfig {
+            shards,
+            ..Default::default()
+        };
+        let pool = ShardPool::new(PredictorKind::Mascot, &cfg);
+        for _ in 0..20 {
+            for pc in WARM_PCS.step_by(4) {
+                let shard = pool.shard_of(pc);
+                let ticket = pool.predict(shard, &[PredictItem { pc, store_seq: 0 }])[0].ticket;
+                let outcome = mascot::prediction::LoadOutcome::dependent(
+                    mascot::prediction::ObservedDependence {
+                        distance: mascot::prediction::StoreDistance::new(3).unwrap(),
+                        class: mascot::prediction::BypassClass::DirectBypass,
+                        store_pc: 0x9000,
+                        branches_between: 0,
+                    },
+                );
+                let train = TrainItem {
+                    ticket,
+                    pc,
+                    outcome,
+                };
+                pool.train(shard, &[train]);
+            }
+        }
+        pool
+    }
+
+    /// The counters a `Stats` request reports are the ones the shard jobs
+    /// bumped under the lock, with the service fields filled from the
+    /// histogram.
+    #[test]
+    fn stats_report_counts_shard_work() {
+        let pool = ShardPool::new(PredictorKind::Mascot, &ShardPoolConfig::default());
+        let pc = 0x40u64;
+        let shard = pool.shard_of(pc);
+        let items = [PredictItem { pc, store_seq: 0 }; 4];
+        let replies = pool.predict(shard, &items);
+        let trains = [TrainItem {
+            ticket: replies[0].ticket,
+            pc,
+            outcome: mascot::prediction::LoadOutcome::independent(),
+        }];
+        assert_eq!(pool.train(shard, &trains), (1, 0));
+        let s = pool.stats_report().shards[shard];
+        assert_eq!((s.requests, s.predicts, s.trains), (5, 4, 1));
+        assert_eq!((s.batches, s.service_samples), (2, 2));
+        assert!(s.service_p50_ns > 0, "a job takes measurable time");
+        assert!(s.service_p99_ns >= s.service_p50_ns);
+        pool.shutdown();
+    }
+
+    /// A pool built from pre-built predictors reports each one's entry
+    /// count as restored; a fresh pool reports none.
+    #[test]
+    fn with_predictors_reports_restored_entries() {
+        let cfg = ShardPoolConfig {
+            shards: 2,
+            ..Default::default()
+        };
+        let restored = |pool: &ShardPool| -> Vec<u64> {
+            let report = pool.stats_report();
+            report.shards.iter().map(|s| s.restored_entries).collect()
+        };
+        let fresh = ShardPool::new(PredictorKind::Mascot, &cfg);
+        assert_eq!(restored(&fresh), [0, 0]);
+        let predictors: Vec<AnyPredictor> = warmed_pool(2)
+            .snapshot_shards()
+            .iter()
+            .map(|p| AnyPredictor::from_snapshot_bytes(p).expect("valid shard payload"))
+            .collect();
+        let entries: Vec<u64> = predictors.iter().map(AnyPredictor::entry_count).collect();
+        assert!(entries.iter().any(|&n| n > 0), "warm shards carry entries");
+        let pool = ShardPool::with_predictors(predictors, &cfg);
+        assert_eq!(restored(&pool), entries);
+    }
+
     /// Pool-level state transplant: snapshot a warmed pool shard-by-shard,
     /// restore the payloads into a cold pool of the same width, and require
     /// the cold pool's shards to answer predictions exactly like the warm
-    /// ones (and to report the restore in their metrics).
+    /// ones (and to report the restore in their counters).
     #[test]
     fn snapshot_restore_transplants_pool_state() {
         let cfg = ShardPoolConfig {
             shards: 2,
             ..Default::default()
         };
-        let warm = ShardPool::new(PredictorKind::Mascot, &cfg);
+        let warm = warmed_pool(2);
         let (tx, rx) = channel();
-        let pcs: Vec<u64> = (0..16u64).map(|i| 0x5000 + i * 4).collect();
-        for round in 0..20 {
-            for &pc in &pcs {
-                let shard = warm.shard_of(pc);
-                warm.send(shard, predict_job(&[pc], round, &tx));
-                let ticket = match rx.recv().unwrap().1 {
-                    ShardReply::Predict(r) => r[0].ticket,
-                    other => panic!("unexpected reply {other:?}"),
-                };
-                warm.send(
-                    shard,
-                    ShardJob::Train {
-                        items: vec![TrainItem {
-                            ticket,
-                            pc,
-                            outcome: mascot::prediction::LoadOutcome::dependent(
-                                mascot::prediction::ObservedDependence {
-                                    distance: mascot::prediction::StoreDistance::new(3).unwrap(),
-                                    class: mascot::prediction::BypassClass::DirectBypass,
-                                    store_pc: 0x9000,
-                                    branches_between: 0,
-                                },
-                            ),
-                        }],
-                        tag: round,
-                        reply: ReplySink::new(tx.clone()),
-                    },
-                );
-                rx.recv().unwrap();
-            }
-        }
         let payloads = warm.snapshot_shards();
         assert_eq!(payloads.len(), 2);
 
@@ -841,7 +906,7 @@ mod tests {
         assert!(report.shards.iter().all(|s| s.restarts == 2));
 
         // Both pools must now answer every PC identically.
-        for &pc in &pcs {
+        for pc in WARM_PCS.step_by(4) {
             let shard = warm.shard_of(pc);
             warm.send(shard, predict_job(&[pc], 1, &tx));
             let warm_reply = match rx.recv().unwrap().1 {
@@ -966,6 +1031,10 @@ mod tests {
             )
         }));
         assert!(again.is_err(), "a dead shard serves nothing more");
+        assert!(
+            pool.stats_report().shards[0].evicted_pending > 0,
+            "a dead shard still reports what it counted"
+        );
         let joined = catch_unwind(AssertUnwindSafe(|| pool.shutdown()));
         assert!(joined.is_err(), "shutdown must propagate the shard panic");
     }

@@ -101,14 +101,13 @@ impl Opcode {
     }
 }
 
-/// Response status codes.
+/// Response status codes. Code 1 (the retired `Busy`) is rejected as
+/// [`WireError::BadStatus`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Status {
     /// The request was served; payload shape depends on the request opcode.
     Ok = 0,
-    /// A shard queue was full; the batch was rejected (backpressure).
-    Busy = 1,
     /// The request was malformed; payload is a UTF-8 message.
     Error = 2,
 }
@@ -230,8 +229,8 @@ pub struct ShardStats {
     /// Jobs the shard executed. `mascotd` runs each job on its own, so this
     /// equals `service_samples`.
     pub batches: u64,
-    /// Items answered `Busy`. Always 0: neither `mascotd` nor
-    /// `mascot-router` answers `Busy`; the field stays for wire v3.
+    /// Items rejected for a full queue. Always 0: the shards have no
+    /// queue; the field stays until the next wire version.
     pub rejected_full: u64,
     /// Number of service-time samples in the histogram.
     pub service_samples: u64,
@@ -272,7 +271,7 @@ impl StatsReport {
         self.shards.iter().map(|s| s.trains).sum()
     }
 
-    /// Total items rejected with `Busy` across shards.
+    /// Total items rejected for a full queue across shards (always 0).
     pub fn total_rejected(&self) -> u64 {
         self.shards.iter().map(|s| s.rejected_full).sum()
     }
@@ -342,8 +341,6 @@ pub enum Response {
         /// Entries restored across all shards.
         restored_entries: u64,
     },
-    /// Backpressure: a shard queue was full, the batch was rejected.
-    Busy,
     /// The request was malformed.
     Error(String),
 }
@@ -518,18 +515,12 @@ pub fn encode_frame(code: u8, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Fills `buf` from `r`, retrying on timeouts.
+/// Fills `buf` from `r`.
 ///
-/// Returns `Ok(false)` when the stream closed or `abort()` fired *before
-/// the first byte* (an idle, clean stop); once a frame has started, both a
-/// mid-frame close and an abort-while-stalled are corruption. `abort` is
-/// consulted only when the underlying read times out (`WouldBlock` /
-/// `TimedOut`), which requires a read timeout on the stream to ever fire.
-fn read_full<R: Read>(
-    r: &mut R,
-    buf: &mut [u8],
-    abort: &dyn Fn() -> bool,
-) -> Result<bool, WireError> {
+/// Returns `Ok(false)` when the stream closed *before the first byte* (a
+/// clean stop); a close once the frame has started is corruption. A read
+/// timeout (`WouldBlock` / `TimedOut`) is an error like any other.
+fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<bool, WireError> {
     let mut pos = 0;
     while pos < buf.len() {
         match r.read(&mut buf[pos..]) {
@@ -542,14 +533,6 @@ fn read_full<R: Read>(
             }
             Ok(n) => pos += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if abort() && pos == 0 {
-                    return Ok(false);
-                }
-            }
             Err(e) => return Err(WireError::Io(e)),
         }
     }
@@ -558,7 +541,7 @@ fn read_full<R: Read>(
 
 /// Validates a frame header and returns its `(code, payload_len)`. The
 /// single source of truth for header checks — the blocking reader
-/// ([`read_frame_abortable`]) and the event loop's incremental parser
+/// ([`read_frame`]) and the event loop's incremental parser
 /// ([`crate::conn::RecvBuf`]) both call it, so a malformed stream fails
 /// identically whichever front end reads it.
 ///
@@ -582,27 +565,26 @@ pub fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, usize), WireError>
     Ok((code, len as usize))
 }
 
-/// Reads one frame. `None` means the peer closed (or `abort` fired) between
-/// frames — a clean end of stream.
-pub fn read_frame_abortable<R: Read>(
-    r: &mut R,
-    abort: &dyn Fn() -> bool,
-) -> Result<Option<(u8, Vec<u8>)>, WireError> {
+/// Reads one frame, blocking until it arrives. `None` means the peer
+/// closed between frames — a clean end of stream.
+///
+/// # Errors
+///
+/// A malformed header or a close mid-frame, as [`parse_header`] and
+/// [`WireError::Corrupt`]; any read error other than `Interrupted` —
+/// including the expiry of a read timeout set on the stream — as
+/// [`WireError::Io`].
+pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>, WireError> {
     let mut header = [0u8; HEADER_LEN];
-    if !read_full(r, &mut header, abort)? {
+    if !read_full(r, &mut header)? {
         return Ok(None);
     }
     let (code, len) = parse_header(&header)?;
     let mut payload = vec![0u8; len];
-    if !read_full(r, &mut payload, &|| false)? {
+    if !read_full(r, &mut payload)? {
         return Err(WireError::Corrupt("connection closed mid-frame"));
     }
     Ok(Some((code, payload)))
-}
-
-/// Reads one frame, blocking until it arrives; `None` on clean close.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>, WireError> {
-    read_frame_abortable(r, &|| false)
 }
 
 /// Writes a complete frame.
@@ -739,7 +721,6 @@ impl Response {
     /// The status code carried in this response's frame header.
     pub fn status(&self) -> Status {
         match self {
-            Response::Busy => Status::Busy,
             Response::Error(_) => Status::Error,
             _ => Status::Ok,
         }
@@ -808,7 +789,6 @@ impl Response {
                 bytes.clone()
             }
             Response::Restore { restored_entries } => restored_entries.to_le_bytes().to_vec(),
-            Response::Busy => Vec::new(),
             Response::Error(msg) => msg.as_bytes().to_vec(),
         })
     }
@@ -831,16 +811,11 @@ impl Response {
     pub fn decode(for_op: Opcode, code: u8, payload: &[u8]) -> Result<Response, WireError> {
         let status = match code {
             0 => Status::Ok,
-            1 => Status::Busy,
             2 => Status::Error,
             other => return Err(WireError::BadStatus(other)),
         };
         let mut r = Reader::new(payload);
         match status {
-            Status::Busy => {
-                r.finish()?;
-                Ok(Response::Busy)
-            }
             Status::Error => Ok(Response::Error(
                 String::from_utf8(payload.to_vec())
                     .map_err(|_| WireError::Corrupt("error message is not UTF-8"))?,
@@ -1077,10 +1052,47 @@ mod tests {
     }
 
     #[test]
-    fn busy_and_error_roundtrip() {
-        assert_eq!(roundtrip_response(Opcode::Predict, Response::Busy), Response::Busy);
+    fn error_roundtrip() {
         let resp = roundtrip_response(Opcode::Train, Response::Error("bad frame".into()));
         assert_eq!(resp, Response::Error("bad frame".into()));
+    }
+
+    /// Status 1 was `Busy`, which no server sends any more; it is retired,
+    /// and a frame carrying it is rejected rather than read as a response.
+    #[test]
+    fn retired_busy_status_is_rejected() {
+        for op in [Opcode::Predict, Opcode::Train] {
+            assert!(matches!(
+                Response::decode(op, 1, &[]),
+                Err(WireError::BadStatus(1))
+            ));
+        }
+    }
+
+    /// A read timeout surfaces as an I/O error instead of being retried: a
+    /// reader that stalls once and would then deliver a valid frame gets
+    /// the error, so a caller's timeout on a hung peer actually fires.
+    #[test]
+    fn read_timeout_is_an_error() {
+        struct StallOnce<'a> {
+            stalled: bool,
+            rest: &'a [u8],
+        }
+        impl Read for StallOnce<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                if !self.stalled {
+                    self.stalled = true;
+                    return Err(io::ErrorKind::WouldBlock.into());
+                }
+                self.rest.read(buf)
+            }
+        }
+        let frame = Request::Stats.encode_frame().unwrap();
+        let mut reader = StallOnce {
+            stalled: false,
+            rest: &frame,
+        };
+        assert!(matches!(read_frame(&mut reader), Err(WireError::Io(_))));
     }
 
     #[test]

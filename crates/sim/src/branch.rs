@@ -233,15 +233,6 @@ impl TagePredictor {
     pub fn rewind_history(&mut self, recent: &[BranchEvent]) {
         self.bank.rewind(recent);
     }
-
-    /// Conditional misprediction rate over the predictor's lifetime.
-    pub fn mispredict_rate(&self) -> f64 {
-        if self.stats.conditional == 0 {
-            0.0
-        } else {
-            self.stats.cond_mispredicts as f64 / self.stats.conditional as f64
-        }
-    }
 }
 
 /// Helper: the history event for a decoded branch.

@@ -393,12 +393,6 @@ impl Hierarchy {
         self.mshrs.push(Mshr { line, ready });
         self.mshr_min_ready = self.mshr_min_ready.min(ready);
     }
-
-    /// Number of occupied L1D MSHRs (after retiring completed ones).
-    pub fn mshrs_in_use(&mut self, now: u64) -> usize {
-        self.retire_mshrs(now);
-        self.mshrs.len()
-    }
 }
 
 #[cfg(test)]

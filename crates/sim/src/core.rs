@@ -1009,7 +1009,7 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
                 // L1D, same latency (§V).
                 completion = self.now + u64::from(self.cfg.l1d.hit_latency);
                 served = Served::Forwarded;
-                outcome = observed_outcome(&d);
+                outcome = d.outcome();
             }
             Some((d, seq, _pos)) => {
                 // The source store's address/data are unknown: the load
@@ -1019,7 +1019,7 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
                     return false;
                 };
                 completion = done;
-                outcome = observed_outcome(&d);
+                outcome = d.outcome();
                 if !effective_bypass {
                     register_violation = Some(seq);
                 }
@@ -2006,22 +2006,6 @@ fn ground_truth(dep: Option<TraceDep>) -> Option<GroundTruth> {
     })
 }
 
-/// Helper: the observed outcome for an in-flight dependence.
-fn observed_outcome(d: &TraceDep) -> LoadOutcome {
-    match StoreDistance::new(d.distance) {
-        Some(distance) => LoadOutcome::dependent(ObservedDependence {
-            distance,
-            class: d.class,
-            store_pc: d.store_pc,
-            branches_between: d.branches_between,
-        }),
-        // A dependence beyond the encodable window is treated as
-        // independent for prediction purposes (cannot happen with a
-        // 114-entry store buffer; kept for safety).
-        None => LoadOutcome::independent(),
-    }
-}
-
 /// The cache half of the functional replay: drives the cache hierarchy
 /// (demand lines *and* the stride prefetcher) and the branch predictor a
 /// detailed run would train, with no timing machinery at all. It needs
@@ -2065,7 +2049,7 @@ fn warm_mem_dep<P: MemDepPredictor>(pred: &mut P, store_seq_next: &mut u64, uops
                     pred.predict(uop.pc, *store_seq_next, ground_truth(dep).as_ref());
                 let outcome = dep
                     .as_ref()
-                    .map_or_else(LoadOutcome::independent, observed_outcome);
+                    .map_or_else(LoadOutcome::independent, TraceDep::outcome);
                 pred.train(uop.pc, meta, prediction, &outcome);
             }
             UopKind::Store { .. } => {

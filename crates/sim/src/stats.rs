@@ -31,11 +31,6 @@ impl TenantCounters {
         mascot_stats::pollution::rate(self.false_bypasses, self.loads)
     }
 
-    /// False dependencies per committed load of this tenant.
-    pub fn false_dependency_rate(&self) -> f64 {
-        mascot_stats::pollution::rate(self.false_dependencies, self.loads)
-    }
-
     /// Missed dependencies per committed load of this tenant.
     pub fn missed_dependency_rate(&self) -> f64 {
         mascot_stats::pollution::rate(self.missed_dependencies, self.loads)

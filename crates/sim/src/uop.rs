@@ -9,7 +9,7 @@
 //! and to implement the perfect-predictor oracles.
 
 use mascot::history::BranchKind;
-use mascot::prediction::BypassClass;
+use mascot::prediction::{BypassClass, LoadOutcome, ObservedDependence, StoreDistance};
 use serde::{Deserialize, Serialize};
 
 /// An architectural register name (the generator uses 0..=63).
@@ -34,6 +34,23 @@ pub struct TraceDep {
     /// Branches between the store and the load in program order (PHAST's
     /// allocation context).
     pub branches_between: u32,
+}
+
+impl TraceDep {
+    /// The commit-time outcome that trains a predictor on this dependence.
+    /// A distance beyond the predictors' 127-store window trains as
+    /// independent: no in-flight store can be that far back.
+    pub fn outcome(&self) -> LoadOutcome {
+        match StoreDistance::new(self.distance) {
+            Some(distance) => LoadOutcome::dependent(ObservedDependence {
+                distance,
+                class: self.class,
+                store_pc: self.store_pc,
+                branches_between: self.branches_between,
+            }),
+            None => LoadOutcome::independent(),
+        }
+    }
 }
 
 /// The operation class of a micro-op.
@@ -269,6 +286,21 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn out_of_window_dependences_train_independent() {
+        let mut dep = TraceDep {
+            distance: 500, // beyond StoreDistance::MAX
+            class: BypassClass::DirectBypass,
+            store_pc: 0x10,
+            branches_between: 2,
+        };
+        assert_eq!(dep.outcome(), LoadOutcome::independent());
+        dep.distance = 127;
+        let observed = dep.outcome().dependence.expect("in-window dependence");
+        assert_eq!(observed.distance.get(), 127);
+        assert_eq!((observed.store_pc, observed.branches_between), (0x10, 2));
+    }
 
     #[test]
     fn constructors_set_kinds() {

@@ -67,11 +67,6 @@ impl ConfusionMatrix {
         self.fp
     }
 
-    /// Count of true negatives.
-    pub fn true_negatives(&self) -> u64 {
-        self.tn
-    }
-
     /// Count of false negatives (missed dependencies for MDP).
     pub fn false_negatives(&self) -> u64 {
         self.fn_

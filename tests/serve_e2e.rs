@@ -16,7 +16,7 @@ use mascot_serve::shard::ShardPoolConfig;
 use mascot_serve::wire::{
     self, Opcode, PredictItem, Request, Response, TrainItem, HEADER_LEN, MAGIC,
 };
-use mascot_serve::{Client, ServeConfig, Served, Server};
+use mascot_serve::{Client, ServeConfig, Server};
 use mascot_snapshot::SnapshotFile;
 use mascot::prediction::{
     BypassClass, LoadOutcome, MemDepPrediction, ObservedDependence, StoreDistance,
@@ -79,11 +79,7 @@ fn loopback_mixed_traffic_accounts_for_every_item() {
                             store_seq: (b * BATCH + i) as u64,
                         })
                         .collect();
-                    // mascotd never answers Busy, so Busy here is a bug.
-                    let replies = match client.predict(items.clone()).expect("predict") {
-                        Served::Ok(replies) => replies,
-                        Served::Busy => panic!("unexpected Busy under closed-loop load"),
-                    };
+                    let replies = client.predict(items.clone()).expect("predict");
                     assert_eq!(replies.len(), items.len());
                     sent_predicts.fetch_add(items.len() as u64, Ordering::Relaxed);
 
@@ -96,13 +92,9 @@ fn loopback_mixed_traffic_accounts_for_every_item() {
                             outcome: LoadOutcome::independent(),
                         })
                         .collect();
-                    match client.train(trains).expect("train") {
-                        Served::Ok((applied, stale)) => {
-                            assert_eq!(applied as usize, BATCH, "every ticket fresh");
-                            assert_eq!(stale, 0);
-                        }
-                        Served::Busy => panic!("unexpected Busy under closed-loop load"),
-                    }
+                    let (applied, stale) = client.train(trains).expect("train");
+                    assert_eq!(applied as usize, BATCH, "every ticket fresh");
+                    assert_eq!(stale, 0);
                     sent_trains.fetch_add(BATCH as u64, Ordering::Relaxed);
                 }
             })
@@ -154,10 +146,7 @@ fn warm_over_wire(client: &mut Client, rounds: usize) {
                 store_seq: (round as u64) * SNAP_PCS + i + 8,
             })
             .collect();
-        let replies = match client.predict(items.clone()).expect("predict") {
-            Served::Ok(replies) => replies,
-            Served::Busy => panic!("unexpected Busy under closed-loop load"),
-        };
+        let replies = client.predict(items.clone()).expect("predict");
         let trains: Vec<TrainItem> = items
             .iter()
             .zip(&replies)
@@ -172,10 +161,7 @@ fn warm_over_wire(client: &mut Client, rounds: usize) {
                 }),
             })
             .collect();
-        match client.train(trains).expect("train") {
-            Served::Ok(_) => {}
-            Served::Busy => panic!("unexpected Busy under closed-loop load"),
-        }
+        client.train(trains).expect("train");
     }
 }
 
@@ -187,10 +173,12 @@ fn wire_fingerprint(client: &mut Client) -> Vec<MemDepPrediction> {
             store_seq: 1 << 40,
         })
         .collect();
-    match client.predict(items).expect("fingerprint predict") {
-        Served::Ok(replies) => replies.iter().map(|r| r.prediction).collect(),
-        Served::Busy => panic!("unexpected Busy under closed-loop load"),
-    }
+    client
+        .predict(items)
+        .expect("fingerprint predict")
+        .iter()
+        .map(|r| r.prediction)
+        .collect()
 }
 
 /// A snapshot taken over the wire from a warmed 4-shard server restores
@@ -330,7 +318,7 @@ fn concurrent_partial_writes_lose_nothing() {
         (CONNS * 2 * BATCH) as u64,
         "every item answered exactly once"
     );
-    assert_eq!(stats.total_rejected(), 0, "mascotd never answers Busy");
+    assert_eq!(stats.total_rejected(), 0, "mascotd never rejects a request");
     control.shutdown().expect("shutdown");
     handle.join().expect("server thread");
 }
@@ -358,13 +346,9 @@ fn bad_magic_is_rejected_without_killing_the_server() {
 
     // A fresh, well-behaved client still gets service.
     let mut client = Client::connect(&addr).expect("connect after abuse");
-    let replies = match client
+    let replies = client
         .predict(vec![PredictItem { pc: 0x40, store_seq: 1 }])
-        .expect("predict")
-    {
-        Served::Ok(replies) => replies,
-        Served::Busy => panic!("unexpected Busy"),
-    };
+        .expect("predict");
     assert_eq!(replies.len(), 1);
 
     client.shutdown().expect("shutdown");
