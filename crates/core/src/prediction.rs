@@ -56,21 +56,46 @@ impl fmt::Display for StoreDistance {
 }
 
 /// How a load's bytes relate to the prior store it depends on (Fig. 2).
+///
+/// Each class has one frozen byte code, its discriminant: `.mtrc` traces
+/// and the `MSRV` wire protocol both carry it, and per-class counters index
+/// by it. Reordering the variants changes both formats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[repr(u8)]
 pub enum BypassClass {
     /// Same address, same size: the value can be bypassed verbatim.
-    DirectBypass,
+    DirectBypass = 0,
     /// Same address, load smaller than the store: bypass with truncation.
-    NoOffset,
+    NoOffset = 1,
     /// Load fully contained in the store but at a non-zero offset: bypass
     /// would require shifting; MASCOT's default microarchitecture does not
     /// bypass these (§IV-E).
-    Offset,
+    Offset = 2,
     /// Partial overlap: a memory dependence with no bypass opportunity.
-    MdpOnly,
+    MdpOnly = 3,
 }
 
 impl BypassClass {
+    /// Every class, in byte-code order.
+    pub const ALL: [BypassClass; 4] = [
+        BypassClass::DirectBypass,
+        BypassClass::NoOffset,
+        BypassClass::Offset,
+        BypassClass::MdpOnly,
+    ];
+
+    /// The class's frozen byte code (0..=3).
+    #[inline]
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// The class with byte code `code`; `None` for a byte no class has.
+    #[inline]
+    pub fn from_code(code: u8) -> Option<Self> {
+        Self::ALL.get(usize::from(code)).copied()
+    }
+
     /// Whether this dependence can be bypassed on a microarchitecture that
     /// supports same-address bypassing (the paper's default: `DirectBypass`
     /// and `NoOffset`, §IV-E).
@@ -344,6 +369,17 @@ pub trait MemDepPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bypass_codes_are_frozen() {
+        for (code, class) in BypassClass::ALL.into_iter().enumerate() {
+            assert_eq!(usize::from(class.code()), code);
+            assert_eq!(BypassClass::from_code(class.code()), Some(class));
+        }
+        assert_eq!(BypassClass::MdpOnly.code(), 3);
+        assert_eq!(BypassClass::from_code(4), None);
+        assert_eq!(BypassClass::from_code(u8::MAX), None);
+    }
 
     #[test]
     fn store_distance_bounds() {

@@ -64,7 +64,7 @@ pub fn fingerprint(uops: &[Uop]) -> Fingerprint {
     let mut stores = 0u64;
     let mut branches = 0u64;
     let mut aliased = 0u64;
-    let mut classes = [0u64; 4];
+    let mut classes = [0u64; BypassClass::ALL.len()];
     let mut dist_hist = [0u64; DISTANCE_BUCKETS];
     // pc → (taken, total) for conditional-branch entropy.
     let mut branch_stats: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
@@ -81,12 +81,7 @@ pub fn fingerprint(uops: &[Uop]) -> Fingerprint {
                 lines.push(addr >> 6);
                 if let Some(dep) = dep {
                     aliased += 1;
-                    classes[match dep.class {
-                        BypassClass::DirectBypass => 0,
-                        BypassClass::NoOffset => 1,
-                        BypassClass::Offset => 2,
-                        BypassClass::MdpOnly => 3,
-                    }] += 1;
+                    classes[usize::from(dep.class.code())] += 1;
                     dist_hist[distance_bucket(dep.distance)] += 1;
                 }
             }

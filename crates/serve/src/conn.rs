@@ -2,7 +2,7 @@
 //! compacting receive buffer that reassembles wire frames from partial
 //! reads, and a send buffer that survives partial writes.
 //!
-//! Both sides of the v2 codec meet here. A peer may deliver a frame one
+//! Both sides of the wire codec meet here. A peer may deliver a frame one
 //! byte at a time, or twenty frames in one TCP segment; [`RecvBuf`]
 //! accumulates bytes until a complete `header + payload` is resident and
 //! only then exposes it ([`RecvBuf::peek_frame`]), with the header

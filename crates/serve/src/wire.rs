@@ -1,18 +1,26 @@
 //! The `mascot-serve` binary wire protocol.
 //!
-//! A versioned little-endian framing in the style of the trace codec
-//! (`mascot_sim::codec`): every frame is
+//! A versioned little-endian framing; every frame is
 //!
 //! ```text
 //! magic "MSRV" (4) | version (1) | code (1) | payload_len u32 | payload
 //! ```
 //!
+//! Frames are written and read with the strict cursor that predictor
+//! snapshots and `.mtrc` traces (`mascot_sim::codec`) use too
+//! ([`mascot_snapshot::SnapWriter`] / [`mascot_snapshot::SnapReader`]), and
+//! a bypass class travels as its [`BypassClass::code`] byte.
+//!
 //! Requests carry an [`Opcode`] in the code byte; responses carry a
-//! [`Status`]. Predict and Train payloads are length-prefixed micro-batches
-//! of fixed-size items, so a frame is validated arithmetically (`payload_len
-//! == 2 + count * item_size`) before any allocation, and the claimed batch
-//! size is capped at [`MAX_BATCH`] — a hostile header can never drive a
-//! large allocation or a panic.
+//! [`Status`]. Predict and Train payloads and the `Stats` reply are counted
+//! lists of fixed-size records, all encoded and decoded by one generic list
+//! codec: a list is validated arithmetically
+//! (`payload_len == prefix + count * record_size`) before any allocation,
+//! and its claimed count is capped ([`MAX_BATCH`] for batches,
+//! [`MAX_SHARDS`] for stats) — a hostile header can never drive a large
+//! allocation or a panic. Every encoding is
+//! canonical: a frame that decodes re-encodes to exactly its own bytes
+//! (`tests/wire_fuzz.rs` checks this under every truncation and bit flip).
 //!
 //! Predictor metadata ([`mascot_predictors::AnyMeta`]) never crosses the
 //! wire: a `Predict` response returns a per-item *ticket* naming the
@@ -25,6 +33,7 @@ use std::io::{self, Read, Write};
 use mascot::prediction::{
     BypassClass, LoadOutcome, MemDepPrediction, ObservedDependence, StoreDistance,
 };
+use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
 
 /// Frame magic.
 pub const MAGIC: [u8; 4] = *b"MSRV";
@@ -47,16 +56,6 @@ pub const MAX_SNAPSHOT_FRAME_PAYLOAD: usize = 1 << 26;
 pub const MAX_BATCH: usize = 4096;
 /// Upper bound on shards a `Stats` response may describe.
 pub const MAX_SHARDS: usize = 1024;
-
-/// Encoded size of one [`PredictItem`].
-const PREDICT_ITEM_BYTES: usize = 16;
-/// Encoded size of one [`TrainItem`]: ticket + pc + outcome
-/// (flag, distance, class, store_pc, branches_between).
-const TRAIN_ITEM_BYTES: usize = 4 + 8 + 1 + 1 + 1 + 8 + 4;
-/// Encoded size of one [`PredictReply`].
-const PREDICT_REPLY_BYTES: usize = 6;
-/// Encoded size of one [`ShardStats`].
-const SHARD_STATS_BYTES: usize = 16 * 8;
 
 /// The payload cap for a frame with the given code byte. Snapshot bytes
 /// flow in `Restore` requests (code 6) and `Ok` responses (code 0, which is
@@ -170,6 +169,19 @@ impl From<io::Error> for WireError {
     }
 }
 
+/// The cursor's errors in this protocol's words: a short payload is
+/// `truncated payload`, whatever is left over is `trailing bytes` (the
+/// cursor raises no other kind on the fields read here).
+impl From<SnapError> for WireError {
+    fn from(e: SnapError) -> Self {
+        WireError::Corrupt(match e {
+            SnapError::TrailingBytes(_) => "trailing bytes",
+            SnapError::Corrupt(what) | SnapError::TooLarge(what) => what,
+            _ => "truncated payload",
+        })
+    }
+}
+
 /// One load-prediction query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PredictItem {
@@ -201,51 +213,76 @@ pub struct TrainItem {
     pub outcome: LoadOutcome,
 }
 
-/// Point-in-time counters for one shard, as reported by `Stats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
+/// Declares [`ShardStats`] and its wire record from one field list, in
+/// wire order; every field travels as a little-endian `u64`.
+macro_rules! shard_stats {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// Point-in-time counters for one shard, as reported by `Stats`.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct ShardStats {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl Record for ShardStats {
+            const BYTES: usize = 8 * [$(stringify!($field)),*].len();
+            const LIST: Counted = SHARDS;
+
+            fn put(&self, w: &mut SnapWriter) {
+                $(w.u64(self.$field);)*
+            }
+
+            fn get(r: &mut SnapReader<'_>) -> Result<Self, WireError> {
+                Ok(Self {
+                    $($field: r.u64(stringify!($field))?,)*
+                })
+            }
+        }
+    };
+}
+
+shard_stats! {
     /// Predict + train items processed.
-    pub requests: u64,
+    requests,
     /// Predict items processed.
-    pub predicts: u64,
+    predicts,
     /// Train items applied.
-    pub trains: u64,
+    trains,
     /// Train items dropped because their ticket had been evicted or did not
     /// match (the prediction outlived the pending window).
-    pub stale_trains: u64,
+    stale_trains,
     /// Pending predictions recycled before their train arrived (the
     /// in-flight window outran the shard's pending capacity); fatal when
     /// the pool runs with `strict_tickets`.
-    pub evicted_pending: u64,
+    evicted_pending,
     /// Applied trains that predicted `NoDependence` on a dependent outcome.
-    pub missed_dependencies: u64,
+    missed_dependencies,
     /// Applied trains that predicted `Dependence` on an independent
     /// outcome.
-    pub false_dependencies: u64,
+    false_dependencies,
     /// Applied trains that predicted `Bypass` on an independent outcome —
     /// the squash-causing shape a mistraining attacker induces
     /// (DESIGN.md §12).
-    pub false_bypasses: u64,
+    false_bypasses,
     /// Jobs the shard executed. `mascotd` runs each job on its own, so this
     /// equals `service_samples`.
-    pub batches: u64,
+    batches,
     /// Items rejected for a full queue. Always 0: the shards have no
     /// queue; the field stays until the next wire version.
-    pub rejected_full: u64,
+    rejected_full,
     /// Number of service-time samples in the histogram.
-    pub service_samples: u64,
+    service_samples,
     /// Approximate p50 service time per job, nanoseconds.
-    pub service_p50_ns: u64,
+    service_p50_ns,
     /// Approximate p99 service time per job, nanoseconds.
-    pub service_p99_ns: u64,
+    service_p99_ns,
     /// Entries restored into this shard's predictor at the last warm start
     /// or `Restore` (0 on a cold start).
-    pub restored_entries: u64,
+    restored_entries,
     /// Age of the restored snapshot at restore time, seconds (0 when cold).
-    pub snapshot_age_s: u64,
+    snapshot_age_s,
     /// Times this predictor state has been through a checkpoint/restore
     /// cycle (carried in the snapshot itself, so it survives restarts).
-    pub restarts: u64,
+    restarts,
 }
 
 /// The full `Stats` response: one entry per shard.
@@ -346,103 +383,138 @@ pub enum Response {
 }
 
 // ---------------------------------------------------------------------------
-// Little-endian payload primitives (same style as mascot_sim::codec).
+// Records and the counted-list codec.
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// How a counted list is prefixed and capped.
+struct Counted {
+    /// Bytes in the count prefix: 2 (`u16`) or 4 (`u32`).
+    prefix: usize,
+    /// Most records a list may hold, on encode and on decode.
+    max: usize,
+    /// Decode error for a count above `max`.
+    too_many: &'static str,
+    /// Decode error for a payload that is not `prefix + count * BYTES` long.
+    mismatch: &'static str,
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+/// Micro-batches: a `u16` count up to [`MAX_BATCH`].
+const BATCH: Counted = Counted {
+    prefix: 2,
+    max: MAX_BATCH,
+    too_many: "batch exceeds MAX_BATCH",
+    mismatch: "batch length mismatch",
+};
+
+/// Per-shard stats: a `u32` count up to [`MAX_SHARDS`].
+const SHARDS: Counted = Counted {
+    prefix: 4,
+    max: MAX_SHARDS,
+    too_many: "shard count exceeds limit",
+    mismatch: "stats length mismatch",
+};
+
+/// A fixed-size record that travels in a counted list filling a whole
+/// payload.
+trait Record: Sized {
+    /// Encoded size of one record.
+    const BYTES: usize;
+    /// The list the record travels in.
+    const LIST: Counted = BATCH;
+
+    /// Appends the record's `BYTES` bytes.
+    fn put(&self, w: &mut SnapWriter);
+
+    /// Reads one record, rejecting any field out of range.
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, WireError>;
+}
+
+impl Record for PredictItem {
+    const BYTES: usize = 16;
+
+    fn put(&self, w: &mut SnapWriter) {
+        w.u64(self.pc);
+        w.u64(self.store_seq);
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(WireError::Corrupt("truncated payload"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, WireError> {
+        Ok(PredictItem {
+            pc: r.u64("pc")?,
+            store_seq: r.u64("store seq")?,
+        })
+    }
+}
+
+impl Record for PredictReply {
+    /// Ticket, prediction tag, distance.
+    const BYTES: usize = 4 + 1 + 1;
+
+    fn put(&self, w: &mut SnapWriter) {
+        let (tag, dist) = match self.prediction {
+            MemDepPrediction::NoDependence => (0, 0),
+            MemDepPrediction::Dependence { distance } => (1, distance.get()),
+            MemDepPrediction::Bypass { distance } => (2, distance.get()),
+        };
+        w.u32(self.ticket);
+        w.u8(tag);
+        w.u8(dist);
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, WireError> {
+        let ticket = r.u32("ticket")?;
+        let (tag, dist) = (r.u8("prediction tag")?, r.u8("distance")?);
+        Ok(PredictReply {
+            ticket,
+            prediction: get_prediction(tag, dist)?,
+        })
     }
+}
 
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
+impl Record for TrainItem {
+    /// Ticket, pc, then the outcome: flag, distance, class, store pc and
+    /// branches between.
+    const BYTES: usize = 4 + 8 + 1 + 1 + 1 + 8 + 4;
 
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::Corrupt("trailing bytes"))
+    fn put(&self, w: &mut SnapWriter) {
+        w.u32(self.ticket);
+        w.u64(self.pc);
+        match &self.outcome.dependence {
+            // Flag 0 and every outcome field zero.
+            None => w.bytes(&[0; 15]),
+            Some(d) => {
+                w.u8(1);
+                w.u8(d.distance.get());
+                w.u8(d.class.code());
+                w.u64(d.store_pc);
+                w.u32(d.branches_between);
+            }
         }
     }
-}
 
-/// Reads and validates a batch count, bounding the upcoming allocation by
-/// the payload the peer actually sent.
-fn batch_count(r: &mut Reader<'_>, item_bytes: usize) -> Result<usize, WireError> {
-    let count = usize::from(r.u16()?);
-    if count > MAX_BATCH {
-        return Err(WireError::Corrupt("batch exceeds MAX_BATCH"));
+    fn get(r: &mut SnapReader<'_>) -> Result<Self, WireError> {
+        let (ticket, pc) = (r.u32("ticket")?, r.u64("pc")?);
+        let (flag, dist, class) = (r.u8("outcome flag")?, r.u8("distance")?, r.u8("class")?);
+        let (store_pc, branches_between) = (r.u64("store pc")?, r.u32("branches between")?);
+        let outcome = match flag {
+            // An independent outcome has one encoding: all fields zero.
+            0 if (dist, class, store_pc, branches_between) == (0, 0, 0, 0) => {
+                LoadOutcome::independent()
+            }
+            0 => return Err(WireError::Corrupt("fields on an independent outcome")),
+            1 => LoadOutcome::dependent(ObservedDependence {
+                distance: StoreDistance::new(u32::from(dist))
+                    .ok_or(WireError::Corrupt("outcome distance out of range"))?,
+                class: BypassClass::from_code(class).ok_or(WireError::Corrupt("bypass class"))?,
+                store_pc,
+                branches_between,
+            }),
+            _ => return Err(WireError::Corrupt("outcome flag")),
+        };
+        Ok(TrainItem {
+            ticket,
+            pc,
+            outcome,
+        })
     }
-    if r.buf.len() - r.pos != count * item_bytes {
-        return Err(WireError::Corrupt("batch length mismatch"));
-    }
-    Ok(count)
-}
-
-/// Validates an outgoing batch size against [`MAX_BATCH`] and returns the
-/// `u16` count prefix — the encode-time twin of [`batch_count`].
-fn batch_len(len: usize) -> Result<u16, WireError> {
-    if len > MAX_BATCH {
-        return Err(WireError::BatchTooLarge(len));
-    }
-    Ok(len as u16)
-}
-
-fn class_code(c: BypassClass) -> u8 {
-    match c {
-        BypassClass::DirectBypass => 0,
-        BypassClass::NoOffset => 1,
-        BypassClass::Offset => 2,
-        BypassClass::MdpOnly => 3,
-    }
-}
-
-fn class_from(code: u8) -> Result<BypassClass, WireError> {
-    Ok(match code {
-        0 => BypassClass::DirectBypass,
-        1 => BypassClass::NoOffset,
-        2 => BypassClass::Offset,
-        3 => BypassClass::MdpOnly,
-        _ => return Err(WireError::Corrupt("bypass class")),
-    })
-}
-
-fn put_prediction(out: &mut Vec<u8>, p: MemDepPrediction) {
-    let (tag, dist) = match p {
-        MemDepPrediction::NoDependence => (0u8, 0u8),
-        MemDepPrediction::Dependence { distance } => (1, distance.get()),
-        MemDepPrediction::Bypass { distance } => (2, distance.get()),
-    };
-    out.push(tag);
-    out.push(dist);
 }
 
 fn get_prediction(tag: u8, dist: u8) -> Result<MemDepPrediction, WireError> {
@@ -462,57 +534,93 @@ fn get_prediction(tag: u8, dist: u8) -> Result<MemDepPrediction, WireError> {
     })
 }
 
-fn put_outcome(out: &mut Vec<u8>, o: &LoadOutcome) {
-    match &o.dependence {
-        None => {
-            out.push(0);
-            out.push(0);
-            out.push(0);
-            out.extend_from_slice(&0u64.to_le_bytes());
-            out.extend_from_slice(&0u32.to_le_bytes());
-        }
-        Some(d) => {
-            out.push(1);
-            out.push(d.distance.get());
-            out.push(class_code(d.class));
-            out.extend_from_slice(&d.store_pc.to_le_bytes());
-            out.extend_from_slice(&d.branches_between.to_le_bytes());
-        }
+/// Encodes `items` as a whole frame: the count prefix, then each record.
+/// The count is checked against the list's cap first: the prefix is
+/// narrow, and an unchecked cast would truncate silently (65 536 items
+/// would go out as 0).
+fn list_frame<T: Record>(code: u8, items: &[T]) -> Result<Vec<u8>, WireError> {
+    let (list, n) = (T::LIST, items.len());
+    if n > list.max {
+        return Err(WireError::BatchTooLarge(n));
     }
+    Ok(frame(code, list.prefix + n * T::BYTES, |w| {
+        if list.prefix == 2 {
+            w.u16(n as u16);
+        } else {
+            w.u32(n as u32);
+        }
+        for item in items {
+            item.put(w);
+        }
+    }))
 }
 
-fn get_outcome(r: &mut Reader<'_>) -> Result<LoadOutcome, WireError> {
-    let flag = r.u8()?;
-    let dist = r.u8()?;
-    let class = r.u8()?;
-    let store_pc = r.u64()?;
-    let branches_between = r.u32()?;
-    match flag {
-        0 => Ok(LoadOutcome::independent()),
-        1 => Ok(LoadOutcome::dependent(ObservedDependence {
-            distance: StoreDistance::new(u32::from(dist))
-                .ok_or(WireError::Corrupt("outcome distance out of range"))?,
-            class: class_from(class)?,
-            store_pc,
-            branches_between,
-        })),
-        _ => Err(WireError::Corrupt("outcome flag")),
+/// Decodes a payload that is one counted list. The count is checked
+/// against the cap and the payload length before anything is allocated.
+fn get_list<T: Record>(payload: &[u8]) -> Result<Vec<T>, WireError> {
+    let list = T::LIST;
+    let mut r = SnapReader::new(payload);
+    let n = if list.prefix == 2 {
+        usize::from(r.u16("count")?)
+    } else {
+        r.u32("count")? as usize
+    };
+    if n > list.max {
+        return Err(WireError::Corrupt(list.too_many));
     }
+    if r.remaining() != n * T::BYTES {
+        return Err(WireError::Corrupt(list.mismatch));
+    }
+    let mut items = Vec::with_capacity(n);
+    for _ in 0..n {
+        items.push(T::get(&mut r)?);
+    }
+    r.finish()?;
+    Ok(items)
+}
+
+/// Decodes a fixed-layout payload with `get`, which must consume all of it.
+fn fixed<T>(
+    payload: &[u8],
+    get: impl FnOnce(&mut SnapReader<'_>) -> Result<T, SnapError>,
+) -> Result<T, WireError> {
+    let mut r = SnapReader::new(payload);
+    let value = get(&mut r)?;
+    r.finish()?;
+    Ok(value)
 }
 
 // ---------------------------------------------------------------------------
 // Framing.
 
+/// Writes a frame's header and then, through `put`, its payload into one
+/// buffer sized for `len` payload bytes; the header's length field is
+/// filled in from what `put` wrote.
+fn frame(code: u8, len: usize, put: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
+    let mut w = SnapWriter::with_capacity(HEADER_LEN + len);
+    w.bytes(&MAGIC);
+    w.u8(VERSION);
+    w.u8(code);
+    w.u32(0);
+    put(&mut w);
+    let mut out = w.into_bytes();
+    let len = out.len() - HEADER_LEN;
+    assert!(len <= max_payload(code), "payload exceeds limit");
+    out[6..HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+    out
+}
+
 /// Assembles a complete frame (header + payload) for a single `write_all`.
 pub fn encode_frame(code: u8, payload: &[u8]) -> Vec<u8> {
-    assert!(payload.len() <= max_payload(code), "payload exceeds limit");
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.push(code);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    frame(code, payload.len(), |w| w.bytes(payload))
+}
+
+/// A frame whose payload is an opaque snapshot container.
+fn blob_frame(code: u8, bytes: &[u8]) -> Result<Vec<u8>, WireError> {
+    if bytes.len() > MAX_SNAPSHOT_FRAME_PAYLOAD {
+        return Err(WireError::TooLarge(u32::MAX));
+    }
+    Ok(encode_frame(code, bytes))
 }
 
 /// Fills `buf` from `r`.
@@ -612,53 +720,22 @@ impl Request {
         }
     }
 
-    /// Encodes the payload (without the frame header).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::BatchTooLarge`] when a batch exceeds
-    /// [`MAX_BATCH`]: the count prefix is a `u16`, and an unchecked cast
-    /// would truncate silently (a 65 536-item batch would claim 0 items).
-    pub fn encode_payload(&self) -> Result<Vec<u8>, WireError> {
-        Ok(match self {
-            Request::Predict(items) => {
-                let count = batch_len(items.len())?;
-                let mut out = Vec::with_capacity(2 + items.len() * PREDICT_ITEM_BYTES);
-                out.extend_from_slice(&count.to_le_bytes());
-                for item in items {
-                    out.extend_from_slice(&item.pc.to_le_bytes());
-                    out.extend_from_slice(&item.store_seq.to_le_bytes());
-                }
-                out
-            }
-            Request::Train(items) => {
-                let count = batch_len(items.len())?;
-                let mut out = Vec::with_capacity(2 + items.len() * TRAIN_ITEM_BYTES);
-                out.extend_from_slice(&count.to_le_bytes());
-                for item in items {
-                    out.extend_from_slice(&item.ticket.to_le_bytes());
-                    out.extend_from_slice(&item.pc.to_le_bytes());
-                    put_outcome(&mut out, &item.outcome);
-                }
-                out
-            }
-            Request::Stats | Request::Shutdown | Request::Snapshot => Vec::new(),
-            Request::Restore(bytes) => {
-                if bytes.len() > MAX_SNAPSHOT_FRAME_PAYLOAD {
-                    return Err(WireError::TooLarge(u32::MAX));
-                }
-                bytes.clone()
-            }
-        })
-    }
-
     /// Assembles the complete request frame.
     ///
     /// # Errors
     ///
-    /// As in [`Request::encode_payload`].
+    /// Returns [`WireError::BatchTooLarge`] when a batch exceeds
+    /// [`MAX_BATCH`] (the count prefix is a `u16`, and an unchecked cast
+    /// would truncate silently), and [`WireError::TooLarge`] when a
+    /// `Restore` container exceeds [`MAX_SNAPSHOT_FRAME_PAYLOAD`].
     pub fn encode_frame(&self) -> Result<Vec<u8>, WireError> {
-        Ok(encode_frame(self.opcode() as u8, &self.encode_payload()?))
+        let code = self.opcode() as u8;
+        match self {
+            Request::Predict(items) => list_frame(code, items),
+            Request::Train(items) => list_frame(code, items),
+            Request::Stats | Request::Shutdown | Request::Snapshot => Ok(encode_frame(code, &[])),
+            Request::Restore(bytes) => blob_frame(code, bytes),
+        }
     }
 
     /// Decodes a request from a frame's code byte and payload.
@@ -668,45 +745,12 @@ impl Request {
     /// Returns a [`WireError`] on an unknown opcode, a length/batch-size
     /// mismatch, or an out-of-range field.
     pub fn decode(code: u8, payload: &[u8]) -> Result<Request, WireError> {
-        let mut r = Reader::new(payload);
         match Opcode::from_code(code)? {
-            Opcode::Predict => {
-                let count = batch_count(&mut r, PREDICT_ITEM_BYTES)?;
-                let mut items = Vec::with_capacity(count);
-                for _ in 0..count {
-                    items.push(PredictItem {
-                        pc: r.u64()?,
-                        store_seq: r.u64()?,
-                    });
-                }
-                r.finish()?;
-                Ok(Request::Predict(items))
-            }
-            Opcode::Train => {
-                let count = batch_count(&mut r, TRAIN_ITEM_BYTES)?;
-                let mut items = Vec::with_capacity(count);
-                for _ in 0..count {
-                    items.push(TrainItem {
-                        ticket: r.u32()?,
-                        pc: r.u64()?,
-                        outcome: get_outcome(&mut r)?,
-                    });
-                }
-                r.finish()?;
-                Ok(Request::Train(items))
-            }
-            Opcode::Stats => {
-                r.finish()?;
-                Ok(Request::Stats)
-            }
-            Opcode::Shutdown => {
-                r.finish()?;
-                Ok(Request::Shutdown)
-            }
-            Opcode::Snapshot => {
-                r.finish()?;
-                Ok(Request::Snapshot)
-            }
+            Opcode::Predict => get_list(payload).map(Request::Predict),
+            Opcode::Train => get_list(payload).map(Request::Train),
+            Opcode::Stats => fixed(payload, |_| Ok(Request::Stats)),
+            Opcode::Shutdown => fixed(payload, |_| Ok(Request::Shutdown)),
+            Opcode::Snapshot => fixed(payload, |_| Ok(Request::Snapshot)),
             // The snapshot container validates itself (magic, version,
             // checksum) in `mascot_snapshot`; the wire layer only bounds it.
             Opcode::Restore => Ok(Request::Restore(payload.to_vec())),
@@ -726,80 +770,31 @@ impl Response {
         }
     }
 
-    /// Encodes the payload (without the frame header).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::BatchTooLarge`] when a reply batch exceeds
-    /// [`MAX_BATCH`] or a stats report exceeds [`MAX_SHARDS`] — the count
-    /// prefixes are narrow, so oversizes must fail rather than truncate.
-    pub fn encode_payload(&self) -> Result<Vec<u8>, WireError> {
-        Ok(match self {
-            Response::Predict(replies) => {
-                let count = batch_len(replies.len())?;
-                let mut out = Vec::with_capacity(2 + replies.len() * PREDICT_REPLY_BYTES);
-                out.extend_from_slice(&count.to_le_bytes());
-                for reply in replies {
-                    out.extend_from_slice(&reply.ticket.to_le_bytes());
-                    put_prediction(&mut out, reply.prediction);
-                }
-                out
-            }
-            Response::Train { applied, stale } => {
-                let mut out = Vec::with_capacity(8);
-                out.extend_from_slice(&applied.to_le_bytes());
-                out.extend_from_slice(&stale.to_le_bytes());
-                out
-            }
-            Response::Stats(report) => {
-                if report.shards.len() > MAX_SHARDS {
-                    return Err(WireError::BatchTooLarge(report.shards.len()));
-                }
-                let mut out = Vec::with_capacity(4 + report.shards.len() * SHARD_STATS_BYTES);
-                out.extend_from_slice(&(report.shards.len() as u32).to_le_bytes());
-                for s in &report.shards {
-                    for field in [
-                        s.requests,
-                        s.predicts,
-                        s.trains,
-                        s.stale_trains,
-                        s.evicted_pending,
-                        s.missed_dependencies,
-                        s.false_dependencies,
-                        s.false_bypasses,
-                        s.batches,
-                        s.rejected_full,
-                        s.service_samples,
-                        s.service_p50_ns,
-                        s.service_p99_ns,
-                        s.restored_entries,
-                        s.snapshot_age_s,
-                        s.restarts,
-                    ] {
-                        out.extend_from_slice(&field.to_le_bytes());
-                    }
-                }
-                out
-            }
-            Response::Shutdown { served } => served.to_le_bytes().to_vec(),
-            Response::Snapshot(bytes) => {
-                if bytes.len() > MAX_SNAPSHOT_FRAME_PAYLOAD {
-                    return Err(WireError::TooLarge(u32::MAX));
-                }
-                bytes.clone()
-            }
-            Response::Restore { restored_entries } => restored_entries.to_le_bytes().to_vec(),
-            Response::Error(msg) => msg.as_bytes().to_vec(),
-        })
-    }
-
     /// Assembles the complete response frame.
     ///
     /// # Errors
     ///
-    /// As in [`Response::encode_payload`].
+    /// Returns [`WireError::BatchTooLarge`] when a reply batch exceeds
+    /// [`MAX_BATCH`] or a stats report exceeds [`MAX_SHARDS`] (the count
+    /// prefixes are narrow, so oversizes must fail rather than truncate),
+    /// and [`WireError::TooLarge`] when a snapshot exceeds
+    /// [`MAX_SNAPSHOT_FRAME_PAYLOAD`].
     pub fn encode_frame(&self) -> Result<Vec<u8>, WireError> {
-        Ok(encode_frame(self.status() as u8, &self.encode_payload()?))
+        let code = self.status() as u8;
+        match self {
+            Response::Predict(replies) => list_frame(code, replies),
+            Response::Train { applied, stale } => Ok(frame(code, 8, |w| {
+                w.u32(*applied);
+                w.u32(*stale);
+            })),
+            Response::Stats(report) => list_frame(code, &report.shards),
+            Response::Shutdown { served } => Ok(frame(code, 8, |w| w.u64(*served))),
+            Response::Snapshot(bytes) => blob_frame(code, bytes),
+            Response::Restore { restored_entries } => {
+                Ok(frame(code, 8, |w| w.u64(*restored_entries)))
+            }
+            Response::Error(msg) => Ok(encode_frame(code, msg.as_bytes())),
+        }
     }
 
     /// Decodes a response to a request with opcode `for_op`.
@@ -809,83 +804,37 @@ impl Response {
     /// Returns a [`WireError`] on an unknown status, a length/batch-size
     /// mismatch, or an out-of-range field.
     pub fn decode(for_op: Opcode, code: u8, payload: &[u8]) -> Result<Response, WireError> {
-        let status = match code {
-            0 => Status::Ok,
-            2 => Status::Error,
+        match code {
+            0 => {}
+            2 => {
+                return String::from_utf8(payload.to_vec())
+                    .map(Response::Error)
+                    .map_err(|_| WireError::Corrupt("error message is not UTF-8"))
+            }
             other => return Err(WireError::BadStatus(other)),
-        };
-        let mut r = Reader::new(payload);
-        match status {
-            Status::Error => Ok(Response::Error(
-                String::from_utf8(payload.to_vec())
-                    .map_err(|_| WireError::Corrupt("error message is not UTF-8"))?,
-            )),
-            Status::Ok => match for_op {
-                Opcode::Predict => {
-                    let count = batch_count(&mut r, PREDICT_REPLY_BYTES)?;
-                    let mut replies = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        let ticket = r.u32()?;
-                        let tag = r.u8()?;
-                        let dist = r.u8()?;
-                        replies.push(PredictReply {
-                            ticket,
-                            prediction: get_prediction(tag, dist)?,
-                        });
-                    }
-                    r.finish()?;
-                    Ok(Response::Predict(replies))
-                }
-                Opcode::Train => {
-                    let applied = r.u32()?;
-                    let stale = r.u32()?;
-                    r.finish()?;
-                    Ok(Response::Train { applied, stale })
-                }
-                Opcode::Stats => {
-                    let count = r.u32()? as usize;
-                    if count > MAX_SHARDS {
-                        return Err(WireError::Corrupt("shard count exceeds limit"));
-                    }
-                    if r.buf.len() - r.pos != count * SHARD_STATS_BYTES {
-                        return Err(WireError::Corrupt("stats length mismatch"));
-                    }
-                    let mut shards = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        shards.push(ShardStats {
-                            requests: r.u64()?,
-                            predicts: r.u64()?,
-                            trains: r.u64()?,
-                            stale_trains: r.u64()?,
-                            evicted_pending: r.u64()?,
-                            missed_dependencies: r.u64()?,
-                            false_dependencies: r.u64()?,
-                            false_bypasses: r.u64()?,
-                            batches: r.u64()?,
-                            rejected_full: r.u64()?,
-                            service_samples: r.u64()?,
-                            service_p50_ns: r.u64()?,
-                            service_p99_ns: r.u64()?,
-                            restored_entries: r.u64()?,
-                            snapshot_age_s: r.u64()?,
-                            restarts: r.u64()?,
-                        });
-                    }
-                    r.finish()?;
-                    Ok(Response::Stats(StatsReport { shards }))
-                }
-                Opcode::Shutdown => {
-                    let served = r.u64()?;
-                    r.finish()?;
-                    Ok(Response::Shutdown { served })
-                }
-                Opcode::Snapshot => Ok(Response::Snapshot(payload.to_vec())),
-                Opcode::Restore => {
-                    let restored_entries = r.u64()?;
-                    r.finish()?;
-                    Ok(Response::Restore { restored_entries })
-                }
-            },
+        }
+        match for_op {
+            Opcode::Predict => get_list(payload).map(Response::Predict),
+            Opcode::Train => fixed(payload, |r| {
+                Ok(Response::Train {
+                    applied: r.u32("applied")?,
+                    stale: r.u32("stale")?,
+                })
+            }),
+            Opcode::Stats => {
+                get_list(payload).map(|shards| Response::Stats(StatsReport { shards }))
+            }
+            Opcode::Shutdown => fixed(payload, |r| {
+                Ok(Response::Shutdown {
+                    served: r.u64("served")?,
+                })
+            }),
+            Opcode::Snapshot => Ok(Response::Snapshot(payload.to_vec())),
+            Opcode::Restore => fixed(payload, |r| {
+                Ok(Response::Restore {
+                    restored_entries: r.u64("restored entries")?,
+                })
+            }),
         }
     }
 }
@@ -991,7 +940,7 @@ mod tests {
         assert_eq!(max_payload(Status::Ok as u8), MAX_SNAPSHOT_FRAME_PAYLOAD);
         assert_eq!(max_payload(Opcode::Predict as u8), MAX_FRAME_PAYLOAD);
         assert!(matches!(
-            Request::Restore(vec![0; MAX_SNAPSHOT_FRAME_PAYLOAD + 1]).encode_payload(),
+            Request::Restore(vec![0; MAX_SNAPSHOT_FRAME_PAYLOAD + 1]).encode_frame(),
             Err(WireError::TooLarge(_))
         ));
     }
@@ -1125,7 +1074,7 @@ mod tests {
         // Count does not match the payload length.
         let mut payload = Vec::new();
         payload.extend_from_slice(&2u16.to_le_bytes());
-        payload.extend_from_slice(&[0u8; PREDICT_ITEM_BYTES]); // only one item
+        payload.extend_from_slice(&[0u8; PredictItem::BYTES]); // only one item
         assert!(Request::decode(Opcode::Predict as u8, &payload).is_err());
         // Oversized frame length in the header.
         let mut frame = encode_frame(Opcode::Stats as u8, &[]);
@@ -1145,7 +1094,7 @@ mod tests {
         let item = PredictItem { pc: 0, store_seq: 0 };
         assert!(Request::Predict(vec![item; MAX_BATCH]).encode_frame().is_ok());
         for n in [MAX_BATCH + 1, 65_535, 65_536] {
-            match Request::Predict(vec![item; n]).encode_payload() {
+            match Request::Predict(vec![item; n]).encode_frame() {
                 Err(WireError::BatchTooLarge(m)) => assert_eq!(m, n),
                 other => panic!("expected BatchTooLarge for {n} items, got {other:?}"),
             }
@@ -1156,23 +1105,23 @@ mod tests {
             outcome: LoadOutcome::independent(),
         };
         assert!(matches!(
-            Request::Train(vec![train; 65_535]).encode_payload(),
+            Request::Train(vec![train; 65_535]).encode_frame(),
             Err(WireError::BatchTooLarge(65_535))
         ));
         let reply = PredictReply {
             ticket: 0,
             prediction: MemDepPrediction::NoDependence,
         };
-        assert!(Response::Predict(vec![reply; MAX_BATCH]).encode_payload().is_ok());
+        assert!(Response::Predict(vec![reply; MAX_BATCH]).encode_frame().is_ok());
         assert!(matches!(
-            Response::Predict(vec![reply; 65_536]).encode_payload(),
+            Response::Predict(vec![reply; 65_536]).encode_frame(),
             Err(WireError::BatchTooLarge(65_536))
         ));
         let report = StatsReport {
             shards: vec![ShardStats::default(); MAX_SHARDS + 1],
         };
         assert!(matches!(
-            Response::Stats(report).encode_payload(),
+            Response::Stats(report).encode_frame(),
             Err(WireError::BatchTooLarge(_))
         ));
     }
@@ -1190,6 +1139,73 @@ mod tests {
         }
         // Clean close between frames is Ok(None), not an error.
         assert!(read_frame(&mut [].as_slice()).unwrap().is_none());
+    }
+
+    /// An independent outcome has one encoding: flag 0 and every outcome
+    /// field zero. A non-zero field under flag 0 used to decode and be
+    /// dropped, so 112 one-bit corruptions of a one-item train batch read
+    /// as the same item.
+    #[test]
+    fn independent_outcome_rejects_nonzero_fields() {
+        let item = TrainItem {
+            ticket: 1,
+            pc: 2,
+            outcome: LoadOutcome::independent(),
+        };
+        let frame = Request::Train(vec![item]).encode_frame().unwrap();
+        let payload = &frame[HEADER_LEN..];
+        let flag_at = 2 + 4 + 8; // count, ticket, pc
+        assert_eq!(payload.len(), flag_at + 1 + 14);
+        for at in flag_at + 1..payload.len() {
+            let mut bad = payload.to_vec();
+            bad[at] = 1;
+            assert!(
+                matches!(
+                    Request::decode(Opcode::Train as u8, &bad),
+                    Err(WireError::Corrupt("fields on an independent outcome"))
+                ),
+                "a non-zero byte {at} on an independent outcome must be rejected"
+            );
+        }
+        assert_eq!(
+            Request::decode(Opcode::Train as u8, payload).unwrap(),
+            Request::Train(vec![item])
+        );
+    }
+
+    /// The server sends these messages back in `Error` frames; they are
+    /// part of the protocol's observable behaviour.
+    #[test]
+    fn malformed_payloads_keep_their_error_text() {
+        let request = |op: Opcode, payload: &[u8]| {
+            Request::decode(op as u8, payload).unwrap_err().to_string()
+        };
+        let stats = |payload: &[u8]| {
+            Response::decode(Opcode::Stats, 0, payload)
+                .unwrap_err()
+                .to_string()
+        };
+        assert_eq!(
+            request(Opcode::Predict, &u16::MAX.to_le_bytes()),
+            "corrupt frame: batch exceeds MAX_BATCH"
+        );
+        assert_eq!(
+            request(Opcode::Predict, &[1, 0]),
+            "corrupt frame: batch length mismatch"
+        );
+        assert_eq!(request(Opcode::Train, &[1]), "corrupt frame: truncated payload");
+        assert_eq!(request(Opcode::Stats, &[0]), "corrupt frame: trailing bytes");
+        assert_eq!(
+            stats(&u32::MAX.to_le_bytes()),
+            "corrupt frame: shard count exceeds limit"
+        );
+        assert_eq!(stats(&[1, 0, 0, 0]), "corrupt frame: stats length mismatch");
+        assert_eq!(
+            Response::decode(Opcode::Train, 0, &[0; 7])
+                .unwrap_err()
+                .to_string(),
+            "corrupt frame: truncated payload"
+        );
     }
 
     #[test]

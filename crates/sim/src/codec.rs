@@ -3,13 +3,17 @@
 //! Workload generation is deterministic but not free (ground-truth
 //! bookkeeping walks a byte-granular last-writer map); long experiment
 //! campaigns can encode each generated trace once and reload it from disk.
-//! The format is self-contained little-endian with a magic/version header —
-//! no external serialisation dependency.
+//! The format is self-contained little-endian with a magic/version header,
+//! read and written with the strict cursor that predictor snapshots and the
+//! serve wire protocol share ([`mascot_snapshot::SnapReader`] /
+//! [`mascot_snapshot::SnapWriter`]); a dependence's bypass class is its
+//! [`BypassClass::code`] byte.
 
 use std::io::{self, Read, Write};
 
 use mascot::history::BranchKind;
 use mascot::prediction::BypassClass;
+use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
 
 use crate::uop::{Trace, TraceDep, Uop, UopKind};
 
@@ -56,120 +60,74 @@ impl From<io::Error> for CodecError {
     }
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(CodecError::Corrupt("truncated"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
+/// The cursor's errors in this format's words: a short buffer is
+/// `truncated`, whatever is left over is `trailing bytes`, and a bad flag
+/// keeps the name of its field (the cursor raises no other kind).
+impl From<SnapError> for CodecError {
+    fn from(e: SnapError) -> Self {
+        CodecError::Corrupt(match e {
+            SnapError::TrailingBytes(_) => "trailing bytes",
+            SnapError::Corrupt(what) | SnapError::TooLarge(what) => what,
+            _ => "truncated",
+        })
     }
-
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-}
-
-fn put_reg(out: &mut Vec<u8>, r: Option<u8>) {
-    out.push(r.unwrap_or(NO_REG));
 }
 
 fn get_reg(r: u8) -> Option<u8> {
     (r != NO_REG).then_some(r)
 }
 
-fn class_code(c: BypassClass) -> u8 {
-    match c {
-        BypassClass::DirectBypass => 0,
-        BypassClass::NoOffset => 1,
-        BypassClass::Offset => 2,
-        BypassClass::MdpOnly => 3,
-    }
-}
-
-fn class_from(code: u8) -> Result<BypassClass, CodecError> {
-    Ok(match code {
-        0 => BypassClass::DirectBypass,
-        1 => BypassClass::NoOffset,
-        2 => BypassClass::Offset,
-        3 => BypassClass::MdpOnly,
-        _ => return Err(CodecError::Corrupt("bypass class")),
-    })
-}
-
 /// Encodes a trace into the binary format.
 pub fn encode(trace: &Trace) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32 + trace.len() * 16);
-    out.extend_from_slice(MAGIC);
-    out.push(VERSION);
     let name = trace.name.as_bytes();
-    out.extend_from_slice(&(name.len().min(u16::MAX as usize) as u16).to_le_bytes());
-    out.extend_from_slice(&name[..name.len().min(u16::MAX as usize)]);
-    out.extend_from_slice(&(trace.len() as u64).to_le_bytes());
+    let name = &name[..name.len().min(usize::from(u16::MAX))];
+    let mut w = SnapWriter::with_capacity(32 + trace.len() * 16);
+    w.bytes(MAGIC);
+    w.u8(VERSION);
+    w.u16(name.len() as u16);
+    w.bytes(name);
+    w.u64(trace.len() as u64);
     for uop in &trace.uops {
-        out.extend_from_slice(&uop.pc.to_le_bytes());
-        put_reg(&mut out, uop.srcs[0]);
-        put_reg(&mut out, uop.srcs[1]);
-        put_reg(&mut out, uop.dst);
-        out.push(uop.latency);
+        w.u64(uop.pc);
+        for reg in [uop.srcs[0], uop.srcs[1], uop.dst] {
+            w.u8(reg.unwrap_or(NO_REG));
+        }
+        w.u8(uop.latency);
         match uop.kind {
-            UopKind::Alu => out.push(0),
+            UopKind::Alu => w.u8(0),
             UopKind::Load { addr, size, dep } => {
-                out.push(1);
-                out.extend_from_slice(&addr.to_le_bytes());
-                out.push(size);
-                match dep {
-                    None => out.push(0),
-                    Some(d) => {
-                        out.push(1);
-                        out.extend_from_slice(&d.distance.to_le_bytes());
-                        out.push(class_code(d.class));
-                        out.extend_from_slice(&d.store_pc.to_le_bytes());
-                        out.extend_from_slice(&d.branches_between.to_le_bytes());
-                    }
+                w.u8(1);
+                w.u64(addr);
+                w.u8(size);
+                w.bool(dep.is_some());
+                if let Some(d) = dep {
+                    w.u32(d.distance);
+                    w.u8(d.class.code());
+                    w.u64(d.store_pc);
+                    w.u32(d.branches_between);
                 }
             }
             UopKind::Store { addr, size } => {
-                out.push(2);
-                out.extend_from_slice(&addr.to_le_bytes());
-                out.push(size);
+                w.u8(2);
+                w.u64(addr);
+                w.u8(size);
             }
             UopKind::Branch {
                 kind,
                 taken,
                 target,
             } => {
-                out.push(3);
-                out.push(match kind {
+                w.u8(3);
+                w.u8(match kind {
                     BranchKind::Conditional => 0,
                     BranchKind::Indirect => 1,
                 });
-                out.push(u8::from(taken));
-                out.extend_from_slice(&target.to_le_bytes());
+                w.bool(taken);
+                w.u64(target);
             }
         }
     }
-    out
+    w.into_bytes()
 }
 
 /// Decodes a trace from the binary format.
@@ -179,68 +137,65 @@ pub fn encode(trace: &Trace) -> Vec<u8> {
 /// Returns a [`CodecError`] on bad magic, unsupported version, truncation,
 /// or out-of-range field values.
 pub fn decode(bytes: &[u8]) -> Result<Trace, CodecError> {
-    let mut r = Reader { buf: bytes, pos: 0 };
-    if r.take(4)? != MAGIC {
+    let mut r = SnapReader::new(bytes);
+    if r.take(4, "magic")? != MAGIC {
         return Err(CodecError::BadMagic);
     }
-    let version = r.u8()?;
+    let version = r.u8("version")?;
     if version != VERSION {
         return Err(CodecError::BadVersion(version));
     }
-    let name_len = usize::from(r.u16()?);
-    let name = std::str::from_utf8(r.take(name_len)?)
+    let name_len = usize::from(r.u16("name length")?);
+    let name = std::str::from_utf8(r.take(name_len, "name")?)
         .map_err(|_| CodecError::Corrupt("name is not UTF-8"))?
         .to_string();
-    let count = r.u64()?;
+    let count = r.u64("uop count")?;
     // Every uop occupies at least 13 bytes (pc + regs + latency + kind tag);
     // bound the claimed count by the bytes actually remaining *before*
     // allocating, so an attacker-controlled header can never drive
     // `Vec::with_capacity` beyond the input's own size.
     const MIN_UOP_BYTES: u64 = 13;
-    let remaining = (bytes.len() - r.pos) as u64;
+    let remaining = r.remaining() as u64;
     if count.checked_mul(MIN_UOP_BYTES).is_none_or(|need| need > remaining) {
         return Err(CodecError::Corrupt("count exceeds payload"));
     }
     let mut uops = Vec::with_capacity(count as usize);
     for _ in 0..count {
-        let pc = r.u64()?;
-        let srcs = [get_reg(r.u8()?), get_reg(r.u8()?)];
-        let dst = get_reg(r.u8()?);
-        let latency = r.u8()?;
-        let kind = match r.u8()? {
+        let pc = r.u64("pc")?;
+        let srcs = [get_reg(r.u8("src")?), get_reg(r.u8("src")?)];
+        let dst = get_reg(r.u8("dst")?);
+        let latency = r.u8("latency")?;
+        let kind = match r.u8("uop kind")? {
             0 => UopKind::Alu,
             1 => {
-                let addr = r.u64()?;
-                let size = r.u8()?;
-                let dep = match r.u8()? {
-                    0 => None,
-                    1 => Some(TraceDep {
-                        distance: r.u32()?,
-                        class: class_from(r.u8()?)?,
-                        store_pc: r.u64()?,
-                        branches_between: r.u32()?,
-                    }),
-                    _ => return Err(CodecError::Corrupt("dep flag")),
+                let addr = r.u64("addr")?;
+                let size = r.u8("size")?;
+                let dep = if r.bool("dep flag")? {
+                    Some(TraceDep {
+                        distance: r.u32("distance")?,
+                        class: BypassClass::from_code(r.u8("bypass class")?)
+                            .ok_or(CodecError::Corrupt("bypass class"))?,
+                        store_pc: r.u64("store pc")?,
+                        branches_between: r.u32("branches between")?,
+                    })
+                } else {
+                    None
                 };
                 UopKind::Load { addr, size, dep }
             }
             2 => {
-                let addr = r.u64()?;
-                let size = r.u8()?;
+                let addr = r.u64("addr")?;
+                let size = r.u8("size")?;
                 UopKind::Store { addr, size }
             }
             3 => {
-                let kind = match r.u8()? {
+                let kind = match r.u8("branch kind")? {
                     0 => BranchKind::Conditional,
                     1 => BranchKind::Indirect,
                     _ => return Err(CodecError::Corrupt("branch kind")),
                 };
-                let taken = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(CodecError::Corrupt("taken flag")),
-                };
-                let target = r.u64()?;
+                let taken = r.bool("taken flag")?;
+                let target = r.u64("target")?;
                 UopKind::Branch {
                     kind,
                     taken,
@@ -257,9 +212,7 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, CodecError> {
             latency,
         });
     }
-    if r.pos != bytes.len() {
-        return Err(CodecError::Corrupt("trailing bytes"));
-    }
+    r.finish()?;
     Ok(Trace::new(name, uops))
 }
 
@@ -371,6 +324,24 @@ mod tests {
         let mut bytes = encode(&sample());
         bytes.push(0);
         assert!(matches!(decode(&bytes), Err(CodecError::Corrupt(_))));
+    }
+
+    /// Decode errors read the same whatever cursor produced them.
+    #[test]
+    fn errors_keep_their_text() {
+        let bytes = encode(&sample());
+        let text = |b: &[u8]| decode(b).unwrap_err().to_string();
+        assert_eq!(text(&bytes[..6]), "corrupt trace: truncated");
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert_eq!(text(&trailing), "corrupt trace: trailing bytes");
+        let mut taken = bytes.clone();
+        // The indirect branch's taken flag: behind it sit its 8-byte target
+        // and the final 23-byte load.
+        let at = bytes.len() - 23 - 8 - 1;
+        assert_eq!(taken[at], 1);
+        taken[at] = 2;
+        assert_eq!(text(&taken), "corrupt trace: taken flag");
     }
 
     #[test]

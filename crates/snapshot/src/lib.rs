@@ -1,8 +1,6 @@
 //! The MASCOT predictor snapshot format.
 //!
-//! A versioned, length-prefixed, checksummed little-endian container in the
-//! same codec discipline as the serve wire protocol (`mascot_serve::wire`)
-//! and the trace codec (`mascot_sim::codec`):
+//! A versioned, length-prefixed, checksummed little-endian container:
 //!
 //! ```text
 //! magic "MSNP" (4) | version (1) | label_len u16 | label (UTF-8)
@@ -21,9 +19,11 @@
 //! state is ever produced. A corrupt snapshot must cold-start the predictor,
 //! never warm-start it with garbage.
 //!
-//! This crate is dependency-free so that every layer (stats counters, core
-//! tables, baseline predictors, the serve daemon) can share one reader and
-//! writer without cycles.
+//! This crate is dependency-free so that every layer can share one strict
+//! little-endian cursor ([`SnapWriter`] / [`SnapReader`]) without cycles:
+//! stats counters, core tables and baseline predictors encode their state
+//! with it, and so do the trace codec (`mascot_sim::codec`) and the serve
+//! wire protocol (`mascot_serve::wire`).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -107,7 +107,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Little-endian append-only writer for snapshot payloads.
+/// Little-endian append-only writer: snapshot payloads, traces and wire
+/// frames.
 #[derive(Debug, Default)]
 pub struct SnapWriter {
     buf: Vec<u8>,
@@ -119,32 +120,46 @@ impl SnapWriter {
         Self::default()
     }
 
+    /// An empty writer with room for `n` bytes, for callers that know
+    /// their encoded size up front.
+    pub fn with_capacity(n: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(n),
+        }
+    }
+
     /// Appends one byte.
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Appends a boolean as a single `0`/`1` byte.
+    #[inline]
     pub fn bool(&mut self, v: bool) {
         self.buf.push(u8::from(v));
     }
 
     /// Appends a little-endian `u16`.
+    #[inline]
     pub fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends raw bytes (no length prefix).
+    #[inline]
     pub fn bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
@@ -171,9 +186,10 @@ impl SnapWriter {
     }
 }
 
-/// Strict little-endian reader for snapshot payloads. Every accessor fails
-/// on a short buffer; [`SnapReader::finish`] fails on trailing bytes, so a
-/// decoder that completes has consumed exactly the payload it was given.
+/// Strict little-endian reader: snapshot payloads, traces and wire frames.
+/// Every accessor fails on a short buffer; [`SnapReader::finish`] fails on
+/// trailing bytes, so a decoder that completes has consumed exactly the
+/// payload it was given.
 #[derive(Debug)]
 pub struct SnapReader<'a> {
     buf: &'a [u8],
@@ -182,11 +198,13 @@ pub struct SnapReader<'a> {
 
 impl<'a> SnapReader<'a> {
     /// A reader over `buf`.
+    #[inline]
     pub fn new(buf: &'a [u8]) -> Self {
         Self { buf, pos: 0 }
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -196,6 +214,7 @@ impl<'a> SnapReader<'a> {
     /// # Errors
     ///
     /// [`SnapError::Truncated`] when fewer than `n` bytes remain.
+    #[inline]
     pub fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], SnapError> {
         let end = self
             .pos
@@ -212,6 +231,7 @@ impl<'a> SnapReader<'a> {
     /// # Errors
     ///
     /// [`SnapError::Truncated`] at end of buffer.
+    #[inline]
     pub fn u8(&mut self, what: &'static str) -> Result<u8, SnapError> {
         Ok(self.take(1, what)?[0])
     }
@@ -222,6 +242,7 @@ impl<'a> SnapReader<'a> {
     ///
     /// [`SnapError::Truncated`] at end of buffer, [`SnapError::Corrupt`]
     /// when the byte is not a valid boolean.
+    #[inline]
     pub fn bool(&mut self, what: &'static str) -> Result<bool, SnapError> {
         match self.u8(what)? {
             0 => Ok(false),
@@ -235,6 +256,7 @@ impl<'a> SnapReader<'a> {
     /// # Errors
     ///
     /// [`SnapError::Truncated`] at end of buffer.
+    #[inline]
     pub fn u16(&mut self, what: &'static str) -> Result<u16, SnapError> {
         Ok(u16::from_le_bytes(
             self.take(2, what)?.try_into().expect("2 bytes"),
@@ -246,6 +268,7 @@ impl<'a> SnapReader<'a> {
     /// # Errors
     ///
     /// [`SnapError::Truncated`] at end of buffer.
+    #[inline]
     pub fn u32(&mut self, what: &'static str) -> Result<u32, SnapError> {
         Ok(u32::from_le_bytes(
             self.take(4, what)?.try_into().expect("4 bytes"),
@@ -257,6 +280,7 @@ impl<'a> SnapReader<'a> {
     /// # Errors
     ///
     /// [`SnapError::Truncated`] at end of buffer.
+    #[inline]
     pub fn u64(&mut self, what: &'static str) -> Result<u64, SnapError> {
         Ok(u64::from_le_bytes(
             self.take(8, what)?.try_into().expect("8 bytes"),
@@ -284,6 +308,7 @@ impl<'a> SnapReader<'a> {
     /// # Errors
     ///
     /// [`SnapError::TrailingBytes`] when bytes remain.
+    #[inline]
     pub fn finish(self) -> Result<(), SnapError> {
         match self.buf.len() - self.pos {
             0 => Ok(()),

@@ -108,3 +108,18 @@ fn exhaustive_single_byte_corruption_on_small_trace() {
         }
     }
 }
+
+/// The `.mtrc` bytes of a generated trace are frozen: FNV-1a digest and
+/// length of `encode` over a trace with every uop kind and bypass class.
+/// Traces on disk (`tests/repros/*.mtrc`, `mascotd --replay` inputs) must
+/// keep decoding after any codec refactor.
+#[test]
+fn encoded_trace_is_frozen() {
+    let profile = spec::profile("perlbench2").expect("known benchmark");
+    let bytes = encode(&mascot_workloads::generate(&profile, 7, 5_000));
+    assert_eq!(
+        (mascot_snapshot::fnv1a64(&bytes), bytes.len()),
+        (0x91f2_bbc8_e806_1578, 97_624),
+        "trace encoding drifted"
+    );
+}
