@@ -16,10 +16,44 @@
 //! to this crate: every table user reaches them through
 //! [`crate::tagged::TaggedTables`], which owns one log and one hasher per
 //! table.
+//!
+//! # The hot path has no variable-count shift
+//!
+//! Every branch advances four folds per table and every load probes every
+//! table, so this is the innermost loop of all five tagged structures. On
+//! baseline x86-64 (no BMI2, the workspace's build target) a shift by a
+//! register count (`shl/shr r64, cl`) costs several micro-ops, and the
+//! per-fold widths made every rotation such a shift. The hot path therefore
+//! works from constants fixed when a fold or hasher is built:
+//!
+//! - The log keeps a packed ring of each event's `[direction, path]` chunk
+//!   beside the events, over every age a fold can read. Slots older than
+//!   the retained log hold zeros, the chunk that contributes nothing, so
+//!   "no event has aged out yet" needs no branch. The bank reads each
+//!   distinct window edge once per branch; a squash rewrites the ring's
+//!   slots along with the log.
+//! - A fold advances with its mask (the rotate-by-one's wrap bit is the
+//!   compare `reg << 1 > mask`) and two 32-entry tables of what each chunk
+//!   XORs in as it enters and out as it leaves the window (squashed to the
+//!   fold width and rotated by `window % bits`). The tables are built once
+//!   per process for each `(width, rotation)` pair and shared by reference,
+//!   so cloning a bank copies two pointers per fold, not tables. A window-0
+//!   fold has mask 0 and all-zero tables, and so stays 0 without a test.
+//! - A probe takes each `p >> s` of the PC hash as the high word of `p`
+//!   times `2^(64 - s)`, with the multipliers and masks precomputed per
+//!   table.
+//!
+//! The derived constants are rebuilt from each fold's width and window, never
+//! stored in a snapshot. The recompute after a deep squash, and the
+//! per-fold `recompute` the fast path is tested against, fold with the plain
+//! shift-and-rotate formulation.
 
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::sync::OnceLock;
+
+use crate::tagged::MAX_TABLES;
 
 /// Control-flow class of a history event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -49,15 +83,15 @@ pub const CHUNK_BITS: u32 = 5;
 impl BranchEvent {
     /// The event's direction-history contribution: 1 bit for conditional
     /// branches, a 5-bit fold of the target for indirect branches (§IV-B).
+    ///
+    /// Both are computed and one selected without a branch: the kind is
+    /// data.
     #[inline]
     pub fn chunk(&self) -> u64 {
-        match self.kind {
-            BranchKind::Conditional => u64::from(self.taken),
-            BranchKind::Indirect => {
-                let t = self.target >> 2;
-                (t ^ (t >> 5) ^ (t >> 10) ^ (t >> 15)) & 0x1f
-            }
-        }
+        let t = self.target >> 2;
+        let folded = (t ^ (t >> 5) ^ (t >> 10) ^ (t >> 15)) & 0x1f;
+        let indirect = u64::from(self.kind == BranchKind::Indirect).wrapping_neg();
+        (folded & indirect) | (u64::from(self.taken) & !indirect)
     }
 
     /// The event's path-history contribution: low PC bits.
@@ -65,29 +99,103 @@ impl BranchEvent {
     pub fn path_chunk(&self) -> u64 {
         (self.pc >> 2) & 0x1f
     }
+
+    /// Both contributions, packed as one ring slot.
+    #[inline]
+    fn chunks(&self) -> [u8; 2] {
+        [self.chunk() as u8, self.path_chunk() as u8]
+    }
 }
 
-/// A bounded log of the most recent branch events, most recent last.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// What chunk `chunk` contributes to a `bits`-wide fold at rotation `rot`
+/// (`age % bits`): the chunk folded to the register width (kept as is when
+/// it fits, else its low bits XORed with the bits above them), rotated left
+/// by `rot` within `bits` bits. The plain shift-and-rotate formulation: the
+/// recompute folds with it directly, and it fills the [`fold_table`]s the
+/// incremental push reads.
+#[inline]
+fn rotated_chunk(bits: u32, chunk: u64, rot: u32) -> u64 {
+    debug_assert!(rot < bits, "rotation must be pre-reduced");
+    let mask = (1u64 << bits) - 1;
+    let x = if bits >= CHUNK_BITS {
+        chunk & mask
+    } else {
+        ((chunk >> bits) ^ chunk) & mask
+    };
+    if rot == 0 {
+        x
+    } else {
+        ((x << rot) | (x >> (bits - rot))) & mask
+    }
+}
+
+/// Chunk contributions of a fold that never changes (window 0).
+static ZERO_TABLE: [u64; 32] = [0; 32];
+
+/// One lazily built table per `(bits, rot)` pair with `bits` in `1..=63`
+/// and `rot < bits`, at index `bits * (bits - 1) / 2 + rot`. Boxed, so only
+/// the pairs some fold uses take table space.
+static FOLD_TABLES: [OnceLock<Box<[u64; 32]>>; 63 * 64 / 2] =
+    [const { OnceLock::new() }; 63 * 64 / 2];
+
+/// `rotated_chunk(bits, c, rot)` for every 5-bit chunk `c`, built once per
+/// process and shared by every fold of that width and rotation, so a fold
+/// carries two references instead of its own tables.
+fn fold_table(bits: u32, rot: u32) -> &'static [u64; 32] {
+    assert!(
+        (1..64).contains(&bits) && rot < bits,
+        "fold width must be in 1..=63 bits"
+    );
+    let slot = (bits * (bits - 1) / 2 + rot) as usize;
+    FOLD_TABLES[slot]
+        .get_or_init(|| Box::new(std::array::from_fn(|c| rotated_chunk(bits, c as u64, rot))))
+}
+
+/// A bounded log of the most recent branch events, most recent last, with
+/// the ring of their packed chunks that the folds read.
+///
+/// The ring covers the ages any fold can read: folds over a log span at
+/// most half its capacity (the bank sizes the log at twice its longest
+/// window), and a squash undo reads up to [`MAX_UNDO`] ages deeper. Within
+/// that reach the ring mirrors the log, and holds `[0, 0]` past the oldest
+/// retained event, except that after `j` pops without a replace (the undo
+/// fast path, which ends in one) the deepest `j` ages are stale.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct GlobalHistory {
     events: VecDeque<BranchEvent>,
     capacity: usize,
     total: u64,
+    /// `[direction, path]` chunks, newest at `head`, in a power-of-two ring
+    /// of at least `reach` slots.
+    chunks: Vec<[u8; 2]>,
+    head: usize,
+    /// Ages the ring mirrors: `capacity / 2 + MAX_UNDO`, at most `capacity`.
+    reach: usize,
 }
 
 impl GlobalHistory {
-    /// Creates a history log retaining the last `capacity` events.
+    /// Creates a history log retaining the last `capacity` events, for
+    /// folds of windows up to `capacity / 2`.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "history capacity must be non-zero");
+        let reach = (capacity / 2 + MAX_UNDO).min(capacity);
         Self {
             events: VecDeque::with_capacity(capacity),
             capacity,
             total: 0,
+            chunks: vec![[0; 2]; reach.next_power_of_two()],
+            head: 0,
+            reach,
         }
+    }
+
+    #[inline]
+    fn ring_mask(&self) -> usize {
+        self.chunks.len() - 1
     }
 
     /// Appends an event, evicting the oldest if at capacity.
@@ -97,10 +205,14 @@ impl GlobalHistory {
         }
         self.events.push_back(event);
         self.total += 1;
+        // Every other slot ages by one; the one reused for the new event
+        // falls out of the ring's reach.
+        self.head = (self.head + 1) & self.ring_mask();
+        self.chunks[self.head] = event.chunks();
     }
 
     /// The event `age` positions back (0 = most recent), if retained.
-    #[inline]
+    #[cfg(test)]
     pub fn event_at_age(&self, age: usize) -> Option<&BranchEvent> {
         let len = self.events.len();
         if age < len {
@@ -108,6 +220,15 @@ impl GlobalHistory {
         } else {
             None
         }
+    }
+
+    /// The `[direction, path]` chunks of the event `age` positions back, or
+    /// `[0, 0]` past the oldest retained event. `age` must be within the
+    /// ring's reach.
+    #[inline]
+    pub fn chunks_at_age(&self, age: usize) -> [u8; 2] {
+        debug_assert!(age < self.reach, "age {age} is beyond the ring's reach");
+        self.chunks[self.head.wrapping_sub(age) & self.ring_mask()]
     }
 
     /// Number of retained events.
@@ -124,10 +245,18 @@ impl GlobalHistory {
     /// Replaces the log contents with `events` (oldest first), used when
     /// restoring the architectural path after a squash.
     pub fn replace(&mut self, events: &[BranchEvent]) {
+        let retained = &events[events.len().saturating_sub(self.capacity)..];
         self.events.clear();
-        let skip = events.len().saturating_sub(self.capacity);
-        self.events.extend(events[skip..].iter().copied());
+        self.events.extend(retained.iter().copied());
         self.total = events.len() as u64;
+        let mask = self.ring_mask();
+        for age in 0..self.reach {
+            let slot = self.head.wrapping_sub(age) & mask;
+            self.chunks[slot] = match retained.len().checked_sub(age + 1) {
+                Some(i) => retained[i].chunks(),
+                None => [0; 2],
+            };
+        }
     }
 
     /// Iterates retained events, oldest first.
@@ -188,7 +317,7 @@ impl GlobalHistory {
         if total < len as u64 {
             return Err(SnapError::Corrupt("history total below retained count"));
         }
-        let mut events = VecDeque::with_capacity(capacity);
+        let mut events = Vec::new();
         for _ in 0..len {
             let pc = r.u64("event pc")?;
             let kind = match r.u8("event kind")? {
@@ -202,18 +331,17 @@ impl GlobalHistory {
                 _ => return Err(SnapError::Corrupt("taken flag out of range")),
             };
             let target = r.u64("event target")?;
-            events.push_back(BranchEvent {
+            events.push(BranchEvent {
                 pc,
                 kind,
                 taken,
                 target,
             });
         }
-        Ok(Self {
-            events,
-            capacity,
-            total,
-        })
+        let mut history = Self::new(capacity);
+        history.replace(&events);
+        history.total = total;
+        Ok(history)
     }
 
     /// Pops and returns the newest event (squash-undo support; see
@@ -222,6 +350,7 @@ impl GlobalHistory {
         let ev = self.events.pop_back();
         if ev.is_some() {
             self.total -= 1;
+            self.head = self.head.wrapping_sub(1) & self.ring_mask();
         }
         ev
     }
@@ -332,28 +461,90 @@ fn undo_depth(history: &GlobalHistory, max_window: u32, recent: &[BranchEvent]) 
     (max_window as usize + k <= history.capacity()).then_some(k)
 }
 
+/// The distinct window edges of a bank's hashers, and which edge each
+/// hasher's direction and path folds age their outgoing event out of.
+///
+/// Banks use few distinct windows (the path window caps at
+/// [`PATH_WINDOW`], and tables share lengths), so [`advance_hashers`]
+/// reads each edge's chunks from the ring once per branch and hands them to
+/// every hasher that needs them.
+#[derive(Debug, Clone)]
+pub(crate) struct WindowEdges {
+    /// Distinct ages (`window - 1`) at which an event leaves a window.
+    ages: Vec<usize>,
+    /// Per hasher, the `ages` slots of its direction and path windows.
+    slots: Vec<[u8; 2]>,
+}
+
+impl WindowEdges {
+    /// Maps every hasher's two windows to a shared edge.
+    pub fn new(hashers: &[TableHasher]) -> Self {
+        let mut ages = Vec::new();
+        let mut slot_of = |age: usize| {
+            let slot = ages.iter().position(|&a| a == age).unwrap_or_else(|| {
+                ages.push(age);
+                ages.len() - 1
+            });
+            slot as u8
+        };
+        let slots = hashers
+            .iter()
+            .map(|h| [slot_of(h.dir_edge()), slot_of(h.path_edge())])
+            .collect();
+        Self { ages, slots }
+    }
+}
+
+/// Advances every hasher by one branch and then pushes it into the log: the
+/// one per-branch path of every bank. Each distinct window edge's outgoing
+/// chunks are read once (see [`WindowEdges`]), before the push.
+#[inline]
+pub(crate) fn advance_hashers(
+    history: &mut GlobalHistory,
+    hashers: &mut [TableHasher],
+    edges: &WindowEdges,
+    event: &BranchEvent,
+) {
+    let mut outgoing = [[0u8; 2]; 2 * MAX_TABLES];
+    for (out, &age) in outgoing.iter_mut().zip(&edges.ages) {
+        *out = history.chunks_at_age(age);
+    }
+    let (dir, path) = (event.chunk(), event.path_chunk());
+    for (hasher, &[d, p]) in hashers.iter_mut().zip(&edges.slots) {
+        let out_dir = outgoing[usize::from(d)][0];
+        let out_path = outgoing[usize::from(p)][1];
+        hasher.advance(dir, path, u64::from(out_dir), u64::from(out_path));
+    }
+    history.push(*event);
+}
+
 /// A folded view of the last `window` history events, `bits` wide.
 ///
 /// The folded value is `XOR over events e of rotl(chunk(e), age(e) % bits)`,
 /// a pure function of the window contents. `window == 0` always folds to 0
 /// (the zero-history table is indexed by PC alone).
 ///
-/// Rotation amounts are kept pre-reduced (`window % bits` cached, ages
-/// tracked with wrapping counters) so the fold never executes a hardware
-/// divide: these registers advance on every branch for every table, and the
-/// `%` in the naive formulation dominated the history-maintenance profile.
+/// [`Self::push`] and [`Self::unpush`] run on every branch and squash for
+/// every table, so they execute no divide, no variable-count shift and no
+/// data-dependent branch: the rotation and masks are derived once from
+/// `bits` and `window` (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(from = "FoldedWire", into = "FoldedWire")]
 pub(crate) struct FoldedHistory {
     bits: u32,
     window: u32,
     reg: u64,
-    /// Cached `window % bits`: the rotation applied to outgoing chunks.
-    window_rot: u32,
+    /// `(1 << bits) - 1`, or 0 for a window-0 fold, which so stays 0.
+    mask: u64,
+    /// Per chunk, what an incoming event XORs in (rotation 0).
+    incoming: &'static [u64; 32],
+    /// Per chunk, what an outgoing event XORs out (rotation `window %
+    /// bits`).
+    outgoing: &'static [u64; 32],
 }
 
-/// Serialized image of [`FoldedHistory`]; the cached rotation constant is
-/// derived, so only the defining fields cross (de)serialization.
+/// Serialized image of [`FoldedHistory`]; the rotation and mask constants
+/// are derived, so only the defining fields cross (de)serialization.
 #[derive(Serialize, Deserialize)]
 struct FoldedWire {
     bits: u32,
@@ -364,10 +555,8 @@ struct FoldedWire {
 impl From<FoldedWire> for FoldedHistory {
     fn from(w: FoldedWire) -> Self {
         Self {
-            bits: w.bits,
-            window: w.window,
             reg: w.reg,
-            window_rot: if w.bits == 0 { 0 } else { w.window % w.bits },
+            ..Self::new(w.bits, w.window)
         }
     }
 }
@@ -390,11 +579,22 @@ impl FoldedHistory {
     /// Panics if `bits` is 0 or greater than 63.
     pub fn new(bits: u32, window: u32) -> Self {
         assert!(bits > 0 && bits < 64, "fold width must be in 1..=63 bits");
+        let (mask, incoming, outgoing) = if window == 0 {
+            (0, &ZERO_TABLE, &ZERO_TABLE)
+        } else {
+            (
+                (1u64 << bits) - 1,
+                fold_table(bits, 0),
+                fold_table(bits, window % bits),
+            )
+        };
         Self {
             bits,
             window,
             reg: 0,
-            window_rot: window % bits,
+            mask,
+            incoming,
+            outgoing,
         }
     }
 
@@ -404,31 +604,13 @@ impl FoldedHistory {
         self.reg
     }
 
+    /// The register rotated left by one within the mask: the bit shifted
+    /// past the mask re-enters at the bottom (a no-op at one bit, and 0
+    /// stays 0 under a zero mask).
     #[inline]
-    fn mask(&self) -> u64 {
-        (1u64 << self.bits) - 1
-    }
-
-    /// Rotate-left within `bits`; `r` must already be reduced mod `bits`.
-    #[inline]
-    fn rotl(&self, x: u64, r: u32) -> u64 {
-        debug_assert!(r < self.bits, "rotation must be pre-reduced");
-        let x = x & self.mask();
-        if r == 0 {
-            x
-        } else {
-            ((x << r) | (x >> (self.bits - r))) & self.mask()
-        }
-    }
-
-    /// Folds an up-to-`CHUNK_BITS`-bit chunk into the register width.
-    #[inline]
-    fn squash_chunk(&self, chunk: u64) -> u64 {
-        if self.bits >= CHUNK_BITS {
-            chunk & self.mask()
-        } else {
-            ((chunk >> self.bits) ^ chunk) & self.mask()
-        }
+    fn rotated_by_one(&self) -> u64 {
+        let shifted = self.reg << 1;
+        (shifted & self.mask) | u64::from(shifted > self.mask)
     }
 
     /// Incrementally advances the fold by one event.
@@ -436,18 +618,17 @@ impl FoldedHistory {
     /// `incoming` is the chunk of the newly inserted event; `outgoing` is
     /// the chunk of the event falling out of the window (i.e. the event that
     /// was at age `window - 1` before this push), or `None` while the window
-    /// is still filling.
+    /// is still filling — the same as a zero chunk, which the bank's ring
+    /// supplies past the oldest event. Both are [`CHUNK_BITS`]-bit chunks.
     #[inline]
     pub fn push(&mut self, incoming: u64, outgoing: Option<u64>) {
-        if self.window == 0 {
-            return;
-        }
-        self.reg = self.rotl(self.reg, u32::from(self.bits > 1));
-        self.reg ^= self.squash_chunk(incoming);
-        if let Some(out) = outgoing {
-            let fold = self.squash_chunk(out);
-            self.reg ^= self.rotl(fold, self.window_rot);
-        }
+        debug_assert!(
+            incoming < 32 && outgoing.unwrap_or(0) < 32,
+            "chunks are 5 bits"
+        );
+        self.reg = self.rotated_by_one()
+            ^ self.incoming[incoming as usize & 31]
+            ^ self.outgoing[outgoing.unwrap_or(0) as usize & 31];
     }
 
     /// Exactly inverts one [`Self::push`]: `incoming` is the chunk that
@@ -456,19 +637,13 @@ impl FoldedHistory {
     /// `window - 1`, or `None` if the window was not yet full.
     #[inline]
     pub fn unpush(&mut self, incoming: u64, outgoing: Option<u64>) {
-        if self.window == 0 {
-            return;
-        }
-        let mut reg = self.reg ^ self.squash_chunk(incoming);
-        if let Some(out) = outgoing {
-            reg ^= self.rotl(self.squash_chunk(out), self.window_rot);
-        }
-        // Inverse of push's leading rotl-by-one.
-        self.reg = if self.bits > 1 {
-            ((reg >> 1) | (reg << (self.bits - 1))) & self.mask()
-        } else {
-            reg & self.mask()
-        };
+        let reg = self.reg
+            ^ self.incoming[incoming as usize & 31]
+            ^ self.outgoing[outgoing.unwrap_or(0) as usize & 31];
+        // Inverse of push's rotate-by-one: the bottom bit re-enters at the
+        // top bit of the mask.
+        let top = self.mask ^ (self.mask >> 1);
+        self.reg = (reg >> 1) | ((reg & 1) * top);
     }
 
     /// Clears the register ahead of an accumulate-style recompute.
@@ -478,10 +653,11 @@ impl FoldedHistory {
     }
 
     /// Folds one event in during a recompute; `rot` must equal
-    /// `age % bits` for the event's age.
+    /// `age % bits` for the event's age. This computes the contribution
+    /// directly instead of through the push tables.
     #[inline]
     fn accumulate(&mut self, chunk: u64, rot: u32) {
-        self.reg ^= self.rotl(self.squash_chunk(chunk), rot);
+        self.reg ^= rotated_chunk(self.bits, chunk, rot);
     }
 
     /// Rebuilds the fold from scratch against a history log: the reference
@@ -507,6 +683,23 @@ impl FoldedHistory {
     }
 }
 
+/// `p >> s` as the high word of `p * mul`, for a `mul` from
+/// [`shr_multiplier`]: one multiply instead of a variable-count shift.
+#[inline]
+fn mul_shr(p: u64, mul: u64) -> u64 {
+    ((u128::from(p) * u128::from(mul)) >> 64) as u64
+}
+
+/// The multiplier `2^(64 - s)` that makes [`mul_shr`] shift right by `s`,
+/// for `s` in `1..64`; 0 (shift everything out) for any other `s`.
+fn shr_multiplier(s: u32) -> u64 {
+    if (1..64).contains(&s) {
+        1u64 << (64 - s)
+    } else {
+        0
+    }
+}
+
 /// Per-table hash state: direction-history, path-history and tag folds.
 ///
 /// Produces the set index and tag for one tagged table given a load PC, per
@@ -515,12 +708,17 @@ impl FoldedHistory {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct TableHasher {
     history_len: u32,
-    index_bits: u32,
     tag_bits: u32,
     index_fold: FoldedHistory,
     tag_fold_a: FoldedHistory,
     tag_fold_b: FoldedHistory,
     path_fold: FoldedHistory,
+    /// `(1 << index_bits) - 1` and `(1 << tag_bits) - 1`.
+    index_mask: u64,
+    tag_mask: u64,
+    /// [`shr_multiplier`]s for `p >> index_bits`, `p >> 2 * index_bits`
+    /// and `p >> tag_bits`, in that order.
+    pc_shr: [u64; 3],
 }
 
 /// Number of path-history events folded into the index (16-bit path history
@@ -533,20 +731,28 @@ impl TableHasher {
     ///
     /// # Panics
     ///
-    /// Panics if `index_bits` or `tag_bits` is zero or 64 or larger.
+    /// Panics if `index_bits` is 32 or larger, or `tag_bits` is zero or 64
+    /// or larger.
     pub fn new(history_len: u32, index_bits: u32, tag_bits: u32) -> Self {
+        assert!(index_bits < 32, "index must fit 32 bits");
         let tag_b = if tag_bits > 1 { tag_bits - 1 } else { tag_bits };
         // A single-set (index_bits == 0) table still needs non-zero-width
         // fold registers; its index mask zeroes the result regardless.
         let fold_bits = index_bits.max(1);
         Self {
             history_len,
-            index_bits,
             tag_bits,
             index_fold: FoldedHistory::new(fold_bits, history_len),
             tag_fold_a: FoldedHistory::new(tag_bits, history_len),
             tag_fold_b: FoldedHistory::new(tag_b, history_len),
             path_fold: FoldedHistory::new(fold_bits, history_len.min(PATH_WINDOW)),
+            index_mask: (1u64 << index_bits) - 1,
+            tag_mask: (1u64 << tag_bits) - 1,
+            pc_shr: [
+                shr_multiplier(index_bits),
+                shr_multiplier(2 * index_bits),
+                shr_multiplier(tag_bits),
+            ],
         }
     }
 
@@ -560,46 +766,54 @@ impl TableHasher {
         self.tag_bits
     }
 
-    /// Advances all folds by one branch. Must be called with the history log
-    /// state *before* the event is pushed into it (so outgoing events can be
-    /// located), in the same order for every hasher sharing the log.
-    pub fn on_branch(&mut self, history_before_push: &GlobalHistory, event: &BranchEvent) {
-        let outgoing = |window: u32| -> Option<&BranchEvent> {
-            if window == 0 {
-                return None;
-            }
-            history_before_push.event_at_age(window as usize - 1)
-        };
-        // One log lookup shared by the three direction folds (they age out
-        // the same event); the path fold may use a shorter window.
-        let out_dir = outgoing(self.history_len).map(BranchEvent::chunk);
-        let path_window = self.history_len.min(PATH_WINDOW);
-        let out_path = outgoing(path_window).map(BranchEvent::path_chunk);
-        let dir_chunk = event.chunk();
-        self.index_fold.push(dir_chunk, out_dir);
-        self.tag_fold_a.push(dir_chunk, out_dir);
-        self.tag_fold_b.push(dir_chunk, out_dir);
-        self.path_fold.push(event.path_chunk(), out_path);
+    /// The age (`window - 1`) at which an event leaves the direction
+    /// window. A window-0 fold ignores what it is handed, so any age does.
+    fn dir_edge(&self) -> usize {
+        self.history_len.saturating_sub(1) as usize
     }
 
-    /// Exactly inverts one [`Self::on_branch`] for `event`, the newest
-    /// event at the time, against the history log with that event already
-    /// popped (so outgoing chunks can be located at their window edges).
+    /// The age at which an event leaves the path window.
+    fn path_edge(&self) -> usize {
+        self.history_len.min(PATH_WINDOW).saturating_sub(1) as usize
+    }
+
+    /// Advances all four folds by one branch: `dir` and `path` are the new
+    /// event's chunks, `out_dir` and `out_path` the chunks leaving the
+    /// direction and path windows (zero while a window is filling).
+    #[inline]
+    fn advance(&mut self, dir: u64, path: u64, out_dir: u64, out_path: u64) {
+        self.index_fold.push(dir, Some(out_dir));
+        self.tag_fold_a.push(dir, Some(out_dir));
+        self.tag_fold_b.push(dir, Some(out_dir));
+        self.path_fold.push(path, Some(out_path));
+    }
+
+    /// Advances all folds by one branch on their own, reading this hasher's
+    /// window edges from the log *before* the event is pushed into it.
+    /// Banks advance through [`advance_hashers`] instead.
+    #[cfg(test)]
+    pub fn on_branch(&mut self, history_before_push: &GlobalHistory, event: &BranchEvent) {
+        let out_dir = history_before_push.chunks_at_age(self.dir_edge())[0];
+        let out_path = history_before_push.chunks_at_age(self.path_edge())[1];
+        self.advance(
+            event.chunk(),
+            event.path_chunk(),
+            u64::from(out_dir),
+            u64::from(out_path),
+        );
+    }
+
+    /// Exactly inverts one advance for `event`, the newest event at the
+    /// time, against the history log with that event already popped (so
+    /// outgoing chunks can be located at their window edges).
     pub fn unbranch(&mut self, history_after_pop: &GlobalHistory, event: &BranchEvent) {
-        let outgoing = |window: u32| -> Option<&BranchEvent> {
-            if window == 0 {
-                return None;
-            }
-            history_after_pop.event_at_age(window as usize - 1)
-        };
-        let out_dir = outgoing(self.history_len).map(BranchEvent::chunk);
-        let path_window = self.history_len.min(PATH_WINDOW);
-        let out_path = outgoing(path_window).map(BranchEvent::path_chunk);
+        let out_dir = u64::from(history_after_pop.chunks_at_age(self.dir_edge())[0]);
+        let out_path = u64::from(history_after_pop.chunks_at_age(self.path_edge())[1]);
         let dir_chunk = event.chunk();
-        self.index_fold.unpush(dir_chunk, out_dir);
-        self.tag_fold_a.unpush(dir_chunk, out_dir);
-        self.tag_fold_b.unpush(dir_chunk, out_dir);
-        self.path_fold.unpush(event.path_chunk(), out_path);
+        self.index_fold.unpush(dir_chunk, Some(out_dir));
+        self.tag_fold_a.unpush(dir_chunk, Some(out_dir));
+        self.tag_fold_b.unpush(dir_chunk, Some(out_dir));
+        self.path_fold.unpush(event.path_chunk(), Some(out_path));
     }
 
     /// Rebuilds all folds from the (already rewound) history log.
@@ -648,25 +862,30 @@ impl TableHasher {
         }
     }
 
-    /// The set index for `pc` under the current history.
+    /// The set index and tag for `pc` under the current history (§IV-B:
+    /// the load PC folded with the table's direction, path and tag
+    /// histories): the one probe hash of every table.
     #[inline]
+    pub fn lookup(&self, pc: u64) -> (u64, u64) {
+        let p = pc >> 2;
+        let [i1, i2, t] = self.pc_shr.map(|mul| mul_shr(p, mul));
+        let index =
+            (p ^ i1 ^ i2 ^ self.index_fold.value() ^ self.path_fold.value()) & self.index_mask;
+        let tag =
+            (p ^ t ^ self.tag_fold_a.value() ^ (self.tag_fold_b.value() << 1)) & self.tag_mask;
+        (index, tag)
+    }
+
+    /// The set index for `pc` under the current history.
+    #[cfg(test)]
     pub fn index(&self, pc: u64) -> u64 {
-        let pc = pc >> 2;
-        let mask = (1u64 << self.index_bits) - 1;
-        (pc ^ (pc >> self.index_bits)
-            ^ (pc >> (2 * self.index_bits))
-            ^ self.index_fold.value()
-            ^ self.path_fold.value())
-            & mask
+        self.lookup(pc).0
     }
 
     /// The tag for `pc` under the current history.
-    #[inline]
+    #[cfg(test)]
     pub fn tag(&self, pc: u64) -> u64 {
-        let pc = pc >> 2;
-        let mask = (1u64 << self.tag_bits) - 1;
-        (pc ^ (pc >> self.tag_bits) ^ self.tag_fold_a.value() ^ (self.tag_fold_b.value() << 1))
-            & mask
+        self.lookup(pc).1
     }
 }
 

@@ -9,24 +9,38 @@
 //!
 //! Tags and payloads live in two parallel flat vectors indexed by
 //! `slot_id = set * assoc + way`. A probe therefore scans a small contiguous
-//! run of `u64` tags — same-typed memory the compiler can compare with wide
-//! loads — and touches the payload array only on a hit. The previous
+//! run of `u32` tags — a four-way set is 16 bytes, four sets to a cache
+//! line — and touches the payload array only on a hit. The previous
 //! array-of-`Option<Entry>` layout interleaved tag, counters and the `Option`
 //! discriminant, so every tag compare dragged the whole entry through the
-//! cache and defeated autovectorization.
+//! cache and defeated autovectorization. Every probe scans the tag lane, so
+//! its width sets how many cache lines a predictor's tables occupy.
 //!
 //! An invalid (never-allocated) way is encoded by the sentinel tag
-//! [`INVALID_TAG`]. Real tags are partial-width (≤ 22 bits everywhere in this
-//! workspace), so the sentinel is unreachable by construction.
+//! [`INVALID_TAG`]. Real tags are partial-width (at most 31 bits: the
+//! tagged-table bank rejects wider tag widths), so the sentinel is
+//! unreachable by construction.
 
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
 use serde::{Deserialize, Serialize};
 
-/// Tag value marking an invalid (empty) way.
+/// Tag lane value marking an invalid (empty) way.
 ///
-/// Safe as a sentinel because every producer masks tags to well under 64
-/// bits (tagged-table hashers mask to `tag_bits`; NoSQ's widest tag is 22 bits).
-pub const INVALID_TAG: u64 = u64::MAX;
+/// Safe as a sentinel because every producer masks tags to at most 31 bits
+/// (tagged-table hashers mask to `tag_bits`, which `TaggedTables::new`
+/// limits to `1..=31`).
+pub const INVALID_TAG: u32 = u32::MAX;
+
+/// How a snapshot writes an invalid way's tag (tags cross the snapshot
+/// format as `u64`).
+const SNAP_INVALID_TAG: u64 = u64::MAX;
+
+/// A probe's tag as stored in the tag lane.
+#[inline]
+fn lane_tag(tag: u64) -> u32 {
+    debug_assert!(tag < u64::from(INVALID_TAG), "tags are at most 31 bits");
+    tag as u32
+}
 
 /// A set-associative table of tagged payloads in struct-of-arrays layout.
 ///
@@ -45,7 +59,7 @@ pub struct AssocTable<P> {
     sets: usize,
     assoc: usize,
     /// One tag per slot; [`INVALID_TAG`] marks an empty way.
-    tags: Vec<u64>,
+    tags: Vec<u32>,
     /// One payload per slot; meaningful only where the tag is valid.
     data: Vec<P>,
 }
@@ -105,13 +119,21 @@ impl<P> AssocTable<P> {
     }
 
     /// The way in set `index` holding `tag`, if any. Touches only the
-    /// contiguous tag lane — the cheapest possible probe.
+    /// contiguous tag lane. A four-way set compares every way without an
+    /// early exit (which way hits is data, so a scan that stopped at the
+    /// hit would branch on it); other associativities scan to the first hit.
     #[inline]
     pub fn way_of(&self, index: u64, tag: u64) -> Option<usize> {
-        let base = self.set_base(index);
-        self.tags[base..base + self.assoc]
-            .iter()
-            .position(|&t| t == tag)
+        let tags = self.set_tags(index);
+        let matches = |t: u32| u64::from(t) == tag;
+        match <&[u32; 4]>::try_from(tags) {
+            Ok(ways) => {
+                let hits = (0..4).fold(0u32, |hits, w| hits | (u32::from(matches(ways[w])) << w));
+                let way = hits.trailing_zeros() as usize;
+                (way < 4).then_some(way)
+            }
+            Err(_) => tags.iter().position(|&t| matches(t)),
+        }
     }
 
     /// Finds the payload with `tag` in set `index`.
@@ -137,7 +159,7 @@ impl<P> AssocTable<P> {
 
     /// The tags of one set's ways ([`INVALID_TAG`] where empty).
     #[inline]
-    pub fn set_tags(&self, index: u64) -> &[u64] {
+    pub fn set_tags(&self, index: u64) -> &[u32] {
         let base = self.set_base(index);
         &self.tags[base..base + self.assoc]
     }
@@ -152,9 +174,8 @@ impl<P> AssocTable<P> {
     /// slot whether or not it was valid.
     #[inline]
     pub fn insert_at(&mut self, index: u64, way: usize, tag: u64, payload: P) {
-        debug_assert_ne!(tag, INVALID_TAG, "real tags never equal the sentinel");
         let base = self.set_base(index);
-        self.tags[base + way] = tag;
+        self.tags[base + way] = lane_tag(tag);
         self.data[base + way] = payload;
     }
 
@@ -182,7 +203,7 @@ impl<P> AssocTable<P> {
                     self.tags[base + way] != INVALID_TAG && replaceable(&self.data[base + way])
                 })
             })?;
-        self.tags[base + victim] = tag;
+        self.tags[base + victim] = lane_tag(tag);
         self.data[base + victim] = payload;
         Some(victim)
     }
@@ -244,8 +265,11 @@ impl<P> AssocTable<P> {
         w.u32(self.sets as u32);
         w.u32(self.assoc as u32);
         for slot in 0..self.tags.len() {
-            w.u64(self.tags[slot]);
-            if self.tags[slot] != INVALID_TAG {
+            let tag = self.tags[slot];
+            if tag == INVALID_TAG {
+                w.u64(SNAP_INVALID_TAG);
+            } else {
+                w.u64(u64::from(tag));
                 enc(&self.data[slot], w);
             }
         }
@@ -278,13 +302,14 @@ impl<P> AssocTable<P> {
         }
         for slot in 0..self.tags.len() {
             let tag = r.u64("slot tag")?;
-            self.tags[slot] = tag;
-            if tag == INVALID_TAG {
+            if tag == SNAP_INVALID_TAG {
+                self.tags[slot] = INVALID_TAG;
                 continue;
             }
-            if !valid_tag(tag) {
+            if !valid_tag(tag) || tag >= u64::from(INVALID_TAG) {
                 return Err(SnapError::Corrupt("slot tag out of range"));
             }
+            self.tags[slot] = tag as u32;
             self.data[slot] = dec(r)?;
         }
         Ok(())
@@ -324,7 +349,7 @@ impl<P: Clone> AssocTable<P> {
             }
             let index = (slot / self.assoc) as u64;
             let incoming = &other.data[slot];
-            match self.find_mut(index, tag) {
+            match self.find_mut(index, u64::from(tag)) {
                 Some((_, incumbent)) => {
                     if resolve(incoming, incumbent) {
                         *incumbent = incoming.clone();
@@ -385,6 +410,21 @@ mod tests {
         assert_eq!(found.v, 1);
         assert!(t.find(5, 0xbb).is_none());
         assert!(t.find(4, 0xaa).is_none());
+    }
+
+    #[test]
+    fn wide_sets_find_every_way_and_miss_when_empty() {
+        let mut t = table(1, 64);
+        assert_eq!(t.way_of(0, 5), None);
+        assert!(t.find(0, 5).is_none());
+        t.insert_at(0, 40, 5, e(7));
+        assert_eq!(t.way_of(0, 5), Some(40));
+        assert_eq!(t.find(0, 5).map(|(way, p)| (way, p.v)), Some((40, 7)));
+        t.insert_at(0, 63, 5, e(8));
+        assert_eq!(t.way_of(0, 5), Some(40), "the lowest matching way wins");
+        t.invalidate(0, 40);
+        assert_eq!(t.way_of(0, 5), Some(63));
+        assert_eq!(t.way_of(0, 6), None);
     }
 
     #[test]
@@ -539,6 +579,21 @@ mod tests {
                 r.u8("evictable")?;
                 Ok(e(v))
             })
+            .is_err());
+        // A tag too wide for the tag lane fails closed even when the
+        // validator accepts it.
+        let mut w = SnapWriter::new();
+        w.u32(8);
+        w.u32(4);
+        w.u64(1 << 32);
+        w.u32(1);
+        for _ in 1..32 {
+            w.u64(u64::MAX);
+        }
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes);
+        assert!(table(8, 4)
+            .snap_decode_into(&mut r, |_| true, |r| Ok(e(r.u32("v")?)))
             .is_err());
     }
 

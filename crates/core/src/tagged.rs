@@ -12,7 +12,9 @@
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
 use serde::{Deserialize, Serialize};
 
-use crate::history::{rewind_hashers, BranchEvent, GlobalHistory, TableHasher};
+use crate::history::{
+    advance_hashers, rewind_hashers, BranchEvent, GlobalHistory, TableHasher, WindowEdges,
+};
 use crate::table::AssocTable;
 
 /// Upper bound on the tables in one bank, which sizes the fixed per-prediction
@@ -62,6 +64,8 @@ pub struct TaggedTables<E> {
     tables: Vec<AssocTable<E>>,
     /// One hasher per table, in table order.
     hashers: Vec<TableHasher>,
+    /// The hashers' distinct window edges, read once per branch.
+    edges: WindowEdges,
     history: GlobalHistory,
 }
 
@@ -75,21 +79,27 @@ impl<E: Clone> TaggedTables<E> {
     /// # Panics
     ///
     /// Panics on more than [`MAX_TABLES`] shapes, a non-power-of-two set
-    /// count, zero associativity, or a tag width outside `1..=63`.
+    /// count, zero associativity, or a tag width outside `1..=31` (tags
+    /// live in a `u32` lane whose all-ones value marks an empty way).
     pub fn new(shapes: &[TableShape], fill: E) -> Self {
         assert!(
             shapes.len() <= MAX_TABLES,
             "at most {MAX_TABLES} tables supported"
         );
+        assert!(
+            shapes.iter().all(|s| (1..=31).contains(&s.tag_bits)),
+            "tag widths must be in 1..=31 bits"
+        );
         let tables: Vec<_> = shapes
             .iter()
             .map(|s| AssocTable::new(s.sets, s.assoc, fill.clone()))
             .collect();
-        let hashers = shapes
+        let hashers: Vec<_> = shapes
             .iter()
             .zip(&tables)
             .map(|(s, t)| TableHasher::new(s.history_len, t.index_bits(), s.tag_bits))
             .collect();
+        let edges = WindowEdges::new(&hashers);
         let longest = shapes
             .iter()
             .map(|s| s.history_len as usize)
@@ -98,6 +108,7 @@ impl<E: Clone> TaggedTables<E> {
         Self {
             tables,
             hashers,
+            edges,
             history: GlobalHistory::new((longest * 2).max(64)),
         }
     }
@@ -141,19 +152,16 @@ impl<E> TaggedTables<E> {
     /// Table `t`'s coordinates for `pc` under the current history.
     #[inline]
     pub fn lookup(&self, t: usize, pc: u64) -> TableLookup {
-        let hasher = &self.hashers[t];
-        TableLookup {
-            index: hasher.index(pc) as u32,
-            tag: hasher.tag(pc) as u32,
-        }
+        table_lookup(&self.hashers[t], pc)
     }
 
-    /// Every table's coordinates for `pc` (default past the last table).
+    /// Every table's coordinates for `pc` (default past the last table), in
+    /// one pass over the tables' precomputed hash constants.
     #[inline]
     pub fn lookups(&self, pc: u64) -> [TableLookup; MAX_TABLES] {
         let mut lookups = [TableLookup::default(); MAX_TABLES];
-        for (t, slot) in lookups.iter_mut().enumerate().take(self.hashers.len()) {
-            *slot = self.lookup(t, pc);
+        for (slot, hasher) in lookups.iter_mut().zip(&self.hashers) {
+            *slot = table_lookup(hasher, pc);
         }
         lookups
     }
@@ -168,10 +176,7 @@ impl<E> TaggedTables<E> {
 
     /// Advances every hasher and then the history by one branch.
     pub fn on_branch(&mut self, event: &BranchEvent) {
-        for hasher in &mut self.hashers {
-            hasher.on_branch(&self.history, event);
-        }
-        self.history.push(*event);
+        advance_hashers(&mut self.history, &mut self.hashers, &self.edges, event);
     }
 
     /// Rewinds the history and every hasher to the architectural path
@@ -242,6 +247,16 @@ impl<E> TaggedTables<E> {
             table.snap_decode_into(r, |tag| tag < tag_limit, &mut dec)?;
         }
         Ok(())
+    }
+}
+
+/// One table's coordinates for `pc`.
+#[inline]
+fn table_lookup(hasher: &TableHasher, pc: u64) -> TableLookup {
+    let (index, tag) = hasher.lookup(pc);
+    TableLookup {
+        index: index as u32,
+        tag: tag as u32,
     }
 }
 

@@ -189,7 +189,10 @@ impl NoSq {
     }
 
     fn touch_lru(table: &mut AssocTable<NoSqEntry>, index: u64, tag: u64) {
-        let hit_way = table.set_tags(index).iter().rposition(|&t| t == tag);
+        let hit_way = table
+            .set_tags(index)
+            .iter()
+            .rposition(|&t| u64::from(t) == tag);
         if let Some(hit) = hit_way {
             table.for_each_valid_mut(index, |way, e| {
                 if way == hit {

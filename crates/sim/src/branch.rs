@@ -22,7 +22,8 @@ pub struct BranchPredictorConfig {
     pub history_lengths: Vec<u32>,
     /// Entries per tagged table.
     pub table_entries: u32,
-    /// Tag width in bits.
+    /// Tag width in bits, `1..=31` (the tagged tables keep tags in a `u32`
+    /// lane whose all-ones value marks an empty way).
     pub tag_bits: u8,
     /// Entries in the indirect-target table (power of two).
     pub btb_entries: usize,
@@ -88,10 +89,15 @@ impl TagePredictor {
     ///
     /// # Panics
     ///
-    /// Panics if table sizes are not powers of two.
+    /// Panics if table sizes are not powers of two or the tag width is
+    /// outside `1..=31`.
     pub fn new(cfg: BranchPredictorConfig) -> Self {
         assert!(cfg.bimodal_entries.is_power_of_two());
         assert!(cfg.btb_entries.is_power_of_two());
+        assert!(
+            (1..=31).contains(&cfg.tag_bits),
+            "TAGE tag width must be in 1..=31 bits"
+        );
         let fill = TageEntry {
             ctr: SaturatingCounter::new(3, 0),
             useful: SaturatingCounter::new(2, 0),
@@ -262,6 +268,15 @@ mod tests {
             p.on_branch(&event_for(pc, BranchKind::Conditional, taken, pc + 32));
         }
         correct as f64 / n as f64
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=31")]
+    fn tag_widths_past_the_tag_lane_are_rejected() {
+        TagePredictor::new(BranchPredictorConfig {
+            tag_bits: 32,
+            ..BranchPredictorConfig::default()
+        });
     }
 
     #[test]

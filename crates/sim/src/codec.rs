@@ -78,9 +78,13 @@ fn get_reg(r: u8) -> Option<u8> {
 }
 
 /// Encodes a trace into the binary format.
+///
+/// The name field holds at most 65,535 bytes: a longer name is cut at the
+/// last character boundary within that limit, so the stored name is always
+/// valid UTF-8 and [`decode`] reads it back as a prefix of the original.
 pub fn encode(trace: &Trace) -> Vec<u8> {
-    let name = trace.name.as_bytes();
-    let name = &name[..name.len().min(usize::from(u16::MAX))];
+    let name = &trace.name;
+    let name = &name.as_bytes()[..name.floor_char_boundary(usize::from(u16::MAX))];
     let mut w = SnapWriter::with_capacity(32 + trace.len() * 16);
     w.bytes(MAGIC);
     w.u8(VERSION);
@@ -294,6 +298,21 @@ mod tests {
         );
         let back = decode(&encode(&t)).unwrap();
         assert_eq!(t.uops, back.uops);
+    }
+
+    /// Over-long names are cut on a character boundary: a two-byte `é`
+    /// straddling the 65,535-byte limit is dropped whole, and a 70,000-byte
+    /// name keeps exactly its first 65,535 bytes.
+    #[test]
+    fn long_names_are_cut_on_a_char_boundary() {
+        let straddling = format!("{}é", "a".repeat(65_534));
+        let long = "b".repeat(70_000);
+        for (name, kept) in [(straddling, "a".repeat(65_534)), (long, "b".repeat(65_535))] {
+            let t = Trace::new(&name, sample().uops);
+            let back = decode(&encode(&t)).expect("an encoded trace decodes");
+            assert_eq!(back.name, kept);
+            assert_eq!(back.uops, t.uops);
+        }
     }
 
     #[test]

@@ -234,14 +234,16 @@ impl ReadyMask {
         }
         let k = k.min(self.count as usize);
         let nw = self.words.len();
-        let cap = nw * 64;
+        // Both the word count and the bit capacity are powers of two (see
+        // `new`), so the wraps below are masks rather than divides.
+        let (word_mask, bit_mask) = (nw - 1, self.mask as usize);
         let start = (front & self.mask) as usize;
         let (sw, sb) = (start / 64, start % 64);
         let mut taken = 0;
         // One lap around the circular window: the start word's upper bits,
         // the following words, then the start word's lower (wrapped) bits.
         for step in 0..=nw {
-            let wi = (sw + step) % nw;
+            let wi = (sw + step) & word_mask;
             let mut w = self.words[wi];
             if step == 0 {
                 w &= !0u64 << sb;
@@ -253,7 +255,7 @@ impl ReadyMask {
             }
             while w != 0 {
                 let b = wi * 64 + w.trailing_zeros() as usize;
-                out.push(front + ((b + cap - start) % cap) as u64);
+                out.push(front + (b.wrapping_sub(start) & bit_mask) as u64);
                 taken += 1;
                 if taken == k {
                     return;
