@@ -1084,6 +1084,39 @@ mod tests {
         ));
     }
 
+    /// A configuration one table past [`MAX_TABLES`]: valid in every other
+    /// respect, so only the table cap can reject it.
+    fn nine_table_cfg() -> MascotConfig {
+        let n = MAX_TABLES + 1;
+        let cfg = MascotConfig {
+            history_lengths: (0..n as u32).map(|i| i * 4).collect(),
+            table_entries: vec![64; n],
+            tag_bits: vec![12; n],
+            ..MascotConfig::default()
+        };
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg
+    }
+
+    #[test]
+    fn nine_table_config_is_rejected() {
+        assert!(matches!(
+            Mascot::new(nine_table_cfg()),
+            Err(crate::config::ConfigError::ShapeMismatch(msg)) if msg.contains("at most 8 tables")
+        ));
+    }
+
+    #[test]
+    fn nine_table_snapshot_is_corrupt() {
+        let mut w = SnapWriter::new();
+        nine_table_cfg().snap_encode(&mut w);
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            Mascot::snap_decode(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Corrupt(_))
+        ));
+    }
+
     /// Warm resharding: predictors trained on disjoint PC sets union into
     /// one that serves both, preferring the higher-confidence entry on
     /// collision.

@@ -18,8 +18,11 @@ use crate::history::{
 use crate::table::AssocTable;
 
 /// Upper bound on the tables in one bank, which sizes the fixed per-prediction
-/// lookup arrays.
-pub const MAX_TABLES: usize = 16;
+/// lookup arrays. Eight is what every shipped bank builds (MASCOT's Table II
+/// configuration, PHAST, MDP-TAGE, the frontend TAGE and every ablation);
+/// each further table adds 8 bytes to every prediction's metadata, which
+/// the predict→train hand-off copies per load (DESIGN.md §9).
+pub const MAX_TABLES: usize = 8;
 
 /// One table's lookup coordinates, captured at prediction time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -306,6 +309,18 @@ mod tests {
         let mut back = TaggedTables::new(shapes, 0u8);
         back.snap_decode_history(&mut SnapReader::new(&bytes))?;
         Ok(back)
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 tables supported")]
+    fn nine_tables_are_rejected() {
+        let shape = TableShape {
+            history_len: 4,
+            sets: 16,
+            assoc: 4,
+            tag_bits: 12,
+        };
+        let _ = TaggedTables::new(&[shape; MAX_TABLES + 1], 0u8);
     }
 
     #[test]

@@ -334,6 +334,18 @@ mod tests {
         ]
     }
 
+    /// Every prediction's metadata is copied from predict to train (the
+    /// functional warm-up, the simulator's load entries, batch outputs, the
+    /// serve shard's meta slab); at 136 bytes those copies went through
+    /// `memcpy`. Grow the record only as a measured decision.
+    #[test]
+    fn prediction_metadata_stays_small() {
+        let why = "per-load metadata grew past 80 bytes; measure the predict→train \
+                   copies before raising MAX_TABLES (DESIGN.md §9)";
+        assert!(std::mem::size_of::<AnyMeta>() <= 80, "{why}");
+        assert!(std::mem::size_of::<(MemDepPrediction, AnyMeta)>() <= 80, "{why}");
+    }
+
     #[test]
     fn names_are_distinct() {
         let ps = one_of_each();

@@ -15,7 +15,7 @@
 
 use mascot::history::BranchEvent;
 use mascot::prediction::{
-    GroundTruth, LoadOutcome, MemDepPredictor, MemDepPrediction, StoreDistance,
+    BypassClass, GroundTruth, LoadOutcome, MemDepPredictor, MemDepPrediction, StoreDistance,
 };
 use mascot::table::AssocTable;
 use mascot::tagged::{TableLookup, TableShape, TaggedTables};
@@ -348,9 +348,17 @@ impl MemDepPredictor for NoSq {
     ) {
         match outcome.dependence {
             Some(dep) if predicted.distance() == Some(dep.distance) => {
-                // Correct: reinforce the provider.
+                // Right store. A bypass of a partial overlap still failed
+                // (the core squashes it), so, as MASCOT does, reset the
+                // provider's confidence instead of reinforcing the bypass
+                // that failed; otherwise reinforce the provider.
+                let failed_bypass = predicted.is_bypass() && dep.class == BypassClass::MdpOnly;
                 if let Some(e) = self.provider_entry(&meta) {
-                    e.confidence.increment();
+                    if failed_bypass {
+                        e.confidence.reset();
+                    } else {
+                        e.confidence.increment();
+                    }
                 }
                 // Grow path-dependent coverage even when the
                 // path-independent table provided.
@@ -436,6 +444,38 @@ mod tests {
             p.train(pc, meta, pr, &dep(3));
         }
         assert!(p.predict(pc, 0, None).0.is_bypass());
+    }
+
+    /// A saturated bypass that meets a partial overlap at the right
+    /// distance is squashed by the core; training must not reinforce it,
+    /// or every replay re-earns the bypass that just failed.
+    #[test]
+    fn failed_bypass_resets_confidence() {
+        let mut p = NoSq::default();
+        let pc = 0x4400;
+        let (pred, meta) = p.predict(pc, 0, None);
+        p.train(pc, meta, pred, &dep(3));
+        for _ in 0..127 {
+            let (pr, meta) = p.predict(pc, 0, None);
+            p.train(pc, meta, pr, &dep(3));
+        }
+        let (pr, meta) = p.predict(pc, 0, None);
+        assert!(pr.is_bypass());
+        let partial = LoadOutcome::dependent(ObservedDependence {
+            distance: StoreDistance::new(3).unwrap(),
+            class: BypassClass::MdpOnly,
+            store_pc: 0x2000,
+            branches_between: 0,
+        });
+        p.train(pc, meta, pr, &partial);
+        let (after, _) = p.predict(pc, 0, None);
+        assert_eq!(
+            after,
+            MemDepPrediction::Dependence {
+                distance: StoreDistance::new(3).unwrap()
+            },
+            "a failed bypass must drop back to wait-only"
+        );
     }
 
     #[test]

@@ -592,6 +592,35 @@ mod tests {
         ));
     }
 
+    /// The default configuration grown by one table past [`MAX_TABLES`],
+    /// valid in every other respect.
+    fn nine_table_cfg() -> PhastConfig {
+        let mut cfg = PhastConfig::default();
+        cfg.history_lengths.push(256);
+        cfg.table_entries.push(512);
+        assert_eq!(cfg.history_lengths.len(), MAX_TABLES + 1);
+        cfg
+    }
+
+    #[test]
+    fn nine_table_config_fails_its_check() {
+        assert!(matches!(
+            nine_table_cfg().check(),
+            Err(SnapError::Corrupt(msg)) if msg.contains("shape is invalid")
+        ));
+    }
+
+    #[test]
+    fn nine_table_snapshot_is_corrupt() {
+        let mut w = SnapWriter::new();
+        nine_table_cfg().snap_encode(&mut w);
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            Phast::snap_decode(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Corrupt(msg)) if msg.contains("table count out of range")
+        ));
+    }
+
     #[test]
     #[should_panic(expected = "strictly increase")]
     fn new_rejects_non_increasing_history() {

@@ -90,9 +90,9 @@ pub struct SampledOutcome {
 }
 
 /// Builds the [`ClusterPlan`] for `trace` under `cfg`: slices, fingerprints
-/// every interval, clusters the fingerprints, and picks each cluster's
-/// representative (the member nearest its centroid; ties toward the lowest
-/// interval index). When `cfg.clusters >= interval count` every interval is
+/// every interval (on the [`parallel_map`] pool), clusters the
+/// fingerprints, and picks each cluster's representative (the member
+/// nearest its centroid; ties toward the lowest interval index). When `cfg.clusters >= interval count` every interval is
 /// its own cluster and represents itself — sampling degenerates to a full
 /// run, which is what the exactness property test leans on.
 ///
@@ -102,10 +102,9 @@ pub struct SampledOutcome {
 pub fn plan(trace: &Trace, cfg: &SamplingConfig) -> ClusterPlan {
     assert!(trace.len() > 0, "cannot sample an empty trace");
     let intervals = intervals(trace.len(), cfg.interval_uops);
-    let points: Vec<_> = intervals
-        .iter()
-        .map(|r| fingerprint(&trace.uops[r.clone()]))
-        .collect();
+    // Intervals fingerprint independently; the pool keeps input order, so
+    // the points are those of the serial loop.
+    let points = parallel_map(&intervals, |_, r| fingerprint(&trace.uops[r.clone()]));
 
     let (raw_assignments, centroids) = if cfg.clusters >= points.len() {
         // Identity clustering: skip k-means entirely so the degenerate

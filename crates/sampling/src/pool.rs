@@ -1,23 +1,36 @@
 //! A minimal scoped-thread worker pool.
 //!
-//! Both the sampling pipeline (one simulation per cluster representative)
-//! and the bench harness (one simulation per suite cell) need the same
-//! thing: run N independent jobs on however many cores exist, collect
-//! results *in input order*, and propagate panics. `std::thread::scope`
-//! gives us that without any dependency: workers claim job indices from a
-//! shared atomic counter and write results into per-job slots, so the
-//! output order is deterministic regardless of which worker ran what.
+//! The sampling pipeline (one fingerprint per interval, one simulation per
+//! cluster representative) and the bench harness (one simulation per suite
+//! cell) need the same thing: run N independent jobs on however many cores
+//! exist, collect results *in input order*, and propagate panics.
+//! `std::thread::scope` gives us that without any dependency: workers claim
+//! job indices from a shared atomic counter and write results into per-job
+//! slots, so the output order is deterministic regardless of which worker
+//! ran what.
+//!
+//! The calling thread is one of the workers: it runs a share of the jobs
+//! instead of waiting, so `workers − 1` threads are spawned. Besides saving
+//! a spawn, this keeps the caller's share of the result allocations in the
+//! main allocator arena, the discipline `FunctionalWarmer::at_boundaries`
+//! follows for the same reason (DESIGN.md §13: a second arena measurably
+//! raises peak RSS).
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Applies `f` to every item of `items` on a scoped worker pool and
 /// returns the results in input order. `f` receives `(index, &item)`.
 ///
-/// Spawns `min(available_parallelism, items.len())` workers (at least
-/// one); on a single-core host this degrades to an in-order sequential
-/// loop with no thread overhead beyond the one spawn. A panic in any job
-/// propagates out of the scope and unwinds the caller.
+/// Uses `min(available_parallelism, items.len())` workers, one of them the
+/// calling thread; on a single-core host, or for a single item, this is an
+/// in-order sequential loop on the caller with no spawn at all.
+///
+/// A panicking job does not stop the others. Once every worker has
+/// stopped, the first panic found (the caller's own, else the lowest
+/// spawned worker's) resumes on the calling thread with the job's own
+/// payload, whichever thread ran the job.
 pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -34,16 +47,25 @@ where
         .max(1);
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let out = f(i, item);
-                *slots[i].lock().expect("result slot poisoned") = Some(out);
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(i) else { break };
+        let out = f(i, item);
+        *slots[i].lock().expect("result slot poisoned") = Some(out);
+    };
+    let failed = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut failed = panic::catch_unwind(AssertUnwindSafe(work)).err();
+        for handle in spawned {
+            if let Err(payload) = handle.join() {
+                failed.get_or_insert(payload);
+            }
         }
+        failed
     });
+    if let Some(payload) = failed {
+        panic::resume_unwind(payload);
+    }
     slots
         .into_iter()
         .map(|slot| {
@@ -87,11 +109,16 @@ mod tests {
         assert_eq!(out.len(), 257);
     }
 
-    // `std::thread::scope` repackages a worker panic as its own, so the
-    // observable message is the scope's, not the job's — what matters is
-    // that the caller unwinds at all instead of losing the result.
     #[test]
-    #[should_panic(expected = "scoped thread panicked")]
+    fn a_single_job_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        assert_eq!(parallel_map(&[()], |_, _| std::thread::current().id()), vec![caller]);
+    }
+
+    // The job's own payload surfaces whether the calling thread or a
+    // spawned worker ran it.
+    #[test]
+    #[should_panic(expected = "job failed")]
     fn job_panics_propagate() {
         let items = vec![0u64, 1, 2];
         let _ = parallel_map(&items, |_, &x| {

@@ -51,6 +51,8 @@ const WATCHDOG_CYCLES: u64 = 500_000;
 /// Branch events retained for history rewind (covers the longest predictor
 /// history with slack).
 const REWIND_WINDOW: usize = 320;
+/// Retained branch events at which the log drops what no squash can read.
+const BRANCH_LOG_TRIM_AT: usize = 4 * REWIND_WINDOW;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
@@ -391,7 +393,13 @@ pub struct Simulator<'a, P: MemDepPredictor> {
     /// snoop reports.
     replay_outcome: FxHashMap<usize, ObservedDependence>,
 
+    /// The retained tail of the dispatched branch path: a squash rewinds
+    /// the predictors to the last [`REWIND_WINDOW`] events before its
+    /// victim, so older events are dropped (see `push_branch`).
     branch_log: Vec<BranchEvent>,
+    /// Absolute path position of `branch_log[0]`; `RobEntry::branch_log_len`
+    /// counts from the start of the run.
+    branch_log_base: usize,
     committed: u64,
     last_commit_cycle: u64,
     stats: SimStats,
@@ -475,6 +483,7 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
             conservative: FxHashSet::default(),
             replay_outcome: FxHashMap::default(),
             branch_log: Vec::new(),
+            branch_log_base: 0,
             committed: 0,
             last_commit_cycle: 0,
             stats: SimStats::default(),
@@ -1109,6 +1118,31 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
         self.squash_from(victim);
     }
 
+    /// Absolute path position one past the newest dispatched branch.
+    fn branch_log_end(&self) -> usize {
+        self.branch_log_base + self.branch_log.len()
+    }
+
+    /// Appends a dispatched branch to the log. Once the log holds
+    /// [`BRANCH_LOG_TRIM_AT`] events, drops those older than the window
+    /// before the ROB head: every squash victim is the head or younger, and
+    /// position is monotonic in ROB order, so no squash reads them. Drops
+    /// happen a window or more at a time, so the shift amortises.
+    fn push_branch(&mut self, ev: BranchEvent) {
+        if self.branch_log.len() >= BRANCH_LOG_TRIM_AT {
+            let oldest = self
+                .rob
+                .front()
+                .map_or(self.branch_log_end(), |e| e.branch_log_len);
+            let drop = oldest.saturating_sub(REWIND_WINDOW) - self.branch_log_base;
+            if drop >= REWIND_WINDOW {
+                self.branch_log.drain(..drop);
+                self.branch_log_base += drop;
+            }
+        }
+        self.branch_log.push(ev);
+    }
+
     fn squash_from(&mut self, victim: u64) {
         let vpos = self.pos_of(victim).expect("victim in ROB");
         let (trace_idx, branch_len, store_count) = {
@@ -1185,8 +1219,8 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
         // Rewind the speculative path.
         self.fetch_idx = trace_idx;
         self.store_seq_next = store_count;
-        self.branch_log.truncate(branch_len);
-        let tail_start = self.branch_log.len().saturating_sub(REWIND_WINDOW);
+        self.branch_log.truncate(branch_len - self.branch_log_base);
+        let tail_start = branch_len.saturating_sub(REWIND_WINDOW) - self.branch_log_base;
         self.pred.rewind_history(&self.branch_log[tail_start..]);
         self.bp.rewind_history(&self.branch_log[tail_start..]);
 
@@ -1531,7 +1565,7 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
                 };
                 self.bp.on_branch(&ev);
                 self.pred.on_branch(&ev);
-                self.branch_log.push(ev);
+                self.push_branch(ev);
                 if !correct {
                     self.pending_redirect = Some(id);
                     self.fetch_resume_at = u64::MAX;
@@ -1663,7 +1697,7 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
             complete_at: None,
             has_load_producer,
             dst: uop.dst,
-            branch_log_len: self.branch_log.len().saturating_sub(
+            branch_log_len: self.branch_log_end().saturating_sub(
                 // The branch's own event is context for *younger* uops, not
                 // for itself: rewinding to this uop must exclude it.
                 usize::from(matches!(uop.kind, UopKind::Branch { .. })),
@@ -2517,6 +2551,95 @@ mod tests {
         assert_eq!(stats.committed_uops, trace.len() as u64);
         assert!(stats.smb_squashes > 50, "smb squashes {}", stats.smb_squashes);
         assert!(stats.smb_errors + stats.false_dependencies + stats.correct_no_dep > 0);
+    }
+
+    /// Records every history rewind the engine asks of the predictor.
+    #[derive(Debug, Default)]
+    struct RewindCounter {
+        /// The rewound path of each call, oldest event first.
+        rewinds: Vec<Vec<BranchEvent>>,
+    }
+
+    impl MemDepPredictor for RewindCounter {
+        type Meta = ();
+        fn name(&self) -> &'static str {
+            "rewind-counter"
+        }
+        fn predict(&mut self, _: u64, _: u64, _: Option<&GroundTruth>) -> (MemDepPrediction, ()) {
+            (MemDepPrediction::NoDependence, ())
+        }
+        fn train(&mut self, _: u64, _: (), _: MemDepPrediction, _: &LoadOutcome) {}
+        fn on_branch(&mut self, _: &BranchEvent) {}
+        fn rewind_history(&mut self, recent: &[BranchEvent]) {
+            self.rewinds.push(recent.to_vec());
+        }
+        fn storage_bits(&self) -> u64 {
+            0
+        }
+    }
+
+    /// `n` ALU + branch pairs over distinct branch PCs and both directions.
+    fn branch_run(n: u64) -> Vec<Uop> {
+        let mut uops = Vec::new();
+        let mut state = 0x1234_5678u64;
+        for i in 0..n {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            uops.push(Uop::alu(0x100, [None, None], Some(1), 1));
+            uops.push(Uop::branch(0x1000 + (i % 997) * 4, (state >> 33) & 1 == 1, 0x200, Some(1)));
+        }
+        uops
+    }
+
+    /// A branch mispredict stalls fetch at dispatch and never rewinds the
+    /// predictor's history; only a squash (memory-order or SMB) does, once.
+    #[test]
+    fn only_squashes_rewind_history() {
+        let mut p = RewindCounter::default();
+        let stats = simulate(&Trace::new("branchy", branch_run(3000)), &golden(), &mut p);
+        assert!(stats.branch_mispredicts > 1000, "{}", stats.branch_mispredicts);
+        assert_eq!(stats.mem_order_squashes + stats.smb_squashes, 0);
+        assert!(p.rewinds.is_empty(), "{} rewinds", p.rewinds.len());
+
+        let mut p = RewindCounter::default();
+        let stats = simulate(&store_load_trace(1, 12), &golden(), &mut p);
+        assert_eq!(stats.mem_order_squashes, 1);
+        assert_eq!(p.rewinds.len(), 1);
+    }
+
+    /// A long run keeps the branch log to a few rewind windows, and a
+    /// squash at its end still rewinds the full window before the victim.
+    #[test]
+    fn branch_log_stays_bounded_and_rewinds_a_full_window() {
+        let mut uops = branch_run(5000);
+        let branches: Vec<BranchEvent> = uops
+            .iter()
+            .filter_map(|u| match u.kind {
+                UopKind::Branch { kind, taken, target } => Some(BranchEvent {
+                    pc: u.pc,
+                    kind,
+                    taken,
+                    target,
+                }),
+                _ => None,
+            })
+            .collect();
+        uops.extend(store_load_trace(1, 12).uops);
+        let trace = Trace::new("long-branchy", uops);
+        let (cfg, mut p) = (golden(), RewindCounter::default());
+        let mut sim = Simulator::new(&trace, &cfg, &mut p);
+        while sim.committed < trace.len() as u64 {
+            sim.step();
+            assert!(sim.branch_log.len() <= BRANCH_LOG_TRIM_AT, "{}", sim.branch_log.len());
+            // Every event a squash of the ROB head would read is retained.
+            if let Some(head) = sim.rob.front() {
+                assert!(sim.branch_log_base <= head.branch_log_len.saturating_sub(REWIND_WINDOW));
+            }
+        }
+        assert!(sim.branch_log_base > 0, "the log was never trimmed");
+        let stats = sim.run();
+        assert_eq!(stats.mem_order_squashes, 1);
+        assert_eq!(p.rewinds.len(), 1);
+        assert_eq!(p.rewinds[0], branches[branches.len() - REWIND_WINDOW..]);
     }
 
     #[test]

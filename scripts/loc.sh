@@ -4,9 +4,11 @@
 #
 #   scripts/loc.sh [REV]
 #
-# Only `.rs` files are counted. A file's non-test lines are those before its
-# first `#[cfg(test)]`; the rest of the file, and every file under a
-# `tests/` or `benches/` directory, are test lines. Files outside `crates/`
+# Only `.rs` files are counted. Test lines are every line of a file under a
+# `tests/` or `benches/` directory, and elsewhere each `#[cfg(test)]` item:
+# the attribute, through the item's closing brace (tracked by brace depth,
+# with string and char literals and `//` comments ignored) or its `;`.
+# Every other line is a non-test line. Files outside `crates/`
 # are grouped by their top directory (`perfbench`, `vendor`), and the root
 # package (`src/`, `tests/`, `examples/`) is reported as `(root)`. The
 # `crates/*` row sums the crates; `total` sums everything.
@@ -39,8 +41,28 @@ per_file() {
                     else if ((p[1] == "perfbench" || p[1] == "vendor") && n > 1) unit = p[1]
                     else unit = "(root)"
                 }
-                /^[[:space:]]*#\[cfg\(test\)\]/ { test = 1 }
-                { if (test) t++; else c++ }
+                # Brace depth change of a line, or "end" when a braceless
+                # item closes with its `;`.
+                function scan(s,    opens, closes) {
+                    gsub(/\\./, "", s)
+                    gsub(/"[^"]*"/, "", s)
+                    gsub(/\047[^\047]\047/, "", s)
+                    sub(/\/\/.*/, "", s)
+                    opens = gsub(/\{/, "", s)
+                    closes = gsub(/\}/, "", s)
+                    if (opens) opened = 1
+                    depth += opens - closes
+                    return opened ? depth <= 0 : s ~ /;/
+                }
+                test { t++; next }
+                item { t++; if (scan($0)) item = 0; next }
+                /^[[:space:]]*#\[cfg\(test\)\]/ {
+                    t++; depth = 0; opened = 0
+                    rest = $0; sub(/^[[:space:]]*#\[cfg\(test\)\]/, "", rest)
+                    item = !scan(rest)
+                    next
+                }
+                { c++ }
                 END { print unit, c + 0, t + 0 }'
     done
 }
