@@ -123,3 +123,53 @@ fn encoded_trace_is_frozen() {
         "trace encoding drifted"
     );
 }
+
+/// Freezes the trace generator: every benchmark profile at two seeds must
+/// generate exactly the trace it generated when these digests were taken
+/// (FNV-1a over the `.mtrc` encoding of 200k uops). Ground-truth labels,
+/// the RNG call sequence and every uop field are covered, so a refactor of
+/// the generator's bookkeeping cannot move a single emitted byte.
+#[test]
+fn generated_traces_are_frozen_for_every_profile() {
+    const SEEDS: [u64; 2] = [2025, 8191];
+    let frozen: [(&str, [u64; 2]); 24] = [
+        ("perlbench1", [0xa9f0_eac7_371f_cf20, 0x822f_0bca_d264_3e09]),
+        ("perlbench2", [0x57c8_6f75_a734_18b2, 0x537b_77e1_b976_5d20]),
+        ("gcc4", [0x5745_fed5_ed8c_a802, 0xcdc9_4f71_e682_fcaf]),
+        ("gcc5", [0x5ae3_321e_3f0a_9581, 0x3c16_0d15_02c6_f382]),
+        ("bwaves", [0x8f23_95ab_06e8_83f2, 0x76e2_d9c0_58c9_81a7]),
+        ("mcf", [0x39fa_1bd5_062e_cce4, 0xd99b_a317_d03c_97d7]),
+        ("cactuBSSN", [0x083d_3a2a_9561_2c59, 0xa493_957d_470e_ed20]),
+        ("namd", [0x3f33_0b99_5f0b_da34, 0xe83b_f5ee_ef6c_82ee]),
+        ("parest", [0xa653_f4ba_8807_dd35, 0x2edf_8d50_13ba_5c12]),
+        ("povray", [0x190e_7890_c5bf_3a70, 0xfe67_3106_5894_98e0]),
+        ("lbm", [0xbaec_d16a_32e0_a9aa, 0xbaf7_0c3e_38d3_89d7]),
+        ("omnetpp", [0x8368_185f_a314_f919, 0x5b44_c0a9_18c2_5849]),
+        ("wrf", [0x6013_d31b_4f11_0cd5, 0xb9af_59a5_f5a4_fbe3]),
+        ("xalancbmk", [0x44c5_dd7b_4f08_c179, 0x9de5_59d7_e8a3_a314]),
+        ("x264", [0xcac9_1888_a0a7_2297, 0xbe46_6810_0834_c425]),
+        ("blender", [0xc22c_f5e9_fa86_5077, 0x14a8_d225_2c2e_8660]),
+        ("deepsjeng", [0x8b40_a509_16bb_c46f, 0xc273_8013_4be8_45bc]),
+        ("imagick", [0x5f22_0859_1d48_c380, 0xff25_d6df_e855_0de8]),
+        ("leela", [0x01a7_b953_df5f_4534, 0xb4c6_c658_0cb1_ae77]),
+        ("nab", [0x69ea_3c2c_174f_8137, 0x7f59_db6e_46d6_c426]),
+        ("exchange2", [0x1173_a706_1856_b22f, 0x9800_6098_9a76_e20f]),
+        ("fotonik3d", [0x501f_7c2b_0b3f_22f3, 0x6b36_eb80_6e35_4555]),
+        ("roms", [0xd503_7bb1_2feb_6dc4, 0x815e_5e10_164e_f2bc]),
+        ("xz", [0x6381_ff45_94c7_b842, 0x6e2c_4c9f_bf8b_fdaf]),
+    ];
+    let got: Vec<(&str, [u64; 2])> = spec::all_profiles()
+        .iter()
+        .map(|p| {
+            let digest = |seed| {
+                mascot_snapshot::fnv1a64(&encode(&mascot_workloads::generate(p, seed, 200_000)))
+            };
+            (p.name, SEEDS.map(digest))
+        })
+        .collect();
+    let listing: String = got
+        .iter()
+        .map(|(name, [a, b])| format!("(\"{name}\", [{a:#018x}, {b:#018x}]),\n"))
+        .collect();
+    assert_eq!(got, frozen, "generated traces drifted; now:\n{listing}");
+}
