@@ -54,7 +54,7 @@ impl NoSqConfig {
     fn check(&self) -> Result<(), SnapError> {
         if self.associativity == 0
             || self.entries_per_table == 0
-            || self.entries_per_table % self.associativity != 0
+            || !self.entries_per_table.is_multiple_of(self.associativity)
             || !(self.entries_per_table / self.associativity).is_power_of_two()
         {
             return Err(SnapError::Corrupt("nosq table geometry is invalid"));

@@ -100,7 +100,7 @@ pub struct SampledOutcome {
 ///
 /// Panics if `trace` is empty.
 pub fn plan(trace: &Trace, cfg: &SamplingConfig) -> ClusterPlan {
-    assert!(trace.len() > 0, "cannot sample an empty trace");
+    assert!(!trace.is_empty(), "cannot sample an empty trace");
     let intervals = intervals(trace.len(), cfg.interval_uops);
     // Intervals fingerprint independently; the pool keeps input order, so
     // the points are those of the serial loop.

@@ -197,7 +197,7 @@ impl TagePredictor {
         }
         // Rotate the first candidate table to avoid pathological ping-pong.
         let span = self.bank.num_tables() - start;
-        let first = start + self.alloc_rotor % span.min(2);
+        let first = start + (self.alloc_rotor & (span.min(2) - 1));
         self.alloc_rotor = self.alloc_rotor.wrapping_add(1);
         for t in first..self.bank.num_tables() {
             let lk = self.bank.lookup(t, pc);

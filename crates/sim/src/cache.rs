@@ -41,8 +41,16 @@ const INVALID: u64 = u64::MAX;
 
 impl CacheLevel {
     /// Creates an empty level.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the line size and the set count are powers of two
+    /// (what [`CoreConfig::validate`] checks): sets and lines are found
+    /// with masks and shifts, not divides.
     pub fn new(cfg: CacheConfig) -> Self {
+        assert!(cfg.line_bytes.is_power_of_two(), "line size must be a power of two");
         let sets = cfg.sets();
+        assert!(sets.is_power_of_two(), "set count must be a non-zero power of two");
         let slots = (sets * u64::from(cfg.ways)) as usize;
         Self {
             cfg,
@@ -60,7 +68,7 @@ impl CacheLevel {
     }
 
     fn set_range(&self, line: u64) -> std::ops::Range<usize> {
-        let set = (line % self.sets) as usize;
+        let set = (line & (self.sets - 1)) as usize;
         let ways = self.cfg.ways as usize;
         set * ways..(set + 1) * ways
     }
@@ -132,6 +140,10 @@ struct Mshr {
     ready: u64,
 }
 
+/// Entries in the IP-stride prefetcher's table (a power of two: PCs index
+/// it by mask).
+const STRIDE_ENTRIES: usize = 256;
+
 /// IP-stride prefetcher state for one load PC.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 struct StrideEntry {
@@ -153,7 +165,8 @@ pub struct Hierarchy {
     /// L3 share.
     pub l3: CacheLevel,
     memory_latency: u32,
-    line_bytes: u64,
+    /// log2 of the line size: a line number is `addr >> line_shift`.
+    line_shift: u32,
     mshrs: Vec<Mshr>,
     /// Earliest `ready` among outstanding MSHRs (`u64::MAX` when empty);
     /// lets [`Hierarchy::retire_mshrs`] skip the scan while nothing can
@@ -171,6 +184,11 @@ pub struct Hierarchy {
 
 impl Hierarchy {
     /// Builds the hierarchy from a core configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a level's line size or set count is not a power of two
+    /// (see [`CacheLevel::new`]).
     pub fn new(cfg: &CoreConfig) -> Self {
         Self {
             l1i: CacheLevel::new(cfg.l1i),
@@ -178,20 +196,20 @@ impl Hierarchy {
             l2: CacheLevel::new(cfg.l2),
             l3: CacheLevel::new(cfg.l3),
             memory_latency: cfg.memory_latency,
-            line_bytes: u64::from(cfg.l1d.line_bytes),
+            line_shift: cfg.l1d.line_bytes.trailing_zeros(),
             mshrs: Vec::new(),
             mshr_min_ready: u64::MAX,
             last_inst: (INVALID, 0),
             mshr_capacity: cfg.l1d.mshrs as usize,
             prefetch_degree: cfg.prefetch_degree,
-            stride_table: vec![StrideEntry::default(); 256],
+            stride_table: vec![StrideEntry::default(); STRIDE_ENTRIES],
             prefetches_issued: 0,
         }
     }
 
     #[inline]
     fn line_of(&self, addr: u64) -> u64 {
-        addr / self.line_bytes
+        addr >> self.line_shift
     }
 
     fn retire_mshrs(&mut self, now: u64) {
@@ -347,7 +365,7 @@ impl Hierarchy {
     /// Updates the stride entry for `pc`/`addr`; returns the confirmed
     /// stride when confidence is high enough to prefetch.
     fn train_stride(&mut self, pc: u64, addr: u64) -> Option<i64> {
-        let slot = (pc >> 2) as usize % self.stride_table.len();
+        let slot = (pc >> 2) as usize & (STRIDE_ENTRIES - 1);
         let e = &mut self.stride_table[slot];
         if e.pc != pc {
             *e = StrideEntry {

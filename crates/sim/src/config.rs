@@ -177,6 +177,9 @@ impl CoreConfig {
             (&self.l2, "l2"),
             (&self.l3, "l3"),
         ] {
+            if !c.line_bytes.is_power_of_two() {
+                return Err(format!("{name}: line size must be a power of two"));
+            }
             if c.sets() == 0 || !c.sets().is_power_of_two() {
                 return Err(format!("{name}: set count must be a non-zero power of two"));
             }
@@ -224,6 +227,26 @@ mod tests {
         assert!(l.iq_entries > g.iq_entries);
         assert!(l.lq_entries > g.lq_entries);
         assert!(l.sb_entries > g.sb_entries);
+    }
+
+    #[test]
+    fn non_power_of_two_line_size_is_rejected() {
+        for line_bytes in [0, 48, 96] {
+            let mut c = CoreConfig::golden_cove();
+            c.l2.line_bytes = line_bytes;
+            c.l2.size_bytes = u64::from(line_bytes) * 1024 * u64::from(c.l2.ways);
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("l2: line size"), "{line_bytes}: {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "line size must be a power of two")]
+    fn hierarchy_rejects_non_power_of_two_line_size() {
+        let mut c = CoreConfig::golden_cove();
+        c.l1d.line_bytes = 96;
+        c.l1d.size_bytes = 96 * 64 * u64::from(c.l1d.ways);
+        let _ = crate::cache::Hierarchy::new(&c);
     }
 
     #[test]

@@ -881,19 +881,19 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
             .pick_oldest(front, self.cfg.alu_ports as usize, &mut picks);
 
         // Stores issue first within a cycle so same-cycle loads can forward.
-        for i in 0..loads_at {
-            self.issue_store(picks[i]);
+        for &id in &picks[..loads_at] {
+            self.issue_store(id);
         }
         // A failed load issue (MSHR file full) stops the load stream for
         // the cycle and consumes no budget, so at most `load_ports`
         // candidates are ever examined.
-        for i in loads_at..alus_at {
-            if !self.issue_load(picks[i]) {
+        for &id in &picks[loads_at..alus_at] {
+            if !self.issue_load(id) {
                 break; // structural stall on the MSHR file: retry next cycle
             }
         }
-        for i in alus_at..picks.len() {
-            self.issue_alu(picks[i]);
+        for &id in &picks[alus_at..] {
+            self.issue_alu(id);
         }
 
         self.scratch_issue = picks;

@@ -3,16 +3,16 @@
 //! The generator lowers a [`WorkloadProfile`] into a static "program" of
 //! sites with fixed PCs, registers, and memory slots, then emits iterations
 //! of that program with seeded randomness for branch directions. Ground
-//! truth is computed by replaying every store into a byte-granular
-//! last-writer map: each load is annotated with its youngest overlapping
-//! prior store (distance, Fig. 2 class, store PC and branch span), which is
-//! exactly the information the simulator's LSQ and the oracle predictors
-//! need.
+//! truth is computed by replaying every store into a last-writer table
+//! with one lane per byte, kept per 8-byte word: each load is annotated
+//! with its youngest overlapping prior store (distance, Fig. 2 class, store
+//! PC and branch span), which is exactly the information the simulator's
+//! LSQ and the oracle predictors need.
 
-use std::collections::HashMap;
+use std::ops::Range;
 
 use mascot_sim::uop::{Trace, TraceDep, Uop};
-use mascot_sim::BypassClass;
+use mascot_sim::{BypassClass, FxHashMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -48,19 +48,45 @@ struct StoreRec {
     branches_at: u64,
 }
 
+/// The lane value of a byte no store has written. Stores are numbered from
+/// 1 in the last-writer table, so a word's lanes start out unwritten.
+const NO_WRITER: u32 = 0;
+
 /// Incrementally builds a trace while tracking ground-truth dependencies.
 #[derive(Debug, Default)]
 pub struct TraceBuilder {
     uops: Vec<Uop>,
     stores: Vec<StoreRec>,
-    byte_writer: HashMap<u64, u32>,
+    /// Last writer of every byte ever stored to, keyed by 8-byte word: lane
+    /// `i` of word `w` holds the 1-based number of the youngest store to
+    /// byte `8w + i`, or [`NO_WRITER`].
+    word_writer: FxHashMap<u64, [u32; 8]>,
     branch_count: u64,
+}
+
+/// The 8-byte words `[addr, end)` touches, each with the byte lanes of it
+/// that the range covers.
+fn word_lanes(addr: u64, end: u64) -> impl Iterator<Item = (u64, Range<usize>)> {
+    (addr >> 3..end.div_ceil(8)).map(move |word| {
+        let base = word << 3;
+        let lo = addr.max(base) - base;
+        let hi = end.min(base.saturating_add(8)) - base;
+        (word, lo as usize..hi as usize)
+    })
 }
 
 impl TraceBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty builder with room for `uops` micro-ops.
+    pub fn with_capacity(uops: usize) -> Self {
+        Self {
+            uops: Vec::with_capacity(uops),
+            ..Self::default()
+        }
     }
 
     /// Number of micro-ops emitted so far.
@@ -92,7 +118,6 @@ impl TraceBuilder {
 
     /// Emits a store and records it as the last writer of its bytes.
     pub fn store(&mut self, pc: u64, addr: u64, size: u8, data_reg: u8) {
-        let number = self.stores.len() as u32;
         self.uops.push(Uop::store(pc, addr, size, None, Some(data_reg)));
         self.stores.push(StoreRec {
             addr,
@@ -100,8 +125,9 @@ impl TraceBuilder {
             pc,
             branches_at: self.branch_count,
         });
-        for b in addr..addr + u64::from(size) {
-            self.byte_writer.insert(b, number);
+        let number = self.stores.len() as u32;
+        for (word, lanes) in word_lanes(addr, addr + u64::from(size)) {
+            self.word_writer.entry(word).or_default()[lanes].fill(number);
         }
     }
 
@@ -113,12 +139,26 @@ impl TraceBuilder {
 
     /// The youngest prior store writing any byte of `[addr, addr+size)`.
     fn dep_for(&self, addr: u64, size: u8) -> Option<TraceDep> {
-        let writers: Vec<Option<u32>> = (addr..addr + u64::from(size))
-            .map(|b| self.byte_writer.get(&b).copied())
-            .collect();
-        let youngest = writers.iter().flatten().copied().max()?;
-        let s = &self.stores[youngest as usize];
-        let covers_all = writers.iter().all(|w| *w == Some(youngest));
+        // The youngest and oldest lane over the load's bytes: an unwritten
+        // byte counts as the oldest possible writer, so the load's bytes all
+        // come from one store exactly when the two agree.
+        let (mut youngest, mut oldest) = (NO_WRITER, u32::MAX);
+        for (word, lanes) in word_lanes(addr, addr + u64::from(size)) {
+            match self.word_writer.get(&word) {
+                Some(writers) => {
+                    for &w in &writers[lanes] {
+                        youngest = youngest.max(w);
+                        oldest = oldest.min(w);
+                    }
+                }
+                None => oldest = NO_WRITER,
+            }
+        }
+        if youngest == NO_WRITER {
+            return None;
+        }
+        let s = &self.stores[youngest as usize - 1];
+        let covers_all = oldest == youngest;
         let class = if covers_all {
             if s.addr == addr && s.size == size {
                 BypassClass::DirectBypass
@@ -131,7 +171,7 @@ impl TraceBuilder {
             BypassClass::MdpOnly
         };
         Some(TraceDep {
-            distance: self.stores.len() as u32 - youngest,
+            distance: self.stores.len() as u32 + 1 - youngest,
             class,
             store_pc: s.pc,
             branches_between: (self.branch_count - s.branches_at) as u32,
@@ -229,7 +269,6 @@ fn sample_class(rng: &mut StdRng, mix: &[f64; 4]) -> BypassClass {
 pub fn generate(profile: &WorkloadProfile, seed: u64, target_uops: usize) -> Trace {
     profile.validate().expect("invalid workload profile");
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-    let mut b = TraceBuilder::new();
 
     // ---- static program construction --------------------------------
     let num_pairs = profile.hammocks + profile.spill_fills;
@@ -254,8 +293,25 @@ pub fn generate(profile: &WorkloadProfile, seed: u64, target_uops: usize) -> Tra
     let mut chase_addr = CHASE_BASE;
     let mut iter: u64 = 0;
 
+    // The most uops one iteration can emit (every guard taken), so the
+    // buffer is allocated once: emission stops within an iteration of the
+    // target. A pair site emits its guard, store-data ALU, store, address
+    // ALU, load and value branch, plus a branch, ALU and store per filler.
+    let pair_uops =
+        6 + 3 * profile.distance_noise + profile.load_consumers + profile.coupled_loads;
+    let iter_uops = 1
+        + num_noise
+        + profile.indirect_branches
+        + num_pairs * pair_uops
+        + 3 * profile.store_chase
+        + profile.stream_loads
+        + profile.chase_loads
+        + profile.alu_per_iter;
+    let mut b = TraceBuilder::with_capacity(target_uops + iter_uops);
+
     // ---- emission ----------------------------------------------------
     while b.len() < target_uops {
+        let iter_start = b.len();
         // The static code copy executed this iteration (round-robin, like
         // an unrolled caller cycling through inlined copies): offsets every
         // PC, multiplying the static footprint the predictors must track.
@@ -429,6 +485,7 @@ pub fn generate(profile: &WorkloadProfile, seed: u64, target_uops: usize) -> Tra
             b.alu(pc, [None, None], Some(56 + (k % 8) as u8), lat);
         }
 
+        debug_assert!(b.len() - iter_start <= iter_uops, "iteration outgrew its bound");
         iter += 1;
     }
     b.build(profile.name)
@@ -438,6 +495,96 @@ pub fn generate(profile: &WorkloadProfile, seed: u64, target_uops: usize) -> Tra
 mod tests {
     use super::*;
     use mascot_sim::uop::UopKind;
+    use std::collections::BTreeMap;
+
+    /// The ground-truth definition, byte by byte: the last writer of every
+    /// byte in a plain ordered map, and each load's dependence recomputed
+    /// from the stores that wrote its bytes.
+    #[derive(Default)]
+    struct ByteReference {
+        writer: BTreeMap<u64, usize>,
+        /// `(addr, size, pc, branches_at)` of every store, oldest first.
+        stores: Vec<(u64, u8, u64, u64)>,
+        branches: u64,
+    }
+
+    impl ByteReference {
+        fn store(&mut self, pc: u64, addr: u64, size: u8) {
+            for byte in addr..addr + u64::from(size) {
+                self.writer.insert(byte, self.stores.len());
+            }
+            self.stores.push((addr, size, pc, self.branches));
+        }
+
+        fn dep(&self, addr: u64, size: u8) -> Option<TraceDep> {
+            let writers: Vec<Option<usize>> = (addr..addr + u64::from(size))
+                .map(|byte| self.writer.get(&byte).copied())
+                .collect();
+            let youngest = writers.iter().flatten().copied().max()?;
+            let (s_addr, s_size, pc, branches_at) = self.stores[youngest];
+            let class = if writers.iter().any(|w| *w != Some(youngest)) {
+                BypassClass::MdpOnly
+            } else if s_addr != addr {
+                BypassClass::Offset
+            } else if s_size != size {
+                BypassClass::NoOffset
+            } else {
+                BypassClass::DirectBypass
+            };
+            Some(TraceDep {
+                distance: (self.stores.len() - youngest) as u32,
+                class,
+                store_pc: pc,
+                branches_between: (self.branches - branches_at) as u32,
+            })
+        }
+    }
+
+    #[test]
+    fn dependence_labels_match_a_per_byte_reference() {
+        let mut classes = [0usize; 4];
+        let mut straddling = 0usize;
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut below = |n: u64| rng.random::<u64>() % n;
+            let mut b = TraceBuilder::new();
+            let mut reference = ByteReference::default();
+            // A window a few words wide keeps accesses overlapping; its
+            // base is unaligned for odd seeds.
+            let base = 0x1000_0000 + (seed % 2) * (1 + seed % 7);
+            let span = 16 + 8 * (seed % 6);
+            for op in 0..2_000u64 {
+                let pc = 0x40_0000 + 4 * op;
+                let addr = base + below(span);
+                let size = 1 + below(16) as u8;
+                match below(8) {
+                    0 => {
+                        b.branch(pc, true, None);
+                        reference.branches += 1;
+                    }
+                    1..=3 => {
+                        b.store(pc, addr, size, 1);
+                        reference.store(pc, addr, size);
+                    }
+                    _ => {
+                        b.load(pc, addr, size, 2, None);
+                        let UopKind::Load { dep, .. } = b.uops.last().unwrap().kind else {
+                            unreachable!("a load was just emitted");
+                        };
+                        let want = reference.dep(addr, size);
+                        assert_eq!(dep, want, "seed {seed} op {op}: load {addr:#x}+{size}");
+                        if let Some(d) = want {
+                            classes[d.class as usize] += 1;
+                            let last = addr + u64::from(size) - 1;
+                            straddling += usize::from(addr >> 3 != last >> 3);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(classes.iter().all(|&n| n > 100), "every class is exercised: {classes:?}");
+        assert!(straddling > 1_000, "word-straddling dependent loads: {straddling}");
+    }
 
     fn base() -> WorkloadProfile {
         WorkloadProfile::base("gen-test")
