@@ -581,6 +581,26 @@ fn pipelined_responses_are_byte_identical_across_servers() {
     );
 }
 
+/// The served bytes themselves are pinned, not only their equality across
+/// servers: a change to the event loop, the routing or the response
+/// encoder that alters a single response byte fails here. (FNV-1a of the
+/// whole response stream, its length) for 1 and 4 shards.
+#[test]
+fn pipelined_responses_are_frozen() {
+    let frozen: [(usize, u64, usize); 2] = [
+        (1, 0xe35e_d9e2_749d_5155, 63_618),
+        (4, 0xe85c_8d89_2e62_efa4, 63_618),
+    ];
+    for (shards, digest, len) in frozen {
+        let responses = serve_stream(&pipelined_stream(shards).0, shards);
+        assert_eq!(
+            (mascot_snapshot::fnv1a64(&responses), responses.len()),
+            (digest, len),
+            "{shards}-shard pipelined responses drifted"
+        );
+    }
+}
+
 /// A 1-node router is transparent: fed the same pipelined stream as a
 /// direct server, it answers with the same bytes, `Shutdown`'s served
 /// count (summed over the broadcast) included.
