@@ -420,7 +420,7 @@ fn pump_replies(
                 if replies.len() != items.len() {
                     return Err("predict reply count mismatch".to_string());
                 }
-                if conn.txns % args.train_every as u64 == 0 {
+                if conn.txns.is_multiple_of(args.train_every as u64) {
                     // Reply order matches request order: pair tickets with
                     // the items.
                     let trains: Vec<TrainItem> = items
@@ -537,10 +537,7 @@ fn worker_loop(addr: &str, args: &Args, worker_id: usize, failed: &AtomicBool) -
                 }
             }
             // Start transactions on idle connections.
-            for idx in 0..conns.len() {
-                let Some(conn) = conns[idx].as_mut() else {
-                    continue;
-                };
+            for conn in conns.iter_mut().flatten() {
                 if !matches!(conn.phase, Phase::Idle) {
                     continue;
                 }
@@ -572,12 +569,12 @@ fn worker_loop(addr: &str, args: &Args, worker_id: usize, failed: &AtomicBool) -
             }
         }
         // Flush queued request bytes (partial writes keep EPOLLOUT armed).
-        for idx in 0..conns.len() {
-            let Some(conn) = conns[idx].as_mut() else {
+        for (idx, slot) in conns.iter_mut().enumerate() {
+            let Some(conn) = slot.as_mut() else {
                 continue;
             };
             if let Err(e) = flush_conn(conn, idx as u64, &poller) {
-                let conn = conns[idx].take().expect("checked above");
+                let conn = slot.take().expect("checked above");
                 totals.lost += conn.phase.outstanding();
                 poller.delete(conn.stream.as_raw_fd());
                 live -= 1;
@@ -597,8 +594,7 @@ fn worker_loop(addr: &str, args: &Args, worker_id: usize, failed: &AtomicBool) -
             fail(format!("epoll_wait failed: {e}"));
             break;
         }
-        for i in 0..events.len() {
-            let ev = events[i];
+        for &ev in &events {
             let idx = ev.token as usize;
             let Some(conn) = conns.get_mut(idx).and_then(Option::as_mut) else {
                 continue;

@@ -12,12 +12,13 @@
 //! straight out of the buffer (no per-frame allocation) and handed to
 //! `Request::decode`.
 //!
-//! [`SendBuf`] is the mirror: responses are appended as encoded frames and
-//! flushed as far as the socket allows; a short write leaves the tail
-//! buffered for the next writability event. The event loop pauses reading
-//! from a connection whose send buffer grows past a threshold
-//! (backpressure: a peer that won't read its responses stops being served,
-//! rather than ballooning server memory — see DESIGN.md §11).
+//! [`SendBuf`] is the mirror: responses are encoded straight onto its end
+//! ([`SendBuf::tail`]) and flushed as far as the socket allows; a short
+//! write leaves the tail buffered for the next writability event. The
+//! event loop pauses reading from a connection whose send buffer grows
+//! past a threshold (backpressure: a peer that won't read its responses
+//! stops being served, rather than ballooning server memory — see
+//! DESIGN.md §11).
 //!
 //! [`Conn`] ties the two to a stream. Every request is answered before
 //! the next frame is parsed, so responses enter the send buffer — and
@@ -40,12 +41,18 @@ pub const READ_CHUNK: usize = 64 * 1024;
 pub const WRITE_BUF_PAUSE: usize = 256 * 1024;
 
 /// A growable receive buffer with start-offset consumption: bytes are
-/// appended by [`RecvBuf::fill`] and logically removed by advancing
-/// `start`, which is compacted away on the next fill.
+/// appended by [`RecvBuf::fill`] at `end` and logically removed by
+/// advancing `start`; the unconsumed `start..end` is moved to the front on
+/// the next fill.
+///
+/// `buf.len()` is the initialized length, never shortened: a fill reads
+/// straight into the bytes past `end`, so only capacity the buffer grows
+/// into is ever zeroed — once, not on every read.
 #[derive(Debug, Default)]
 pub struct RecvBuf {
     buf: Vec<u8>,
     start: usize,
+    end: usize,
 }
 
 impl RecvBuf {
@@ -56,7 +63,7 @@ impl RecvBuf {
 
     /// Bytes buffered and not yet consumed.
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.start
+        self.end - self.start
     }
 
     /// Reads up to `max` bytes from `stream`. Returns `Ok(0)` on EOF;
@@ -66,23 +73,19 @@ impl RecvBuf {
     /// # Errors
     ///
     /// Propagates the read error.
-    pub fn fill(&mut self, stream: &mut TcpStream, max: usize) -> io::Result<usize> {
+    pub fn fill(&mut self, stream: &mut impl Read, max: usize) -> io::Result<usize> {
         if self.start > 0 {
-            self.buf.drain(..self.start);
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
             self.start = 0;
         }
-        let old = self.buf.len();
-        self.buf.resize(old + max, 0);
-        match stream.read(&mut self.buf[old..]) {
-            Ok(n) => {
-                self.buf.truncate(old + n);
-                Ok(n)
-            }
-            Err(e) => {
-                self.buf.truncate(old);
-                Err(e)
-            }
+        let tail = self.end + max;
+        if self.buf.len() < tail {
+            self.buf.resize(tail, 0);
         }
+        let n = stream.read(&mut self.buf[self.end..tail])?;
+        self.end += n;
+        Ok(n)
     }
 
     /// Checks whether a complete frame is buffered. `Ok(Some((code,
@@ -96,7 +99,7 @@ impl RecvBuf {
     ///
     /// The same [`WireError`]s the blocking frame reader produces.
     pub fn peek_frame(&self) -> Result<Option<(u8, usize)>, WireError> {
-        let avail = &self.buf[self.start..];
+        let avail = &self.buf[self.start..self.end];
         if avail.len() < HEADER_LEN {
             return Ok(None);
         }
@@ -117,7 +120,7 @@ impl RecvBuf {
     /// Consumes the frame [`RecvBuf::peek_frame`] just reported.
     pub fn consume_frame(&mut self, payload_len: usize) {
         self.start += HEADER_LEN + payload_len;
-        debug_assert!(self.start <= self.buf.len());
+        debug_assert!(self.start <= self.end);
     }
 }
 
@@ -145,13 +148,19 @@ impl SendBuf {
         self.pending() == 0
     }
 
-    /// Appends an encoded frame.
-    pub fn push(&mut self, frame: &[u8]) {
+    /// The buffer to append encoded frames to (emptied first if
+    /// everything in it was flushed).
+    pub fn tail(&mut self) -> &mut Vec<u8> {
         if self.start == self.buf.len() {
             self.buf.clear();
             self.start = 0;
         }
-        self.buf.extend_from_slice(frame);
+        &mut self.buf
+    }
+
+    /// Appends an encoded frame.
+    pub fn push(&mut self, frame: &[u8]) {
+        self.tail().extend_from_slice(frame);
     }
 
     /// Writes as much as the socket accepts. `Ok(true)` when fully
@@ -240,7 +249,8 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{encode_frame, Opcode, Request};
+    use crate::wire::{encode_frame, Opcode, PredictItem, Request, TrainItem};
+    use mascot::prediction::LoadOutcome;
     use std::net::TcpListener;
 
     /// A loopback pair with the receiving end non-blocking.
@@ -312,16 +322,100 @@ mod tests {
     #[test]
     fn bad_header_is_rejected_before_payload_arrives() {
         let mut rd = RecvBuf::new();
-        // Inject a corrupt header directly: claimed payload never needed.
-        rd.buf.extend_from_slice(b"XSRV");
-        rd.buf.extend_from_slice(&[2, 1]);
-        rd.buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        // A corrupt header on its own: the claimed payload is never needed.
+        let mut header = b"XSRV".to_vec();
+        header.extend_from_slice(&[2, 1]);
+        header.extend_from_slice(&u32::MAX.to_le_bytes());
+        rd.fill(&mut header.as_slice(), READ_CHUNK).unwrap();
         assert!(matches!(rd.peek_frame(), Err(WireError::BadMagic)));
         let mut rd = RecvBuf::new();
         let mut frame = encode_frame(Opcode::Predict as u8, &[]);
         frame[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
-        rd.buf.extend_from_slice(&frame[..HEADER_LEN]);
+        rd.fill(&mut &frame[..HEADER_LEN], READ_CHUNK).unwrap();
         assert!(matches!(rd.peek_frame(), Err(WireError::TooLarge(_))));
+    }
+
+    /// Takes the complete frame at the front of `rd` and decodes it.
+    fn take_frame(rd: &mut RecvBuf) -> Option<Request> {
+        let (code, len) = rd.peek_frame().unwrap()?;
+        let req = Request::decode(code, rd.payload(len)).unwrap();
+        rd.consume_frame(len);
+        Some(req)
+    }
+
+    /// One read delivers a whole frame and half of the next; the second
+    /// half arrives after the first frame is consumed. The fill that
+    /// receives it moves the half frame to the front of the buffer, and the
+    /// frame must come out byte-identical.
+    #[test]
+    fn a_frame_split_across_reads_survives_compaction() {
+        let predict = Request::Predict(
+            (0..40)
+                .map(|i| PredictItem {
+                    pc: 0x1000 + 4 * i,
+                    store_seq: i,
+                })
+                .collect(),
+        );
+        let train = Request::Train(
+            (0..30)
+                .map(|i| TrainItem {
+                    ticket: i as u32,
+                    pc: 0x2000 + 8 * i,
+                    outcome: LoadOutcome::independent(),
+                })
+                .collect(),
+        );
+        let (a, b) = (
+            predict.encode_frame().unwrap(),
+            train.encode_frame().unwrap(),
+        );
+        let half = b.len() / 2;
+        let mut rd = RecvBuf::new();
+        let first = [&a[..], &b[..half]].concat();
+        assert_eq!(
+            rd.fill(&mut first.as_slice(), READ_CHUNK).unwrap(),
+            first.len()
+        );
+        assert_eq!(take_frame(&mut rd), Some(predict));
+        assert_eq!(take_frame(&mut rd), None, "half a frame is not a frame");
+        assert_eq!(
+            rd.fill(&mut &b[half..], READ_CHUNK).unwrap(),
+            b.len() - half
+        );
+        assert_eq!(
+            (rd.start, &rd.buf[..rd.end]),
+            (0, &b[..]),
+            "the fill moves the unconsumed bytes, and only them, to the front"
+        );
+        assert_eq!(take_frame(&mut rd), Some(train));
+        assert_eq!(rd.buffered(), 0);
+        // The buffer never grew past one read beyond the half frame it held.
+        assert!(rd.buf.len() <= half + READ_CHUNK);
+    }
+
+    /// A frame several read chunks long reassembles over as many fills,
+    /// each reading exactly one chunk (or the remainder).
+    #[test]
+    fn a_frame_larger_than_a_read_chunk_reassembles() {
+        let blob: Vec<u8> = (0..200 * 1024u32).map(|i| (i * 31 % 251) as u8).collect();
+        let restore = Request::Restore(blob);
+        let frame = restore.encode_frame().unwrap();
+        let mut src = frame.as_slice();
+        let mut rd = RecvBuf::new();
+        let mut fills = 0;
+        let req = loop {
+            let want = READ_CHUNK.min(src.len());
+            assert_eq!(rd.fill(&mut src, READ_CHUNK).unwrap(), want, "fill {fills}");
+            fills += 1;
+            if let Some(req) = take_frame(&mut rd) {
+                break req;
+            }
+            assert!(!src.is_empty(), "every byte read, yet no frame");
+        };
+        assert_eq!(fills, frame.len().div_ceil(READ_CHUNK));
+        assert!(req == restore, "the reassembled frame differs");
+        assert_eq!(rd.buffered(), 0);
     }
 
     #[test]

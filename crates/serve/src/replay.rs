@@ -124,7 +124,7 @@ fn flush_segment(
         }
         let items: Vec<PredictItem> = shard_loads.iter().map(|l| l.item).collect();
         let trains: Vec<TrainItem> = pool
-            .predict(shard, &items)
+            .predict_all(shard, &items)
             .iter()
             .zip(shard_loads)
             .map(|(r, l)| TrainItem {
@@ -133,7 +133,7 @@ fn flush_segment(
                 outcome: l.outcome,
             })
             .collect();
-        let (applied, stale) = pool.train(shard, &trains);
+        let (applied, stale) = pool.train(shard, &trains, 0..trains.len());
         report.loads += trains.len() as u64;
         report.applied += u64::from(applied);
         report.stale += u64::from(stale);

@@ -45,9 +45,10 @@ use mascot_snapshot::SnapshotFile;
 
 use crate::conn::{Conn, READ_CHUNK};
 use crate::poll::{Event, Poller};
-use crate::shard::{ShardPool, ShardPoolConfig};
+use crate::shard::{ShardPool, ShardPoolConfig, UNANSWERED};
 use crate::wire::{
-    PredictItem, Request, Response, StatsReport, TrainItem, MAX_SNAPSHOT_FRAME_PAYLOAD,
+    PredictItem, PredictReply, Request, Response, StatsReport, TrainItem,
+    MAX_SNAPSHOT_FRAME_PAYLOAD,
 };
 
 /// Token of the listening socket in the poller.
@@ -170,8 +171,7 @@ impl Server {
             addr: _,
             on_ready,
         } = self;
-        serve(listener, &mut ShardHandler { pool: &pool, kind }, on_ready)
-            .expect("event loop setup");
+        serve(listener, &mut ShardHandler::new(&pool, kind), on_ready).expect("event loop setup");
         // No connections remain, so no new work can arrive; a snapshot
         // taken now is the final state.
         let payloads = if collect_snapshot {
@@ -200,6 +200,10 @@ pub trait Handler {
     /// Answers `req`. After queuing the answer to a `Shutdown`, the loop
     /// stops accepting and drains.
     fn handle(&mut self, req: Request) -> Response;
+
+    /// Takes back a response once the loop has encoded it, so a handler
+    /// can reuse the buffers it lent to it. The default drops it.
+    fn recycle(&mut self, _resp: Response) {}
 }
 
 /// Serves `listener` through `handler` on the calling thread until a
@@ -374,7 +378,7 @@ impl<H: Handler> EventLoop<'_, H> {
                     // stop parsing and close once the report is delivered.
                     c.poisoned = true;
                     let msg = e.to_string();
-                    self.respond(idx, Response::Error(msg));
+                    self.respond(idx, &Response::Error(msg));
                     return;
                 }
             };
@@ -384,7 +388,7 @@ impl<H: Handler> EventLoop<'_, H> {
                 Ok(req) => self.dispatch(idx, req),
                 // A well-framed but malformed payload: the stream is still
                 // in sync, so answer and keep serving.
-                Err(e) => self.respond(idx, Response::Error(e.to_string())),
+                Err(e) => self.respond(idx, &Response::Error(e.to_string())),
             }
         }
     }
@@ -394,7 +398,8 @@ impl<H: Handler> EventLoop<'_, H> {
         let shutdown = matches!(req, Request::Shutdown);
         let resp = self.handler.handle(req);
         // Queued first, so the drain keeps this connection open.
-        self.respond(idx, resp);
+        self.respond(idx, &resp);
+        self.handler.recycle(resp);
         if shutdown && !self.draining {
             self.begin_drain();
         }
@@ -438,11 +443,10 @@ impl<H: Handler> EventLoop<'_, H> {
         }
     }
 
-    /// Appends an encoded response to the connection's send buffer.
-    fn respond(&mut self, idx: usize, resp: Response) {
-        let frame = encode_or_error(resp);
+    /// Encodes a response straight onto the connection's send buffer.
+    fn respond(&mut self, idx: usize, resp: &Response) {
         if let Some(c) = self.conns[idx].as_mut() {
-            c.wr.push(&frame);
+            encode_or_error(resp, c.wr.tail());
         }
     }
 
@@ -485,10 +489,15 @@ impl<H: Handler> EventLoop<'_, H> {
 }
 
 /// `mascotd`'s request work: each batch split over its owning shards, and
-/// every sub-batch run to completion on the loop thread.
+/// every sub-batch run to completion on the loop thread. The split and the
+/// replies live in buffers the handler keeps, so routing a batch and
+/// answering it allocate nothing.
 struct ShardHandler<'a> {
     pool: &'a ShardPool,
     kind: PredictorKind,
+    route: Route,
+    /// Lent to each `Predict` response and taken back by `recycle`.
+    replies: Vec<PredictReply>,
 }
 
 impl Handler for ShardHandler<'_> {
@@ -504,34 +513,43 @@ impl Handler for ShardHandler<'_> {
             Request::Restore(bytes) => restore_response(&bytes, self.pool, self.kind),
         }
     }
+
+    fn recycle(&mut self, resp: Response) {
+        if let Response::Predict(replies) = resp {
+            self.replies = replies;
+        }
+    }
 }
 
 impl ShardHandler<'_> {
-    /// Splits the batch over its owning shards, runs each sub-batch, and
-    /// slots the replies back into request order.
-    fn predict(&self, items: &[PredictItem]) -> Response {
-        let mut out = vec![None; items.len()];
-        let pool = self.pool;
-        for (shard, idxs) in partition(items, pool.num_shards(), |it| pool.shard_of(it.pc)) {
-            let sub: Vec<PredictItem> = idxs.iter().map(|&i| items[i]).collect();
-            for (&i, reply) in idxs.iter().zip(pool.predict(shard, &sub)) {
-                out[i] = Some(reply);
-            }
+    fn new(pool: &ShardPool, kind: PredictorKind) -> ShardHandler<'_> {
+        ShardHandler {
+            pool,
+            kind,
+            route: Route::default(),
+            replies: Vec::new(),
         }
-        Response::Predict(
-            out.into_iter()
-                .map(|r| r.expect("every item has a shard"))
-                .collect(),
-        )
     }
 
-    /// Splits the batch over its owning shards and sums their summaries.
-    fn train(&self, items: &[TrainItem]) -> Response {
+    /// Runs each shard's share of the batch, with every reply written to
+    /// its item's slot, so the replies come back in request order.
+    fn predict(&mut self, items: &[PredictItem]) -> Response {
+        self.route.split(self.pool, items.iter().map(|it| it.pc));
+        let mut replies = std::mem::take(&mut self.replies);
+        replies.clear();
+        replies.resize(items.len(), UNANSWERED);
+        for (shard, idxs) in self.route.runs() {
+            self.pool.predict(shard, items, idxs.iter().copied(), &mut replies);
+        }
+        Response::Predict(replies)
+    }
+
+    /// Runs each shard's share of the batch and sums their summaries.
+    fn train(&mut self, items: &[TrainItem]) -> Response {
+        self.route.split(self.pool, items.iter().map(|it| it.pc));
         let (mut applied, mut stale) = (0, 0);
-        let pool = self.pool;
-        for (shard, idxs) in partition(items, pool.num_shards(), |it| pool.shard_of(it.pc)) {
-            let sub: Vec<TrainItem> = idxs.iter().map(|&i| items[i]).collect();
-            let (a, s) = pool.train(shard, &sub);
+        for (shard, idxs) in self.route.runs() {
+            let (a, s) = self.pool.train(shard, items, idxs.iter().copied());
             applied += a;
             stale += s;
         }
@@ -539,15 +557,63 @@ impl ShardHandler<'_> {
     }
 }
 
-/// Encodes the response, falling back to an `Error` frame (which always
-/// encodes — its length is checked at construction) if the response
-/// exceeds a wire limit.
-fn encode_or_error(resp: Response) -> Vec<u8> {
-    match resp.encode_frame() {
-        Ok(frame) => frame,
-        Err(e) => Response::Error(format!("response encoding failed: {e}"))
-            .encode_frame()
-            .expect("error response encodes"),
+/// A batch's item indices grouped by owning shard: a stable counting sort,
+/// in buffers reused from batch to batch.
+#[derive(Debug, Default)]
+struct Route {
+    /// Owning shard of each item.
+    owner: Vec<usize>,
+    /// One past the last position of each shard's run in `order`.
+    ends: Vec<usize>,
+    /// Item indices, grouped by shard and in batch order within a shard.
+    order: Vec<usize>,
+}
+
+impl Route {
+    /// Groups the items whose PCs `pcs` yields by their shard in `pool`.
+    fn split(&mut self, pool: &ShardPool, pcs: impl Iterator<Item = u64>) {
+        self.owner.clear();
+        self.owner.extend(pcs.map(|pc| pool.shard_of(pc)));
+        // Count each shard's items one slot up, so the prefix sum leaves
+        // each shard's start in its own slot.
+        self.ends.clear();
+        self.ends.resize(pool.num_shards() + 1, 0);
+        for &shard in &self.owner {
+            self.ends[shard + 1] += 1;
+        }
+        for shard in 1..self.ends.len() {
+            self.ends[shard] += self.ends[shard - 1];
+        }
+        // Placing an item advances its shard's slot; once all are placed,
+        // each slot holds its run's end.
+        self.order.clear();
+        self.order.resize(self.owner.len(), 0);
+        for (i, &shard) in self.owner.iter().enumerate() {
+            self.order[self.ends[shard]] = i;
+            self.ends[shard] += 1;
+        }
+        self.ends.pop();
+    }
+
+    /// `(shard, item indices)` for every shard owning at least one item.
+    fn runs(&self) -> impl Iterator<Item = (usize, &[usize])> + '_ {
+        let mut start = 0;
+        self.ends.iter().enumerate().filter_map(move |(shard, &end)| {
+            let run = &self.order[start..end];
+            start = end;
+            (!run.is_empty()).then_some((shard, run))
+        })
+    }
+}
+
+/// Appends the response's frame to `out`, falling back to an `Error` frame
+/// (which always encodes — its length is checked at construction) if the
+/// response exceeds a wire limit.
+fn encode_or_error(resp: &Response, out: &mut Vec<u8>) {
+    if let Err(e) = resp.encode_into(out) {
+        Response::Error(format!("response encoding failed: {e}"))
+            .encode_into(out)
+            .expect("error response encodes");
     }
 }
 

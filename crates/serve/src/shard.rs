@@ -137,6 +137,12 @@ pub enum ShardReply {
     },
 }
 
+/// A reply slot not yet written by [`ShardPool::predict`].
+pub(crate) const UNANSWERED: PredictReply = PredictReply {
+    ticket: 0,
+    prediction: MemDepPrediction::NoDependence,
+};
+
 /// Routes a PC to a shard: multiply-shift mixing (fibonacci hashing) so
 /// that the low bits of the shard index depend on every bit of the PC —
 /// stride-patterned PCs must not all land on one shard.
@@ -297,24 +303,42 @@ impl ShardPool {
     pub fn send(&self, shard: usize, job: ShardJob) {
         match job {
             ShardJob::Predict { items, tag, reply } => {
-                reply.send(tag, ShardReply::Predict(self.predict(shard, &items)));
+                reply.send(tag, ShardReply::Predict(self.predict_all(shard, &items)));
             }
             ShardJob::Train { items, tag, reply } => {
-                let (applied, stale) = self.train(shard, &items);
+                let (applied, stale) = self.train(shard, &items, 0..items.len());
                 reply.send(tag, ShardReply::Train { applied, stale });
             }
         }
     }
 
-    /// Predicts `items` (all owned by `shard`) and parks each prediction
-    /// for its train. Returns one reply per item, in order.
+    /// Predicts all of `items` (owned by `shard`); replies in order.
+    ///
+    /// # Panics
+    ///
+    /// As `ShardPool::predict`.
+    pub(crate) fn predict_all(&self, shard: usize, items: &[PredictItem]) -> Vec<PredictReply> {
+        let mut out = vec![UNANSWERED; items.len()];
+        self.predict(shard, items, 0..items.len(), &mut out);
+        out
+    }
+
+    /// Predicts `items[i]` for every `i` in `idxs` (all owned by `shard`),
+    /// in `idxs` order, parks each prediction for its train, and writes its
+    /// reply to `out[i]`.
     ///
     /// # Panics
     ///
     /// Under `strict_tickets`, when parking recycles a slot whose
     /// prediction was never trained. The shard is dead from then on: every
     /// later call on it panics too, and so does [`ShardPool::shutdown`].
-    pub(crate) fn predict(&self, shard: usize, items: &[PredictItem]) -> Vec<PredictReply> {
+    pub(crate) fn predict(
+        &self,
+        shard: usize,
+        items: &[PredictItem],
+        idxs: impl Iterator<Item = usize> + Clone,
+        out: &mut [PredictReply],
+    ) {
         let strict_tickets = self.strict_tickets;
         self.run(shard, |s| {
             let Shard {
@@ -325,18 +349,18 @@ impl ShardPool {
                 ..
             } = s;
             scratch.reqs.clear();
-            scratch.reqs.extend(items.iter().map(|item| PredictReq {
-                pc: item.pc,
-                store_seq: item.store_seq,
+            scratch.reqs.extend(idxs.clone().map(|i| PredictReq {
+                pc: items[i].pc,
+                store_seq: items[i].store_seq,
                 oracle: None,
             }));
+            let n = scratch.reqs.len() as u64;
             predictor.predict_batch(&scratch.reqs, &mut scratch.out);
-            let mut out = Vec::with_capacity(items.len());
             let mut evicted = 0u64;
-            for (item, (prediction, meta)) in items.iter().zip(scratch.out.drain(..)) {
-                let (ticket, evicted_one) = pending.insert(item.pc, prediction, meta);
+            for (i, (prediction, meta)) in idxs.zip(scratch.out.drain(..)) {
+                let (ticket, evicted_one) = pending.insert(items[i].pc, prediction, meta);
                 evicted += u64::from(evicted_one);
-                out.push(PredictReply { ticket, prediction });
+                out[i] = PredictReply { ticket, prediction };
             }
             if evicted > 0 {
                 stats.evicted_pending += evicted;
@@ -349,15 +373,20 @@ impl ShardPool {
                     pending.slots.len(),
                 );
             }
-            stats.predicts += items.len() as u64;
-            stats.requests += items.len() as u64;
-            out
-        })
+            stats.predicts += n;
+            stats.requests += n;
+        });
     }
 
-    /// Trains `shard` from `items` (all owned by it), each quoting the
-    /// ticket of its prediction. Returns `(applied, stale)`.
-    pub(crate) fn train(&self, shard: usize, items: &[TrainItem]) -> (u32, u32) {
+    /// Trains `shard` from `items[i]` for every `i` in `idxs` (all owned by
+    /// it), each quoting the ticket of its prediction. Returns `(applied,
+    /// stale)`.
+    pub(crate) fn train(
+        &self,
+        shard: usize,
+        items: &[TrainItem],
+        idxs: impl Iterator<Item = usize>,
+    ) -> (u32, u32) {
         self.run(shard, |s| {
             let Shard {
                 predictor,
@@ -368,7 +397,7 @@ impl ShardPool {
             } = s;
             let (mut applied, mut stale) = (0u32, 0u32);
             scratch.trains.clear();
-            for item in items {
+            for item in idxs.map(|i| &items[i]) {
                 match pending.take(item.ticket, item.pc) {
                     Some(p) => {
                         // Misprediction taxonomy of the drained outcomes (the
@@ -398,7 +427,7 @@ impl ShardPool {
             predictor.train_batch(&mut scratch.trains);
             stats.trains += u64::from(applied);
             stats.stale_trains += u64::from(stale);
-            stats.requests += items.len() as u64;
+            stats.requests += u64::from(applied + stale);
             (applied, stale)
         })
     }
@@ -808,7 +837,7 @@ mod tests {
         for _ in 0..20 {
             for pc in WARM_PCS.step_by(4) {
                 let shard = pool.shard_of(pc);
-                let ticket = pool.predict(shard, &[PredictItem { pc, store_seq: 0 }])[0].ticket;
+                let ticket = pool.predict_all(shard, &[PredictItem { pc, store_seq: 0 }])[0].ticket;
                 let outcome = mascot::prediction::LoadOutcome::dependent(
                     mascot::prediction::ObservedDependence {
                         distance: mascot::prediction::StoreDistance::new(3).unwrap(),
@@ -822,7 +851,7 @@ mod tests {
                     pc,
                     outcome,
                 };
-                pool.train(shard, &[train]);
+                pool.train(shard, &[train], 0..1);
             }
         }
         pool
@@ -837,13 +866,13 @@ mod tests {
         let pc = 0x40u64;
         let shard = pool.shard_of(pc);
         let items = [PredictItem { pc, store_seq: 0 }; 4];
-        let replies = pool.predict(shard, &items);
+        let replies = pool.predict_all(shard, &items);
         let trains = [TrainItem {
             ticket: replies[0].ticket,
             pc,
             outcome: mascot::prediction::LoadOutcome::independent(),
         }];
-        assert_eq!(pool.train(shard, &trains), (1, 0));
+        assert_eq!(pool.train(shard, &trains, 0..1), (1, 0));
         let s = pool.stats_report().shards[shard];
         assert_eq!((s.requests, s.predicts, s.trains), (5, 4, 1));
         assert_eq!((s.batches, s.service_samples), (2, 2));
@@ -1022,7 +1051,7 @@ mod tests {
         drop(tx);
         assert!(rx.recv().is_err(), "no reply escapes the dead shard");
         let again = catch_unwind(AssertUnwindSafe(|| {
-            pool.predict(
+            pool.predict_all(
                 0,
                 &[PredictItem {
                     pc: 0x4c,

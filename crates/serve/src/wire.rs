@@ -534,16 +534,16 @@ fn get_prediction(tag: u8, dist: u8) -> Result<MemDepPrediction, WireError> {
     })
 }
 
-/// Encodes `items` as a whole frame: the count prefix, then each record.
+/// Appends `items` as a whole frame: the count prefix, then each record.
 /// The count is checked against the list's cap first: the prefix is
 /// narrow, and an unchecked cast would truncate silently (65 536 items
 /// would go out as 0).
-fn list_frame<T: Record>(code: u8, items: &[T]) -> Result<Vec<u8>, WireError> {
+fn put_list<T: Record>(out: &mut Vec<u8>, code: u8, items: &[T]) -> Result<(), WireError> {
     let (list, n) = (T::LIST, items.len());
     if n > list.max {
         return Err(WireError::BatchTooLarge(n));
     }
-    Ok(frame(code, list.prefix + n * T::BYTES, |w| {
+    put_frame(out, code, list.prefix + n * T::BYTES, |w| {
         if list.prefix == 2 {
             w.u16(n as u16);
         } else {
@@ -552,7 +552,8 @@ fn list_frame<T: Record>(code: u8, items: &[T]) -> Result<Vec<u8>, WireError> {
         for item in items {
             item.put(w);
         }
-    }))
+    });
+    Ok(())
 }
 
 /// Decodes a payload that is one counted list. The count is checked
@@ -593,34 +594,47 @@ fn fixed<T>(
 // ---------------------------------------------------------------------------
 // Framing.
 
-/// Writes a frame's header and then, through `put`, its payload into one
-/// buffer sized for `len` payload bytes; the header's length field is
+/// Appends a frame's header and then, through `put`, its payload to `out`,
+/// reserving room for `len` payload bytes; the header's length field is
 /// filled in from what `put` wrote.
-fn frame(code: u8, len: usize, put: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
-    let mut w = SnapWriter::with_capacity(HEADER_LEN + len);
+fn put_frame(out: &mut Vec<u8>, code: u8, len: usize, put: impl FnOnce(&mut SnapWriter)) {
+    let at = out.len();
+    out.reserve(HEADER_LEN + len);
+    let mut w = SnapWriter::appending_to(std::mem::take(out));
     w.bytes(&MAGIC);
     w.u8(VERSION);
     w.u8(code);
     w.u32(0);
     put(&mut w);
-    let mut out = w.into_bytes();
-    let len = out.len() - HEADER_LEN;
+    *out = w.into_bytes();
+    let len = out.len() - at - HEADER_LEN;
     assert!(len <= max_payload(code), "payload exceeds limit");
-    out[6..HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
-    out
+    out[at + 6..at + HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+}
+
+/// Builds a frame in a fresh buffer through one of the `put_*` encoders.
+fn new_frame(
+    put: impl FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
+) -> Result<Vec<u8>, WireError> {
+    let mut out = Vec::new();
+    put(&mut out)?;
+    Ok(out)
 }
 
 /// Assembles a complete frame (header + payload) for a single `write_all`.
 pub fn encode_frame(code: u8, payload: &[u8]) -> Vec<u8> {
-    frame(code, payload.len(), |w| w.bytes(payload))
+    let mut out = Vec::new();
+    put_frame(&mut out, code, payload.len(), |w| w.bytes(payload));
+    out
 }
 
-/// A frame whose payload is an opaque snapshot container.
-fn blob_frame(code: u8, bytes: &[u8]) -> Result<Vec<u8>, WireError> {
+/// Appends a frame whose payload is an opaque snapshot container.
+fn put_blob(out: &mut Vec<u8>, code: u8, bytes: &[u8]) -> Result<(), WireError> {
     if bytes.len() > MAX_SNAPSHOT_FRAME_PAYLOAD {
         return Err(WireError::TooLarge(u32::MAX));
     }
-    Ok(encode_frame(code, bytes))
+    put_frame(out, code, bytes.len(), |w| w.bytes(bytes));
+    Ok(())
 }
 
 /// Fills `buf` from `r`.
@@ -731,10 +745,10 @@ impl Request {
     pub fn encode_frame(&self) -> Result<Vec<u8>, WireError> {
         let code = self.opcode() as u8;
         match self {
-            Request::Predict(items) => list_frame(code, items),
-            Request::Train(items) => list_frame(code, items),
+            Request::Predict(items) => new_frame(|out| put_list(out, code, items)),
+            Request::Train(items) => new_frame(|out| put_list(out, code, items)),
             Request::Stats | Request::Shutdown | Request::Snapshot => Ok(encode_frame(code, &[])),
-            Request::Restore(bytes) => blob_frame(code, bytes),
+            Request::Restore(bytes) => new_frame(|out| put_blob(out, code, bytes)),
         }
     }
 
@@ -774,27 +788,38 @@ impl Response {
     ///
     /// # Errors
     ///
+    /// As [`Response::encode_into`].
+    pub fn encode_frame(&self) -> Result<Vec<u8>, WireError> {
+        new_frame(|out| self.encode_into(out))
+    }
+
+    /// Appends the complete response frame to `out` (a server's send
+    /// buffer, say). On an error nothing is appended.
+    ///
+    /// # Errors
+    ///
     /// Returns [`WireError::BatchTooLarge`] when a reply batch exceeds
     /// [`MAX_BATCH`] or a stats report exceeds [`MAX_SHARDS`] (the count
     /// prefixes are narrow, so oversizes must fail rather than truncate),
     /// and [`WireError::TooLarge`] when a snapshot exceeds
     /// [`MAX_SNAPSHOT_FRAME_PAYLOAD`].
-    pub fn encode_frame(&self) -> Result<Vec<u8>, WireError> {
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
         let code = self.status() as u8;
         match self {
-            Response::Predict(replies) => list_frame(code, replies),
-            Response::Train { applied, stale } => Ok(frame(code, 8, |w| {
+            Response::Predict(replies) => return put_list(out, code, replies),
+            Response::Stats(report) => return put_list(out, code, &report.shards),
+            Response::Snapshot(bytes) => return put_blob(out, code, bytes),
+            Response::Train { applied, stale } => put_frame(out, code, 8, |w| {
                 w.u32(*applied);
                 w.u32(*stale);
-            })),
-            Response::Stats(report) => list_frame(code, &report.shards),
-            Response::Shutdown { served } => Ok(frame(code, 8, |w| w.u64(*served))),
-            Response::Snapshot(bytes) => blob_frame(code, bytes),
+            }),
+            Response::Shutdown { served } => put_frame(out, code, 8, |w| w.u64(*served)),
             Response::Restore { restored_entries } => {
-                Ok(frame(code, 8, |w| w.u64(*restored_entries)))
+                put_frame(out, code, 8, |w| w.u64(*restored_entries));
             }
-            Response::Error(msg) => Ok(encode_frame(code, msg.as_bytes())),
+            Response::Error(msg) => put_frame(out, code, msg.len(), |w| w.bytes(msg.as_bytes())),
         }
+        Ok(())
     }
 
     /// Decodes a response to a request with opcode `for_op`.

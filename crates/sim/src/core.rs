@@ -342,6 +342,48 @@ impl EventWheel {
     }
 }
 
+/// Recognizes every multiple of a period on a counter that advances one at
+/// a time, by comparing against the next multiple rather than dividing on
+/// every check.
+#[derive(Debug, Clone, Copy)]
+struct Boundary {
+    /// The period; 0 when unset.
+    period: u64,
+    /// The next multiple to recognize.
+    next: u64,
+}
+
+impl Boundary {
+    /// A boundary that never fires.
+    const NEVER: Self = Self {
+        period: 0,
+        next: u64::MAX,
+    };
+
+    /// Fires at `period`, `2 * period`, ...
+    fn every(period: u64) -> Self {
+        Self {
+            period,
+            next: period,
+        }
+    }
+
+    fn is_set(&self) -> bool {
+        self.period > 0
+    }
+
+    /// Whether `count` is the next multiple of the period, moving on to
+    /// the one after it if so. The counter must visit every value.
+    #[inline]
+    fn crossed(&mut self, count: u64) -> bool {
+        let hit = count == self.next;
+        if hit {
+            self.next = self.next.saturating_add(self.period);
+        }
+        hit
+    }
+}
+
 /// The simulation engine. Construct with [`Simulator::new`] and drive with
 /// [`Simulator::run`], or use the [`simulate`] convenience function.
 pub struct Simulator<'a, P: MemDepPredictor> {
@@ -404,14 +446,15 @@ pub struct Simulator<'a, P: MemDepPredictor> {
     last_commit_cycle: u64,
     stats: SimStats,
     /// When set, the commit stage records a [`SimStats`] snapshot every
-    /// time the committed-uop count crosses a multiple of this value —
+    /// time the committed-uop count crosses a multiple of this period —
     /// a pure observation that never perturbs pipeline timing (see
     /// [`run_interval_deltas`](Self::run_interval_deltas)).
-    interval_uops: Option<u64>,
+    interval: Boundary,
     interval_snaps: Vec<SimStats>,
-    /// Cycles between `end_tuning_period` calls to the predictor (§IV-F);
-    /// `None` disables periodic tuning snapshots.
-    tuning_period: Option<u64>,
+    /// Every multiple of this many cycles, the predictor's
+    /// `end_tuning_period` is called (§IV-F); unset disables periodic
+    /// tuning snapshots.
+    tuning: Boundary,
 
     /// Run the cycle auditor (`audit_cycle`) after every step. One
     /// predictable branch per cycle when disabled.
@@ -487,9 +530,9 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
             committed: 0,
             last_commit_cycle: 0,
             stats: SimStats::default(),
-            interval_uops: None,
+            interval: Boundary::NEVER,
             interval_snaps: Vec::new(),
-            tuning_period: None,
+            tuning: Boundary::NEVER,
             audit: false,
             fault: None,
             audit_dispatched: 0,
@@ -502,7 +545,7 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
     /// SimPoints; scale proportionally for shorter traces).
     pub fn with_tuning_period(mut self, cycles: u64) -> Self {
         assert!(cycles > 0, "tuning period must be non-zero");
-        self.tuning_period = Some(cycles);
+        self.tuning = Boundary::every(cycles);
         self
     }
 
@@ -552,7 +595,7 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
     /// fields populated during the run (interval snapshots).
     fn run_to_end(&mut self) -> SimStats {
         self.run_until_committed(self.trace.len() as u64);
-        if self.tuning_period.is_some() {
+        if self.tuning.is_set() {
             self.pred.end_tuning_period(); // flush the final partial period
         }
         self.stats.cycles = self.now.max(1);
@@ -633,7 +676,7 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
         if warmup_uops == 0 {
             return self.run_to_end();
         }
-        self.interval_uops = Some(warmup_uops);
+        self.interval = Boundary::every(warmup_uops);
         let total = self.run_to_end();
         // The commit-stage hook fires at every multiple of `warmup_uops`;
         // the first snapshot is the exact warm boundary.
@@ -672,7 +715,7 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
     /// Panics if `interval_uops` is zero.
     pub fn run_interval_deltas(mut self, interval_uops: u64) -> Vec<SimStats> {
         assert!(interval_uops > 0, "interval size must be non-zero");
-        self.interval_uops = Some(interval_uops);
+        self.interval = Boundary::every(interval_uops);
         let total = self.run_to_end();
         let mut snaps = std::mem::take(&mut self.interval_snaps);
         if (self.trace.len() as u64).is_multiple_of(interval_uops) {
@@ -699,10 +742,8 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
         self.drain_stores();
         self.dispatch();
         self.now += 1;
-        if let Some(period) = self.tuning_period {
-            if self.now.is_multiple_of(period) {
-                self.pred.end_tuning_period();
-            }
+        if self.tuning.crossed(self.now) {
+            self.pred.end_tuning_period();
         }
         if self.audit {
             self.audit_cycle();
@@ -1277,11 +1318,9 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
                 }
             }
             self.recycle_list(e.dependents);
-            if let Some(iv) = self.interval_uops {
-                if self.committed.is_multiple_of(iv) {
-                    let snap = self.stats_snapshot();
-                    self.interval_snaps.push(snap);
-                }
+            if self.interval.crossed(self.committed) {
+                let snap = self.stats_snapshot();
+                self.interval_snaps.push(snap);
             }
         }
     }
@@ -3058,46 +3097,47 @@ mod tests {
         }
     }
 
-    /// Tuning periods fire and flush: the predictor sees at least one
-    /// end_tuning_period call per period plus the final flush.
-    #[test]
-    fn tuning_period_hook_fires() {
-        #[derive(Debug)]
-        struct CountPeriods(u32);
-        impl MemDepPredictor for CountPeriods {
-            type Meta = ();
-            fn name(&self) -> &'static str {
-                "count"
-            }
-            fn predict(
-                &mut self,
-                _pc: u64,
-                _seq: u64,
-                _oracle: Option<&GroundTruth>,
-            ) -> (MemDepPrediction, ()) {
-                (MemDepPrediction::NoDependence, ())
-            }
-            fn train(&mut self, _: u64, _: (), _: MemDepPrediction, _: &LoadOutcome) {}
-            fn on_branch(&mut self, _: &BranchEvent) {}
-            fn rewind_history(&mut self, _: &[BranchEvent]) {}
-            fn storage_bits(&self) -> u64 {
-                0
-            }
-            fn end_tuning_period(&mut self) {
-                self.0 += 1;
-            }
+    /// Counts the predictor's `end_tuning_period` calls.
+    #[derive(Debug)]
+    struct CountPeriods(u64);
+
+    impl MemDepPredictor for CountPeriods {
+        type Meta = ();
+        fn name(&self) -> &'static str {
+            "count"
         }
-        let trace = store_load_trace(100, 1);
-        let mut p = CountPeriods(0);
-        let stats = Simulator::new(&trace, &golden(), &mut p)
-            .with_tuning_period(50)
-            .run();
-        let expected_min = stats.cycles / 50;
-        assert!(
-            u64::from(p.0) >= expected_min,
-            "periods {} vs cycles {}",
-            p.0,
-            stats.cycles
-        );
+        fn predict(
+            &mut self,
+            _pc: u64,
+            _seq: u64,
+            _oracle: Option<&GroundTruth>,
+        ) -> (MemDepPrediction, ()) {
+            (MemDepPrediction::NoDependence, ())
+        }
+        fn train(&mut self, _: u64, _: (), _: MemDepPrediction, _: &LoadOutcome) {}
+        fn on_branch(&mut self, _: &BranchEvent) {}
+        fn rewind_history(&mut self, _: &[BranchEvent]) {}
+        fn storage_bits(&self) -> u64 {
+            0
+        }
+        fn end_tuning_period(&mut self) {
+            self.0 += 1;
+        }
+    }
+
+    /// A tuned run ends a period at exactly the cycles the modulo rule
+    /// picks — every cycle count `1..=cycles` that is a multiple of the
+    /// period — plus the final flush, whatever the period.
+    #[test]
+    fn tuning_calls_match_the_modulo_rule() {
+        let trace = store_load_trace(300, 1);
+        for period in [1, 2, 7, 50, 64, 1000, u64::MAX] {
+            let mut p = CountPeriods(0);
+            let stats = Simulator::new(&trace, &golden(), &mut p)
+                .with_tuning_period(period)
+                .run();
+            let by_modulo = (1..=stats.cycles).filter(|c| c % period == 0).count() as u64;
+            assert_eq!(p.0, by_modulo + 1, "period {period}, {} cycles", stats.cycles);
+        }
     }
 }

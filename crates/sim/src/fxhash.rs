@@ -92,9 +92,7 @@ mod tests {
     use std::hash::{BuildHasher, Hash};
 
     fn hash_of<T: Hash>(v: T) -> u64 {
-        let mut h = FxBuildHasher::default().build_hasher();
-        v.hash(&mut h);
-        h.finish()
+        FxBuildHasher::default().hash_one(v)
     }
 
     #[test]

@@ -128,6 +128,12 @@ impl SnapWriter {
         }
     }
 
+    /// A writer appending to `buf`, for callers that encode into a buffer
+    /// they keep (take it back with [`SnapWriter::into_bytes`]).
+    pub fn appending_to(buf: Vec<u8>) -> Self {
+        Self { buf }
+    }
+
     /// Appends one byte.
     #[inline]
     pub fn u8(&mut self, v: u8) {

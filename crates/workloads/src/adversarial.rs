@@ -171,7 +171,7 @@ pub fn victim_only(kind: AttackKind, seed: u64, target_uops: usize) -> Trace {
 fn build(kind: AttackKind, seed: u64, target_uops: usize, with_attacker: bool) -> Trace {
     // Attacker-only randomness: the victim must emit identically with and
     // without the attacker for the differential measurement to be fair.
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xadd5_ea1_0f_bad ^ kind.name().len() as u64);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xadd5_ea10_fbad ^ kind.name().len() as u64);
     let mut b = TraceBuilder::new();
     let mut iter: u64 = 0;
     while b.len() < target_uops {
@@ -246,7 +246,7 @@ fn victim_pair_block(b: &mut TraceBuilder, iter: u64) {
 /// slot whose last writer is `SLOT_ROTATION` iterations old, i.e. a
 /// genuine runtime non-dependence.
 fn victim_hammock_block(b: &mut TraceBuilder, iter: u64) {
-    let taken = iter % 2 == 0;
+    let taken = iter.is_multiple_of(2);
     let slot = V_PAIR_BASE + 0x1_0000 + (iter % SLOT_ROTATION) * 64;
     b.branch(V_PC, taken, None);
     if taken {
@@ -296,11 +296,11 @@ fn attacker_flood_block(b: &mut TraceBuilder, iter: u64) {
 fn attacker_interleave_block(b: &mut TraceBuilder, iter: u64, rng: &mut StdRng) {
     let burst = 1 + (rng.random::<f64>() * 4.0) as u64; // 1..=4
     for k in 0..burst {
-        b.branch(A_PC + 0x200 + k * 0x20, (iter + k) % 3 != 0, None);
+        b.branch(A_PC + 0x200 + k * 0x20, !(iter + k).is_multiple_of(3), None);
     }
     // Anti-correlated aliased hammock: dependent exactly when the victim's
     // phase is independent.
-    let taken = iter % 2 != 0;
+    let taken = !iter.is_multiple_of(2);
     b.branch(A_PC, taken, None);
     let slot = A_DATA_BASE + 0x1_0000;
     if taken {
