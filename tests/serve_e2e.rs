@@ -617,6 +617,80 @@ fn one_node_router_answers_like_a_direct_server() {
     assert!(routed == direct, "routed responses differ from direct ones");
 }
 
+/// The bytes a 2-node router answers are pinned: each of `BATCHES` predict
+/// frames is followed by the train frame quoting its replies' tickets, then
+/// `Shutdown`. A change to the router's split, its gather or the nodes that
+/// alters a single response byte fails here. (FNV-1a of every response
+/// frame as read off the wire, their total length.)
+#[test]
+fn two_node_router_responses_are_frozen() {
+    const BATCHES: u64 = 60;
+    const BATCH: u64 = 48;
+    let (a, a_handle) = spawn_server(2);
+    let (b, b_handle) = spawn_server(2);
+    let (addr, router_handle) = spawn_router(&[&a, &b], None);
+    let mut conn = TcpStream::connect(&addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("set timeout");
+    let mut responses = Vec::new();
+    let mut round_trip = |req: Request| {
+        conn.write_all(&req.encode_frame().expect("encodable"))
+            .expect("send");
+        let (code, payload) = wire::read_frame(&mut conn)
+            .expect("well-framed")
+            .expect("one response per request");
+        responses.extend(wire::encode_frame(code, &payload));
+        Response::decode(req.opcode(), code, &payload).expect("decode")
+    };
+    for b in 0..BATCHES {
+        let items: Vec<PredictItem> = (0..BATCH)
+            .map(|i| {
+                let k = b * BATCH + i;
+                PredictItem {
+                    pc: 0x4000 + (k * 7 % 389) * 4,
+                    store_seq: k,
+                }
+            })
+            .collect();
+        let Response::Predict(replies) = round_trip(Request::Predict(items.clone())) else {
+            panic!("predict {b} not answered");
+        };
+        let trains = items
+            .iter()
+            .zip(&replies)
+            .map(|(item, r)| TrainItem {
+                ticket: r.ticket,
+                pc: item.pc,
+                outcome: if item.pc % 3 == 0 {
+                    LoadOutcome::dependent(ObservedDependence {
+                        distance: StoreDistance::new(1 + (item.store_seq % 5) as u32)
+                            .expect("in window"),
+                        class: BypassClass::DirectBypass,
+                        store_pc: item.pc + 0x100,
+                        branches_between: 0,
+                    })
+                } else {
+                    LoadOutcome::independent()
+                },
+            })
+            .collect();
+        match round_trip(Request::Train(trains)) {
+            Response::Train { applied, stale } => assert_eq!((applied, stale), (48, 0)),
+            other => panic!("train {b} answered {other:?}"),
+        }
+    }
+    round_trip(Request::Shutdown);
+    router_handle.join().expect("router thread");
+    for handle in [a_handle, b_handle] {
+        handle.join().expect("node thread");
+    }
+    assert_eq!(
+        (mascot_snapshot::fnv1a64(&responses), responses.len()),
+        (0xacfb_4d5e_245f_147d, 19_098),
+        "2-node router responses drifted"
+    );
+}
+
 /// One predict frame of 64 loads and the train frame answering it, through
 /// `client`. Panics on anything but a full answer with every ticket fresh.
 fn predict_then_train(client: &mut Client, base: u64) {
