@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::client::Client;
-use crate::server::{partition, serve, Handler};
+use crate::server::{serve, Handler, Route};
 use crate::wire::{Request, Response, ShardStats, StatsReport, WireError};
 
 /// PC→node multiplier. Deliberately a different odd constant from the
@@ -154,12 +154,11 @@ impl Upstream {
     }
 }
 
-/// One node's slice of a batch: the batch indices of its items and the
-/// request carrying them.
+/// One node's slice of a batch: the request carrying its items, whose
+/// batch indices are `Router::route`'s run for the node.
 #[derive(Debug)]
 struct SubBatch {
     node: usize,
-    idxs: Vec<usize>,
     req: Request,
 }
 
@@ -175,6 +174,8 @@ struct Router {
     /// whether or not one is configured; `Stats` answers them as shards.
     counters: Vec<ShardStats>,
     failovers: u64,
+    /// The current batch's item indices by node.
+    route: Route,
 }
 
 impl Handler for Router {
@@ -187,14 +188,15 @@ impl Handler for Router {
                 };
                 let mut out = vec![None; items.len()];
                 for (sub, slot, resp) in answers {
+                    let idxs = self.route.run(sub.node);
                     let replies = match resp {
-                        Response::Predict(r) if r.len() == sub.idxs.len() => r,
+                        Response::Predict(r) if r.len() == idxs.len() => r,
                         _ => return mismatch(sub.node, "predict"),
                     };
-                    let n = sub.idxs.len() as u64;
+                    let n = idxs.len() as u64;
                     self.counters[slot].requests += n;
                     self.counters[slot].predicts += n;
-                    for (&i, reply) in sub.idxs.iter().zip(replies) {
+                    for (&i, reply) in idxs.iter().zip(replies) {
                         out[i] = Some(reply);
                     }
                 }
@@ -221,7 +223,7 @@ impl Handler for Router {
                     else {
                         return mismatch(sub.node, "train");
                     };
-                    self.counters[slot].requests += sub.idxs.len() as u64;
+                    self.counters[slot].requests += self.route.run(sub.node).len() as u64;
                     self.counters[slot].trains += u64::from(a);
                     applied += a;
                     stale += s;
@@ -263,6 +265,7 @@ impl Router {
             }),
             counters: vec![ShardStats::default(); n + 1],
             failovers: 0,
+            route: Route::default(),
         }
     }
 
@@ -295,8 +298,8 @@ impl Router {
         Ok(())
     }
 
-    /// Splits `items` by node and forwards every sub-batch, returning each
-    /// answer with the slot that gave it. On an error every upstream
+    /// Splits `items` by node into `self.route` and forwards every
+    /// sub-batch, returning each answer with the slot that gave it. On an error every upstream
     /// connection is dropped, so no reply still owed can be read as the
     /// answer to a later request.
     fn scatter_gather<T: Copy>(
@@ -306,11 +309,13 @@ impl Router {
         wrap: impl Fn(Vec<T>) -> Request,
     ) -> Result<Vec<(SubBatch, usize, Response)>, String> {
         let n = self.primaries;
-        let subs = partition(items, n, |it| node_of(pc_of(it), n))
+        self.route.split(n, items.iter().map(|it| node_of(pc_of(it), n)));
+        let subs = self
+            .route
+            .runs()
             .map(|(node, idxs)| SubBatch {
                 node,
                 req: wrap(idxs.iter().map(|&i| items[i]).collect()),
-                idxs,
             })
             .collect();
         self.exchange(subs)

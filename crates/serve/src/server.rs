@@ -534,7 +534,8 @@ impl ShardHandler<'_> {
     /// Runs each shard's share of the batch, with every reply written to
     /// its item's slot, so the replies come back in request order.
     fn predict(&mut self, items: &[PredictItem]) -> Response {
-        self.route.split(self.pool, items.iter().map(|it| it.pc));
+        let pool = self.pool;
+        self.route.split(pool.num_shards(), items.iter().map(|it| pool.shard_of(it.pc)));
         let mut replies = std::mem::take(&mut self.replies);
         replies.clear();
         replies.resize(items.len(), UNANSWERED);
@@ -546,7 +547,8 @@ impl ShardHandler<'_> {
 
     /// Runs each shard's share of the batch and sums their summaries.
     fn train(&mut self, items: &[TrainItem]) -> Response {
-        self.route.split(self.pool, items.iter().map(|it| it.pc));
+        let pool = self.pool;
+        self.route.split(pool.num_shards(), items.iter().map(|it| pool.shard_of(it.pc)));
         let (mut applied, mut stale) = (0, 0);
         for (shard, idxs) in self.route.runs() {
             let (a, s) = self.pool.train(shard, items, idxs.iter().copied());
@@ -557,52 +559,56 @@ impl ShardHandler<'_> {
     }
 }
 
-/// A batch's item indices grouped by owning shard: a stable counting sort,
-/// in buffers reused from batch to batch.
+/// A batch's item indices grouped by owner (a shard, or the router's node):
+/// a stable counting sort, in buffers reused from batch to batch.
 #[derive(Debug, Default)]
-struct Route {
-    /// Owning shard of each item.
+pub(crate) struct Route {
+    /// Owner of each item.
     owner: Vec<usize>,
-    /// One past the last position of each shard's run in `order`.
+    /// One past the last position of each owner's run in `order`.
     ends: Vec<usize>,
-    /// Item indices, grouped by shard and in batch order within a shard.
+    /// Item indices, grouped by owner and in batch order within an owner.
     order: Vec<usize>,
 }
 
 impl Route {
-    /// Groups the items whose PCs `pcs` yields by their shard in `pool`.
-    fn split(&mut self, pool: &ShardPool, pcs: impl Iterator<Item = u64>) {
+    /// Groups a batch's items over `buckets` owners, `owners` yielding
+    /// each item's owner in batch order.
+    pub(crate) fn split(&mut self, buckets: usize, owners: impl Iterator<Item = usize>) {
         self.owner.clear();
-        self.owner.extend(pcs.map(|pc| pool.shard_of(pc)));
-        // Count each shard's items one slot up, so the prefix sum leaves
-        // each shard's start in its own slot.
+        self.owner.extend(owners);
+        // Count each owner's items one slot up, so the prefix sum leaves
+        // each owner's start in its own slot.
         self.ends.clear();
-        self.ends.resize(pool.num_shards() + 1, 0);
-        for &shard in &self.owner {
-            self.ends[shard + 1] += 1;
+        self.ends.resize(buckets + 1, 0);
+        for &owner in &self.owner {
+            self.ends[owner + 1] += 1;
         }
-        for shard in 1..self.ends.len() {
-            self.ends[shard] += self.ends[shard - 1];
+        for owner in 1..self.ends.len() {
+            self.ends[owner] += self.ends[owner - 1];
         }
-        // Placing an item advances its shard's slot; once all are placed,
+        // Placing an item advances its owner's slot; once all are placed,
         // each slot holds its run's end.
         self.order.clear();
         self.order.resize(self.owner.len(), 0);
-        for (i, &shard) in self.owner.iter().enumerate() {
-            self.order[self.ends[shard]] = i;
-            self.ends[shard] += 1;
+        for (i, &owner) in self.owner.iter().enumerate() {
+            self.order[self.ends[owner]] = i;
+            self.ends[owner] += 1;
         }
         self.ends.pop();
     }
 
-    /// `(shard, item indices)` for every shard owning at least one item.
-    fn runs(&self) -> impl Iterator<Item = (usize, &[usize])> + '_ {
-        let mut start = 0;
-        self.ends.iter().enumerate().filter_map(move |(shard, &end)| {
-            let run = &self.order[start..end];
-            start = end;
-            (!run.is_empty()).then_some((shard, run))
-        })
+    /// The item indices `owner` got, in batch order.
+    pub(crate) fn run(&self, owner: usize) -> &[usize] {
+        let start = owner.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.order[start..self.ends[owner]]
+    }
+
+    /// `(owner, item indices)` for every owner of at least one item.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (usize, &[usize])> + '_ {
+        (0..self.ends.len())
+            .map(|owner| (owner, self.run(owner)))
+            .filter(|(_, run)| !run.is_empty())
     }
 }
 
@@ -718,22 +724,4 @@ fn restore_response(bytes: &[u8], pool: &ShardPool, kind: PredictorKind) -> Resp
         file.restarts,
     );
     Response::Restore { restored_entries }
-}
-
-/// Splits a batch's indices over `buckets` owners (shards, or the router's
-/// nodes): `(owner, indices)` for every owner of at least one item, indices
-/// in batch order.
-pub(crate) fn partition<T>(
-    items: &[T],
-    buckets: usize,
-    owner_of: impl Fn(&T) -> usize,
-) -> impl Iterator<Item = (usize, Vec<usize>)> {
-    let mut by_owner: Vec<Vec<usize>> = vec![Vec::new(); buckets];
-    for (i, item) in items.iter().enumerate() {
-        by_owner[owner_of(item)].push(i);
-    }
-    by_owner
-        .into_iter()
-        .enumerate()
-        .filter(|(_, idxs)| !idxs.is_empty())
 }
