@@ -331,7 +331,7 @@ fn main() -> ExitCode {
 
     for profile in &selected {
         let trace = generate(profile, args.seed, args.uops);
-        failures.extend(soak_trace(&trace, &cfg, &args, &profile.name));
+        failures.extend(soak_trace(&trace, &cfg, &args, profile.name));
     }
 
     // Adversarial mistraining traffic (DESIGN.md §12): the same invariant

@@ -4,9 +4,9 @@
 #   scripts/check.sh            # offline build + tests + perf checks
 #   CARGO_FLAGS= scripts/check.sh   # allow network (e.g. first-time fetch)
 #
-# Fails if the build or rustdoc (warnings are errors in both) or any test
-# fails (the repository benchmark's own tests under perfbench/ included),
-# if the seeded audit soak (cycle-granular invariant checks, the
+# Fails if the build, rustdoc or clippy (warnings are errors in all three)
+# or any test fails (the repository benchmark's own tests under perfbench/
+# included), if the seeded audit soak (cycle-granular invariant checks, the
 # batch-vs-scalar prediction differential over every registered
 # predictor kind, and differential runs across every workload profile and
 # the mistraining compositions) flags a violation, if the adversarial
@@ -61,6 +61,9 @@ echo "== rustdoc (doc warnings are errors) =="
 # Broken, private or ambiguous intra-doc links fail here instead of
 # rotting silently when an item they name moves.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps ${CARGO_FLAGS}
+
+echo "== clippy (lint warnings are errors, tests and benches included) =="
+cargo clippy ${CARGO_FLAGS} --workspace --all-targets -- -D warnings
 
 echo "== benchmark tests (perfbench builds against the public API) =="
 # perfbench is its own Cargo workspace driving the crates through their

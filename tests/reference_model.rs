@@ -148,12 +148,12 @@ fn random_event(rng: &mut u64) -> BranchEvent {
     let r = xorshift(rng);
     BranchEvent {
         pc: 0x40_0000 + (r % 509) * 4,
-        kind: if r % 5 == 0 {
+        kind: if r.is_multiple_of(5) {
             BranchKind::Indirect
         } else {
             BranchKind::Conditional
         },
-        taken: (r >> 20) % 3 != 0,
+        taken: !(r >> 20).is_multiple_of(3),
         target: 0x50_0000 + ((r >> 24) % 1021) * 4,
     }
 }
@@ -204,9 +204,9 @@ fn differential(name: &str, shapes: &[TableShape], seed: u64, steps: usize) -> C
         } else if roll < 85 {
             let pc = pcs[(xorshift(&mut rng) % pcs.len() as u64) as usize];
             let all = bank.lookups(pc);
-            for t in 0..shapes.len() {
+            for (t, &got) in all.iter().enumerate().take(shapes.len()) {
                 let want = reference.lookup(t, pc);
-                assert_eq!(all[t], want, "{name}: lookups, table {t}, step {step}");
+                assert_eq!(got, want, "{name}: lookups, table {t}, step {step}");
                 assert_eq!(
                     bank.lookup(t, pc),
                     want,
@@ -226,7 +226,7 @@ fn differential(name: &str, shapes: &[TableShape], seed: u64, steps: usize) -> C
             let way = (xorshift(&mut rng) % shapes[t].assoc as u64) as usize;
             let (index, tag) = (u64::from(all[t].index), u64::from(all[t].tag));
             let slot = index as usize * shapes[t].assoc + way;
-            if xorshift(&mut rng) % 4 == 0 {
+            if xorshift(&mut rng).is_multiple_of(4) {
                 bank.tables_mut()[t].invalidate(index, way);
                 reference.tables[t].ways[slot] = None;
             } else {
@@ -247,7 +247,7 @@ fn differential(name: &str, shapes: &[TableShape], seed: u64, steps: usize) -> C
                 reference.events.push(ev);
             }
             reference.events.truncate(arch);
-            if xorshift(&mut rng) % 5 == 0 {
+            if xorshift(&mut rng).is_multiple_of(5) {
                 let keep = (xorshift(&mut rng) % 300) as usize;
                 let start = arch.saturating_sub(keep);
                 reference.events.drain(..start);

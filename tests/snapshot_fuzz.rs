@@ -43,18 +43,18 @@ fn warm_cluster(kind: PredictorKind, n: usize, steps: usize, seed: u64) -> Vec<A
     let mut state = seed | 1;
     let mut store_seq = 0u64;
     for _ in 0..steps {
-        if xorshift(&mut state) % 3 == 0 {
+        if xorshift(&mut state).is_multiple_of(3) {
             let event = BranchEvent {
                 pc: 0x100 + (xorshift(&mut state) % 32) * 4,
                 kind: BranchKind::Conditional,
-                taken: xorshift(&mut state) % 2 == 0,
+                taken: xorshift(&mut state).is_multiple_of(2),
                 target: 0x800,
             };
             for p in &mut preds {
                 p.on_branch(&event);
             }
         }
-        if xorshift(&mut state) % 2 == 0 {
+        if xorshift(&mut state).is_multiple_of(2) {
             let store_pc = 0x9000 + (xorshift(&mut state) % 16) * 8;
             for p in &mut preds {
                 p.on_store_dispatch(store_pc, store_seq);
@@ -64,7 +64,7 @@ fn warm_cluster(kind: PredictorKind, n: usize, steps: usize, seed: u64) -> Vec<A
         let pc = PC_BASE + (xorshift(&mut state) % NUM_PCS) * 4;
         let owner = owner_of(pc, n);
         let (predicted, meta) = preds[owner].predict(pc, store_seq, None);
-        let outcome = if xorshift(&mut state) % 2 == 0 {
+        let outcome = if xorshift(&mut state).is_multiple_of(2) {
             LoadOutcome::dependent(ObservedDependence {
                 distance: StoreDistance::new(1 + (xorshift(&mut state) % 7) as u32)
                     .expect("in range"),
