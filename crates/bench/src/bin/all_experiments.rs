@@ -1,61 +1,42 @@
-//! Runs every experiment binary in sequence, mirroring the paper's
-//! evaluation section end to end. Equivalent to running each `table*` /
-//! `figure*` binary yourself; see DESIGN.md §3 for the index.
+//! Runs the paper's experiments in one process, mirroring its evaluation
+//! section end to end; see DESIGN.md §3 for the index.
 //!
-//! `--sampled` runs the whole sweep in cluster-and-project mode: every
-//! child is launched with `MASCOT_SAMPLED=1`, so each (benchmark,
-//! predictor, core) cell is projected from representative intervals
-//! (DESIGN.md §13) instead of simulated end to end. Useful for a fast
-//! smoke pass over the full evaluation; headline numbers should still
-//! come from the default full-trace run.
+//! ```text
+//! all_experiments [NAME ...] [--sampled]
+//! ```
+//!
+//! Names select experiments from `mascot_bench::experiments::EXPERIMENTS`
+//! and run them in the order given; with none, every experiment runs in
+//! the paper's order. `MASCOT_TRACE_UOPS` sets the trace length per
+//! benchmark (default 150,000). `--sampled` projects each (benchmark,
+//! predictor, core) cell from representative intervals (DESIGN.md §13)
+//! instead of simulating it end to end: useful for a fast smoke pass over
+//! the full evaluation, while headline numbers should still come from the
+//! default full-trace run. An unknown name exits with status 2.
 
-use std::process::Command;
+use mascot_bench::experiments::parse_args;
+use mascot_bench::{Run, DEFAULT_SEED, DEFAULT_TRACE_UOPS};
 
 fn main() {
-    let mut sampled = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--sampled" => sampled = true,
-            other => {
-                eprintln!("unknown argument `{other}`; usage: all_experiments [--sampled]");
-                std::process::exit(2);
-            }
-        }
-    }
-    let exe = std::env::current_exe().expect("own path");
-    let dir = exe.parent().expect("binary directory");
-    let experiments = [
-        "table01",
-        "table02",
-        "counter_decay",
-        "figure02",
-        "figure07",
-        "figure08",
-        "figure09",
-        "figure10",
-        "figure11",
-        "figure12",
-        "figure13",
-        "figure14",
-        "figure15",
-        "ablations",
-        "window_sweep",
-        "bottleneck",
-    ];
+    let (experiments, sampled) = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("{e}\nusage: all_experiments [NAME ...] [--sampled]");
+        std::process::exit(2);
+    });
+    let run = Run {
+        uops: std::env::var("MASCOT_TRACE_UOPS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(DEFAULT_TRACE_UOPS),
+        seed: DEFAULT_SEED,
+        sampled,
+    };
     if sampled {
         println!("sampled mode: projecting every cell from representative intervals");
     }
     let started = std::time::Instant::now();
-    for name in experiments {
-        println!("\n######## {name} ########\n");
-        let mut command = Command::new(dir.join(name));
-        if sampled {
-            command.env("MASCOT_SAMPLED", "1");
-        }
-        let status = command
-            .status()
-            .unwrap_or_else(|e| panic!("failed to launch {name}: {e}"));
-        assert!(status.success(), "{name} failed with {status}");
+    for experiment in experiments {
+        println!("\n######## {} ########\n", experiment.name);
+        (experiment.run)(&run);
     }
     println!("\nall experiments completed in {:?}", started.elapsed());
 }

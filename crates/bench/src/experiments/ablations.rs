@@ -12,9 +12,9 @@
 //! 5. **Offset-bypass extension** (§IV-E: small upside, matching the thin
 //!    Offset slice in Fig. 2).
 
+use crate::{run_with_predictor, table::ratio, Run, TextTable};
 use mascot::config::MascotConfig;
 use mascot::predictor::Mascot;
-use mascot_bench::{run_with_predictor, table::ratio, trace_uops_from_env, TextTable};
 use mascot_predictors::AnyPredictor;
 use mascot_sim::CoreConfig;
 use mascot_workloads::spec;
@@ -28,16 +28,15 @@ fn benchmarks() -> Vec<mascot_workloads::WorkloadProfile> {
 
 /// Runs a MASCOT config over the subset; returns (geomean IPC, total
 /// mispredictions).
-fn evaluate(cfg: MascotConfig, label: &str) -> (f64, u64) {
+fn evaluate(run: &Run, cfg: MascotConfig, label: &str) -> (f64, u64) {
     let core = CoreConfig::golden_cove();
-    let uops = trace_uops_from_env();
     let mut ipcs = Vec::new();
     let mut mis = 0u64;
     for profile in benchmarks() {
         let mut p = AnyPredictor::Mascot(
             Mascot::new(cfg.clone()).unwrap_or_else(|e| panic!("{label}: {e}")),
         );
-        let r = run_with_predictor(&profile, &mut p, &core, uops, mascot_bench::DEFAULT_SEED, None);
+        let r = run_with_predictor(&profile, &mut p, &core, run.uops, run.seed, None);
         ipcs.push(r.stats.ipc());
         mis += r.stats.total_mispredictions();
     }
@@ -47,12 +46,14 @@ fn evaluate(cfg: MascotConfig, label: &str) -> (f64, u64) {
     )
 }
 
-fn main() {
-    let (base_ipc, base_mis) = evaluate(MascotConfig::default(), "default");
+/// Prints the ablation table. Every cell simulates the whole trace, also
+/// under a sampled [`Run`]: the sweeps run caller-built predictor configs.
+pub fn run(run: &Run) {
+    let (base_ipc, base_mis) = evaluate(run, MascotConfig::default(), "default");
     let mut t = TextTable::new(["configuration", "geomean IPC", "vs default", "mispredictions", "KiB"]);
     let mut row = |label: &str, cfg: MascotConfig| {
         let kib = cfg.storage_kib();
-        let (ipc, mis) = evaluate(cfg, label);
+        let (ipc, mis) = evaluate(run, cfg, label);
         t.row([
             label.to_string(),
             ratio(ipc),

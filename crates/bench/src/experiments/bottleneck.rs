@@ -6,13 +6,12 @@
 //! (branch redirects / I-cache) or to back-end structural limits, and
 //! reports the average dependence wait with and without bypassing.
 
-use mascot_bench::{run_one, table::frac_pct, trace_uops_from_env, PredictorKind, TextTable};
+use crate::{table::frac_pct, PredictorKind, Run, TextTable};
 use mascot_sim::CoreConfig;
 use mascot_workloads::spec;
 
-fn main() {
+pub fn run(run: &Run) {
     let core = CoreConfig::golden_cove();
-    let uops = trace_uops_from_env();
     let mut t = TextTable::new([
         "benchmark",
         "IPC",
@@ -27,8 +26,8 @@ fn main() {
         "wait smb",
     ]);
     for profile in spec::all_profiles() {
-        let base = run_one(&profile, PredictorKind::PerfectMdp, &core, uops, mascot_bench::DEFAULT_SEED);
-        let smb = run_one(&profile, PredictorKind::PerfectMdpSmb, &core, uops, mascot_bench::DEFAULT_SEED);
+        let base = run.one(&profile, PredictorKind::PerfectMdp, &core);
+        let smb = run.one(&profile, PredictorKind::PerfectMdpSmb, &core);
         let s = &base.stats;
         let c = s.cycles.max(1) as f64;
         t.row([

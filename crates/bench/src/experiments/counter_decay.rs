@@ -5,10 +5,10 @@
 //! the entry is correct 70 % of the time — the motivation for allocating
 //! explicit non-dependence entries instead of waiting for decay.
 
-use mascot_bench::TextTable;
+use crate::{Run, TextTable};
 use mascot_stats::markov::{expected_predictions_to_saturate, expected_predictions_to_zero};
 
-fn main() {
+pub fn run(_run: &Run) {
     let mut t = TextTable::new(["counter", "p(correct)", "E[predictions to zero]"]);
     for (bits, label) in [(2u8, "2-bit"), (3, "3-bit (MASCOT usefulness)"), (4, "4-bit (PHAST)")] {
         for p in [0.5, 0.6, 0.7, 0.8] {

@@ -5,20 +5,14 @@
 //! depend on the predictor; perfect MDP avoids squash noise) and prints the
 //! per-class fractions of committed loads.
 
+use crate::{table::frac_pct, PredictorKind, Run, TextTable};
 use mascot::BypassClass;
-use mascot_bench::{run_suite, table::frac_pct, trace_uops_from_env, PredictorKind, TextTable};
 use mascot_sim::CoreConfig;
 use mascot_workloads::spec;
 
-fn main() {
+pub fn run(run: &Run) {
     let profiles = spec::all_profiles();
-    let results = run_suite(
-        &profiles,
-        &[PredictorKind::PerfectMdp],
-        &CoreConfig::golden_cove(),
-        trace_uops_from_env(),
-        mascot_bench::DEFAULT_SEED,
-    );
+    let results = run.suite(&profiles, &[PredictorKind::PerfectMdp], &CoreConfig::golden_cove());
     let mut t = TextTable::new([
         "benchmark",
         "DirectBypass",

@@ -4,14 +4,14 @@
 //! Paper headline: MASCOT out-performs NoSQ by 4.9 %, PHAST by 1.9 % and
 //! perfect MDP by 1.0 % on the geometric mean; peak gains on perlbench2.
 
-use mascot_bench::{
-    benchmarks, geomean_normalized_ipc, normalized_ipc, run_suite, table::ratio,
-    trace_uops_from_env, PredictorKind, TextTable,
+use crate::{
+    benchmarks, geomean_normalized_ipc, normalized_ipc, table::ratio, PredictorKind, Run,
+    TextTable,
 };
 use mascot_sim::CoreConfig;
 use mascot_workloads::spec;
 
-fn main() {
+pub fn run(run: &Run) {
     let profiles = spec::all_profiles();
     let kinds = [
         PredictorKind::PerfectMdp,
@@ -20,13 +20,7 @@ fn main() {
         PredictorKind::Mascot,
         PredictorKind::PerfectMdpSmb,
     ];
-    let results = run_suite(
-        &profiles,
-        &kinds,
-        &CoreConfig::golden_cove(),
-        trace_uops_from_env(),
-        mascot_bench::DEFAULT_SEED,
-    );
+    let results = run.suite(&profiles, &kinds, &CoreConfig::golden_cove());
     let benches = benchmarks(&results);
     let shown = ["nosq", "phast", "mascot"];
     let mut t = TextTable::new(["benchmark", "nosq", "phast", "mascot"]);

@@ -5,20 +5,14 @@
 //! PHAST; vs PHAST it cuts speculative errors by 39 % and false
 //! dependencies by 91 %.
 
-use mascot_bench::{run_suite, table::count, trace_uops_from_env, PredictorKind, TextTable};
+use crate::{table::count, PredictorKind, Run, TextTable};
 use mascot_sim::CoreConfig;
 use mascot_workloads::spec;
 
-fn main() {
+pub fn run(run: &Run) {
     let profiles = spec::all_profiles();
     let kinds = [PredictorKind::NoSq, PredictorKind::Phast, PredictorKind::Mascot];
-    let results = run_suite(
-        &profiles,
-        &kinds,
-        &CoreConfig::golden_cove(),
-        trace_uops_from_env(),
-        mascot_bench::DEFAULT_SEED,
-    );
+    let results = run.suite(&profiles, &kinds, &CoreConfig::golden_cove());
     let mut t = TextTable::new([
         "predictor",
         "total",

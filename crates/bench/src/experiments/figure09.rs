@@ -5,14 +5,14 @@
 //! 0.4 %; on a few benchmarks imperfect predictors beat "perfect" MDP
 //! because an occasional missed dependence resolves in time anyway.
 
-use mascot_bench::{
-    benchmarks, geomean_normalized_ipc, normalized_ipc, run_suite, table::ratio,
-    trace_uops_from_env, PredictorKind, TextTable,
+use crate::{
+    benchmarks, geomean_normalized_ipc, normalized_ipc, table::ratio, PredictorKind, Run,
+    TextTable,
 };
 use mascot_sim::CoreConfig;
 use mascot_workloads::spec;
 
-fn main() {
+pub fn run(run: &Run) {
     let profiles = spec::all_profiles();
     let kinds = [
         PredictorKind::PerfectMdp,
@@ -21,13 +21,7 @@ fn main() {
         PredictorKind::Phast,
         PredictorKind::MascotMdp,
     ];
-    let results = run_suite(
-        &profiles,
-        &kinds,
-        &CoreConfig::golden_cove(),
-        trace_uops_from_env(),
-        mascot_bench::DEFAULT_SEED,
-    );
+    let results = run.suite(&profiles, &kinds, &CoreConfig::golden_cove());
     let benches = benchmarks(&results);
     let shown = ["store-sets", "mdp-tage", "phast", "mascot-mdp"];
     let mut t = TextTable::new(["benchmark", "store-sets", "mdp-tage", "phast", "mascot-mdp"]);

@@ -6,19 +6,13 @@
 //! misprediction mix (SMB mispredictions stay rare thanks to the saturated
 //! confidence requirement; *mcf* is the outlier).
 
-use mascot_bench::{run_suite, table::frac_pct, trace_uops_from_env, PredictorKind, TextTable};
+use crate::{table::frac_pct, PredictorKind, Run, TextTable};
 use mascot_sim::CoreConfig;
 use mascot_workloads::spec;
 
-fn main() {
+pub fn run(run: &Run) {
     let profiles = spec::all_profiles();
-    let results = run_suite(
-        &profiles,
-        &[PredictorKind::Mascot],
-        &CoreConfig::golden_cove(),
-        trace_uops_from_env(),
-        mascot_bench::DEFAULT_SEED,
-    );
+    let results = run.suite(&profiles, &[PredictorKind::Mascot], &CoreConfig::golden_cove());
     let mut preds = TextTable::new(["benchmark", "no-dep", "mdp", "smb"]);
     let mut mis = TextTable::new([
         "benchmark",

@@ -5,27 +5,21 @@
 //! Paper headline: the ablation accumulates more than 12× MASCOT's false
 //! dependencies and loses IPC, especially when bypassing.
 
-use mascot_bench::{
-    benchmarks, geomean_normalized_ipc, normalized_ipc, run_suite, table::count, table::ratio,
-    trace_uops_from_env, PredictorKind, TextTable,
+use crate::{
+    benchmarks, geomean_normalized_ipc, normalized_ipc, table::count, table::ratio,
+    PredictorKind, Run, TextTable,
 };
 use mascot_sim::CoreConfig;
 use mascot_workloads::spec;
 
-fn main() {
+pub fn run(run: &Run) {
     let profiles = spec::all_profiles();
     let kinds = [
         PredictorKind::PerfectMdp,
         PredictorKind::Mascot,
         PredictorKind::TageNoNd,
     ];
-    let results = run_suite(
-        &profiles,
-        &kinds,
-        &CoreConfig::golden_cove(),
-        trace_uops_from_env(),
-        mascot_bench::DEFAULT_SEED,
-    );
+    let results = run.suite(&profiles, &kinds, &CoreConfig::golden_cove());
     let benches = benchmarks(&results);
     let mut t = TextTable::new([
         "benchmark",
@@ -38,8 +32,8 @@ fn main() {
     ]);
     let (mut fd_m, mut fd_a, mut sq_m, mut sq_a) = (0u64, 0u64, 0u64, 0u64);
     for b in &benches {
-        let m = mascot_bench::find(&results, b, "mascot").unwrap();
-        let a = mascot_bench::find(&results, b, "tage-no-nd").unwrap();
+        let m = crate::find(&results, b, "mascot").unwrap();
+        let a = crate::find(&results, b, "tage-no-nd").unwrap();
         fd_m += m.stats.false_dependencies;
         fd_a += a.stats.false_dependencies;
         sq_m += m.stats.smb_squashes;

@@ -4,14 +4,11 @@
 //! Paper headline: the SMB ceiling grows from +2.1 % (Golden Cove) to
 //! +2.8 % (Lion Cove); MASCOT's gain grows from +1.0 % to +1.3 %.
 
-use mascot_bench::{
-    benchmarks, geomean_normalized_ipc, run_suite, table::pct, trace_uops_from_env,
-    PredictorKind, TextTable,
-};
+use crate::{benchmarks, geomean_normalized_ipc, table::pct, PredictorKind, Run, TextTable};
 use mascot_sim::CoreConfig;
 use mascot_workloads::spec;
 
-fn main() {
+pub fn run(run: &Run) {
     let profiles = spec::all_profiles();
     let kinds = [
         PredictorKind::PerfectMdp,
@@ -20,13 +17,7 @@ fn main() {
     ];
     let mut t = TextTable::new(["core", "mascot vs perfect MDP", "perfect MDP+SMB vs perfect MDP"]);
     for core in [CoreConfig::golden_cove(), CoreConfig::lion_cove()] {
-        let results = run_suite(
-            &profiles,
-            &kinds,
-            &core,
-            trace_uops_from_env(),
-            mascot_bench::DEFAULT_SEED,
-        );
+        let results = run.suite(&profiles, &kinds, &core);
         let benches = benchmarks(&results);
         let mascot = geomean_normalized_ipc(&results, &benches, "mascot", "perfect-mdp").unwrap();
         let ceiling =

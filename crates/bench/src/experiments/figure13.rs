@@ -4,21 +4,23 @@
 //! The paper observes most non-base predictions come from the short-history
 //! tables, with table 1 heavily used.
 
+use crate::{run_with_predictor, table::frac_pct, PredictorKind, Run, TextTable};
 use mascot::MemDepPredictor;
-use mascot_bench::{run_with_predictor, table::frac_pct, trace_uops_from_env, PredictorKind, TextTable};
 use mascot_sim::CoreConfig;
 use mascot_workloads::spec;
 
-fn main() {
+/// Prints each table's share of MASCOT's predictions. The cells simulate
+/// the whole trace, also under a sampled [`Run`]: the counts are read from
+/// the predictor after the run.
+pub fn run(run: &Run) {
     let profiles = spec::all_profiles();
     let core = CoreConfig::golden_cove();
-    let uops = trace_uops_from_env();
     let mut per_table = [0u64; 8];
     let mut base = 0u64;
     let mut rows: Vec<(String, Vec<u64>, u64)> = Vec::new();
     for profile in &profiles {
         let mut p = PredictorKind::Mascot.build();
-        let _ = run_with_predictor(profile, &mut p, &core, uops, mascot_bench::DEFAULT_SEED, None);
+        let _ = run_with_predictor(profile, &mut p, &core, run.uops, run.seed, None);
         let m = p.as_mascot().expect("mascot predictor");
         let stats = m.stats();
         for (acc, v) in per_table.iter_mut().zip(&stats.table_predictions) {

@@ -6,9 +6,9 @@
 //! useful (it could be larger), tables 5–8 have mostly idle slots (they can
 //! shrink) — the observation behind MASCOT-OPT's sizing.
 
+use crate::{run_with_predictor, Run, TextTable};
 use mascot::config::MascotConfig;
 use mascot::predictor::Mascot;
-use mascot_bench::{run_with_predictor, trace_uops_from_env, TextTable};
 use mascot_predictors::AnyPredictor;
 use mascot_sim::CoreConfig;
 use mascot_workloads::spec;
@@ -17,10 +17,12 @@ use mascot_workloads::spec;
 /// SimPoints; we scale to our shorter traces.
 const TUNING_PERIOD: u64 = 25_000;
 
-fn main() {
+/// Prints the ranked per-slot F1 curves and the sizing readout. The cells
+/// simulate the whole trace, also under a sampled [`Run`]: the curves are
+/// read from the predictor's tuning state after the run.
+pub fn run(run: &Run) {
     let profiles = spec::all_profiles();
     let core = CoreConfig::golden_cove();
-    let uops = trace_uops_from_env();
     let mut curves: Vec<Vec<f64>> = Vec::new(); // per table, rank-averaged
     let mut n_runs = 0.0;
     for profile in &profiles {
@@ -30,8 +32,8 @@ fn main() {
             profile,
             &mut p,
             &core,
-            uops,
-            mascot_bench::DEFAULT_SEED,
+            run.uops,
+            run.seed,
             Some(TUNING_PERIOD),
         );
         let m = p.as_mascot().expect("mascot predictor");

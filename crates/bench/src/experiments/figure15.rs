@@ -5,14 +5,11 @@
 //! 10.1 KiB (27.7 % smaller than the 14 KiB default), at the cost of a
 //! 17.4 % rise in mispredictions.
 
-use mascot_bench::{
-    benchmarks, find, geomean_normalized_ipc, run_suite, table::count, trace_uops_from_env,
-    PredictorKind, TextTable,
-};
+use crate::{benchmarks, find, geomean_normalized_ipc, table::count, PredictorKind, Run, TextTable};
 use mascot_sim::CoreConfig;
 use mascot_workloads::spec;
 
-fn main() {
+pub fn run(run: &Run) {
     let profiles = spec::all_profiles();
     let kinds = [
         PredictorKind::PerfectMdp,
@@ -22,13 +19,7 @@ fn main() {
         PredictorKind::MascotOpt(4),
         PredictorKind::MascotOpt(6),
     ];
-    let results = run_suite(
-        &profiles,
-        &kinds,
-        &CoreConfig::golden_cove(),
-        trace_uops_from_env(),
-        mascot_bench::DEFAULT_SEED,
-    );
+    let results = run.suite(&profiles, &kinds, &CoreConfig::golden_cove());
     let benches = benchmarks(&results);
     let baseline = geomean_normalized_ipc(&results, &benches, "mascot", "perfect-mdp").unwrap();
     let base_mis: u64 = benches

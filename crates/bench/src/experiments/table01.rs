@@ -3,7 +3,7 @@
 //! Prints the modelled Golden Cove (and Lion Cove) parameters so they can be
 //! checked against the paper's Table I.
 
-use mascot_bench::TextTable;
+use crate::{Run, TextTable};
 use mascot_sim::CoreConfig;
 
 fn rows(t: &mut TextTable, c: &CoreConfig) {
@@ -73,7 +73,7 @@ fn rows(t: &mut TextTable, c: &CoreConfig) {
     ]);
 }
 
-fn main() {
+pub fn run(_run: &Run) {
     for core in [CoreConfig::golden_cove(), CoreConfig::lion_cove()] {
         let mut t = TextTable::new(["parameter", "value"]);
         rows(&mut t, &core);

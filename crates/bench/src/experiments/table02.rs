@@ -1,9 +1,9 @@
 //! Table II: configuration and storage of the evaluated predictors.
 
+use crate::{PredictorKind, Run, TextTable};
 use mascot::MemDepPredictor;
-use mascot_bench::{PredictorKind, TextTable};
 
-fn main() {
+pub fn run(_run: &Run) {
     let kinds = [
         (PredictorKind::StoreSets, "SSIT 8K direct (1v+12b SSID), LFST 4K direct (1v+10b StID)"),
         (PredictorKind::NoSq, "2 tables, 4-way, 4K entries: 22b tag + 7b counter + 7b distance + 2b LRU"),

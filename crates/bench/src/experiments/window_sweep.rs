@@ -8,10 +8,7 @@
 //! ROB/IQ/LQ/SB together from a small OoO core up past Golden Cove and
 //! reports each predictor's normalised IPC per point.
 
-use mascot_bench::{
-    benchmarks, geomean_normalized_ipc, run_suite, table::ratio, trace_uops_from_env,
-    PredictorKind, TextTable,
-};
+use crate::{benchmarks, geomean_normalized_ipc, table::ratio, PredictorKind, Run, TextTable};
 use mascot_sim::CoreConfig;
 use mascot_workloads::spec;
 
@@ -28,7 +25,7 @@ fn scaled_core(scale: f64) -> CoreConfig {
     }
 }
 
-fn main() {
+pub fn run(run: &Run) {
     let profiles = spec::quick_suite();
     let kinds = [
         PredictorKind::PerfectMdp,
@@ -38,7 +35,6 @@ fn main() {
         PredictorKind::MascotMdp,
         PredictorKind::Mascot,
     ];
-    let uops = trace_uops_from_env();
     let mut t = TextTable::new([
         "window",
         "store-sets",
@@ -49,7 +45,7 @@ fn main() {
     ]);
     for scale in [0.25, 0.5, 1.0, 1.5] {
         let core = scaled_core(scale);
-        let results = run_suite(&profiles, &kinds, &core, uops, mascot_bench::DEFAULT_SEED);
+        let results = run.suite(&profiles, &kinds, &core);
         let benches = benchmarks(&results);
         let gm = |p: &str| {
             geomean_normalized_ipc(&results, &benches, p, "perfect-mdp").unwrap_or(f64::NAN)

@@ -27,85 +27,96 @@ const TRACE_CACHE_MAX_ENTRIES: usize = 48;
 /// sweeps (sampled-simulation gates run 10× traces) would otherwise pin
 /// tens of millions of uops per distinct key for the process lifetime.
 const TRACE_CACHE_MAX_UOPS: usize = 24_000_000;
+/// Entry cap for the process-wide sampling-prep cache. Each entry holds one
+/// warm-up checkpoint per cluster (~1–2 MiB of cache tags and predictor
+/// tables each), so the cap bounds resident memory to a few hundred MiB in
+/// the worst case while still covering a whole benchmark × predictor sweep
+/// at one configuration.
+const PREP_CACHE_MAX_ENTRIES: usize = 6;
 
-type TraceKey = (WorkloadProfile, u64, usize);
-type TraceSlot = Arc<OnceLock<Arc<Trace>>>;
-
-struct TraceCacheEntry {
-    key: TraceKey,
-    slot: TraceSlot,
+/// One cached value, built by whichever caller reaches its slot first.
+struct LruEntry<K, V> {
+    key: K,
+    weight: usize,
+    slot: Arc<OnceLock<Arc<V>>>,
     last_used: u64,
 }
 
-/// A bounded LRU of generated traces, keyed by `(profile, seed, uops)`.
-/// Kept separate from the static instance so the eviction policy is unit
-/// testable on a fresh cache.
-struct TraceCache {
-    /// Entries plus a monotonic access tick, under one lock.
-    inner: Mutex<(Vec<TraceCacheEntry>, u64)>,
-    max_entries: usize,
-    max_uops: usize,
+/// The entries plus a monotonic access tick, under one lock.
+struct LruState<K, V> {
+    entries: Vec<LruEntry<K, V>>,
+    tick: u64,
 }
 
-impl TraceCache {
-    const fn new(max_entries: usize, max_uops: usize) -> Self {
+/// A bounded LRU of values that are expensive to build. It retains at most
+/// `max_entries` entries and, when `max_weight` is set, at most that much
+/// summed weight.
+///
+/// The lock is held only to find or insert a key's slot, never while a
+/// value is built, so callers building *different* values proceed in
+/// parallel; callers racing for the *same* key rendezvous on the slot's
+/// `OnceLock` and build it exactly once. Eviction drops only the cache's
+/// reference: a caller holding an evicted slot finishes building into its
+/// own `Arc`s. The bounds limit *retention*, not admission, so an entry
+/// heavier than `max_weight` is still cached, at the cost of evicting
+/// everything else. Lookup is a linear scan, which at these caps is
+/// trivially cheaper than the milliseconds a hit saves.
+struct Lru<K, V> {
+    state: Mutex<LruState<K, V>>,
+    max_entries: usize,
+    max_weight: Option<usize>,
+}
+
+impl<K: PartialEq, V> Lru<K, V> {
+    const fn new(max_entries: usize, max_weight: Option<usize>) -> Self {
         Self {
-            inner: Mutex::new((Vec::new(), 0)),
+            state: Mutex::new(LruState {
+                entries: Vec::new(),
+                tick: 0,
+            }),
             max_entries,
-            max_uops,
+            max_weight,
         }
     }
 
-    fn get(&self, profile: &WorkloadProfile, seed: u64, trace_uops: usize) -> Arc<Trace> {
-        // The registry lock is held only to find/insert the key's slot,
-        // never during generation, so workers building *different* traces
-        // proceed in parallel; workers racing for the *same* trace
-        // rendezvous on the slot's `OnceLock` and generate it exactly once.
-        // Eviction drops only the registry's reference — a worker holding a
-        // slot for an evicted key finishes generating into its own `Arc`s.
-        let slot: TraceSlot = {
-            let mut guard = self.inner.lock().expect("trace cache poisoned");
-            let (entries, tick) = &mut *guard;
+    /// Returns the value cached under `key`, building it with `build` and
+    /// charging it `weight` when the cache does not hold it.
+    fn get(&self, key: K, weight: usize, build: impl FnOnce() -> V) -> Arc<V> {
+        let slot = {
+            let mut guard = self.state.lock().expect("cache poisoned");
+            let LruState { entries, tick } = &mut *guard;
             *tick += 1;
-            let now = *tick;
-            match entries
-                .iter_mut()
-                .find(|e| e.key.0 == *profile && e.key.1 == seed && e.key.2 == trace_uops)
-            {
-                Some(entry) => {
-                    entry.last_used = now;
-                    Arc::clone(&entry.slot)
+            if let Some(entry) = entries.iter_mut().find(|e| e.key == key) {
+                entry.last_used = *tick;
+                Arc::clone(&entry.slot)
+            } else {
+                let over_weight = |entries: &[LruEntry<K, V>]| {
+                    self.max_weight.is_some_and(|cap| {
+                        entries.iter().map(|e| e.weight).sum::<usize>() + weight > cap
+                    })
+                };
+                while !entries.is_empty()
+                    && (entries.len() >= self.max_entries || over_weight(entries))
+                {
+                    let lru = entries
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, e)| e.last_used)
+                        .map(|(i, _)| i)
+                        .expect("checked non-empty");
+                    entries.swap_remove(lru);
                 }
-                None => {
-                    // Evict least-recently-used entries until the new one
-                    // fits both bounds (an oversized single trace still
-                    // gets cached — the bounds limit *retention*, not
-                    // admission, so the generate-once rendezvous works for
-                    // any size).
-                    while !entries.is_empty()
-                        && (entries.len() >= self.max_entries
-                            || entries.iter().map(|e| e.key.2).sum::<usize>() + trace_uops
-                                > self.max_uops)
-                    {
-                        let lru = entries
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, e)| e.last_used)
-                            .map(|(i, _)| i)
-                            .expect("checked non-empty");
-                        entries.swap_remove(lru);
-                    }
-                    let slot = TraceSlot::default();
-                    entries.push(TraceCacheEntry {
-                        key: (profile.clone(), seed, trace_uops),
-                        slot: Arc::clone(&slot),
-                        last_used: now,
-                    });
-                    slot
-                }
+                let slot = Arc::default();
+                entries.push(LruEntry {
+                    key,
+                    weight,
+                    slot: Arc::clone(&slot),
+                    last_used: *tick,
+                });
+                slot
             }
         };
-        Arc::clone(slot.get_or_init(|| Arc::new(generate(profile, seed, trace_uops))))
+        Arc::clone(slot.get_or_init(|| Arc::new(build())))
     }
 }
 
@@ -118,22 +129,15 @@ impl TraceCache {
 /// Keyed by the full profile (not just its name), so ad-hoc profiles with
 /// colliding names stay distinct. The cache is a bounded LRU
 /// (`TRACE_CACHE_MAX_ENTRIES` entries, `TRACE_CACHE_MAX_UOPS` total
-/// requested uops): least-recently-used traces are dropped once either
-/// bound is exceeded, so long-lived processes sweeping many long traces
-/// don't accumulate every trace they ever touched. Lookup is a linear
-/// scan — at the entry cap that's still trivially cheaper than the
-/// milliseconds a hit saves.
+/// requested uops), so long-lived processes sweeping many long traces
+/// don't accumulate every trace they ever touched.
 pub fn cached_trace(profile: &WorkloadProfile, seed: u64, trace_uops: usize) -> Arc<Trace> {
-    static CACHE: TraceCache = TraceCache::new(TRACE_CACHE_MAX_ENTRIES, TRACE_CACHE_MAX_UOPS);
-    CACHE.get(profile, seed, trace_uops)
+    static CACHE: Lru<(WorkloadProfile, u64, usize), Trace> =
+        Lru::new(TRACE_CACHE_MAX_ENTRIES, Some(TRACE_CACHE_MAX_UOPS));
+    CACHE.get((profile.clone(), seed, trace_uops), trace_uops, || {
+        generate(profile, seed, trace_uops)
+    })
 }
-
-/// Entry cap for the process-wide sampling-prep cache. Each entry holds one
-/// warm-up checkpoint per cluster (~1–2 MiB of cache tags and predictor
-/// tables each), so the cap bounds resident memory to a few hundred MiB in
-/// the worst case while still covering a whole benchmark × predictor sweep
-/// at one configuration.
-const PREP_CACHE_MAX_ENTRIES: usize = 6;
 
 /// The reusable half of a sampled run for one `(trace, predictor, core,
 /// config)` cell: the cluster plan and the per-cluster functional warm-up
@@ -148,16 +152,14 @@ pub struct SamplingPrep {
     pub warm: WarmSet,
 }
 
-type PrepKey = (WorkloadProfile, u64, usize, String, CoreConfig, SamplingConfig);
-type PrepSlot = Arc<OnceLock<Arc<SamplingPrep>>>;
-
 /// Returns the sampling prep for a cell, building it at most once while it
-/// stays cached (bounded LRU, same slot-rendezvous discipline as
-/// [`cached_trace`]). This is what makes sampled *sweeps* fast: the plan
-/// and warm checkpoints are a per-trace/per-predictor investment — itself
-/// several times cheaper than one full simulation — after which every
-/// further sampled run of that cell costs only its representative windows.
-/// The SimPoint checkpoint workflow, in-process.
+/// stays cached (bounded LRU of `PREP_CACHE_MAX_ENTRIES`, the same
+/// slot-rendezvous cache as [`cached_trace`]). This is what makes sampled
+/// *sweeps* fast: the plan and warm checkpoints are a
+/// per-trace/per-predictor investment — itself several times cheaper than
+/// one full simulation — after which every further sampled run of that
+/// cell costs only its representative windows. The SimPoint checkpoint
+/// workflow, in-process.
 pub fn cached_sampling_prep(
     profile: &WorkloadProfile,
     trace: &Trace,
@@ -167,8 +169,9 @@ pub fn cached_sampling_prep(
     trace_uops: usize,
     cfg: &SamplingConfig,
 ) -> Arc<SamplingPrep> {
-    static CACHE: Mutex<(Vec<(PrepKey, PrepSlot, u64)>, u64)> = Mutex::new((Vec::new(), 0));
-    let key: PrepKey = (
+    type PrepKey = (WorkloadProfile, u64, usize, String, CoreConfig, SamplingConfig);
+    static CACHE: Lru<PrepKey, SamplingPrep> = Lru::new(PREP_CACHE_MAX_ENTRIES, None);
+    let key = (
         profile.clone(),
         seed,
         trace_uops,
@@ -176,37 +179,11 @@ pub fn cached_sampling_prep(
         core.clone(),
         *cfg,
     );
-    let slot: PrepSlot = {
-        let mut guard = CACHE.lock().expect("prep cache poisoned");
-        let (entries, tick) = &mut *guard;
-        *tick += 1;
-        let now = *tick;
-        match entries.iter_mut().find(|(k, _, _)| *k == key) {
-            Some((_, slot, last_used)) => {
-                *last_used = now;
-                Arc::clone(slot)
-            }
-            None => {
-                while entries.len() >= PREP_CACHE_MAX_ENTRIES {
-                    let lru = entries
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, (_, _, last_used))| *last_used)
-                        .map(|(i, _)| i)
-                        .expect("checked non-empty");
-                    entries.swap_remove(lru);
-                }
-                let slot = PrepSlot::default();
-                entries.push((key, Arc::clone(&slot), now));
-                slot
-            }
-        }
-    };
-    Arc::clone(slot.get_or_init(|| {
+    CACHE.get(key, trace_uops, || {
         let plan = mascot_sampling::plan(trace, cfg);
         let warm = mascot_sampling::warm_checkpoints(trace, &plan, kind, core, cfg);
-        Arc::new(SamplingPrep { plan, warm })
-    }))
+        SamplingPrep { plan, warm }
+    })
 }
 
 /// The outcome of one simulation run.
@@ -238,23 +215,6 @@ fn throughput_of(stats: &SimStats, wall: std::time::Duration) -> (f64, f64) {
         0.0
     };
     (secs * 1e3, uops_per_sec)
-}
-
-/// Trace length override from `MASCOT_TRACE_UOPS`, else the default.
-pub fn trace_uops_from_env() -> usize {
-    std::env::var("MASCOT_TRACE_UOPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_TRACE_UOPS)
-}
-
-/// Sampled-mode override from `MASCOT_SAMPLED` (any value other than empty
-/// or `0` enables). When set, [`run_one`] — and therefore [`run_suite`] and
-/// every figure/table binary built on them — transparently projects each
-/// cell from representative intervals ([`run_one_sampled`] with the default
-/// [`SamplingConfig`]) instead of simulating the whole trace.
-pub fn sampled_from_env() -> bool {
-    std::env::var("MASCOT_SAMPLED").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 /// Runs one simulation against a caller-owned predictor (used by the
@@ -318,9 +278,8 @@ pub fn run_trace(
     }
 }
 
-/// Runs one (benchmark, predictor, core) combination. Honours the
-/// `MASCOT_SAMPLED` override ([`sampled_from_env`]): when set, the cell is
-/// projected from representative intervals instead of simulated end to end.
+/// Runs one (benchmark, predictor, core) combination, simulating the whole
+/// trace.
 pub fn run_one(
     profile: &WorkloadProfile,
     kind: PredictorKind,
@@ -328,10 +287,6 @@ pub fn run_one(
     trace_uops: usize,
     seed: u64,
 ) -> RunResult {
-    if sampled_from_env() {
-        return run_one_sampled(profile, kind, core, trace_uops, seed, &SamplingConfig::default())
-            .run;
-    }
     let trace = cached_trace(profile, seed, trace_uops);
     let mut predictor = kind.build();
     let t0 = Instant::now();
@@ -348,23 +303,52 @@ pub fn run_one(
     }
 }
 
-/// Runs the full cross product in parallel on the shared scoped worker
-/// pool ([`mascot_sampling::parallel_map`]), bounded by the host's
-/// parallelism, results in cross-product order.
-pub fn run_suite(
-    profiles: &[WorkloadProfile],
-    kinds: &[PredictorKind],
-    core: &CoreConfig,
-    trace_uops: usize,
-    seed: u64,
-) -> Vec<RunResult> {
-    let jobs: Vec<(&WorkloadProfile, PredictorKind)> = profiles
-        .iter()
-        .flat_map(|p| kinds.iter().map(move |&k| (p, k)))
-        .collect();
-    mascot_sampling::parallel_map(&jobs, |_, &(profile, kind)| {
-        run_one(profile, kind, core, trace_uops, seed)
-    })
+/// How an experiment runs its cells: the trace length and seed of every
+/// cell, and whether a cell is simulated end to end or projected from
+/// representative intervals (DESIGN.md §13). Built once by the caller and
+/// passed down, so nothing below it decides the mode on its own.
+#[derive(Debug, Clone, Copy)]
+pub struct Run {
+    /// Trace length per benchmark (micro-ops).
+    pub uops: usize,
+    /// Generation seed.
+    pub seed: u64,
+    /// Project each cell with [`run_one_sampled`] and the default
+    /// [`SamplingConfig`] instead of simulating the whole trace.
+    pub sampled: bool,
+}
+
+impl Run {
+    /// Runs one (benchmark, predictor, core) cell, full or sampled.
+    pub fn one(
+        &self,
+        profile: &WorkloadProfile,
+        kind: PredictorKind,
+        core: &CoreConfig,
+    ) -> RunResult {
+        if self.sampled {
+            let cfg = SamplingConfig::default();
+            run_one_sampled(profile, kind, core, self.uops, self.seed, &cfg).run
+        } else {
+            run_one(profile, kind, core, self.uops, self.seed)
+        }
+    }
+
+    /// Runs the (profile × kind) cross product on the shared scoped worker
+    /// pool ([`mascot_sampling::parallel_map`]), bounded by the host's
+    /// parallelism, results in cross-product order.
+    pub fn suite(
+        &self,
+        profiles: &[WorkloadProfile],
+        kinds: &[PredictorKind],
+        core: &CoreConfig,
+    ) -> Vec<RunResult> {
+        let jobs: Vec<(&WorkloadProfile, PredictorKind)> = profiles
+            .iter()
+            .flat_map(|p| kinds.iter().map(move |&k| (p, k)))
+            .collect();
+        mascot_sampling::parallel_map(&jobs, |_, &(profile, kind)| self.one(profile, kind, core))
+    }
 }
 
 /// The outcome of one *sampled* simulation run (DESIGN.md §13): projected
@@ -384,10 +368,10 @@ pub struct SampledRunResult {
     pub simulated_uops: u64,
     /// Uops the projection stands in for (the full trace).
     pub represented_uops: u64,
-    /// Wall-clock spent building this cell's [`SamplingPrep`] (fingerprint
-    /// + clustering + the functional warm pass) — `0.0` when
-    /// the prep cache already held it. Amortised across every sampled run
-    /// of the same cell, the SimPoint checkpoint economics.
+    /// Wall-clock spent building this cell's [`SamplingPrep`] (fingerprint,
+    /// clustering and the functional warm pass) — `0.0` when the prep cache
+    /// already held it. Amortised across every sampled run of the same
+    /// cell, the SimPoint checkpoint economics.
     pub prep_wall_ms: f64,
 }
 
@@ -430,25 +414,6 @@ pub fn run_one_sampled(
         represented_uops: out.represented_uops,
         prep_wall_ms,
     }
-}
-
-/// Sampled-mode [`run_suite`]: the same cross product, each cell projected
-/// from representative intervals instead of simulated end to end. The
-/// per-cell pipeline already fans its representatives out on the worker
-/// pool, so cells run sequentially here rather than nesting pools.
-pub fn run_suite_sampled(
-    profiles: &[WorkloadProfile],
-    kinds: &[PredictorKind],
-    core: &CoreConfig,
-    trace_uops: usize,
-    seed: u64,
-    cfg: &SamplingConfig,
-) -> Vec<SampledRunResult> {
-    profiles
-        .iter()
-        .flat_map(|p| kinds.iter().map(move |&k| (p, k)))
-        .map(|(p, k)| run_one_sampled(p, k, core, trace_uops, seed, cfg))
-        .collect()
 }
 
 /// Finds the result for (benchmark, predictor) in a result set.
@@ -547,7 +512,12 @@ mod tests {
             spec::profile("bwaves").unwrap(),
         ];
         let kinds = [PredictorKind::PerfectMdp, PredictorKind::StoreSets];
-        let results = run_suite(&profiles, &kinds, &CoreConfig::golden_cove(), 15_000, 3);
+        let run = Run {
+            uops: 15_000,
+            seed: 3,
+            sampled: false,
+        };
+        let results = run.suite(&profiles, &kinds, &CoreConfig::golden_cove());
         assert_eq!(results.len(), 4);
         assert!(find(&results, "bwaves", "store-sets").is_some());
         let bs = benchmarks(&results);
@@ -562,44 +532,54 @@ mod tests {
             .is_none());
     }
 
-    #[test]
-    fn trace_cache_caps_entries_and_evicts_lru() {
-        let cache = TraceCache::new(4, usize::MAX);
-        let profile = spec::profile("exchange2").unwrap();
-        // Fill the cache with 4 distinct keys (seeds 0..4).
-        let traces: Vec<Arc<Trace>> = (0..4).map(|s| cache.get(&profile, s, 200)).collect();
-        // Touch seed 0 so seed 1 becomes the least recently used.
-        assert!(Arc::ptr_eq(&cache.get(&profile, 0, 200), &traces[0]));
-        // A fifth key evicts exactly one entry: seed 1.
-        let _ = cache.get(&profile, 4, 200);
-        assert!(
-            Arc::ptr_eq(&cache.get(&profile, 0, 200), &traces[0]),
-            "recently touched entry survives"
-        );
-        // Seed 1 was evicted, so this access regenerates (which in turn
-        // evicts the new LRU) — a fresh allocation, not the cached one.
-        assert!(
-            !Arc::ptr_eq(&cache.get(&profile, 1, 200), &traces[1]),
-            "LRU entry was evicted and regenerated"
-        );
+    /// A cache of `u64`s whose builds are counted, so a test can tell a
+    /// hit from a rebuild.
+    fn counted_get(cache: &Lru<u64, u64>, builds: &mut u64, key: u64, weight: usize) -> Arc<u64> {
+        cache.get(key, weight, || {
+            *builds += 1;
+            key
+        })
     }
 
     #[test]
-    fn trace_cache_respects_uop_budget_but_admits_oversized_traces() {
-        let cache = TraceCache::new(usize::MAX, 1_000);
-        let profile = spec::profile("exchange2").unwrap();
-        let small = cache.get(&profile, 1, 400);
-        let _ = cache.get(&profile, 2, 400);
+    fn lru_caps_entries_and_evicts_lru() {
+        let cache = Lru::new(4, None);
+        let mut builds = 0;
+        // Fill the cache with 4 distinct keys.
+        let held: Vec<Arc<u64>> = (0..4).map(|k| counted_get(&cache, &mut builds, k, 1)).collect();
+        // Touch key 0 so key 1 becomes the least recently used.
+        assert!(Arc::ptr_eq(&counted_get(&cache, &mut builds, 0, 1), &held[0]));
+        // A fifth key evicts exactly one entry: key 1.
+        let _ = counted_get(&cache, &mut builds, 4, 1);
+        assert!(
+            Arc::ptr_eq(&counted_get(&cache, &mut builds, 0, 1), &held[0]),
+            "recently touched entry survives"
+        );
+        assert_eq!(builds, 5);
+        // Key 1 was evicted, so this access rebuilds it (which in turn
+        // evicts the new LRU): a fresh allocation, not the cached one.
+        assert!(
+            !Arc::ptr_eq(&counted_get(&cache, &mut builds, 1, 1), &held[1]),
+            "LRU entry was evicted and rebuilt"
+        );
+        assert_eq!(builds, 6);
+    }
+
+    #[test]
+    fn lru_weight_cap_evicts_but_admits_oversized_entries() {
+        let cache = Lru::new(usize::MAX, Some(1_000));
+        let mut builds = 0;
+        let first = counted_get(&cache, &mut builds, 1, 400);
+        let _ = counted_get(&cache, &mut builds, 2, 400);
         // 400 + 400 + 400 > 1000: inserting a third evicts the oldest.
-        let _ = cache.get(&profile, 3, 400);
-        assert!(!Arc::ptr_eq(&cache.get(&profile, 1, 400), &small));
-        // A single trace over the whole budget is still generated once and
+        let _ = counted_get(&cache, &mut builds, 3, 400);
+        assert!(!Arc::ptr_eq(&counted_get(&cache, &mut builds, 1, 400), &first));
+        // A single entry over the whole budget is still built once and
         // cached (bounds limit retention, not admission)…
-        let big = cache.get(&profile, 9, 2_000);
-        assert!(Arc::ptr_eq(&cache.get(&profile, 9, 2_000), &big));
+        let big = counted_get(&cache, &mut builds, 9, 2_000);
+        assert!(Arc::ptr_eq(&counted_get(&cache, &mut builds, 9, 2_000), &big));
         // …at the cost of evicting everything else.
-        let (entries, _) = &*cache.inner.lock().unwrap();
-        assert_eq!(entries.len(), 1);
+        assert_eq!(cache.state.lock().unwrap().entries.len(), 1);
     }
 
     #[test]
@@ -639,12 +619,6 @@ mod tests {
             full.stats.ipc(),
         );
         assert!(err.abs() < 0.25, "projected IPC off by {err:+.3}");
-    }
-
-    #[test]
-    fn trace_uops_env_override() {
-        // No env var set in the test environment: default applies.
-        assert_eq!(trace_uops_from_env(), DEFAULT_TRACE_UOPS);
     }
 
     #[test]

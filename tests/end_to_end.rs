@@ -4,9 +4,7 @@
 //! These use shortened traces for test-suite speed; the full experiments
 //! live in the `mascot-bench` binaries.
 
-use mascot_bench::{
-    benchmarks, geomean_normalized_ipc, run_one, run_suite, PredictorKind,
-};
+use mascot_bench::{benchmarks, geomean_normalized_ipc, run_one, PredictorKind, Run};
 use mascot_sim::CoreConfig;
 use mascot_workloads::spec;
 
@@ -15,7 +13,12 @@ const SEED: u64 = 2025;
 
 fn quick_results(kinds: &[PredictorKind]) -> Vec<mascot_bench::RunResult> {
     let profiles = spec::quick_suite();
-    run_suite(&profiles, kinds, &CoreConfig::golden_cove(), TEST_UOPS, SEED)
+    let run = Run {
+        uops: TEST_UOPS,
+        seed: SEED,
+        sampled: false,
+    };
+    run.suite(&profiles, kinds, &CoreConfig::golden_cove())
 }
 
 /// Every predictor must run every benchmark to completion with a sane IPC.
