@@ -299,9 +299,9 @@ impl Router {
     }
 
     /// Splits `items` by node into `self.route` and forwards every
-    /// sub-batch, returning each answer with the slot that gave it. On an error every upstream
-    /// connection is dropped, so no reply still owed can be read as the
-    /// answer to a later request.
+    /// sub-batch, returning each answer with the slot that gave it. On an
+    /// error every upstream connection is dropped, so no reply still owed
+    /// can be read as the answer to a later request.
     fn scatter_gather<T: Copy>(
         &mut self,
         items: &[T],

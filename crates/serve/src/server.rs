@@ -534,8 +534,7 @@ impl ShardHandler<'_> {
     /// Runs each shard's share of the batch, with every reply written to
     /// its item's slot, so the replies come back in request order.
     fn predict(&mut self, items: &[PredictItem]) -> Response {
-        let pool = self.pool;
-        self.route.split(pool.num_shards(), items.iter().map(|it| pool.shard_of(it.pc)));
+        self.route.split(self.pool.num_shards(), items.iter().map(|it| self.pool.shard_of(it.pc)));
         let mut replies = std::mem::take(&mut self.replies);
         replies.clear();
         replies.resize(items.len(), UNANSWERED);
@@ -547,8 +546,7 @@ impl ShardHandler<'_> {
 
     /// Runs each shard's share of the batch and sums their summaries.
     fn train(&mut self, items: &[TrainItem]) -> Response {
-        let pool = self.pool;
-        self.route.split(pool.num_shards(), items.iter().map(|it| pool.shard_of(it.pc)));
+        self.route.split(self.pool.num_shards(), items.iter().map(|it| self.pool.shard_of(it.pc)));
         let (mut applied, mut stale) = (0, 0);
         for (shard, idxs) in self.route.runs() {
             let (a, s) = self.pool.train(shard, items, idxs.iter().copied());
