@@ -6,7 +6,8 @@
 //!
 //! Regenerate with:
 //! `cargo test --release --test golden_stats -- --ignored print_golden --nocapture`
-//! (and `print_sampled_golden` / `print_mistrain_golden` for the other pins).
+//! (and `print_squash_golden` / `print_sampled_golden` /
+//! `print_mistrain_golden` for the other pins).
 
 use mascot_bench::{run_one, run_trace, PredictorKind};
 use mascot_sampling::{run_sampled, SampledOutcome, SamplingConfig};
@@ -65,6 +66,60 @@ fn stats_match_golden_snapshot() {
             got, expected,
             "SimStats drifted for ({profile}, {kind:?}) — if the simulator \
              model intentionally changed, regenerate with print_golden"
+        );
+    }
+}
+
+/// Long enough for bwaves to enter NoSQ's failed-bypass loop (it takes
+/// ≥100k uops; `GOLDEN_UOPS` is far too short), so these cells pin the
+/// squash paths, and every squash's history rewind, bit-exactly.
+const SQUASH_UOPS: usize = 150_000;
+
+fn squash_matrix() -> Vec<(&'static str, PredictorKind)> {
+    vec![("bwaves", PredictorKind::NoSq), ("bwaves", PredictorKind::Mascot)]
+}
+
+fn run_squash_cell(profile: &str, kind: PredictorKind) -> SimStats {
+    let profile = spec::profile(profile).expect("known profile");
+    run_one(
+        &profile,
+        kind,
+        &CoreConfig::golden_cove(),
+        SQUASH_UOPS,
+        GOLDEN_SEED,
+    )
+    .stats
+}
+
+/// Prints the current squash-heavy pins for updating `squash_golden()`.
+#[test]
+#[ignore = "generator for the squash-heavy golden values below"]
+fn print_squash_golden() {
+    for (profile, kind) in squash_matrix() {
+        let stats = run_squash_cell(profile, kind);
+        println!("// ({profile:?}, PredictorKind::{kind:?})");
+        println!("{stats:#?},");
+    }
+}
+
+/// Bit-exact pins of the squash-heavy cells. The NoSQ cell must keep
+/// squashing, or it stops exercising the squash rewind it is here for.
+#[test]
+fn squash_heavy_stats_match_golden() {
+    let golden = squash_golden();
+    assert_eq!(golden.len(), squash_matrix().len());
+    for ((profile, kind), expected) in squash_matrix().into_iter().zip(golden) {
+        let got = run_squash_cell(profile, kind);
+        if kind == PredictorKind::NoSq {
+            assert!(
+                got.mem_order_squashes + got.smb_squashes > 0,
+                "({profile}, {kind:?}) no longer squashes"
+            );
+        }
+        assert_eq!(
+            got, expected,
+            "SimStats drifted for ({profile}, {kind:?}) — if the simulator \
+             model intentionally changed, regenerate with print_squash_golden"
         );
     }
 }
@@ -218,6 +273,94 @@ fn sampled_stats_match_golden() {
              print_sampled_golden"
         );
     }
+}
+
+#[rustfmt::skip]
+fn squash_golden() -> Vec<SimStats> {
+    vec![
+        // ("bwaves", PredictorKind::NoSq)
+        SimStats {
+            cycles: 32552,
+            committed_uops: 150028,
+            committed_loads: 52335,
+            committed_stores: 5234,
+            committed_branches: 13956,
+            pred_no_dep: 48850,
+            pred_mdp: 3469,
+            pred_smb: 16,
+            missed_dependencies: 2,
+            false_dependencies: 0,
+            wrong_store: 27,
+            smb_errors: 0,
+            correct_mdp: 3458,
+            correct_smb: 0,
+            correct_no_dep: 48848,
+            mem_order_squashes: 9,
+            smb_squashes: 16,
+            branch_mispredicts: 355,
+            indirect_mispredicts: 0,
+            loads_bypassed: 0,
+            loads_forwarded: 3487,
+            loads_from_cache: 48848,
+            class_direct_bypass: 0,
+            class_no_offset: 0,
+            class_offset: 0,
+            class_mdp_only: 3487,
+            dependent_wait_cycles: 34896,
+            dependent_wait_count: 3489,
+            stall_frontend: 7095,
+            stall_rob: 17,
+            stall_iq: 0,
+            stall_lq: 0,
+            stall_sb: 0,
+            l1i_misses: 22,
+            l1d_misses: 55,
+            l2_misses: 14004,
+            l3_misses: 14004,
+            ..SimStats::default()
+        },
+        // ("bwaves", PredictorKind::Mascot)
+        SimStats {
+            cycles: 32076,
+            committed_uops: 150028,
+            committed_loads: 52335,
+            committed_stores: 5234,
+            committed_branches: 13956,
+            pred_no_dep: 48850,
+            pred_mdp: 3485,
+            pred_smb: 0,
+            missed_dependencies: 2,
+            false_dependencies: 0,
+            wrong_store: 4,
+            smb_errors: 0,
+            correct_mdp: 3481,
+            correct_smb: 0,
+            correct_no_dep: 48848,
+            mem_order_squashes: 2,
+            smb_squashes: 0,
+            branch_mispredicts: 355,
+            indirect_mispredicts: 0,
+            loads_bypassed: 0,
+            loads_forwarded: 3487,
+            loads_from_cache: 48848,
+            class_direct_bypass: 0,
+            class_no_offset: 0,
+            class_offset: 0,
+            class_mdp_only: 3487,
+            dependent_wait_cycles: 34946,
+            dependent_wait_count: 3489,
+            stall_frontend: 6819,
+            stall_rob: 0,
+            stall_iq: 0,
+            stall_lq: 0,
+            stall_sb: 0,
+            l1i_misses: 22,
+            l1d_misses: 39,
+            l2_misses: 14004,
+            l3_misses: 14004,
+            ..SimStats::default()
+        },
+    ]
 }
 
 #[rustfmt::skip]
