@@ -5,8 +5,8 @@
 //! MDP-TAGE, NoSQ and the simulator's TAGE branch predictor are the same
 //! structure with other payloads. [`TaggedTables`] owns the tables, one
 //! folded-history hasher per table and the event log, and keeps them in
-//! step: hashers advance before each push, rewind with the log on a squash,
-//! and are recomputed from the log on snapshot decode. Payloads and
+//! step: hashers advance before each push, and are recomputed from the log
+//! after a squash rewinds it and on snapshot decode. Payloads and
 //! allocation policy stay with each predictor.
 
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
@@ -76,8 +76,8 @@ impl<E: Clone> TaggedTables<E> {
     /// Creates an empty bank with one table per shape. `fill` seeds every
     /// table's payload lane (never observed while a way is invalid).
     ///
-    /// The history ring keeps twice the longest window, and at least 64
-    /// events, so a squash can undo pushes without losing a window edge.
+    /// The history log keeps twice the longest window, and at least 64
+    /// events.
     ///
     /// # Panics
     ///
@@ -207,11 +207,7 @@ impl<E> TaggedTables<E> {
     /// [`SnapError`] on a malformed log or one whose ring capacity differs
     /// from this bank's.
     pub fn snap_decode_history(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let history = GlobalHistory::snap_decode(r)?;
-        if history.capacity() != self.history.capacity() {
-            return Err(SnapError::Corrupt("history capacity does not match config"));
-        }
-        self.history = history;
+        self.history = GlobalHistory::snap_decode(r, self.history.capacity())?;
         for hasher in &mut self.hashers {
             hasher.recompute(&self.history);
         }
@@ -266,7 +262,7 @@ fn table_lookup(hasher: &TableHasher, pc: u64) -> TableLookup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::history::{BranchKind, MAX_UNDO};
+    use crate::history::BranchKind;
 
     /// Windows out of order on purpose: the longest is neither first nor
     /// last, and longer than the 64-event minimum ring.
@@ -332,40 +328,68 @@ mod tests {
         assert!(restore(&short, &shapes()).is_err(), "foreign ring capacity");
     }
 
-    /// Pushes and squashes — wrong-path events pushed, then rewound to the
-    /// architectural log, both shallower (undone in place) and deeper
-    /// (refolded) than `MAX_UNDO` — must leave every table's coordinates
-    /// where a bank refolded from the same log puts them.
+    /// A foreign ring capacity is rejected as soon as it is read, before
+    /// anything is sized by it: a payload holding only that field fails as
+    /// a mismatch, not as a truncation further on.
     #[test]
-    fn pushes_and_rewinds_match_a_restored_bank() {
+    fn foreign_history_capacity_is_rejected_before_the_rest() {
         let mut bank = TaggedTables::new(&shapes(), 0u8);
+        for capacity in [64u64, 1 << 24, 0, u64::MAX] {
+            let mut w = SnapWriter::new();
+            w.u64(capacity);
+            let bytes = w.into_bytes();
+            assert_eq!(
+                bank.snap_decode_history(&mut SnapReader::new(&bytes)),
+                Err(SnapError::Corrupt("history capacity does not match config")),
+                "capacity {capacity}"
+            );
+        }
+    }
+
+    /// Pushes and squashes — wrong-path events pushed, then rewound to the
+    /// architectural log, from no wrong-path events to more than the ring
+    /// holds, and early on now and then to an empty log — must leave every
+    /// table's coordinates where a fresh bank fed only the architectural
+    /// log, push by push, puts them.
+    #[test]
+    fn pushes_and_rewinds_match_a_bank_fed_the_log() {
+        let mut bank = TaggedTables::new(&shapes(), 0u8);
+        let capacity = bank.history.capacity();
         let mut log: Vec<BranchEvent> = Vec::new();
         let mut rng = 0x9e37_79b9_7f4a_7c15u64;
-        let (mut shallow, mut deep) = (0, 0);
-        for step in 0..600 {
-            if xorshift(&mut rng) % 10 < 3 {
-                let depth = (xorshift(&mut rng) % (2 * MAX_UNDO as u64 + 8)) as usize;
-                if depth <= MAX_UNDO {
-                    shallow += 1;
-                } else {
-                    deep += 1;
-                }
+        let (mut rewinds, mut past_ring, mut to_empty) = (0, 0, 0);
+        for step in 0..800 {
+            let roll = xorshift(&mut rng) % 20;
+            if roll < 6 {
+                let depth = (xorshift(&mut rng) % (capacity as u64 + 20)) as usize;
                 for _ in 0..depth {
                     bank.on_branch(&event(&mut rng));
                 }
+                if roll == 0 && step < 200 {
+                    log.clear();
+                    to_empty += 1;
+                }
                 bank.rewind(&log);
+                rewinds += 1;
+                past_ring += usize::from(depth > capacity);
             } else {
                 let ev = event(&mut rng);
                 bank.on_branch(&ev);
                 log.push(ev);
             }
-            let back = restore(&bank, &shapes()).expect("own history decodes");
+            let mut fed = TaggedTables::new(&shapes(), 0u8);
+            for ev in &log {
+                fed.on_branch(ev);
+            }
             for pc in [0x40_1000u64, 0x1234_5678, 0x7ff0] {
-                assert_eq!(bank.lookups(pc), back.lookups(pc), "step {step}, pc {pc:#x}");
+                assert_eq!(bank.lookups(pc), fed.lookups(pc), "step {step}, pc {pc:#x}");
             }
         }
-        assert!(log.len() > 200, "the ring wrapped");
-        assert!(shallow > 20 && deep > 20, "depths: {shallow} shallow, {deep} deep");
+        assert!(log.len() > capacity, "the ring wrapped");
+        assert!(
+            rewinds > 100 && past_ring > 5 && to_empty > 5,
+            "{rewinds} rewinds, {past_ring} past the ring, {to_empty} to an empty log"
+        );
     }
 
     /// Each table's tag limit comes from its own hasher: the last table's

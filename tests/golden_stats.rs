@@ -70,9 +70,9 @@ fn stats_match_golden_snapshot() {
     }
 }
 
-/// Long enough for bwaves to enter NoSQ's failed-bypass loop (it takes
-/// ≥100k uops; `GOLDEN_UOPS` is far too short), so these cells pin the
-/// squash paths, and every squash's history rewind, bit-exactly.
+/// Long enough that bwaves would enter a NoSQ failed-bypass loop (it
+/// takes ≥100k uops; `GOLDEN_UOPS` is far too short), so these cells pin
+/// the squash paths, and every squash's history rewind, bit-exactly.
 const SQUASH_UOPS: usize = 150_000;
 
 fn squash_matrix() -> Vec<(&'static str, PredictorKind)> {

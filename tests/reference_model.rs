@@ -2,13 +2,14 @@
 //! reference.
 //!
 //! `TaggedTables` keeps each table's index and tag as folded registers that
-//! advance on every branch and unwind on a squash. The reference here keeps
-//! the raw history as a `Vec<BranchEvent>` and recomputes every table's index
-//! and tag from it at each lookup: no folds, no ring, and a squash truncates
-//! the `Vec` (SNIPPETS.md snippet 1's `recordPath` idiom). Seeded random
-//! streams of branches, lookups, rewinds on both sides of the bank's
-//! fold-undo bound and snapshot round trips drive both, and every `(index,
-//! tag)`, every `find`/`way_of` answer and every payload must agree.
+//! advance on every branch and are refolded from the restored log on a
+//! squash. The reference here keeps the raw history as a `Vec<BranchEvent>`
+//! and recomputes every table's index and tag from it at each lookup: no
+//! folds, no ring, and a squash truncates the `Vec` (SNIPPETS.md snippet 1's
+//! `recordPath` idiom). Seeded random streams of branches, lookups, rewinds
+//! of 0 to 40 wrong-path branches and snapshot round trips drive both, and
+//! every `(index, tag)`, every `find`/`way_of` answer and every payload must
+//! agree.
 //!
 //! The shapes cover every bank the five tagged structures build (MASCOT,
 //! MASCOT-OPT, PHAST, MDP-TAGE, NoSQ and the frontend TAGE), plus edge
@@ -24,9 +25,8 @@ use mascot_predictors::{MdpTageConfig, NoSqConfig, PhastConfig};
 use mascot_sim::BranchPredictorConfig;
 use mascot_snapshot::{SnapReader, SnapWriter};
 
-/// The deepest squash the bank unwinds fold by fold instead of refolding
-/// (`history::MAX_UNDO`); rewinds are drawn on both sides of it.
-const UNDO_BOUND: usize = 16;
+/// The most wrong-path branches pushed before a rewind.
+const MAX_WRONG_PATH: u64 = 40;
 
 /// Events of path history folded into each index (`history::PATH_WINDOW`).
 const PATH_WINDOW: u32 = 16;
@@ -180,8 +180,7 @@ fn round_trip(bank: &TaggedTables<u8>, shapes: &[TableShape]) -> TaggedTables<u8
 struct Coverage {
     lookups: u64,
     hits: u64,
-    shallow_rewinds: u64,
-    deep_rewinds: u64,
+    rewinds: u64,
     tail_rewinds: u64,
     round_trips: u64,
 }
@@ -236,11 +235,10 @@ fn differential(name: &str, shapes: &[TableShape], seed: u64, steps: usize) -> C
             }
         } else if roll < 97 {
             // Squash: wrong-path branches, then back to the architectural
-            // path, shallower or deeper than the undo bound; now and then
-            // only the newest part of it is handed back, as the simulator
-            // does.
+            // path; now and then only the newest part of it is handed back,
+            // as the simulator does.
             let arch = reference.events.len();
-            let depth = (xorshift(&mut rng) % (2 * UNDO_BOUND as u64 + 9)) as usize;
+            let depth = (xorshift(&mut rng) % (MAX_WRONG_PATH + 1)) as usize;
             for _ in 0..depth {
                 let ev = random_event(&mut rng);
                 bank.on_branch(&ev);
@@ -252,11 +250,8 @@ fn differential(name: &str, shapes: &[TableShape], seed: u64, steps: usize) -> C
                 let start = arch.saturating_sub(keep);
                 reference.events.drain(..start);
                 cov.tail_rewinds += 1;
-            } else if depth <= UNDO_BOUND {
-                cov.shallow_rewinds += 1;
-            } else {
-                cov.deep_rewinds += 1;
             }
+            cov.rewinds += 1;
             bank.rewind(&reference.events);
         } else {
             bank = round_trip(&bank, shapes);
@@ -454,7 +449,7 @@ fn bank_matches_the_reference_on_every_user_shape() {
         let cov = differential(name, &shapes, 0x5eed_0000 + i as u64, 3000);
         assert!(cov.lookups > 800 && cov.hits > 400, "{name}: {cov:?}");
         assert!(
-            cov.shallow_rewinds > 20 && cov.deep_rewinds > 20 && cov.tail_rewinds > 5,
+            cov.rewinds > 200 && cov.tail_rewinds > 5,
             "{name}: {cov:?}"
         );
         assert!(cov.round_trips > 20, "{name}: {cov:?}");
@@ -467,7 +462,7 @@ fn bank_matches_the_reference_on_edge_shapes() {
         let cov = differential(name, &shapes, 0xed6e_0000 + i as u64, 4000);
         assert!(cov.lookups > 1000 && cov.hits > 500, "{name}: {cov:?}");
         assert!(
-            cov.shallow_rewinds > 20 && cov.deep_rewinds > 20 && cov.tail_rewinds > 5,
+            cov.rewinds > 200 && cov.tail_rewinds > 5,
             "{name}: {cov:?}"
         );
     }
