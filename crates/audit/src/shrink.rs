@@ -17,7 +17,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use mascot_sim::uop::TraceDep;
-use mascot_sim::{codec, Trace, Uop, UopKind};
+use mascot_sim::{codec, Trace, Uop, UopBuf, UopKind};
 use mascot::prediction::BypassClass;
 
 /// Recomputes every load's ground-truth [`TraceDep`] from the surviving
@@ -25,6 +25,12 @@ use mascot::prediction::BypassClass;
 /// `mascot_workloads`' generator. Other micro-ops pass through unchanged.
 /// A fresh generated trace renormalizes to itself.
 pub fn renormalize(trace: &Trace) -> Trace {
+    rebuild(&trace.name, &trace.uops)
+}
+
+/// A trace named `name` holding `uops` with every load's dependence
+/// recomputed, as [`renormalize`] does.
+fn rebuild(name: &str, uops: impl IntoIterator<Item = Uop>) -> Trace {
     struct StoreRec {
         addr: u64,
         size: u8,
@@ -34,9 +40,9 @@ pub fn renormalize(trace: &Trace) -> Trace {
     let mut byte_writer: HashMap<u64, u32> = HashMap::new();
     let mut stores: Vec<StoreRec> = Vec::new();
     let mut branch_count = 0u64;
-    let mut uops = Vec::with_capacity(trace.len());
-    for &u in &trace.uops {
-        let mut u = u;
+    let uops = uops.into_iter();
+    let mut out = UopBuf::with_capacity(uops.size_hint().0);
+    for mut u in uops {
         match u.kind {
             UopKind::Alu => {}
             UopKind::Branch { .. } => branch_count += 1,
@@ -80,15 +86,14 @@ pub fn renormalize(trace: &Trace) -> Trace {
                 u.kind = UopKind::Load { addr, size, dep };
             }
         }
-        uops.push(u);
+        out.push(u);
     }
-    let out = Trace::new(trace.name.clone(), uops);
+    let out = Trace {
+        name: name.to_string(),
+        uops: out,
+    };
     debug_assert_eq!(out.validate(), Ok(()));
     out
-}
-
-fn rebuild(name: &str, uops: Vec<Uop>) -> Trace {
-    renormalize(&Trace::new(name.to_string(), uops))
 }
 
 /// Shrinks `trace` to a (locally) minimal trace on which `fails` still
@@ -107,7 +112,7 @@ pub fn shrink(trace: &Trace, fails: &mut dyn FnMut(&Trace) -> bool) -> Trace {
     let mut current = trace.clone();
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        let candidate = rebuild(&trace.name, trace.uops[..mid].to_vec());
+        let candidate = rebuild(&trace.name, trace.uops.slice(..mid));
         if fails(&candidate) {
             hi = mid;
             current = candidate;
@@ -127,10 +132,8 @@ pub fn shrink(trace: &Trace, fails: &mut dyn FnMut(&Trace) -> bool) -> Trace {
             if end - i == current.len() {
                 break; // never offer the empty trace
             }
-            let mut uops = Vec::with_capacity(current.len() - (end - i));
-            uops.extend_from_slice(&current.uops[..i]);
-            uops.extend_from_slice(&current.uops[end..]);
-            let candidate = rebuild(&trace.name, uops);
+            let kept = current.uops.slice(..i).iter().chain(current.uops.slice(end..));
+            let candidate = rebuild(&trace.name, kept);
             if fails(&candidate) {
                 current = candidate;
                 removed_any = true;
@@ -191,7 +194,7 @@ mod tests {
             Uop::load(0x120, 0x1000, 8, None, 1, None),
         ];
         let full = renormalize(&Trace::new("cut", uops.clone()));
-        let dep = match full.uops[2].kind {
+        let dep = match full.uops.get(2).kind {
             UopKind::Load { dep, .. } => dep.expect("dependent"),
             _ => unreachable!(),
         };
@@ -200,7 +203,7 @@ mod tests {
 
         uops.remove(1); // drop the youngest writer
         let cut = renormalize(&Trace::new("cut", uops));
-        let dep = match cut.uops[1].kind {
+        let dep = match cut.uops.get(1).kind {
             UopKind::Load { dep, .. } => dep.expect("still dependent"),
             _ => unreachable!(),
         };

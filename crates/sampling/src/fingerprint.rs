@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use mascot_sim::{BypassClass, Uop, UopKind};
+use mascot_sim::{BypassClass, UopKind, UopSlice};
 
 /// Number of log2 store-distance histogram buckets: distance 1, 2–3, 4–7,
 /// …, 64–127, and a final ≥128 bucket (beyond every predictor's
@@ -59,7 +59,7 @@ fn distance_bucket(distance: u32) -> usize {
 /// of a trace). Deterministic: the same slice always yields bit-identical
 /// output — per-PC branch statistics are accumulated in a [`BTreeMap`], so
 /// even the float summation order is fixed.
-pub fn fingerprint(uops: &[Uop]) -> Fingerprint {
+pub fn fingerprint(uops: UopSlice<'_>) -> Fingerprint {
     let mut loads = 0u64;
     let mut stores = 0u64;
     let mut branches = 0u64;
@@ -128,9 +128,9 @@ pub fn fingerprint(uops: &[Uop]) -> Fingerprint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mascot_sim::TraceDep;
+    use mascot_sim::{TraceDep, Uop, UopBuf};
 
-    fn pattern() -> Vec<Uop> {
+    fn pattern() -> UopBuf {
         let dep = TraceDep {
             distance: 1,
             class: BypassClass::DirectBypass,
@@ -144,12 +144,14 @@ mod tests {
             Uop::alu(0x1c, [Some(2), None], Some(3), 1),
             Uop::load(0x20, 0x2000, 8, None, 4, None),
         ]
+        .into_iter()
+        .collect()
     }
 
     #[test]
     fn identical_slices_fingerprint_identically() {
-        let a = fingerprint(&pattern());
-        let b = fingerprint(&pattern());
+        let a = fingerprint(pattern().as_slice());
+        let b = fingerprint(pattern().as_slice());
         assert_eq!(a, b);
         // Bit-identical, not merely approximately equal.
         for (x, y) in a.0.iter().zip(&b.0) {
@@ -159,7 +161,7 @@ mod tests {
 
     #[test]
     fn rates_reflect_the_mix() {
-        let fp = fingerprint(&pattern());
+        let fp = fingerprint(pattern().as_slice());
         assert!((fp.0[0] - 0.4).abs() < 1e-12, "2 loads of 5 uops");
         assert!((fp.0[1] - 0.2).abs() < 1e-12, "1 store of 5 uops");
         assert!((fp.0[3] - 0.5).abs() < 1e-12, "1 of 2 loads aliased");
@@ -182,17 +184,16 @@ mod tests {
 
     #[test]
     fn coin_flip_branches_score_full_entropy() {
-        let mut uops = Vec::new();
-        for i in 0..100u64 {
-            uops.push(Uop::branch(0x40, i % 2 == 0, 0x10, None));
-        }
-        let fp = fingerprint(&uops);
+        let uops: UopBuf = (0..100u64)
+            .map(|i| Uop::branch(0x40, i % 2 == 0, 0x10, None))
+            .collect();
+        let fp = fingerprint(uops.as_slice());
         assert!((fp.0[8 + DISTANCE_BUCKETS] - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_interval_is_all_zero() {
-        let fp = fingerprint(&[]);
+        let fp = fingerprint(UopBuf::new().as_slice());
         for (i, v) in fp.0.iter().enumerate() {
             assert_eq!(*v, 0.0, "dim {i}");
         }

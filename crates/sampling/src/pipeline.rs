@@ -104,7 +104,7 @@ pub fn plan(trace: &Trace, cfg: &SamplingConfig) -> ClusterPlan {
     let intervals = intervals(trace.len(), cfg.interval_uops);
     // Intervals fingerprint independently; the pool keeps input order, so
     // the points are those of the serial loop.
-    let points = parallel_map(&intervals, |_, r| fingerprint(&trace.uops[r.clone()]));
+    let points = parallel_map(&intervals, |_, r| fingerprint(trace.uops.slice(r.clone())));
 
     let (raw_assignments, centroids) = if cfg.clusters >= points.len() {
         // Identity clustering: skip k-means entirely so the degenerate
@@ -238,7 +238,7 @@ pub fn warm_checkpoints(
     order.sort_by_key(|&(_, start)| start);
     let boundaries: Vec<usize> = order.iter().map(|&(_, start)| start).collect();
 
-    let warmed = FunctionalWarmer::at_boundaries(core, kind.build(), &trace.uops, &boundaries);
+    let warmed = FunctionalWarmer::at_boundaries(core, kind.build(), trace.uops.as_slice(), &boundaries);
     let mut checkpoints: Vec<Option<FunctionalWarmer<AnyPredictor>>> =
         (0..plan.clusters.len()).map(|_| None).collect();
     for ((ci, _), warmer) in order.into_iter().zip(warmed) {
@@ -323,6 +323,7 @@ pub fn run_sampled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mascot_sim::UopBuf;
     use mascot_workloads::{generate, spec};
 
     fn small_cfg() -> SamplingConfig {
@@ -371,18 +372,21 @@ mod tests {
         let t = trace("mcf", 4_000);
         // Tile the same 2k-uop block four times: intervals 0..4 are
         // literally identical.
-        let mut uops = Vec::new();
+        let mut uops = UopBuf::new();
         for _ in 0..4 {
-            uops.extend_from_slice(&t.uops[..2_000]);
+            uops.extend(t.uops.slice(..2_000));
         }
-        let tiled = Trace::new("tiled".to_string(), uops);
+        let tiled = Trace {
+            name: "tiled".to_string(),
+            uops,
+        };
         let cfg = SamplingConfig {
             clusters: 2,
             ..small_cfg()
         };
         let fps: Vec<_> = intervals(tiled.len(), cfg.interval_uops)
             .iter()
-            .map(|r| crate::fingerprint(&tiled.uops[r.clone()]))
+            .map(|r| crate::fingerprint(tiled.uops.slice(r.clone())))
             .collect();
         for fp in &fps[1..] {
             assert_eq!(fp, &fps[0]);
@@ -461,11 +465,11 @@ mod tests {
         let boundaries = [0, 0, 3_000, 7_500, 7_500, 12_000];
         for kind in [PredictorKind::Mascot, PredictorKind::StoreSets] {
             let checkpoints =
-                FunctionalWarmer::at_boundaries(&core, kind.build(), &t.uops, &boundaries);
+                FunctionalWarmer::at_boundaries(&core, kind.build(), t.uops.as_slice(), &boundaries);
             assert_eq!(checkpoints.len(), boundaries.len());
             for (warmer, &b) in checkpoints.iter().zip(&boundaries) {
                 let mut reference = FunctionalWarmer::new(&core, kind.build());
-                reference.replay(&t.uops[..b]);
+                reference.replay(t.uops.slice(..b));
                 assert_eq!(warmer.warmed_uops(), b as u64);
                 assert_eq!(
                     seeded_window(&t, &core, warmer, b),

@@ -15,11 +15,10 @@ use mascot::history::BranchKind;
 use mascot::prediction::BypassClass;
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
 
-use crate::uop::{Trace, TraceDep, Uop, UopKind};
+use crate::uop::{Trace, TraceDep, Uop, UopBuf, UopKind, NO_REG, NUM_ARCH_REGS};
 
 const MAGIC: &[u8; 4] = b"MTRC";
 const VERSION: u8 = 1;
-const NO_REG: u8 = 0xff;
 
 /// Errors produced while decoding a trace.
 #[derive(Debug)]
@@ -73,8 +72,13 @@ impl From<SnapError> for CodecError {
     }
 }
 
-fn get_reg(r: u8) -> Option<u8> {
-    (r != NO_REG).then_some(r)
+/// A register byte: [`NO_REG`] or a name below [`NUM_ARCH_REGS`].
+fn get_reg(r: &mut SnapReader<'_>, what: &'static str) -> Result<Option<u8>, CodecError> {
+    match r.u8(what)? {
+        NO_REG => Ok(None),
+        reg if usize::from(reg) < NUM_ARCH_REGS => Ok(Some(reg)),
+        _ => Err(CodecError::Corrupt("register")),
+    }
 }
 
 /// Encodes a trace into the binary format.
@@ -139,7 +143,8 @@ pub fn encode(trace: &Trace) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns a [`CodecError`] on bad magic, unsupported version, truncation,
-/// or out-of-range field values.
+/// or out-of-range field values (a register outside `0..NUM_ARCH_REGS` is
+/// `Corrupt("register")`).
 pub fn decode(bytes: &[u8]) -> Result<Trace, CodecError> {
     let mut r = SnapReader::new(bytes);
     if r.take(4, "magic")? != MAGIC {
@@ -163,11 +168,11 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, CodecError> {
     if count.checked_mul(MIN_UOP_BYTES).is_none_or(|need| need > remaining) {
         return Err(CodecError::Corrupt("count exceeds payload"));
     }
-    let mut uops = Vec::with_capacity(count as usize);
+    let mut uops = UopBuf::with_capacity(count as usize);
     for _ in 0..count {
         let pc = r.u64("pc")?;
-        let srcs = [get_reg(r.u8("src")?), get_reg(r.u8("src")?)];
-        let dst = get_reg(r.u8("dst")?);
+        let srcs = [get_reg(&mut r, "src")?, get_reg(&mut r, "src")?];
+        let dst = get_reg(&mut r, "dst")?;
         let latency = r.u8("latency")?;
         let kind = match r.u8("uop kind")? {
             0 => UopKind::Alu,
@@ -217,7 +222,7 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, CodecError> {
         });
     }
     r.finish()?;
-    Ok(Trace::new(name, uops))
+    Ok(Trace { name, uops })
 }
 
 /// Writes a trace to any writer (e.g. a file). A mutable reference works
@@ -294,7 +299,7 @@ mod tests {
         // A realistic trace (exercises every uop kind and dep class).
         let t = crate::uop::Trace::new(
             "mix",
-            sample().uops.iter().cycle().take(1000).copied().collect(),
+            sample().uops.iter().cycle().take(1000).collect(),
         );
         let back = decode(&encode(&t)).unwrap();
         assert_eq!(t.uops, back.uops);
@@ -308,7 +313,7 @@ mod tests {
         let straddling = format!("{}é", "a".repeat(65_534));
         let long = "b".repeat(70_000);
         for (name, kept) in [(straddling, "a".repeat(65_534)), (long, "b".repeat(65_535))] {
-            let t = Trace::new(&name, sample().uops);
+            let t = Trace::new(&name, sample().uops.iter().collect());
             let back = decode(&encode(&t)).expect("an encoded trace decodes");
             assert_eq!(back.name, kept);
             assert_eq!(back.uops, t.uops);

@@ -44,7 +44,7 @@ use crate::cache::Hierarchy;
 use crate::config::CoreConfig;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::stats::SimStats;
-use crate::uop::{Trace, TraceDep, Uop, UopKind};
+use crate::uop::{Trace, TraceDep, Uop, UopKind, UopSlice};
 
 /// Cycles without a commit after which the engine declares a hang.
 const WATCHDOG_CYCLES: u64 = 500_000;
@@ -964,7 +964,7 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
     fn issue_alu(&mut self, id: u64) {
         self.begin_issue(id);
         let e = self.entry(id).expect("entry exists");
-        let latency = u64::from(self.trace.uops[e.trace_idx].latency.max(1));
+        let latency = u64::from(self.trace.uops.latency(e.trace_idx).max(1));
         let done = self.now + latency;
         self.finish_issue(id, done, Some(done));
     }
@@ -1028,11 +1028,11 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
             let e = self.entry(id).expect("entry exists");
             (e.trace_idx, e.store_count_at_dispatch)
         };
-        let (addr, dep) = match self.trace.uops[trace_idx].kind {
-            UopKind::Load { addr, dep, .. } => (addr, dep),
-            _ => unreachable!("issue_load on non-load"),
+        let uop = self.trace.uops.get(trace_idx);
+        let UopKind::Load { addr, dep, .. } = uop.kind else {
+            unreachable!("issue_load on non-load")
         };
-        let pc = self.trace.uops[trace_idx].pc;
+        let pc = uop.pc;
 
         // The observed in-flight dependence: the ground-truth source store,
         // if it is still in the store buffer.
@@ -1150,7 +1150,7 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
                 // commit-time taxonomy alone would never see it; attribute
                 // the false bypass to its tenant here, at the squash.
                 let pos = self.pos_of(victim).expect("victim in ROB");
-                let pc = self.trace.uops[self.rob[pos].trace_idx].pc;
+                let pc = self.trace.uops.pc(self.rob[pos].trace_idx);
                 if let Some(t) = self.stats.tenant_mut(pc) {
                     t.false_bypasses += 1;
                 }
@@ -1326,7 +1326,7 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
     }
 
     fn commit_load(&mut self, trace_idx: usize, info: &mut LoadInfo<P::Meta>) {
-        let pc = self.trace.uops[trace_idx].pc;
+        let pc = self.trace.uops.pc(trace_idx);
         // Per-tenant attribution (no-op unless `with_tenant_split` set).
         if let Some(t) = self.stats.tenant_mut(pc) {
             t.loads += 1;
@@ -1449,7 +1449,7 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
                 blocker = Some("iq");
                 break;
             }
-            let uop = self.trace.uops[self.fetch_idx];
+            let uop = self.trace.uops.get(self.fetch_idx);
             match uop.kind {
                 UopKind::Load { .. } if self.lq_count >= self.cfg.lq_entries => {
                     blocker = Some("lq");
@@ -1480,7 +1480,7 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
                     if idx >= self.trace.len() {
                         break;
                     }
-                    let u = self.trace.uops[idx];
+                    let u = self.trace.uops.get(idx);
                     let UopKind::Load { dep, .. } = u.kind else {
                         break;
                     };
@@ -1498,7 +1498,7 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
                 let mut out = std::mem::take(&mut self.batch_out);
                 self.pred.predict_batch(&self.batch_reqs, &mut out);
                 for pm in out.drain(..) {
-                    let u = self.trace.uops[self.fetch_idx];
+                    let u = self.trace.uops.get(self.fetch_idx);
                     let stall = self.dispatch_one(u, Some(pm));
                     debug_assert!(!stall, "loads never stall the frontend");
                     budget -= 1;
@@ -2042,22 +2042,18 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
                 format!("{} stale entries at end of run", self.violations.len()),
             );
         }
-        let (mut loads, mut stores, mut branches) = (0u64, 0u64, 0u64);
-        for u in &self.trace.uops {
-            match u.kind {
-                UopKind::Load { .. } => loads += 1,
-                UopKind::Store { .. } => stores += 1,
-                UopKind::Branch { .. } => branches += 1,
-                UopKind::Alu => {}
-            }
-        }
         let got = (
             self.stats.committed_uops,
             self.stats.committed_loads,
             self.stats.committed_stores,
             self.stats.committed_branches,
         );
-        let want = (self.trace.len() as u64, loads, stores, branches);
+        let want = (
+            self.trace.len() as u64,
+            self.trace.num_loads() as u64,
+            self.trace.num_stores() as u64,
+            self.trace.num_branches() as u64,
+        );
         if got != want {
             self.audit_fail(
                 "commit stream matches trace composition",
@@ -2086,7 +2082,7 @@ fn ground_truth(dep: Option<TraceDep>) -> Option<GroundTruth> {
 /// detailed run would train, with no timing machinery at all. It needs
 /// only PCs, addresses and branch outcomes, and never reads the
 /// memory-dependence half's state.
-fn warm_cache_and_branch(mem: &mut Hierarchy, bp: &mut TagePredictor, uops: &[Uop]) {
+fn warm_cache_and_branch(mem: &mut Hierarchy, bp: &mut TagePredictor, uops: UopSlice<'_>) {
     for uop in uops {
         mem.warm_inst(uop.pc);
         match uop.kind {
@@ -2115,7 +2111,7 @@ fn warm_cache_and_branch(mem: &mut Hierarchy, bp: &mut TagePredictor, uops: &[Uo
 /// predictor on every load's ground-truth outcome and advances the
 /// store-sequence counter. It needs only loads, stores and branch events,
 /// and never reads the cache half's state.
-fn warm_mem_dep<P: MemDepPredictor>(pred: &mut P, store_seq_next: &mut u64, uops: &[Uop]) {
+fn warm_mem_dep<P: MemDepPredictor>(pred: &mut P, store_seq_next: &mut u64, uops: UopSlice<'_>) {
     for uop in uops {
         match uop.kind {
             UopKind::Alu => {}
@@ -2197,7 +2193,7 @@ impl<P: MemDepPredictor> FunctionalWarmer<P> {
 
     /// Architecturally replays `uops`, continuing from wherever the warmer
     /// already is (callers feed consecutive trace segments).
-    pub fn replay(&mut self, uops: &[Uop]) {
+    pub fn replay(&mut self, uops: UopSlice<'_>) {
         warm_cache_and_branch(&mut self.mem, &mut self.bp, uops);
         warm_mem_dep(&mut self.pred, &mut self.store_seq_next, uops);
         self.warmed += uops.len() as u64;
@@ -2205,7 +2201,7 @@ impl<P: MemDepPredictor> FunctionalWarmer<P> {
 
     /// Checkpoints of one functional pass over `uops`, starting cold with
     /// `pred`: element `i` is bit-identical to
-    /// `new(cfg, pred).replay(&uops[..boundaries[i]])`.
+    /// `new(cfg, pred).replay(uops.slice(..boundaries[i]))`.
     ///
     /// The two halves of the state run concurrently: the memory-dependence
     /// half on a scoped thread, the cache and branch half on the calling
@@ -2222,7 +2218,7 @@ impl<P: MemDepPredictor> FunctionalWarmer<P> {
     pub fn at_boundaries(
         cfg: &CoreConfig,
         pred: P,
-        uops: &[Uop],
+        uops: UopSlice<'_>,
         boundaries: &[usize],
     ) -> Vec<Self>
     where
@@ -2242,7 +2238,7 @@ impl<P: MemDepPredictor> FunctionalWarmer<P> {
                 boundaries
                     .iter()
                     .map(|&b| {
-                        warm_mem_dep(&mut pred, &mut store_seq_next, &uops[cursor..b]);
+                        warm_mem_dep(&mut pred, &mut store_seq_next, uops.slice(cursor..b));
                         cursor = b;
                         (pred.clone(), store_seq_next)
                     })
@@ -2254,7 +2250,7 @@ impl<P: MemDepPredictor> FunctionalWarmer<P> {
             let cache_and_branch: Vec<_> = boundaries
                 .iter()
                 .map(|&b| {
-                    warm_cache_and_branch(&mut mem, &mut bp, &uops[cursor..b]);
+                    warm_cache_and_branch(&mut mem, &mut bp, uops.slice(cursor..b));
                     cursor = b;
                     (mem.clone(), bp.clone())
                 })
@@ -2662,7 +2658,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        uops.extend(store_load_trace(1, 12).uops);
+        uops.extend(&store_load_trace(1, 12).uops);
         let trace = Trace::new("long-branchy", uops);
         let (cfg, mut p) = (golden(), RewindCounter::default());
         let mut sim = Simulator::new(&trace, &cfg, &mut p);

@@ -41,7 +41,7 @@ pub use config::{CacheConfig, CoreConfig};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use core::{simulate, Fault, FunctionalWarmer, Simulator};
 pub use stats::{SimStats, TenantCounters};
-pub use uop::{ArchReg, Trace, TraceDep, Uop, UopKind};
+pub use uop::{ArchReg, Trace, TraceDep, Uop, UopBuf, UopIter, UopKind, UopSlice};
 
 // Re-export the shared prediction vocabulary so trace producers do not need
 // a direct `mascot` dependency.

@@ -11,7 +11,7 @@
 
 use std::ops::Range;
 
-use mascot_sim::uop::{Trace, TraceDep, Uop};
+use mascot_sim::uop::{Trace, TraceDep, Uop, UopBuf};
 use mascot_sim::{BypassClass, FxHashMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -55,7 +55,7 @@ const NO_WRITER: u32 = 0;
 /// Incrementally builds a trace while tracking ground-truth dependencies.
 #[derive(Debug, Default)]
 pub struct TraceBuilder {
-    uops: Vec<Uop>,
+    uops: UopBuf,
     stores: Vec<StoreRec>,
     /// Last writer of every byte ever stored to, keyed by 8-byte word: lane
     /// `i` of word `w` holds the 1-based number of the youngest store to
@@ -84,7 +84,7 @@ impl TraceBuilder {
     /// Creates an empty builder with room for `uops` micro-ops.
     fn with_capacity(uops: usize) -> Self {
         Self {
-            uops: Vec::with_capacity(uops),
+            uops: UopBuf::with_capacity(uops),
             ..Self::default()
         }
     }
@@ -180,7 +180,10 @@ impl TraceBuilder {
 
     /// Finishes the trace.
     pub fn build(self, name: impl Into<String>) -> Trace {
-        Trace::new(name, self.uops)
+        Trace {
+            name: name.into(),
+            uops: self.uops,
+        }
     }
 }
 
@@ -570,7 +573,7 @@ mod tests {
                     }
                     _ => {
                         b.load(pc, addr, size, 2, None);
-                        let UopKind::Load { dep, .. } = b.uops.last().unwrap().kind else {
+                        let UopKind::Load { dep, .. } = b.uops.get(b.len() - 1).kind else {
                             unreachable!("a load was just emitted");
                         };
                         let want = reference.dep(addr, size);
@@ -617,6 +620,24 @@ mod tests {
         let a = generate(&base(), 1, 5_000);
         let b = generate(&base(), 2, 5_000);
         assert_ne!(a.uops, b.uops);
+    }
+
+    /// A generated trace stays packed: 32-byte records plus a dependence
+    /// table that only dependent loads fill, at most 34.5 bytes per uop on
+    /// the benchmark's three profiles (the dependence-heaviest is
+    /// perlbench2, ~10% of uops). A field added to the record, or a
+    /// dependence stored inline again, fails here.
+    #[test]
+    fn traces_stay_within_34_5_bytes_per_uop() {
+        assert_eq!(UopBuf::RECORD_BYTES, 32);
+        for name in ["perlbench2", "mcf", "bwaves"] {
+            let profile = crate::spec::profile(name).expect("known profile");
+            let t = generate(&profile, 2025, 200_000);
+            let bytes = t.len() * UopBuf::RECORD_BYTES
+                + t.uops.dep_count() * std::mem::size_of::<TraceDep>();
+            let per_uop = bytes as f64 / t.len() as f64;
+            assert!(per_uop <= 34.5, "{name}: {per_uop:.2} bytes per uop");
+        }
     }
 
     #[test]

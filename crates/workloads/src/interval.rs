@@ -10,7 +10,7 @@
 
 use std::ops::Range;
 
-use mascot_sim::{Trace, UopKind};
+use mascot_sim::{Trace, UopBuf, UopKind};
 
 /// The canonical interval boundaries for a trace of `trace_len` uops:
 /// fixed-size windows of `interval_uops`, in order, with the final interval
@@ -48,22 +48,19 @@ pub fn intervals(trace_len: usize, interval_uops: usize) -> Vec<Range<usize>> {
 pub fn slice(trace: &Trace, range: Range<usize>) -> Trace {
     let name = format!("{}[{}..{}]", trace.name, range.start, range.end);
     let mut stores_in_slice = 0u64;
-    let uops = trace.uops[range]
-        .iter()
-        .map(|uop| {
-            let mut uop = *uop;
-            if let UopKind::Load { dep, .. } = &mut uop.kind {
-                if dep.is_some_and(|d| u64::from(d.distance) > stores_in_slice) {
-                    *dep = None;
-                }
+    let mut uops = UopBuf::with_capacity(range.len());
+    for mut uop in trace.uops.slice(range) {
+        if let UopKind::Load { dep, .. } = &mut uop.kind {
+            if dep.is_some_and(|d| u64::from(d.distance) > stores_in_slice) {
+                *dep = None;
             }
-            if uop.kind.is_store() {
-                stores_in_slice += 1;
-            }
-            uop
-        })
-        .collect();
-    Trace::new(name, uops)
+        }
+        if uop.kind.is_store() {
+            stores_in_slice += 1;
+        }
+        uops.push(uop);
+    }
+    Trace { name, uops }
 }
 
 #[cfg(test)]
@@ -107,7 +104,7 @@ mod tests {
         // Deps annotated in the slice must be a subset of the original's,
         // and every dropped annotation must point before the slice start.
         let mut stores_before = 0u64;
-        for (orig, sliced) in trace.uops[range].iter().zip(&sub.uops) {
+        for (orig, sliced) in trace.uops.slice(range).iter().zip(&sub.uops) {
             match (&orig.kind, &sliced.kind) {
                 (
                     mascot_sim::UopKind::Load { dep: od, .. },

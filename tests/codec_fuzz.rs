@@ -173,3 +173,40 @@ fn generated_traces_are_frozen_for_every_profile() {
         .collect();
     assert_eq!(got, frozen, "generated traces drifted; now:\n{listing}");
 }
+
+/// A register byte is `0xFF` (none) or a name below `NUM_ARCH_REGS`: any
+/// other value is rejected as `Corrupt("register")`, in every register
+/// slot. The simulator indexes 64-entry register tables by these bytes, so
+/// a decoded out-of-range register would panic it mid-run.
+#[test]
+fn out_of_range_register_is_rejected() {
+    use mascot_sim::codec::CodecError;
+    use mascot_sim::uop::NUM_ARCH_REGS;
+    use mascot_sim::{Trace, Uop};
+
+    let trace = Trace::new("r", vec![Uop::alu(0x10, [Some(1), Some(2)], Some(3), 1)]);
+    let base = encode(&trace);
+    // Layout: magic(4) + version(1) + name_len(2) + "r" + count(8) + pc(8),
+    // then src0, src1, dst.
+    let regs_at = 4 + 1 + 2 + 1 + 8 + 8;
+    assert_eq!(&base[regs_at..regs_at + 3], &[1, 2, 3]);
+    for slot in 0..3 {
+        for (byte, ok) in [(63, true), (0xff, true), (64, false), (100, false), (0xfe, false)] {
+            let mut buf = base.clone();
+            buf[regs_at + slot] = byte;
+            match decode(&buf) {
+                Ok(back) => {
+                    assert!(ok, "slot {slot}: register {byte} decoded");
+                    back.validate().expect("a decoded trace validates");
+                    let uop = back.uops.iter().next().expect("one uop");
+                    let regs = [uop.srcs[0], uop.srcs[1], uop.dst];
+                    assert!(regs.iter().flatten().all(|&r| usize::from(r) < NUM_ARCH_REGS));
+                }
+                Err(e) => {
+                    assert!(!ok, "slot {slot}: register {byte} rejected: {e}");
+                    assert!(matches!(e, CodecError::Corrupt("register")), "{e}");
+                }
+            }
+        }
+    }
+}

@@ -12,7 +12,8 @@ use mascot::{
     ObservedDependence, StoreDistance,
 };
 use mascot_predictors::{NoSq, Phast, StoreSets};
-use mascot_sim::{simulate, CoreConfig, Trace};
+use mascot::history::BranchKind;
+use mascot_sim::{simulate, CoreConfig, Trace, TraceDep, Uop, UopKind};
 use mascot_workloads::{generate, WorkloadProfile};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -234,4 +235,157 @@ fn codec_survives_corruption() {
         bytes[pos] = below(&mut rng, 256) as u8;
         let _ = mascot_sim::codec::decode(&bytes); // must not panic
     }
+}
+
+/// A 64-bit field value: the edges (0, 1, `u64::MAX`) as often as a
+/// uniform draw.
+fn arb_u64(rng: &mut StdRng) -> u64 {
+    match below(rng, 4) {
+        0 => 0,
+        1 => 1,
+        2 => u64::MAX,
+        _ => rng.random::<u64>(),
+    }
+}
+
+/// A 32-bit field value, edges included.
+fn arb_u32(rng: &mut StdRng) -> u32 {
+    match below(rng, 4) {
+        0 => 0,
+        1 => 1,
+        2 => u32::MAX,
+        _ => rng.random::<u32>(),
+    }
+}
+
+/// `None` or any architectural register, 63 included.
+fn arb_reg(rng: &mut StdRng) -> Option<u8> {
+    match below(rng, 4) {
+        0 => None,
+        1 => Some(63),
+        _ => Some(below(rng, 64) as u8),
+    }
+}
+
+/// Any micro-op the trace format can hold, whether or not its dependence
+/// is consistent with the stores around it.
+fn arb_uop(rng: &mut StdRng) -> Uop {
+    let byte = |rng: &mut StdRng| below(rng, 256) as u8;
+    let kind = match below(rng, 4) {
+        0 => UopKind::Alu,
+        1 => UopKind::Load {
+            addr: arb_u64(rng),
+            size: byte(rng),
+            dep: rng.random::<bool>().then(|| TraceDep {
+                distance: arb_u32(rng),
+                class: BypassClass::ALL[below(rng, 4) as usize],
+                store_pc: arb_u64(rng),
+                branches_between: arb_u32(rng),
+            }),
+        },
+        2 => UopKind::Store {
+            addr: arb_u64(rng),
+            size: byte(rng),
+        },
+        _ => UopKind::Branch {
+            kind: if rng.random::<bool>() {
+                BranchKind::Conditional
+            } else {
+                BranchKind::Indirect
+            },
+            taken: rng.random::<bool>(),
+            target: arb_u64(rng),
+        },
+    };
+    Uop {
+        pc: arb_u64(rng),
+        kind,
+        srcs: [arb_reg(rng), arb_reg(rng)],
+        dst: arb_reg(rng),
+        latency: byte(rng),
+    }
+}
+
+/// The slicing rule on unpacked uops: a load loses a dependence on a store
+/// before the slice; everything else is copied.
+fn reference_slice(uops: &[Uop]) -> Vec<Uop> {
+    let mut stores = 0u64;
+    uops.iter()
+        .map(|&u| {
+            let mut u = u;
+            if let UopKind::Load { dep, .. } = &mut u.kind {
+                if dep.is_some_and(|d| u64::from(d.distance) > stores) {
+                    *dep = None;
+                }
+            }
+            if u.kind.is_store() {
+                stores += 1;
+            }
+            u
+        })
+        .collect()
+}
+
+/// Packing a trace loses nothing: every field of every uop kind reads back
+/// as written, edge values included, and `slice` over the packed trace
+/// matches the per-uop rule applied to the unpacked uops.
+#[test]
+fn packed_trace_roundtrips_every_field() {
+    // Which edges the cases reached: classes, branch kinds, `None` and
+    // register 63, `u64::MAX`/`u32::MAX` in each wide field, bytes 0/255.
+    let mut classes = [false; 4];
+    let mut branch_kinds = [false; 2];
+    let (mut no_reg, mut reg_63) = (false, false);
+    let mut wide = [false; 6];
+    let mut bytes = [false; 2];
+    for case in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(0x9AC4 + case);
+        let len = 1 + below(&mut rng, 300) as usize;
+        let uops: Vec<Uop> = (0..len).map(|_| arb_uop(&mut rng)).collect();
+        for u in &uops {
+            let regs = [u.srcs[0], u.srcs[1], u.dst];
+            no_reg |= regs.contains(&None);
+            reg_63 |= regs.contains(&Some(63));
+            wide[0] |= u.pc == u64::MAX;
+            bytes[0] |= u.latency == 0;
+            bytes[1] |= u.latency == u8::MAX;
+            match u.kind {
+                UopKind::Load { addr, dep, .. } => {
+                    wide[1] |= addr == u64::MAX;
+                    if let Some(d) = dep {
+                        classes[usize::from(d.class.code())] = true;
+                        wide[2] |= d.store_pc == u64::MAX;
+                        wide[3] |= d.distance == u32::MAX;
+                        wide[4] |= d.branches_between == u32::MAX;
+                    }
+                }
+                UopKind::Branch { kind, target, .. } => {
+                    branch_kinds[usize::from(kind == BranchKind::Indirect)] = true;
+                    wide[5] |= target == u64::MAX;
+                }
+                UopKind::Alu | UopKind::Store { .. } => {}
+            }
+        }
+        let trace = Trace::new("packed", uops.clone());
+        assert_eq!(trace.len(), len, "case {case}");
+        assert_eq!(trace.uops.iter().collect::<Vec<_>>(), uops, "case {case}");
+        for (i, &u) in uops.iter().enumerate() {
+            assert_eq!(trace.uops.get(i), u, "case {case} uop {i}");
+        }
+        for _ in 0..4 {
+            let start = below(&mut rng, len as u64 + 1) as usize;
+            let end = start + below(&mut rng, (len - start) as u64 + 1) as usize;
+            let sliced = mascot_workloads::slice(&trace, start..end);
+            assert_eq!(
+                sliced.uops.iter().collect::<Vec<_>>(),
+                reference_slice(&uops[start..end]),
+                "case {case} slice {start}..{end}"
+            );
+        }
+    }
+    assert!(classes.iter().all(|&c| c), "every bypass class: {classes:?}");
+    assert!(branch_kinds.iter().all(|&k| k), "both branch kinds");
+    assert!(no_reg && reg_63, "None and register 63");
+    assert!(wide.iter().all(|&w| w), "every wide field at its maximum: {wide:?}");
+    assert!(bytes.iter().all(|&b| b), "latency 0 and 255");
 }
