@@ -144,8 +144,7 @@ fn soak_trace(trace: &Trace, cfg: &CoreConfig, args: &Args, context: &str) -> Ve
             ),
             Err(err) => {
                 println!("AUDIT FAILURE: {context} {}: {}", kind.label(), err.message);
-                let mut fails =
-                    |t: &Trace| run_audited(t, cfg, kind, args.inject).is_err();
+                let mut fails = |t: &Trace| run_audited(t, cfg, kind, args.inject).is_err();
                 let minimal = quiet_panics(|| shrink(trace, &mut fails));
                 let mut label = format!("{context}-{}", kind.label());
                 if let Some(f) = args.inject {
@@ -164,8 +163,7 @@ fn soak_trace(trace: &Trace, cfg: &CoreConfig, args: &Args, context: &str) -> Ve
         if let Some(&kind) = args.kinds.first() {
             if let Err(e) = check_determinism(trace, cfg, kind) {
                 println!("DIFF FAILURE: {context} {}: {e}", kind.label());
-                let mut fails =
-                    |t: &Trace| check_determinism(t, cfg, kind).is_err();
+                let mut fails = |t: &Trace| check_determinism(t, cfg, kind).is_err();
                 let minimal = quiet_panics(|| shrink(trace, &mut fails));
                 let label = format!("{context}-{}-nondeterminism", kind.label());
                 report_repro(&minimal, args, &label, &kind);
@@ -197,7 +195,10 @@ fn soak_trace(trace: &Trace, cfg: &CoreConfig, args: &Args, context: &str) -> Ve
                 ..SamplingConfig::default()
             };
             if let Err(e) = check_sampled_determinism(trace, cfg, kind, &samp) {
-                println!("DIFF FAILURE: {context} sampled-determinism {}: {e}", kind.label());
+                println!(
+                    "DIFF FAILURE: {context} sampled-determinism {}: {e}",
+                    kind.label()
+                );
                 failures.push(Failure {
                     label: format!("{context}-{}-sampled-determinism", kind.label()),
                     message: e.to_string(),
@@ -216,7 +217,11 @@ fn report_repro(minimal: &Trace, args: &Args, label: &str, kind: &PredictorKind)
             if let Some(f) = args.inject {
                 command.push_str(&format!(" --inject {}", fault_label(f)));
             }
-            println!("  minimal repro: {} uops -> {}", minimal.len(), path.display());
+            println!(
+                "  minimal repro: {} uops -> {}",
+                minimal.len(),
+                path.display()
+            );
             println!("  reproduce: {command}");
         }
         Err(e) => println!("  (failed to write repro artifact: {e})"),

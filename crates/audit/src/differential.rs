@@ -27,11 +27,11 @@
 use mascot::config::MascotConfig;
 use mascot::history::{BranchEvent, BranchKind};
 use mascot::mdp_only::MascotMdpOnly;
-use mascot::predictor::Mascot;
 use mascot::prediction::{
-    BypassClass, GroundTruth, LoadOutcome, MemDepPredictor, MemDepPrediction,
-    ObservedDependence, PredictReq, StoreDistance, TrainReq,
+    BypassClass, GroundTruth, LoadOutcome, MemDepPrediction, MemDepPredictor, ObservedDependence,
+    PredictReq, StoreDistance, TrainReq,
 };
+use mascot::predictor::Mascot;
 use mascot_predictors::{AnyMeta, AnyPredictor, PredictorKind};
 use mascot_sampling::{run_sampled, SampledOutcome, SamplingConfig};
 use mascot_sim::{CoreConfig, SimStats, Simulator, Trace, TraceDep, UopKind};
@@ -211,7 +211,11 @@ pub fn check_mdp_agreement(trace: &Trace) -> Result<(), DiffError> {
     for (trace_idx, u) in trace.uops.iter().enumerate() {
         match u.kind {
             UopKind::Alu => {}
-            UopKind::Branch { kind, taken, target } => {
+            UopKind::Branch {
+                kind,
+                taken,
+                target,
+            } => {
                 let ev = BranchEvent {
                     pc: u.pc,
                     kind,

@@ -99,8 +99,13 @@ mod tests {
     fn clean_trace_passes_the_audit() {
         let profile = spec::profile("perlbench2").expect("known profile");
         let trace = generate(&profile, 7, 4_000);
-        let stats = run_audited(&trace, &CoreConfig::golden_cove(), PredictorKind::Mascot, None)
-            .expect("audited run is clean");
+        let stats = run_audited(
+            &trace,
+            &CoreConfig::golden_cove(),
+            PredictorKind::Mascot,
+            None,
+        )
+        .expect("audited run is clean");
         assert_eq!(stats.committed_uops, trace.len() as u64);
     }
 

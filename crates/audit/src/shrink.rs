@@ -16,9 +16,9 @@ use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use mascot::prediction::BypassClass;
 use mascot_sim::uop::TraceDep;
 use mascot_sim::{codec, Trace, Uop, UopBuf, UopKind};
-use mascot::prediction::BypassClass;
 
 /// Recomputes every load's ground-truth [`TraceDep`] from the surviving
 /// stores, using the same per-byte last-writer classification as
@@ -132,7 +132,11 @@ pub fn shrink(trace: &Trace, fails: &mut dyn FnMut(&Trace) -> bool) -> Trace {
             if end - i == current.len() {
                 break; // never offer the empty trace
             }
-            let kept = current.uops.slice(..i).iter().chain(current.uops.slice(end..));
+            let kept = current
+                .uops
+                .slice(..i)
+                .iter()
+                .chain(current.uops.slice(end..));
             let candidate = rebuild(&trace.name, kept);
             if fails(&candidate) {
                 current = candidate;
@@ -222,9 +226,9 @@ mod tests {
         let mut calls = 0u32;
         let mut fails = |t: &Trace| {
             calls += 1;
-            t.uops.iter().any(|u| {
-                matches!(u.kind, UopKind::Load { dep: Some(_), .. })
-            })
+            t.uops
+                .iter()
+                .any(|u| matches!(u.kind, UopKind::Load { dep: Some(_), .. }))
         };
         let minimal = shrink(&trace, &mut fails);
         assert_eq!(minimal.validate(), Ok(()));

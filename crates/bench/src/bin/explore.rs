@@ -114,43 +114,64 @@ fn main() {
     let mut t = TextTable::new(["metric", "value"]);
     t.row(["IPC".to_string(), format!("{:.4}", s.ipc())]);
     t.row(["cycles".to_string(), s.cycles.to_string()]);
-    t.row(["loads / stores / branches".to_string(), format!(
-        "{} / {} / {}",
-        s.committed_loads, s.committed_stores, s.committed_branches
-    )]);
-    t.row(["predictions (no-dep / mdp / smb)".to_string(), format!(
-        "{} / {} / {}",
-        s.pred_no_dep, s.pred_mdp, s.pred_smb
-    )]);
-    t.row(["mispredictions (missed/false/wrong-store/smb)".to_string(), format!(
-        "{} / {} / {} / {}",
-        s.missed_dependencies, s.false_dependencies, s.wrong_store, s.smb_errors
-    )]);
-    t.row(["squashes (memory-order / smb)".to_string(), format!(
-        "{} / {}",
-        s.mem_order_squashes, s.smb_squashes
-    )]);
-    t.row(["loads bypassed / forwarded / from cache".to_string(), format!(
-        "{} / {} / {}",
-        s.loads_bypassed, s.loads_forwarded, s.loads_from_cache
-    )]);
-    t.row(["branch mispredicts (MPKI)".to_string(), format!(
-        "{} ({:.1})",
-        s.branch_mispredicts,
-        s.branch_mispredicts as f64 * 1000.0 / s.committed_uops.max(1) as f64
-    )]);
-    t.row(["cache misses (l1i/l1d/l2/l3)".to_string(), format!(
-        "{} / {} / {} / {}",
-        s.l1i_misses, s.l1d_misses, s.l2_misses, s.l3_misses
-    )]);
-    t.row(["dispatch stalls (fe/rob/iq/lq/sb)".to_string(), format!(
-        "{} / {} / {} / {} / {}",
-        s.stall_frontend, s.stall_rob, s.stall_iq, s.stall_lq, s.stall_sb
-    )]);
-    t.row(["avg dependent issue wait".to_string(), format!("{:.1} cycles", s.avg_dependent_wait())]);
-    t.row(["dependent-load fraction".to_string(), format!(
-        "{:.1}%",
-        s.dependent_load_fraction() * 100.0
-    )]);
+    t.row([
+        "loads / stores / branches".to_string(),
+        format!(
+            "{} / {} / {}",
+            s.committed_loads, s.committed_stores, s.committed_branches
+        ),
+    ]);
+    t.row([
+        "predictions (no-dep / mdp / smb)".to_string(),
+        format!("{} / {} / {}", s.pred_no_dep, s.pred_mdp, s.pred_smb),
+    ]);
+    t.row([
+        "mispredictions (missed/false/wrong-store/smb)".to_string(),
+        format!(
+            "{} / {} / {} / {}",
+            s.missed_dependencies, s.false_dependencies, s.wrong_store, s.smb_errors
+        ),
+    ]);
+    t.row([
+        "squashes (memory-order / smb)".to_string(),
+        format!("{} / {}", s.mem_order_squashes, s.smb_squashes),
+    ]);
+    t.row([
+        "loads bypassed / forwarded / from cache".to_string(),
+        format!(
+            "{} / {} / {}",
+            s.loads_bypassed, s.loads_forwarded, s.loads_from_cache
+        ),
+    ]);
+    t.row([
+        "branch mispredicts (MPKI)".to_string(),
+        format!(
+            "{} ({:.1})",
+            s.branch_mispredicts,
+            s.branch_mispredicts as f64 * 1000.0 / s.committed_uops.max(1) as f64
+        ),
+    ]);
+    t.row([
+        "cache misses (l1i/l1d/l2/l3)".to_string(),
+        format!(
+            "{} / {} / {} / {}",
+            s.l1i_misses, s.l1d_misses, s.l2_misses, s.l3_misses
+        ),
+    ]);
+    t.row([
+        "dispatch stalls (fe/rob/iq/lq/sb)".to_string(),
+        format!(
+            "{} / {} / {} / {} / {}",
+            s.stall_frontend, s.stall_rob, s.stall_iq, s.stall_lq, s.stall_sb
+        ),
+    ]);
+    t.row([
+        "avg dependent issue wait".to_string(),
+        format!("{:.1} cycles", s.avg_dependent_wait()),
+    ]);
+    t.row([
+        "dependent-load fraction".to_string(),
+        format!("{:.1}%", s.dependent_load_fraction() * 100.0),
+    ]);
     println!("{}", t.render());
 }

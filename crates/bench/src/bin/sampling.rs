@@ -100,10 +100,8 @@ fn measure(cfg: &SamplingConfig) -> Measurement {
         for kind in KINDS {
             let sampled = run_one_sampled(&profile, kind, &core, LONG_UOPS, SEED, cfg);
             let full = run_one(&profile, kind, &core, LONG_UOPS, SEED);
-            let rel_err = mascot_stats::projection::relative_error(
-                sampled.run.stats.ipc(),
-                full.stats.ipc(),
-            );
+            let rel_err =
+                mascot_stats::projection::relative_error(sampled.run.stats.ipc(), full.stats.ipc());
             err.record(sampled.run.stats.ipc(), full.stats.ipc());
             full_uops += full.stats.committed_uops as f64;
             full_secs += full.wall_ms / 1e3;
@@ -234,7 +232,10 @@ fn frontier() {
         ]);
     }
     print!("{}", t.render());
-    println!("({} uops, mascot + store-sets over {:?}, seed {SEED})", LONG_UOPS, WORKLOADS);
+    println!(
+        "({} uops, mascot + store-sets over {:?}, seed {SEED})",
+        LONG_UOPS, WORKLOADS
+    );
 }
 
 fn main() {
@@ -245,7 +246,11 @@ fn main() {
     }
     let check = args.iter().any(|a| a == "--check");
     let cfg = SamplingConfig::default();
-    let m = if check { measure_median(&cfg) } else { measure(&cfg) };
+    let m = if check {
+        measure_median(&cfg)
+    } else {
+        measure(&cfg)
+    };
     print!("{}", render(&m));
 
     if check {
@@ -267,7 +272,10 @@ fn main() {
             }
         }
         let base_speedup = scan_f64_field(&baseline, "speedup").expect("validated above");
-        println!("baseline speedup {base_speedup:.1}x, measured {:.1}x", m.speedup);
+        println!(
+            "baseline speedup {base_speedup:.1}x, measured {:.1}x",
+            m.speedup
+        );
         let mut failed = false;
         if m.speedup < MIN_SPEEDUP {
             eprintln!(

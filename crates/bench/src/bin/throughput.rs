@@ -119,10 +119,7 @@ fn render(rows: &[RunResult], aggregate: f64) -> String {
         UOPS
     );
     for (label, v) in per_predictor(rows) {
-        out.push_str(&format!(
-            "  {label}: {} Muops/s\n",
-            table::muops_per_sec(v)
-        ));
+        out.push_str(&format!("  {label}: {} Muops/s\n", table::muops_per_sec(v)));
     }
     out
 }
@@ -193,7 +190,10 @@ fn main() {
             std::process::exit(2);
         };
         let ratio = aggregate / base;
-        println!("baseline: {} Muops/s, ratio {ratio:.3}", table::muops_per_sec(base));
+        println!(
+            "baseline: {} Muops/s, ratio {ratio:.3}",
+            table::muops_per_sec(base)
+        );
         let mut failed = false;
         if ratio < 1.0 - REGRESSION_TOLERANCE {
             eprintln!(

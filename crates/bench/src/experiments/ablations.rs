@@ -50,7 +50,13 @@ fn evaluate(run: &Run, cfg: MascotConfig, label: &str) -> (f64, u64) {
 /// under a sampled [`Run`]: the sweeps run caller-built predictor configs.
 pub fn run(run: &Run) {
     let (base_ipc, base_mis) = evaluate(run, MascotConfig::default(), "default");
-    let mut t = TextTable::new(["configuration", "geomean IPC", "vs default", "mispredictions", "KiB"]);
+    let mut t = TextTable::new([
+        "configuration",
+        "geomean IPC",
+        "vs default",
+        "mispredictions",
+        "KiB",
+    ]);
     let mut row = |label: &str, cfg: MascotConfig| {
         let kib = cfg.storage_kib();
         let (ipc, mis) = evaluate(run, cfg, label);
@@ -58,7 +64,10 @@ pub fn run(run: &Run) {
             label.to_string(),
             ratio(ipc),
             format!("{:+.3}%", (ipc / base_ipc - 1.0) * 100.0),
-            format!("{mis} ({:+.1}%)", (mis as f64 / base_mis.max(1) as f64 - 1.0) * 100.0),
+            format!(
+                "{mis} ({:+.1}%)",
+                (mis as f64 / base_mis.max(1) as f64 - 1.0) * 100.0
+            ),
             format!("{kib:.1}"),
         ]);
     };
@@ -109,11 +118,20 @@ pub fn run(run: &Run) {
     );
 
     // 4. Periodic decay (§IV-C: expected ~no change).
-    row("periodic decay /4096", MascotConfig::default().with_periodic_decay(4096));
-    row("periodic decay /512", MascotConfig::default().with_periodic_decay(512));
+    row(
+        "periodic decay /4096",
+        MascotConfig::default().with_periodic_decay(4096),
+    );
+    row(
+        "periodic decay /512",
+        MascotConfig::default().with_periodic_decay(512),
+    );
 
     // 5. Offset-bypass extension (§IV-E).
-    row("offset-bypass extension", MascotConfig::default().with_offset_bypass());
+    row(
+        "offset-bypass extension",
+        MascotConfig::default().with_offset_bypass(),
+    );
 
     println!("== Ablations — MASCOT design choices (6-benchmark subset) ==");
     println!("{}", t.render());

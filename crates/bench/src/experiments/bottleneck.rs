@@ -33,7 +33,10 @@ pub fn run(run: &Run) {
         t.row([
             profile.name.to_string(),
             format!("{:.2}", s.ipc()),
-            format!("{:.1}", s.branch_mispredicts as f64 * 1000.0 / s.committed_uops.max(1) as f64),
+            format!(
+                "{:.1}",
+                s.branch_mispredicts as f64 * 1000.0 / s.committed_uops.max(1) as f64
+            ),
             frac_pct(s.stall_frontend as f64 / c),
             frac_pct(s.stall_rob as f64 / c),
             frac_pct(s.stall_iq as f64 / c),

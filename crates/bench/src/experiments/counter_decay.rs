@@ -10,7 +10,11 @@ use mascot_stats::markov::{expected_predictions_to_saturate, expected_prediction
 
 pub fn run(_run: &Run) {
     let mut t = TextTable::new(["counter", "p(correct)", "E[predictions to zero]"]);
-    for (bits, label) in [(2u8, "2-bit"), (3, "3-bit (MASCOT usefulness)"), (4, "4-bit (PHAST)")] {
+    for (bits, label) in [
+        (2u8, "2-bit"),
+        (3, "3-bit (MASCOT usefulness)"),
+        (4, "4-bit (PHAST)"),
+    ] {
         for p in [0.5, 0.6, 0.7, 0.8] {
             let start = (1u8 << bits) - 1;
             let n = expected_predictions_to_zero(bits, start, p);
@@ -25,7 +29,11 @@ pub fn run(_run: &Run) {
     let mut t2 = TextTable::new(["counter", "p(bypassable)", "E[predictions to saturate]"]);
     for p in [0.7, 0.9, 0.99] {
         let n = expected_predictions_to_saturate(2, 1, p);
-        t2.row(["2-bit bypass (from 1)".to_string(), format!("{p:.2}"), format!("{n:.2}")]);
+        t2.row([
+            "2-bit bypass (from 1)".to_string(),
+            format!("{p:.2}"),
+            format!("{n:.2}"),
+        ]);
     }
     println!("== §IV-E — predictions before the bypass counter trusts an entry ==");
     println!("{}", t2.render());

@@ -12,7 +12,11 @@ use mascot_workloads::spec;
 
 pub fn run(run: &Run) {
     let profiles = spec::all_profiles();
-    let results = run.suite(&profiles, &[PredictorKind::PerfectMdp], &CoreConfig::golden_cove());
+    let results = run.suite(
+        &profiles,
+        &[PredictorKind::PerfectMdp],
+        &CoreConfig::golden_cove(),
+    );
     let mut t = TextTable::new([
         "benchmark",
         "DirectBypass",

@@ -5,8 +5,7 @@
 //! perfect MDP by 1.0 % on the geometric mean; peak gains on perlbench2.
 
 use crate::{
-    benchmarks, geomean_normalized_ipc, normalized_ipc, table::ratio, PredictorKind, Run,
-    TextTable,
+    benchmarks, geomean_normalized_ipc, normalized_ipc, table::ratio, PredictorKind, Run, TextTable,
 };
 use mascot_sim::CoreConfig;
 use mascot_workloads::spec;

@@ -11,7 +11,11 @@ use mascot_workloads::spec;
 
 pub fn run(run: &Run) {
     let profiles = spec::all_profiles();
-    let kinds = [PredictorKind::NoSq, PredictorKind::Phast, PredictorKind::Mascot];
+    let kinds = [
+        PredictorKind::NoSq,
+        PredictorKind::Phast,
+        PredictorKind::Mascot,
+    ];
     let results = run.suite(&profiles, &kinds, &CoreConfig::golden_cove());
     let mut t = TextTable::new([
         "predictor",
@@ -51,8 +55,14 @@ pub fn run(run: &Run) {
             (1.0 - a as f64 / b as f64) * 100.0
         }
     };
-    println!("mascot vs nosq:  total errors reduced {:.1}% (paper: 98%)", red(m.0, n.0));
-    println!("mascot vs phast: total errors reduced {:.1}% (paper: 85%)", red(m.0, p.0));
+    println!(
+        "mascot vs nosq:  total errors reduced {:.1}% (paper: 98%)",
+        red(m.0, n.0)
+    );
+    println!(
+        "mascot vs phast: total errors reduced {:.1}% (paper: 85%)",
+        red(m.0, p.0)
+    );
     println!(
         "mascot vs phast: false dependencies reduced {:.1}% (paper: 91%), \
          speculative errors reduced {:.1}% (paper: 39%)",

@@ -6,8 +6,7 @@
 //! because an occasional missed dependence resolves in time anyway.
 
 use crate::{
-    benchmarks, geomean_normalized_ipc, normalized_ipc, table::ratio, PredictorKind, Run,
-    TextTable,
+    benchmarks, geomean_normalized_ipc, normalized_ipc, table::ratio, PredictorKind, Run, TextTable,
 };
 use mascot_sim::CoreConfig;
 use mascot_workloads::spec;
@@ -45,9 +44,18 @@ pub fn run(run: &Run) {
     ]);
     println!("== Fig. 9 — MDP-only IPC normalised to perfect MDP ==");
     println!("{}", t.render());
-    println!("mascot-mdp vs store-sets: {:+.2}% (paper: +6.18%)", (gm[3] / gm[0] - 1.0) * 100.0);
-    println!("mascot-mdp vs mdp-tage:   {:+.2}% (historical baseline, beyond the paper)", (gm[3] / gm[1] - 1.0) * 100.0);
-    println!("mascot-mdp vs phast:      {:+.2}% (paper: +0.36%)", (gm[3] / gm[2] - 1.0) * 100.0);
+    println!(
+        "mascot-mdp vs store-sets: {:+.2}% (paper: +6.18%)",
+        (gm[3] / gm[0] - 1.0) * 100.0
+    );
+    println!(
+        "mascot-mdp vs mdp-tage:   {:+.2}% (historical baseline, beyond the paper)",
+        (gm[3] / gm[1] - 1.0) * 100.0
+    );
+    println!(
+        "mascot-mdp vs phast:      {:+.2}% (paper: +0.36%)",
+        (gm[3] / gm[2] - 1.0) * 100.0
+    );
     let above: Vec<&String> = benches
         .iter()
         .filter(|b| normalized_ipc(&results, b, "mascot-mdp", "perfect-mdp").unwrap_or(0.0) > 1.0)

@@ -12,7 +12,11 @@ use mascot_workloads::spec;
 
 pub fn run(run: &Run) {
     let profiles = spec::all_profiles();
-    let results = run.suite(&profiles, &[PredictorKind::Mascot], &CoreConfig::golden_cove());
+    let results = run.suite(
+        &profiles,
+        &[PredictorKind::Mascot],
+        &CoreConfig::golden_cove(),
+    );
     let mut preds = TextTable::new(["benchmark", "no-dep", "mdp", "smb"]);
     let mut mis = TextTable::new([
         "benchmark",
@@ -57,7 +61,13 @@ pub fn run(run: &Run) {
         frac_pct(agg[1] / n),
         frac_pct(agg[2] / n),
     ]);
-    println!("== Fig. 10 (left) — MASCOT prediction types ==\n{}", preds.render());
+    println!(
+        "== Fig. 10 (left) — MASCOT prediction types ==\n{}",
+        preds.render()
+    );
     println!("paper: over 80% of all predictions are no-dependence\n");
-    println!("== Fig. 10 (right) — MASCOT misprediction types ==\n{}", mis.render());
+    println!(
+        "== Fig. 10 (right) — MASCOT misprediction types ==\n{}",
+        mis.render()
+    );
 }

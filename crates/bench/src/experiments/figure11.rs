@@ -6,8 +6,8 @@
 //! dependencies and loses IPC, especially when bypassing.
 
 use crate::{
-    benchmarks, geomean_normalized_ipc, normalized_ipc, table::count, table::ratio,
-    PredictorKind, Run, TextTable,
+    benchmarks, geomean_normalized_ipc, normalized_ipc, table::count, table::ratio, PredictorKind,
+    Run, TextTable,
 };
 use mascot_sim::CoreConfig;
 use mascot_workloads::spec;
@@ -61,7 +61,10 @@ pub fn run(run: &Run) {
     ]);
     println!("== Fig. 11 — MASCOT vs TAGE without non-dependence allocation ==");
     println!("{}", t.render());
-    println!("IPC: mascot {:+.2}% vs ablation", (gm_m / gm_a - 1.0) * 100.0);
+    println!(
+        "IPC: mascot {:+.2}% vs ablation",
+        (gm_m / gm_a - 1.0) * 100.0
+    );
     if fd_m > 0 {
         println!(
             "false dependencies: ablation has {:.1}x MASCOT's (paper: >12x)",

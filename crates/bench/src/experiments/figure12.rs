@@ -15,7 +15,11 @@ pub fn run(run: &Run) {
         PredictorKind::Mascot,
         PredictorKind::PerfectMdpSmb,
     ];
-    let mut t = TextTable::new(["core", "mascot vs perfect MDP", "perfect MDP+SMB vs perfect MDP"]);
+    let mut t = TextTable::new([
+        "core",
+        "mascot vs perfect MDP",
+        "perfect MDP+SMB vs perfect MDP",
+    ]);
     for core in [CoreConfig::golden_cove(), CoreConfig::lion_cove()] {
         let results = run.suite(&profiles, &kinds, &core);
         let benches = benchmarks(&results);

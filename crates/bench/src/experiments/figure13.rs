@@ -35,8 +35,16 @@ pub fn run(run: &Run) {
         let _ = m.storage_bits();
     }
     let mut t = TextTable::new([
-        "benchmark", "base", "T1(h0)", "T2(h2)", "T3(h4)", "T4(h8)", "T5(h16)", "T6(h32)",
-        "T7(h64)", "T8(h128)",
+        "benchmark",
+        "base",
+        "T1(h0)",
+        "T2(h2)",
+        "T3(h4)",
+        "T4(h8)",
+        "T5(h16)",
+        "T6(h32)",
+        "T7(h64)",
+        "T8(h128)",
     ]);
     for (name, tables, b) in &rows {
         let total = (tables.iter().sum::<u64>() + b).max(1) as f64;

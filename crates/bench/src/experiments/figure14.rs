@@ -60,10 +60,16 @@ pub fn run(run: &Run) {
         "rank 512",
     ]);
     for (i, c) in curves.iter().enumerate() {
-        let mut cells = vec![format!("T{} (h{})", i + 1, [0, 2, 4, 8, 16, 32, 64, 128][i])];
-        cells.extend(ranks.iter().map(|&r| {
-            c.get(r).map_or("-".to_string(), |v| format!("{v:.3}"))
-        }));
+        let mut cells = vec![format!(
+            "T{} (h{})",
+            i + 1,
+            [0, 2, 4, 8, 16, 32, 64, 128][i]
+        )];
+        cells.extend(
+            ranks
+                .iter()
+                .map(|&r| c.get(r).map_or("-".to_string(), |v| format!("{v:.3}"))),
+        );
         t.row(cells);
     }
     println!("== Fig. 14 — averaged ranked per-slot F1 per table ==");

@@ -5,7 +5,9 @@
 //! 10.1 KiB (27.7 % smaller than the 14 KiB default), at the cost of a
 //! 17.4 % rise in mispredictions.
 
-use crate::{benchmarks, find, geomean_normalized_ipc, table::count, PredictorKind, Run, TextTable};
+use crate::{
+    benchmarks, find, geomean_normalized_ipc, table::count, PredictorKind, Run, TextTable,
+};
 use mascot_sim::CoreConfig;
 use mascot_workloads::spec;
 
@@ -24,7 +26,12 @@ pub fn run(run: &Run) {
     let baseline = geomean_normalized_ipc(&results, &benches, "mascot", "perfect-mdp").unwrap();
     let base_mis: u64 = benches
         .iter()
-        .map(|b| find(&results, b, "mascot").unwrap().stats.total_mispredictions())
+        .map(|b| {
+            find(&results, b, "mascot")
+                .unwrap()
+                .stats
+                .total_mispredictions()
+        })
         .sum();
     let mut t = TextTable::new([
         "configuration",
@@ -39,7 +46,12 @@ pub fn run(run: &Run) {
         let gm = geomean_normalized_ipc(&results, &benches, &label, "perfect-mdp").unwrap();
         let mis: u64 = benches
             .iter()
-            .map(|b| find(&results, b, &label).unwrap().stats.total_mispredictions())
+            .map(|b| {
+                find(&results, b, &label)
+                    .unwrap()
+                    .stats
+                    .total_mispredictions()
+            })
             .sum();
         let kib = find(&results, &benches[0], &label).unwrap().storage_kib;
         t.row([
@@ -48,7 +60,10 @@ pub fn run(run: &Run) {
             format!("{:+.1}%", (kib / 14.0 - 1.0) * 100.0),
             format!("{:+.3}%", (gm / baseline - 1.0) * 100.0),
             count(mis),
-            format!("{:+.1}%", (mis as f64 / base_mis.max(1) as f64 - 1.0) * 100.0),
+            format!(
+                "{:+.1}%",
+                (mis as f64 / base_mis.max(1) as f64 - 1.0) * 100.0
+            ),
         ]);
     }
     println!("== Fig. 15 — MASCOT-OPT tag-size sweep ==");

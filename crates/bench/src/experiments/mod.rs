@@ -35,22 +35,70 @@ pub struct Experiment {
 /// Every experiment, in the paper's order; `all_experiments` with no
 /// names runs them in this order.
 pub const EXPERIMENTS: [Experiment; 16] = [
-    Experiment { name: "table01", run: table01::run },
-    Experiment { name: "table02", run: table02::run },
-    Experiment { name: "counter_decay", run: counter_decay::run },
-    Experiment { name: "figure02", run: figure02::run },
-    Experiment { name: "figure07", run: figure07::run },
-    Experiment { name: "figure08", run: figure08::run },
-    Experiment { name: "figure09", run: figure09::run },
-    Experiment { name: "figure10", run: figure10::run },
-    Experiment { name: "figure11", run: figure11::run },
-    Experiment { name: "figure12", run: figure12::run },
-    Experiment { name: "figure13", run: figure13::run },
-    Experiment { name: "figure14", run: figure14::run },
-    Experiment { name: "figure15", run: figure15::run },
-    Experiment { name: "ablations", run: ablations::run },
-    Experiment { name: "window_sweep", run: window_sweep::run },
-    Experiment { name: "bottleneck", run: bottleneck::run },
+    Experiment {
+        name: "table01",
+        run: table01::run,
+    },
+    Experiment {
+        name: "table02",
+        run: table02::run,
+    },
+    Experiment {
+        name: "counter_decay",
+        run: counter_decay::run,
+    },
+    Experiment {
+        name: "figure02",
+        run: figure02::run,
+    },
+    Experiment {
+        name: "figure07",
+        run: figure07::run,
+    },
+    Experiment {
+        name: "figure08",
+        run: figure08::run,
+    },
+    Experiment {
+        name: "figure09",
+        run: figure09::run,
+    },
+    Experiment {
+        name: "figure10",
+        run: figure10::run,
+    },
+    Experiment {
+        name: "figure11",
+        run: figure11::run,
+    },
+    Experiment {
+        name: "figure12",
+        run: figure12::run,
+    },
+    Experiment {
+        name: "figure13",
+        run: figure13::run,
+    },
+    Experiment {
+        name: "figure14",
+        run: figure14::run,
+    },
+    Experiment {
+        name: "figure15",
+        run: figure15::run,
+    },
+    Experiment {
+        name: "ablations",
+        run: ablations::run,
+    },
+    Experiment {
+        name: "window_sweep",
+        run: window_sweep::run,
+    },
+    Experiment {
+        name: "bottleneck",
+        run: bottleneck::run,
+    },
 ];
 
 /// Parses `all_experiments`' arguments, `[NAME ...] [--sampled]`: the named

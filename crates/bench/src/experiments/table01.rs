@@ -7,7 +7,10 @@ use crate::{Run, TextTable};
 use mascot_sim::CoreConfig;
 
 fn rows(t: &mut TextTable, c: &CoreConfig) {
-    t.row(["Front-end width".into(), format!("{}-wide fetch and decode", c.fetch_width)]);
+    t.row([
+        "Front-end width".into(),
+        format!("{}-wide fetch and decode", c.fetch_width),
+    ]);
     t.row([
         "Back-end width".into(),
         format!(
@@ -21,7 +24,10 @@ fn rows(t: &mut TextTable, c: &CoreConfig) {
     ]);
     t.row([
         "ROB/IQ/LQ/SB".into(),
-        format!("{}/{}/{}/{} entries", c.rob_entries, c.iq_entries, c.lq_entries, c.sb_entries),
+        format!(
+            "{}/{}/{}/{} entries",
+            c.rob_entries, c.iq_entries, c.lq_entries, c.sb_entries
+        ),
     ]);
     t.row([
         "L1I (private)".into(),

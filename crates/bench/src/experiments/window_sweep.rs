@@ -51,10 +51,7 @@ pub fn run(run: &Run) {
             geomean_normalized_ipc(&results, &benches, p, "perfect-mdp").unwrap_or(f64::NAN)
         };
         t.row([
-            format!(
-                "ROB {} / SB {}",
-                core.rob_entries, core.sb_entries
-            ),
+            format!("ROB {} / SB {}", core.rob_entries, core.sb_entries),
             ratio(gm("store-sets")),
             ratio(gm("phast")),
             ratio(gm("mascot-mdp")),

@@ -172,7 +172,14 @@ pub fn cached_sampling_prep(
     trace_uops: usize,
     cfg: &SamplingConfig,
 ) -> Arc<SamplingPrep> {
-    type PrepKey = (WorkloadProfile, u64, usize, String, CoreConfig, SamplingConfig);
+    type PrepKey = (
+        WorkloadProfile,
+        u64,
+        usize,
+        String,
+        CoreConfig,
+        SamplingConfig,
+    );
     static CACHE: Lru<PrepKey, SamplingPrep> = Lru::new(PREP_CACHE_MAX_ENTRIES, None);
     let key = (
         profile.clone(),
@@ -420,14 +427,23 @@ pub fn run_one_sampled(
 }
 
 /// Finds the result for (benchmark, predictor) in a result set.
-pub fn find<'a>(results: &'a [RunResult], benchmark: &str, predictor: &str) -> Option<&'a RunResult> {
+pub fn find<'a>(
+    results: &'a [RunResult],
+    benchmark: &str,
+    predictor: &str,
+) -> Option<&'a RunResult> {
     results
         .iter()
         .find(|r| r.benchmark == benchmark && r.predictor == predictor)
 }
 
 /// Per-benchmark IPC of `predictor` normalised to `baseline`.
-pub fn normalized_ipc(results: &[RunResult], benchmark: &str, predictor: &str, baseline: &str) -> Option<f64> {
+pub fn normalized_ipc(
+    results: &[RunResult],
+    benchmark: &str,
+    predictor: &str,
+    baseline: &str,
+) -> Option<f64> {
     let p = find(results, benchmark, predictor)?.stats.ipc();
     let b = find(results, benchmark, baseline)?.stats.ipc();
     mascot_stats::summary::normalize(p, b)
@@ -531,8 +547,9 @@ mod tests {
     fn normalized_ipc_handles_missing_entries() {
         let results: Vec<RunResult> = Vec::new();
         assert!(normalized_ipc(&results, "x", "mascot", "perfect-mdp").is_none());
-        assert!(geomean_normalized_ipc(&results, &["x".to_string()], "mascot", "perfect-mdp")
-            .is_none());
+        assert!(
+            geomean_normalized_ipc(&results, &["x".to_string()], "mascot", "perfect-mdp").is_none()
+        );
     }
 
     /// A cache of `u64`s whose builds are counted, so a test can tell a
@@ -549,9 +566,14 @@ mod tests {
         let cache = Lru::new(4, None);
         let mut builds = 0;
         // Fill the cache with 4 distinct keys.
-        let held: Vec<Arc<u64>> = (0..4).map(|k| counted_get(&cache, &mut builds, k, 1)).collect();
+        let held: Vec<Arc<u64>> = (0..4)
+            .map(|k| counted_get(&cache, &mut builds, k, 1))
+            .collect();
         // Touch key 0 so key 1 becomes the least recently used.
-        assert!(Arc::ptr_eq(&counted_get(&cache, &mut builds, 0, 1), &held[0]));
+        assert!(Arc::ptr_eq(
+            &counted_get(&cache, &mut builds, 0, 1),
+            &held[0]
+        ));
         // A fifth key evicts exactly one entry: key 1.
         let _ = counted_get(&cache, &mut builds, 4, 1);
         assert!(
@@ -576,11 +598,17 @@ mod tests {
         let _ = counted_get(&cache, &mut builds, 2, 400);
         // 400 + 400 + 400 > 1000: inserting a third evicts the oldest.
         let _ = counted_get(&cache, &mut builds, 3, 400);
-        assert!(!Arc::ptr_eq(&counted_get(&cache, &mut builds, 1, 400), &first));
+        assert!(!Arc::ptr_eq(
+            &counted_get(&cache, &mut builds, 1, 400),
+            &first
+        ));
         // A single entry over the whole budget is still built once and
         // cached (bounds limit retention, not admission)…
         let big = counted_get(&cache, &mut builds, 9, 2_000);
-        assert!(Arc::ptr_eq(&counted_get(&cache, &mut builds, 9, 2_000), &big));
+        assert!(Arc::ptr_eq(
+            &counted_get(&cache, &mut builds, 9, 2_000),
+            &big
+        ));
         // …at the cost of evicting everything else.
         assert_eq!(cache.state.lock().unwrap().entries.len(), 1);
     }
@@ -613,14 +641,9 @@ mod tests {
         );
         // Projected committed-uop total equals the trace length by
         // construction (weights cover the trace; every uop commits).
-        assert_eq!(
-            sampled.run.stats.committed_uops,
-            full.stats.committed_uops
-        );
-        let err = mascot_stats::projection::relative_error(
-            sampled.run.stats.ipc(),
-            full.stats.ipc(),
-        );
+        assert_eq!(sampled.run.stats.committed_uops, full.stats.committed_uops);
+        let err =
+            mascot_stats::projection::relative_error(sampled.run.stats.ipc(), full.stats.ipc());
         assert!(err.abs() < 0.25, "projected IPC off by {err:+.3}");
     }
 

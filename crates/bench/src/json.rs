@@ -42,7 +42,8 @@ impl JsonObject {
 
     /// Adds a string field.
     pub fn str(mut self, key: &str, value: &str) -> Self {
-        self.fields.push((key.to_string(), format!("\"{}\"", escape(value))));
+        self.fields
+            .push((key.to_string(), format!("\"{}\"", escape(value))));
         self
     }
 
@@ -54,7 +55,8 @@ impl JsonObject {
 
     /// Adds a float field rendered with the given number of decimals.
     pub fn float(mut self, key: &str, value: f64, decimals: usize) -> Self {
-        self.fields.push((key.to_string(), format!("{value:.decimals$}")));
+        self.fields
+            .push((key.to_string(), format!("{value:.decimals$}")));
         self
     }
 
@@ -89,7 +91,11 @@ impl JsonObject {
         let mut s = String::from("{\n");
         for (i, (k, v)) in self.fields.iter().enumerate() {
             let _ = write!(s, "  \"{}\": {v}", escape(k));
-            s.push_str(if i + 1 < self.fields.len() { ",\n" } else { "\n" });
+            s.push_str(if i + 1 < self.fields.len() {
+                ",\n"
+            } else {
+                "\n"
+            });
         }
         s.push_str("}\n");
         s
@@ -143,7 +149,10 @@ mod tests {
         let s = JsonObject::new()
             .float("aggregate_uops_per_sec", 3_064_212.0, 0)
             .render();
-        assert_eq!(scan_f64_field(&s, "aggregate_uops_per_sec"), Some(3_064_212.0));
+        assert_eq!(
+            scan_f64_field(&s, "aggregate_uops_per_sec"),
+            Some(3_064_212.0)
+        );
         assert_eq!(scan_f64_field(&s, "missing"), None);
         assert_eq!(scan_f64_field("{}", "aggregate_uops_per_sec"), None);
     }

@@ -118,7 +118,10 @@ impl MascotConfig {
     pub fn opt_with_tag_reduction(bits: u8) -> Self {
         let mut cfg = Self::opt();
         for t in &mut cfg.tag_bits {
-            assert!(*t >= bits + 6, "tag reduction of {bits} bits leaves tags too short");
+            assert!(
+                *t >= bits + 6,
+                "tag reduction of {bits} bits leaves tags too short"
+            );
             *t -= bits;
         }
         cfg
@@ -195,7 +198,9 @@ impl MascotConfig {
             )));
         }
         if self.associativity == 0 {
-            return Err(ConfigError::BadWidth("associativity must be non-zero".into()));
+            return Err(ConfigError::BadWidth(
+                "associativity must be non-zero".into(),
+            ));
         }
         for (i, &entries) in self.table_entries.iter().enumerate() {
             if entries == 0 || entries % self.associativity != 0 {
@@ -343,7 +348,8 @@ mod tests {
         cfg.validate().unwrap();
         let kib = cfg.storage_kib();
         assert!((kib - 11.81).abs() < 0.05, "got {kib} KiB");
-        let reduction = 1.0 - cfg.storage_bits() as f64 / MascotConfig::default().storage_bits() as f64;
+        let reduction =
+            1.0 - cfg.storage_bits() as f64 / MascotConfig::default().storage_bits() as f64;
         assert!((reduction - 0.16).abs() < 0.01, "got {reduction}");
     }
 
@@ -355,7 +361,8 @@ mod tests {
         cfg.validate().unwrap();
         let kib = cfg.storage_kib();
         assert!((kib - 10.125).abs() < 0.05, "got {kib} KiB");
-        let saving = 1.0 - cfg.storage_bits() as f64 / MascotConfig::default().storage_bits() as f64;
+        let saving =
+            1.0 - cfg.storage_bits() as f64 / MascotConfig::default().storage_bits() as f64;
         assert!((saving - 0.277).abs() < 0.01, "got {saving}");
     }
 

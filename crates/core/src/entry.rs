@@ -164,7 +164,10 @@ mod tests {
     #[test]
     fn bypass_requires_both_counters_saturated() {
         let mut e = MascotEntry::dependent(dist(1), 3, 7, 2, 2);
-        assert!(!e.predicts_bypass(), "bypass counter at 2 of 3 must not bypass");
+        assert!(
+            !e.predicts_bypass(),
+            "bypass counter at 2 of 3 must not bypass"
+        );
         e.reward_bypass();
         assert!(e.predicts_bypass());
         e.punish_dependence(); // usefulness drops below saturation

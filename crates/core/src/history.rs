@@ -341,7 +341,6 @@ impl GlobalHistory {
         history.total = total;
         Ok(history)
     }
-
 }
 
 /// Rewinds a history log and the table hashers folded over it to the
@@ -980,7 +979,11 @@ mod tests {
         let ev = cond(0x10, true);
         h.on_branch(&hist, &ev);
         hist.push(ev);
-        assert_eq!(h.index(0x4000), idx0, "zero-history index must ignore branches");
+        assert_eq!(
+            h.index(0x4000),
+            idx0,
+            "zero-history index must ignore branches"
+        );
         assert_eq!(h.tag(0x4000), tag0);
     }
 

@@ -69,8 +69,8 @@ pub use entry::MascotEntry;
 pub use history::{BranchEvent, BranchKind};
 pub use mdp_only::MascotMdpOnly;
 pub use prediction::{
-    BypassClass, GroundTruth, LoadOutcome, MemDepPrediction, MemDepPredictor,
-    ObservedDependence, PredictReq, StoreDistance, TrainReq,
+    BypassClass, GroundTruth, LoadOutcome, MemDepPrediction, MemDepPredictor, ObservedDependence,
+    PredictReq, StoreDistance, TrainReq,
 };
 pub use predictor::{Mascot, MascotMeta, MascotStats};
 pub use tuning::TuningState;

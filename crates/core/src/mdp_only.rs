@@ -2,9 +2,7 @@
 //! every bypass prediction is demoted to a plain dependence.
 
 use crate::history::BranchEvent;
-use crate::prediction::{
-    GroundTruth, LoadOutcome, MemDepPredictor, MemDepPrediction, PredictReq,
-};
+use crate::prediction::{GroundTruth, LoadOutcome, MemDepPrediction, MemDepPredictor, PredictReq};
 use crate::predictor::{Mascot, MascotMeta};
 use serde::{Deserialize, Serialize};
 

@@ -18,7 +18,7 @@ use crate::config::MascotConfig;
 use crate::entry::MascotEntry;
 use crate::history::BranchEvent;
 use crate::prediction::{
-    GroundTruth, LoadOutcome, MemDepPredictor, MemDepPrediction, PredictReq, StoreDistance,
+    GroundTruth, LoadOutcome, MemDepPrediction, MemDepPredictor, PredictReq, StoreDistance,
 };
 use crate::table::AssocTable;
 use crate::tagged::{TableLookup, TableShape, TaggedTables, MAX_TABLES};
@@ -364,7 +364,9 @@ impl Mascot {
         p.bank.snap_decode_history(r)?;
         let nt = r.u32("stats table count")? as usize;
         if nt != p.bank.num_tables() {
-            return Err(SnapError::Corrupt("stats table count does not match config"));
+            return Err(SnapError::Corrupt(
+                "stats table count does not match config",
+            ));
         }
         let mut table_predictions = Vec::with_capacity(nt);
         for _ in 0..nt {
@@ -404,7 +406,8 @@ impl Mascot {
     /// [`SnapError::Corrupt`] when the configurations or ablation modes
     /// differ.
     pub fn merge_from(&mut self, other: &Self) -> Result<u64, SnapError> {
-        if self.cfg != other.cfg || self.allocate_non_dependencies != other.allocate_non_dependencies
+        if self.cfg != other.cfg
+            || self.allocate_non_dependencies != other.allocate_non_dependencies
         {
             return Err(SnapError::Corrupt(
                 "cannot merge predictors with different configurations",
@@ -757,7 +760,11 @@ mod tests {
     fn false_dependence_allocates_non_dependence_entry() {
         let mut p = predictor();
         // Learn a dependence in table 0.
-        step(&mut p, PC, LoadOutcome::dependent(dep(1, BypassClass::MdpOnly)));
+        step(
+            &mut p,
+            PC,
+            LoadOutcome::dependent(dep(1, BypassClass::MdpOnly)),
+        );
         // Now the load stops depending: one false dependence should allocate
         // a non-dependence entry in the next table.
         let next = step(&mut p, PC, LoadOutcome::independent());
@@ -771,7 +778,11 @@ mod tests {
     fn ablation_keeps_predicting_after_false_dependence() {
         let mut p = Mascot::without_non_dependence_allocation(small_cfg()).unwrap();
         assert_eq!(p.name(), "tage-no-nd");
-        step(&mut p, PC, LoadOutcome::dependent(dep(1, BypassClass::MdpOnly)));
+        step(
+            &mut p,
+            PC,
+            LoadOutcome::dependent(dep(1, BypassClass::MdpOnly)),
+        );
         let next = step(&mut p, PC, LoadOutcome::independent());
         assert!(
             matches!(next, MemDepPrediction::Dependence { .. }),
@@ -821,9 +832,17 @@ mod tests {
     #[test]
     fn wrong_distance_reallocates_with_correct_distance() {
         let mut p = predictor();
-        step(&mut p, PC, LoadOutcome::dependent(dep(1, BypassClass::MdpOnly)));
+        step(
+            &mut p,
+            PC,
+            LoadOutcome::dependent(dep(1, BypassClass::MdpOnly)),
+        );
         // Conflict with a different store (distance 4).
-        let next = step(&mut p, PC, LoadOutcome::dependent(dep(4, BypassClass::MdpOnly)));
+        let next = step(
+            &mut p,
+            PC,
+            LoadOutcome::dependent(dep(4, BypassClass::MdpOnly)),
+        );
         assert_eq!(
             next,
             MemDepPrediction::Dependence {
@@ -994,10 +1013,7 @@ mod tests {
             let out = if next() % 3 == 0 {
                 LoadOutcome::independent()
             } else {
-                LoadOutcome::dependent(dep(
-                    1 + (next() % 7) as u32,
-                    BypassClass::DirectBypass,
-                ))
+                LoadOutcome::dependent(dep(1 + (next() % 7) as u32, BypassClass::DirectBypass))
             };
             p.train(pc, meta, pred, &out);
         }
@@ -1018,7 +1034,11 @@ mod tests {
         r.finish().unwrap();
         let mut w2 = SnapWriter::new();
         q.snap_encode(&mut w2);
-        assert_eq!(w2.into_bytes(), bytes, "restored state must re-encode identically");
+        assert_eq!(
+            w2.into_bytes(),
+            bytes,
+            "restored state must re-encode identically"
+        );
         // Continued traffic diverges if any hidden state (hashers, history,
         // decay phase) was restored wrong.
         warm(&mut p, 200);
@@ -1143,14 +1163,8 @@ mod tests {
         let written = a.merge_from(&b).unwrap();
         assert!(written > 0);
         assert!(a.entry_count() > before);
-        assert!(a
-            .predict(0x1000, 0, None)
-            .0
-            .is_dependence());
-        assert!(a
-            .predict(0x9000, 0, None)
-            .0
-            .is_dependence());
+        assert!(a.predict(0x1000, 0, None).0.is_dependence());
+        assert!(a.predict(0x9000, 0, None).0.is_dependence());
         // Stats are summed (each side allocated once per PC, then only
         // reinforced).
         assert_eq!(a.stats().dep_allocations, 16);
@@ -1196,7 +1210,11 @@ mod tests {
         // under the old rule this round left it untouched at `tied`.
         let written = incumbent.merge_from(&rival).unwrap();
         assert_eq!(written, 0);
-        assert_eq!(useful_of(&mut incumbent), tied - 1, "tie must cost a decay step");
+        assert_eq!(
+            useful_of(&mut incumbent),
+            tied - 1,
+            "tie must cost a decay step"
+        );
         assert!(
             matches!(
                 incumbent.predict(PC, 0, None).0,
@@ -1207,7 +1225,10 @@ mod tests {
         // Round 2: the decayed incumbent now loses outright, so the rival's
         // entry replaces it instead of being pinned out forever.
         let written = incumbent.merge_from(&rival).unwrap();
-        assert!(written >= 1, "a repeatedly tied incumbent must lose its slot");
+        assert!(
+            written >= 1,
+            "a repeatedly tied incumbent must lose its slot"
+        );
         assert!(
             matches!(
                 incumbent.predict(PC, 0, None).0,
@@ -1226,7 +1247,11 @@ mod tests {
         let out = LoadOutcome::dependent(dep(3, BypassClass::DirectBypass));
         let mut agree = 0;
         for i in 0..200u32 {
-            let o = if i % 4 == 0 { LoadOutcome::independent() } else { out };
+            let o = if i % 4 == 0 {
+                LoadOutcome::independent()
+            } else {
+                out
+            };
             let (p1, m1) = with.predict(PC, 0, None);
             with.train(PC, m1, p1, &o);
             let (p2, m2) = without.predict(PC, 0, None);
@@ -1235,6 +1260,9 @@ mod tests {
                 agree += 1;
             }
         }
-        assert!(agree > 180, "decay changed behaviour materially: {agree}/200");
+        assert!(
+            agree > 180,
+            "decay changed behaviour materially: {agree}/200"
+        );
     }
 }

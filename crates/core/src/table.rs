@@ -190,7 +190,13 @@ impl<P> AssocTable<P> {
     /// then the first way whose payload `replaceable` accepts. Returns the
     /// way used, or `None` (entry dropped) if the set is full of
     /// irreplaceable entries.
-    pub fn try_insert<F>(&mut self, index: u64, tag: u64, payload: P, replaceable: F) -> Option<usize>
+    pub fn try_insert<F>(
+        &mut self,
+        index: u64,
+        tag: u64,
+        payload: P,
+        replaceable: F,
+    ) -> Option<usize>
     where
         F: Fn(&P) -> bool,
     {
@@ -231,7 +237,11 @@ impl<P> AssocTable<P> {
     {
         for slot in 0..self.tags.len() {
             if self.tags[slot] != INVALID_TAG {
-                f((slot / self.assoc) as u64, slot % self.assoc, &mut self.data[slot]);
+                f(
+                    (slot / self.assoc) as u64,
+                    slot % self.assoc,
+                    &mut self.data[slot],
+                );
             }
         }
     }
@@ -339,7 +349,9 @@ impl<P: Clone> AssocTable<P> {
         F: FnMut(&P, &mut P) -> bool,
     {
         if self.sets != other.sets || self.assoc != other.assoc {
-            return Err(SnapError::Corrupt("cannot merge tables of different shapes"));
+            return Err(SnapError::Corrupt(
+                "cannot merge tables of different shapes",
+            ));
         }
         let mut written = 0u64;
         for slot in 0..other.tags.len() {
@@ -574,11 +586,15 @@ mod tests {
         // Tag validator rejects.
         let mut r = SnapReader::new(&bytes);
         assert!(table(8, 4)
-            .snap_decode_into(&mut r, |t| t < 0x10, |r| {
-                let v = r.u32("v")?;
-                r.u8("evictable")?;
-                Ok(e(v))
-            })
+            .snap_decode_into(
+                &mut r,
+                |t| t < 0x10,
+                |r| {
+                    let v = r.u32("v")?;
+                    r.u8("evictable")?;
+                    Ok(e(v))
+                }
+            )
             .is_err());
         // A tag too wide for the tag lane fails closed even when the
         // validator accepts it.

@@ -273,7 +273,12 @@ mod tests {
             assoc,
             tag_bits,
         };
-        vec![shape(0, 16, 4, 12), shape(100, 32, 4, 14), shape(7, 16, 2, 11), shape(3, 8, 4, 9)]
+        vec![
+            shape(0, 16, 4, 12),
+            shape(100, 32, 4, 14),
+            shape(7, 16, 2, 11),
+            shape(3, 8, 4, 9),
+        ]
     }
 
     fn xorshift(state: &mut u64) -> u64 {
@@ -298,7 +303,10 @@ mod tests {
     }
 
     /// Decodes `bank`'s encoded history into a fresh bank of `shapes`.
-    fn restore(bank: &TaggedTables<u8>, shapes: &[TableShape]) -> Result<TaggedTables<u8>, SnapError> {
+    fn restore(
+        bank: &TaggedTables<u8>,
+        shapes: &[TableShape],
+    ) -> Result<TaggedTables<u8>, SnapError> {
         let mut w = SnapWriter::new();
         bank.snap_encode_history(&mut w);
         let bytes = w.into_bytes();
@@ -403,7 +411,8 @@ mod tests {
             bank.snap_encode_tables(&mut w, |e, w| w.u8(*e));
             let bytes = w.into_bytes();
             let mut back = TaggedTables::new(&shapes(), 0u8);
-            let decoded = back.snap_decode_tables(&mut SnapReader::new(&bytes), |r| r.u8("payload"));
+            let decoded =
+                back.snap_decode_tables(&mut SnapReader::new(&bytes), |r| r.u8("payload"));
             assert_eq!(decoded.is_ok(), ok, "tag {tag:#x}");
         }
     }

@@ -58,7 +58,10 @@ impl TuningState {
     ///
     /// Panics if `table` is out of range.
     pub fn slot_f1(&self, table: usize) -> Vec<f64> {
-        self.tables[table].iter().map(F1Accumulator::average_f1).collect()
+        self.tables[table]
+            .iter()
+            .map(F1Accumulator::average_f1)
+            .collect()
     }
 
     /// Average F1 per slot for one table, ranked best-first (the Fig. 14

@@ -14,7 +14,7 @@
 use mascot::history::BranchEvent;
 use mascot::mdp_only::MascotMdpOnly;
 use mascot::prediction::{
-    GroundTruth, LoadOutcome, MemDepPredictor, MemDepPrediction, PredictReq, TrainReq,
+    GroundTruth, LoadOutcome, MemDepPrediction, MemDepPredictor, PredictReq, TrainReq,
 };
 use mascot::predictor::{Mascot, MascotMeta};
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
@@ -343,7 +343,10 @@ mod tests {
         let why = "per-load metadata grew past 80 bytes; measure the predict→train \
                    copies before raising MAX_TABLES (DESIGN.md §9)";
         assert!(std::mem::size_of::<AnyMeta>() <= 80, "{why}");
-        assert!(std::mem::size_of::<(MemDepPrediction, AnyMeta)>() <= 80, "{why}");
+        assert!(
+            std::mem::size_of::<(MemDepPrediction, AnyMeta)>() <= 80,
+            "{why}"
+        );
     }
 
     #[test]

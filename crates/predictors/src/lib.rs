@@ -36,9 +36,9 @@ pub mod store_sets;
 
 pub use any::{AnyMeta, AnyPredictor};
 pub use kind::{ParseKindError, PredictorKind};
-pub use randomized::RandomizedMascot;
 pub use mdp_tage::{MdpTage, MdpTageConfig, MdpTageMeta};
 pub use nosq::{NoSq, NoSqConfig, NoSqMeta};
 pub use oracle::{PerfectMdp, PerfectMdpSmb};
 pub use phast::{Phast, PhastConfig, PhastMeta};
+pub use randomized::RandomizedMascot;
 pub use store_sets::{StoreSets, StoreSetsConfig};

@@ -11,7 +11,7 @@
 
 use mascot::history::BranchEvent;
 use mascot::prediction::{
-    GroundTruth, LoadOutcome, MemDepPredictor, MemDepPrediction, StoreDistance,
+    GroundTruth, LoadOutcome, MemDepPrediction, MemDepPredictor, StoreDistance,
 };
 use mascot::tagged::{TableLookup, TableShape, TaggedTables, MAX_TABLES};
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
@@ -52,9 +52,7 @@ impl MdpTageConfig {
             return Err(SnapError::Corrupt("mdp-tage associativity is zero"));
         }
         for &e in &self.table_entries {
-            if e == 0
-                || e % self.associativity != 0
-                || !(e / self.associativity).is_power_of_two()
+            if e == 0 || e % self.associativity != 0 || !(e / self.associativity).is_power_of_two()
             {
                 return Err(SnapError::Corrupt("mdp-tage table size is invalid"));
             }
@@ -88,7 +86,9 @@ impl MdpTageConfig {
     fn snap_decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         let n = r.u32("mdp-tage config table count")? as usize;
         if n == 0 || n > MAX_TABLES {
-            return Err(SnapError::Corrupt("mdp-tage config table count out of range"));
+            return Err(SnapError::Corrupt(
+                "mdp-tage config table count out of range",
+            ));
         }
         let mut history_lengths = Vec::with_capacity(n);
         for _ in 0..n {
@@ -363,7 +363,11 @@ impl MemDepPredictor for MdpTage {
     fn storage_bits(&self) -> u64 {
         // tag + 3-bit distance + 1 usefulness bit.
         let per_entry = u64::from(self.cfg.tag_bits) + 3 + 1;
-        self.cfg.table_entries.iter().map(|&e| u64::from(e) * per_entry).sum()
+        self.cfg
+            .table_entries
+            .iter()
+            .map(|&e| u64::from(e) * per_entry)
+            .sum()
     }
 }
 

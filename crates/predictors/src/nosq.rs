@@ -15,7 +15,7 @@
 
 use mascot::history::BranchEvent;
 use mascot::prediction::{
-    BypassClass, GroundTruth, LoadOutcome, MemDepPredictor, MemDepPrediction, StoreDistance,
+    BypassClass, GroundTruth, LoadOutcome, MemDepPrediction, MemDepPredictor, StoreDistance,
 };
 use mascot::table::AssocTable;
 use mascot::tagged::{TableLookup, TableShape, TaggedTables};
@@ -529,7 +529,11 @@ mod tests {
             let taken = i % 2 == 0;
             p.on_branch(&branch(taken));
             let (pr, meta) = p.predict(pc, 0, None);
-            let out = if taken { dep(2) } else { LoadOutcome::independent() };
+            let out = if taken {
+                dep(2)
+            } else {
+                LoadOutcome::independent()
+            };
             p.train(pc, meta, pr, &out);
         }
         // With history in the index, the two contexts hit different entries,
@@ -638,7 +642,10 @@ mod tests {
             });
         }
         let pred = p.predict(pc, 0, None).0;
-        assert!(pred.is_dependence(), "fallback must still predict: {pred:?}");
+        assert!(
+            pred.is_dependence(),
+            "fallback must still predict: {pred:?}"
+        );
         assert!(!pred.is_bypass(), "path-independent hits never bypass");
     }
 }

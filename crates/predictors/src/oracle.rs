@@ -9,7 +9,7 @@
 //! [`MemDepPredictor::predict`].
 
 use mascot::history::BranchEvent;
-use mascot::prediction::{GroundTruth, LoadOutcome, MemDepPredictor, MemDepPrediction};
+use mascot::prediction::{GroundTruth, LoadOutcome, MemDepPrediction, MemDepPredictor};
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
 use serde::{Deserialize, Serialize};
 
@@ -80,7 +80,8 @@ impl MemDepPredictor for PerfectMdp {
         (pred, ())
     }
 
-    fn train(&mut self, _pc: u64, _meta: (), _predicted: MemDepPrediction, _outcome: &LoadOutcome) {}
+    fn train(&mut self, _pc: u64, _meta: (), _predicted: MemDepPrediction, _outcome: &LoadOutcome) {
+    }
 
     fn on_branch(&mut self, _event: &BranchEvent) {}
 
@@ -124,7 +125,8 @@ impl MemDepPredictor for PerfectMdpSmb {
         (pred, ())
     }
 
-    fn train(&mut self, _pc: u64, _meta: (), _predicted: MemDepPrediction, _outcome: &LoadOutcome) {}
+    fn train(&mut self, _pc: u64, _meta: (), _predicted: MemDepPrediction, _outcome: &LoadOutcome) {
+    }
 
     fn on_branch(&mut self, _event: &BranchEvent) {}
 
@@ -167,8 +169,14 @@ mod tests {
             .predict(0, 0, Some(&gt(1, BypassClass::DirectBypass)))
             .0
             .is_bypass());
-        assert!(p.predict(0, 0, Some(&gt(1, BypassClass::NoOffset))).0.is_bypass());
-        assert!(p.predict(0, 0, Some(&gt(1, BypassClass::Offset))).0.is_bypass());
+        assert!(p
+            .predict(0, 0, Some(&gt(1, BypassClass::NoOffset)))
+            .0
+            .is_bypass());
+        assert!(p
+            .predict(0, 0, Some(&gt(1, BypassClass::Offset)))
+            .0
+            .is_bypass());
         let partial = p.predict(0, 0, Some(&gt(1, BypassClass::MdpOnly))).0;
         assert!(partial.is_dependence() && !partial.is_bypass());
     }

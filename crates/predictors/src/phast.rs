@@ -15,7 +15,7 @@
 
 use mascot::history::BranchEvent;
 use mascot::prediction::{
-    GroundTruth, LoadOutcome, MemDepPredictor, MemDepPrediction, StoreDistance,
+    GroundTruth, LoadOutcome, MemDepPrediction, MemDepPredictor, StoreDistance,
 };
 use mascot::table::AssocTable;
 use mascot::tagged::{TableLookup, TableShape, TaggedTables, MAX_TABLES};
@@ -295,7 +295,9 @@ impl Phast {
         // entries (first-minimal on ties, matching `min_by_key`).
         let victim = (0..ways).find(|&w| !table.is_valid(index, w)).or_else(|| {
             (0..ways)
-                .filter(|&w| table.is_valid(index, w) && table.payload(index, w).usefulness.is_zero())
+                .filter(|&w| {
+                    table.is_valid(index, w) && table.payload(index, w).usefulness.is_zero()
+                })
                 .min_by_key(|&w| table.payload(index, w).lru)
         });
         match victim {
@@ -436,9 +438,12 @@ impl MemDepPredictor for Phast {
 
     fn storage_bits(&self) -> u64 {
         // Table II: 16-bit tag + 4-bit counter + 7-bit distance + 2-bit LRU.
-        let per_entry =
-            u64::from(self.cfg.tag_bits) + u64::from(self.cfg.usefulness_bits) + 7 + 2;
-        self.cfg.table_entries.iter().map(|&e| u64::from(e) * per_entry).sum()
+        let per_entry = u64::from(self.cfg.tag_bits) + u64::from(self.cfg.usefulness_bits) + 7 + 2;
+        self.cfg
+            .table_entries
+            .iter()
+            .map(|&e| u64::from(e) * per_entry)
+            .sum()
     }
 }
 
@@ -525,9 +530,7 @@ mod tests {
         // Usefulness has decayed to zero; the entry still predicts (PHAST
         // has no non-dependence state) but is now replaceable.
         let t0 = &p.bank.tables()[0];
-        let any_zero = t0
-            .iter_occupied()
-            .any(|(_, e)| e.usefulness.is_zero());
+        let any_zero = t0.iter_occupied().any(|(_, e)| e.usefulness.is_zero());
         assert!(any_zero);
     }
 

@@ -29,9 +29,7 @@
 
 use mascot::config::{ConfigError, MascotConfig};
 use mascot::history::BranchEvent;
-use mascot::prediction::{
-    GroundTruth, LoadOutcome, MemDepPredictor, MemDepPrediction, PredictReq,
-};
+use mascot::prediction::{GroundTruth, LoadOutcome, MemDepPrediction, MemDepPredictor, PredictReq};
 use mascot::predictor::{Mascot, MascotMeta};
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
 use serde::{Deserialize, Serialize};
@@ -290,7 +288,10 @@ mod tests {
             p.train(pc, meta, pred, &out);
         }
         let (pred, _) = p.predict(pc, 0, None);
-        assert!(pred.is_dependence(), "must still learn dependences: {pred:?}");
+        assert!(
+            pred.is_dependence(),
+            "must still learn dependences: {pred:?}"
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use mascot::history::BranchEvent;
 use mascot::prediction::{
-    GroundTruth, LoadOutcome, MemDepPredictor, MemDepPrediction, StoreDistance,
+    GroundTruth, LoadOutcome, MemDepPrediction, MemDepPredictor, StoreDistance,
 };
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
 use serde::{Deserialize, Serialize};
@@ -90,8 +90,14 @@ impl StoreSets {
     ///
     /// Panics if either table size is not a power of two.
     pub fn new(cfg: StoreSetsConfig) -> Self {
-        assert!(cfg.ssit_entries.is_power_of_two(), "SSIT must be a power of two");
-        assert!(cfg.lfst_entries.is_power_of_two(), "LFST must be a power of two");
+        assert!(
+            cfg.ssit_entries.is_power_of_two(),
+            "SSIT must be a power of two"
+        );
+        assert!(
+            cfg.lfst_entries.is_power_of_two(),
+            "LFST must be a power of two"
+        );
         Self {
             ssit: vec![NO_SSID; cfg.ssit_entries],
             lfst: vec![NO_STORE; cfg.lfst_entries],
@@ -301,13 +307,7 @@ impl MemDepPredictor for StoreSets {
         (prediction, ())
     }
 
-    fn train(
-        &mut self,
-        pc: u64,
-        _meta: (),
-        predicted: MemDepPrediction,
-        outcome: &LoadOutcome,
-    ) {
+    fn train(&mut self, pc: u64, _meta: (), predicted: MemDepPrediction, outcome: &LoadOutcome) {
         self.maybe_clear();
         match (predicted.is_dependence(), &outcome.dependence) {
             // Missed or mis-targeted dependence: put the pair in one set.
@@ -412,12 +412,22 @@ mod tests {
         // Create two distinct sets.
         let (m1, pr1) = ((), MemDepPrediction::NoDependence);
         p.train(0x1000, m1, pr1, &dep_at(1, 0x2000));
-        p.train(0x3000, (), MemDepPrediction::NoDependence, &dep_at(1, 0x4000));
+        p.train(
+            0x3000,
+            (),
+            MemDepPrediction::NoDependence,
+            &dep_at(1, 0x4000),
+        );
         let s_load1 = p.ssid_at(p.ssit_index(0x1000)).unwrap();
         let s_store2 = p.ssid_at(p.ssit_index(0x4000)).unwrap();
         assert_ne!(s_load1, s_store2);
         // Now load1 conflicts with store2: both collapse to min SSID.
-        p.train(0x1000, (), MemDepPrediction::NoDependence, &dep_at(1, 0x4000));
+        p.train(
+            0x1000,
+            (),
+            MemDepPrediction::NoDependence,
+            &dep_at(1, 0x4000),
+        );
         let merged = s_load1.min(s_store2);
         assert_eq!(p.ssid_at(p.ssit_index(0x1000)), Some(merged));
         assert_eq!(p.ssid_at(p.ssit_index(0x4000)), Some(merged));
@@ -429,10 +439,20 @@ mod tests {
             clear_interval: 4,
             ..Default::default()
         });
-        p.train(0x1000, (), MemDepPrediction::NoDependence, &dep_at(1, 0x2000));
+        p.train(
+            0x1000,
+            (),
+            MemDepPrediction::NoDependence,
+            &dep_at(1, 0x2000),
+        );
         assert!(p.ssit.iter().any(|&s| s != NO_SSID));
         for _ in 0..4 {
-            p.train(0x5000, (), MemDepPrediction::NoDependence, &LoadOutcome::independent());
+            p.train(
+                0x5000,
+                (),
+                MemDepPrediction::NoDependence,
+                &LoadOutcome::independent(),
+            );
         }
         assert!(p.ssit.iter().all(|&s| s == NO_SSID));
     }
@@ -482,10 +502,25 @@ mod tests {
     fn merge_keeps_own_assignments_and_fills_gaps() {
         let mut a = StoreSets::default();
         let mut b = StoreSets::default();
-        a.train(0x1000, (), MemDepPrediction::NoDependence, &dep_at(1, 0x2000));
-        b.train(0x3000, (), MemDepPrediction::NoDependence, &dep_at(1, 0x4000));
+        a.train(
+            0x1000,
+            (),
+            MemDepPrediction::NoDependence,
+            &dep_at(1, 0x2000),
+        );
+        b.train(
+            0x3000,
+            (),
+            MemDepPrediction::NoDependence,
+            &dep_at(1, 0x4000),
+        );
         // Collide on purpose: both assign 0x1000's slot.
-        b.train(0x1000, (), MemDepPrediction::NoDependence, &dep_at(1, 0x5000));
+        b.train(
+            0x1000,
+            (),
+            MemDepPrediction::NoDependence,
+            &dep_at(1, 0x5000),
+        );
         let a_ssid = a.ssid_at(a.ssit_index(0x1000)).unwrap();
         let written = a.merge_from(&b).unwrap();
         assert!(written >= 2, "got {written}");
@@ -506,7 +541,12 @@ mod tests {
     #[test]
     fn correct_prediction_does_not_remerge() {
         let mut p = StoreSets::default();
-        p.train(0x1000, (), MemDepPrediction::NoDependence, &dep_at(2, 0x2000));
+        p.train(
+            0x1000,
+            (),
+            MemDepPrediction::NoDependence,
+            &dep_at(2, 0x2000),
+        );
         let before = p.next_ssid;
         // Predicted distance matches outcome: no merge activity.
         let predicted = MemDepPrediction::Dependence {

@@ -132,10 +132,7 @@ pub fn plan(trace: &Trace, cfg: &SamplingConfig) -> ClusterPlan {
         c.members.push(i);
         c.weight_uops += intervals[i].len() as u64;
     }
-    let assignments: Vec<u32> = raw_assignments
-        .iter()
-        .map(|&a| remap[a as usize])
-        .collect();
+    let assignments: Vec<u32> = raw_assignments.iter().map(|&a| remap[a as usize]).collect();
     for (c, cluster) in clusters.iter_mut().enumerate() {
         let centroid = &centroids[raw_assignments[cluster.members[0]] as usize];
         let mut best = cluster.members[0];
@@ -238,7 +235,8 @@ pub fn warm_checkpoints(
     order.sort_by_key(|&(_, start)| start);
     let boundaries: Vec<usize> = order.iter().map(|&(_, start)| start).collect();
 
-    let warmed = FunctionalWarmer::at_boundaries(core, kind.build(), trace.uops.as_slice(), &boundaries);
+    let warmed =
+        FunctionalWarmer::at_boundaries(core, kind.build(), trace.uops.as_slice(), &boundaries);
     let mut checkpoints: Vec<Option<FunctionalWarmer<AnyPredictor>>> =
         (0..plan.clusters.len()).map(|_| None).collect();
     for ((ci, _), warmer) in order.into_iter().zip(warmed) {
@@ -464,8 +462,12 @@ mod tests {
         let core = CoreConfig::golden_cove();
         let boundaries = [0, 0, 3_000, 7_500, 7_500, 12_000];
         for kind in [PredictorKind::Mascot, PredictorKind::StoreSets] {
-            let checkpoints =
-                FunctionalWarmer::at_boundaries(&core, kind.build(), t.uops.as_slice(), &boundaries);
+            let checkpoints = FunctionalWarmer::at_boundaries(
+                &core,
+                kind.build(),
+                t.uops.as_slice(),
+                &boundaries,
+            );
             assert_eq!(checkpoints.len(), boundaries.len());
             for (warmer, &b) in checkpoints.iter().zip(&boundaries) {
                 let mut reference = FunctionalWarmer::new(&core, kind.build());
@@ -484,7 +486,12 @@ mod tests {
     fn sampling_simulates_fewer_uops_than_it_represents() {
         let t = trace("mcf", 40_000);
         let cfg = small_cfg();
-        let out = run_sampled(&t, PredictorKind::StoreSets, &CoreConfig::golden_cove(), &cfg);
+        let out = run_sampled(
+            &t,
+            PredictorKind::StoreSets,
+            &CoreConfig::golden_cove(),
+            &cfg,
+        );
         assert_eq!(out.represented_uops, t.len() as u64);
         assert!(
             out.simulated_uops < out.represented_uops,

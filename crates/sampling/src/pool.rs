@@ -112,7 +112,10 @@ mod tests {
     #[test]
     fn a_single_job_runs_on_the_calling_thread() {
         let caller = std::thread::current().id();
-        assert_eq!(parallel_map(&[()], |_, _| std::thread::current().id()), vec![caller]);
+        assert_eq!(
+            parallel_map(&[()], |_, _| std::thread::current().id()),
+            vec![caller]
+        );
     }
 
     // The job's own payload surfaces whether the calling thread or a

@@ -177,10 +177,7 @@ fn parse_args() -> Result<Args, String> {
     let mut slo_p999_us: Option<f64> = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
+        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match flag.as_str() {
             "--addr" => args.addr = Some(value("--addr")?),
             "--inproc" => args.addr = None,
@@ -201,7 +198,8 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--duration-ms" => {
-                duration_ms = Some(parse_positive(&value("--duration-ms")?, "--duration-ms")? as u64);
+                duration_ms =
+                    Some(parse_positive(&value("--duration-ms")?, "--duration-ms")? as u64);
             }
             "--train-every" => {
                 args.train_every = parse_positive(&value("--train-every")?, "--train-every")?;
@@ -235,11 +233,8 @@ fn parse_args() -> Result<Args, String> {
     }
     args.connections = connections.unwrap_or(args.threads);
     args.slo_p999_us = slo_p999_us.unwrap_or(DEFAULT_SLO_P999_US);
-    args.duration = Duration::from_millis(duration_ms.unwrap_or(if args.smoke {
-        400
-    } else {
-        3000
-    }));
+    args.duration =
+        Duration::from_millis(duration_ms.unwrap_or(if args.smoke { 400 } else { 3000 }));
     if (args.fingerprint_file.is_some() || args.shutdown) && args.addr.is_none() {
         return Err("--fingerprint-file and --shutdown require --addr".to_string());
     }
@@ -410,7 +405,13 @@ fn pump_replies(
         conn.rd.consume_frame(len);
         let phase = std::mem::replace(&mut conn.phase, Phase::Idle);
         match (phase, resp) {
-            (Phase::AwaitPredict { items, scheduled_ns }, Response::Predict(replies)) => {
+            (
+                Phase::AwaitPredict {
+                    items,
+                    scheduled_ns,
+                },
+                Response::Predict(replies),
+            ) => {
                 totals
                     .latency
                     .record_ns(elapsed_ns(t0).saturating_sub(scheduled_ns));
@@ -464,8 +465,8 @@ fn flush_conn(conn: &mut LoadConn, token: u64, poller: &Poller) -> io::Result<()
 /// poller until the deadline, drains in-flight transactions, and reports.
 fn worker_loop(addr: &str, args: &Args, worker_id: usize, failed: &AtomicBool) -> ThreadTotals {
     let mut totals = ThreadTotals::default();
-    let n_conns = args.connections / args.threads
-        + usize::from(worker_id < args.connections % args.threads);
+    let n_conns =
+        args.connections / args.threads + usize::from(worker_id < args.connections % args.threads);
     if n_conns == 0 {
         return totals;
     }
@@ -635,7 +636,12 @@ fn control_session(args: &Args) -> Result<(), String> {
     // All shards are stamped identically at warm start; take the max so a
     // half-stamped report (which would be a bug) still surfaces a value.
     let restarts = stats.shards.iter().map(|s| s.restarts).max().unwrap_or(0);
-    let age = stats.shards.iter().map(|s| s.snapshot_age_s).max().unwrap_or(0);
+    let age = stats
+        .shards
+        .iter()
+        .map(|s| s.snapshot_age_s)
+        .max()
+        .unwrap_or(0);
     println!(
         "warm: restored_entries={} snapshot_age_s={} restarts={}",
         stats.total_restored(),
@@ -719,8 +725,7 @@ fn run(args: &Args) -> Result<RunOutcome, String> {
     let elapsed = start.elapsed();
 
     // Control connection: final server-side stats, then graceful shutdown.
-    let mut control =
-        Client::connect(&addr).map_err(|e| format!("control connect failed: {e}"))?;
+    let mut control = Client::connect(&addr).map_err(|e| format!("control connect failed: {e}"))?;
     let stats = control.stats().map_err(|e| format!("stats failed: {e}"))?;
     let served_at_shutdown = control
         .shutdown()

@@ -86,10 +86,7 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
+        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match flag.as_str() {
             "--addr" => args.cfg.addr = value("--addr")?,
             "--predictor" => {
@@ -168,8 +165,8 @@ fn load_warm_start(dir: &Path, cfg: &ServeConfig) -> Result<Option<WarmStart>, S
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
     };
-    let file = SnapshotFile::decode(&bytes)
-        .map_err(|e| format!("{} is corrupt: {e}", path.display()))?;
+    let file =
+        SnapshotFile::decode(&bytes).map_err(|e| format!("{} is corrupt: {e}", path.display()))?;
     let expected = cfg.kind.label();
     if file.kind_label != expected {
         return Err(format!(
@@ -227,10 +224,8 @@ fn main() -> ExitCode {
         None => None,
     };
 
-    let mut server = match Server::bind_with(
-        &args.cfg,
-        warm.as_ref().map(|w| w.predictors.clone()),
-    ) {
+    let mut server = match Server::bind_with(&args.cfg, warm.as_ref().map(|w| w.predictors.clone()))
+    {
         Ok(s) => s,
         Err(e) => {
             eprintln!("mascotd: failed to bind {}: {e}", args.cfg.addr);

@@ -211,7 +211,9 @@ mod tests {
         poller.add(server.as_raw_fd(), 1, false, true).unwrap();
         let mut events = Vec::new();
         poller.wait(&mut events, 2_000).unwrap();
-        assert!(events.iter().any(|e| e.token == 1 && e.writable && !e.readable));
+        assert!(events
+            .iter()
+            .any(|e| e.token == 1 && e.writable && !e.readable));
         // Switch to readable; it fires once the peer sends.
         poller.modify(server.as_raw_fd(), 1, true, false).unwrap();
         client.write_all(b"x").unwrap();

@@ -58,7 +58,11 @@ pub fn replay_trace(pool: &ShardPool, trace: &Trace) -> ReplayReport {
     for uop in &trace.uops {
         match uop.kind {
             UopKind::Alu => {}
-            UopKind::Branch { kind, taken, target } => {
+            UopKind::Branch {
+                kind,
+                taken,
+                target,
+            } => {
                 events.push(SyncEvent::Branch(mascot::history::BranchEvent {
                     pc: uop.pc,
                     kind,

@@ -309,7 +309,8 @@ impl Router {
         wrap: impl Fn(Vec<T>) -> Request,
     ) -> Result<Vec<(SubBatch, usize, Response)>, String> {
         let n = self.primaries;
-        self.route.split(n, items.iter().map(|it| node_of(pc_of(it), n)));
+        self.route
+            .split(n, items.iter().map(|it| node_of(pc_of(it), n)));
         let subs = self
             .route
             .runs()

@@ -322,7 +322,11 @@ impl<H: Handler> EventLoop<'_, H> {
                             self.conns.len() - 1
                         }
                     };
-                    let fd = self.conns[idx].as_ref().expect("just stored").stream.as_raw_fd();
+                    let fd = self.conns[idx]
+                        .as_ref()
+                        .expect("just stored")
+                        .stream
+                        .as_raw_fd();
                     if self.poller.add(fd, idx as u64, true, false).is_err() {
                         self.conns[idx] = None;
                         self.free_conns.push(idx);
@@ -340,7 +344,9 @@ impl<H: Handler> EventLoop<'_, H> {
     /// One bounded read, then parse everything complete.
     fn handle_readable(&mut self, idx: usize) {
         {
-            let Some(c) = self.conns[idx].as_mut() else { return };
+            let Some(c) = self.conns[idx].as_mut() else {
+                return;
+            };
             if !c.reading || c.eof || c.poisoned {
                 return; // stale event for a paused/finished reader
             }
@@ -362,7 +368,9 @@ impl<H: Handler> EventLoop<'_, H> {
     /// stopping at backpressure, poison, or drain.
     fn parse_buffered(&mut self, idx: usize) {
         loop {
-            let Some(c) = self.conns[idx].as_mut() else { return };
+            let Some(c) = self.conns[idx].as_mut() else {
+                return;
+            };
             if c.poisoned || self.draining {
                 return;
             }
@@ -410,7 +418,9 @@ impl<H: Handler> EventLoop<'_, H> {
     /// finished connections.
     fn service_conn(&mut self, idx: usize) {
         loop {
-            let Some(c) = self.conns[idx].as_mut() else { return };
+            let Some(c) = self.conns[idx].as_mut() else {
+                return;
+            };
             if c.wr.flush(&mut c.stream).is_err() {
                 self.close_conn(idx);
                 return;
@@ -432,7 +442,9 @@ impl<H: Handler> EventLoop<'_, H> {
                 return;
             }
         }
-        let Some(c) = self.conns[idx].as_mut() else { return };
+        let Some(c) = self.conns[idx].as_mut() else {
+            return;
+        };
         if !c.reading && !c.eof && !c.poisoned && !self.draining && c.may_resume() {
             c.reading = true; // nothing buffered; epoll reports new bytes
         }
@@ -468,7 +480,9 @@ impl<H: Handler> EventLoop<'_, H> {
     /// syscall when nothing changed.
     fn update_interest(&mut self, idx: usize) {
         let draining = self.draining;
-        let Some(c) = self.conns[idx].as_mut() else { return };
+        let Some(c) = self.conns[idx].as_mut() else {
+            return;
+        };
         let want_r = c.reading && !c.eof && !c.poisoned && !draining;
         let want_w = !c.wr.is_empty();
         if want_r != c.reg_read || want_w != c.want_write {
@@ -482,7 +496,9 @@ impl<H: Handler> EventLoop<'_, H> {
 
     /// Closes a connection.
     fn close_conn(&mut self, idx: usize) {
-        let Some(conn) = self.conns[idx].take() else { return };
+        let Some(conn) = self.conns[idx].take() else {
+            return;
+        };
         self.poller.delete(conn.stream.as_raw_fd());
         self.dead.push(idx);
     }
@@ -534,19 +550,26 @@ impl ShardHandler<'_> {
     /// Runs each shard's share of the batch, with every reply written to
     /// its item's slot, so the replies come back in request order.
     fn predict(&mut self, items: &[PredictItem]) -> Response {
-        self.route.split(self.pool.num_shards(), items.iter().map(|it| self.pool.shard_of(it.pc)));
+        self.route.split(
+            self.pool.num_shards(),
+            items.iter().map(|it| self.pool.shard_of(it.pc)),
+        );
         let mut replies = std::mem::take(&mut self.replies);
         replies.clear();
         replies.resize(items.len(), UNANSWERED);
         for (shard, idxs) in self.route.runs() {
-            self.pool.predict(shard, items, idxs.iter().copied(), &mut replies);
+            self.pool
+                .predict(shard, items, idxs.iter().copied(), &mut replies);
         }
         Response::Predict(replies)
     }
 
     /// Runs each shard's share of the batch and sums their summaries.
     fn train(&mut self, items: &[TrainItem]) -> Response {
-        self.route.split(self.pool.num_shards(), items.iter().map(|it| self.pool.shard_of(it.pc)));
+        self.route.split(
+            self.pool.num_shards(),
+            items.iter().map(|it| self.pool.shard_of(it.pc)),
+        );
         let (mut applied, mut stale) = (0, 0);
         for (shard, idxs) in self.route.runs() {
             let (a, s) = self.pool.train(shard, items, idxs.iter().copied());

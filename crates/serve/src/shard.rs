@@ -27,7 +27,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use mascot::history::BranchEvent;
-use mascot::prediction::{MemDepPredictor, MemDepPrediction, PredictReq, TrainReq};
+use mascot::prediction::{MemDepPrediction, MemDepPredictor, PredictReq, TrainReq};
 use mascot_predictors::{AnyMeta, AnyPredictor, PredictorKind};
 
 use crate::metrics::Histogram;
@@ -563,11 +563,7 @@ mod tests {
     use super::*;
     use std::sync::mpsc::channel;
 
-    fn predict_job(
-        pcs: &[u64],
-        tag: u64,
-        reply: &Sender<(u64, ShardReply)>,
-    ) -> ShardJob {
+    fn predict_job(pcs: &[u64], tag: u64, reply: &Sender<(u64, ShardReply)>) -> ShardJob {
         ShardJob::Predict {
             items: pcs
                 .iter()
@@ -790,7 +786,11 @@ mod tests {
                     let (ticket, pc) = issued[(rng() as usize) % issued.len()];
                     let expect_hit = model.get(&(ticket % CAPACITY)) == Some(&(ticket, pc));
                     let got = table.take(ticket, pc);
-                    assert_eq!(got.is_some(), expect_hit, "round {round}, ticket {ticket:#x}");
+                    assert_eq!(
+                        got.is_some(),
+                        expect_hit,
+                        "round {round}, ticket {ticket:#x}"
+                    );
                     if let Some(pending) = got {
                         assert_eq!((pending.ticket, pending.pc), (ticket, pc));
                         model.remove(&(ticket % CAPACITY));

@@ -145,7 +145,10 @@ impl std::fmt::Display for WireError {
             WireError::BadStatus(c) => write!(f, "unknown response status {c}"),
             WireError::TooLarge(n) => write!(f, "frame payload of {n} bytes exceeds limit"),
             WireError::BatchTooLarge(n) => {
-                write!(f, "batch of {n} items exceeds the wire limit of {MAX_BATCH}")
+                write!(
+                    f,
+                    "batch of {n} items exceeds the wire limit of {MAX_BATCH}"
+                )
             }
             WireError::Corrupt(what) => write!(f, "corrupt frame: {what}"),
             WireError::Closed => write!(f, "connection closed"),
@@ -887,14 +890,31 @@ mod tests {
     #[test]
     fn predict_roundtrip() {
         let req = Request::Predict(vec![
-            PredictItem { pc: 0x1000, store_seq: 7 },
-            PredictItem { pc: u64::MAX, store_seq: 0 },
+            PredictItem {
+                pc: 0x1000,
+                store_seq: 7,
+            },
+            PredictItem {
+                pc: u64::MAX,
+                store_seq: 0,
+            },
         ]);
         assert_eq!(roundtrip_request(req.clone()), req);
         let resp = Response::Predict(vec![
-            PredictReply { ticket: 1, prediction: MemDepPrediction::NoDependence },
-            PredictReply { ticket: 2, prediction: MemDepPrediction::Dependence { distance: dist(1) } },
-            PredictReply { ticket: u32::MAX, prediction: MemDepPrediction::Bypass { distance: dist(127) } },
+            PredictReply {
+                ticket: 1,
+                prediction: MemDepPrediction::NoDependence,
+            },
+            PredictReply {
+                ticket: 2,
+                prediction: MemDepPrediction::Dependence { distance: dist(1) },
+            },
+            PredictReply {
+                ticket: u32::MAX,
+                prediction: MemDepPrediction::Bypass {
+                    distance: dist(127),
+                },
+            },
         ]);
         assert_eq!(roundtrip_response(Opcode::Predict, resp.clone()), resp);
     }
@@ -902,7 +922,11 @@ mod tests {
     #[test]
     fn train_roundtrip() {
         let req = Request::Train(vec![
-            TrainItem { ticket: 9, pc: 0x2000, outcome: LoadOutcome::independent() },
+            TrainItem {
+                ticket: 9,
+                pc: 0x2000,
+                outcome: LoadOutcome::independent(),
+            },
             TrainItem {
                 ticket: 10,
                 pc: 0x2008,
@@ -915,7 +939,10 @@ mod tests {
             },
         ]);
         assert_eq!(roundtrip_request(req.clone()), req);
-        let resp = Response::Train { applied: 1, stale: 1 };
+        let resp = Response::Train {
+            applied: 1,
+            stale: 1,
+        };
         assert_eq!(roundtrip_response(Opcode::Train, resp.clone()), resp);
     }
 
@@ -925,8 +952,17 @@ mod tests {
         assert_eq!(roundtrip_request(Request::Shutdown), Request::Shutdown);
         let report = StatsReport {
             shards: vec![
-                ShardStats { requests: 10, predicts: 8, trains: 2, ..Default::default() },
-                ShardStats { service_p50_ns: 512, service_p99_ns: 4096, ..Default::default() },
+                ShardStats {
+                    requests: 10,
+                    predicts: 8,
+                    trains: 2,
+                    ..Default::default()
+                },
+                ShardStats {
+                    service_p50_ns: 512,
+                    service_p99_ns: 4096,
+                    ..Default::default()
+                },
             ],
         };
         let resp = roundtrip_response(Opcode::Stats, Response::Stats(report.clone()));
@@ -961,7 +997,10 @@ mod tests {
             }
         );
         // Snapshot frames get the larger cap; a predict frame does not.
-        assert_eq!(max_payload(Opcode::Restore as u8), MAX_SNAPSHOT_FRAME_PAYLOAD);
+        assert_eq!(
+            max_payload(Opcode::Restore as u8),
+            MAX_SNAPSHOT_FRAME_PAYLOAD
+        );
         assert_eq!(max_payload(Status::Ok as u8), MAX_SNAPSHOT_FRAME_PAYLOAD);
         assert_eq!(max_payload(Opcode::Predict as u8), MAX_FRAME_PAYLOAD);
         assert!(matches!(
@@ -1083,7 +1122,10 @@ mod tests {
             read_frame(&mut frame.as_slice()),
             Err(WireError::BadVersion(99))
         ));
-        assert!(matches!(Request::decode(77, &[]), Err(WireError::BadOpcode(77))));
+        assert!(matches!(
+            Request::decode(77, &[]),
+            Err(WireError::BadOpcode(77))
+        ));
         assert!(matches!(
             Response::decode(Opcode::Stats, 9, &[]),
             Err(WireError::BadStatus(9))
@@ -1116,8 +1158,13 @@ mod tests {
     /// now fail at encode time, before a byte reaches the stream.
     #[test]
     fn encode_rejects_oversized_batches() {
-        let item = PredictItem { pc: 0, store_seq: 0 };
-        assert!(Request::Predict(vec![item; MAX_BATCH]).encode_frame().is_ok());
+        let item = PredictItem {
+            pc: 0,
+            store_seq: 0,
+        };
+        assert!(Request::Predict(vec![item; MAX_BATCH])
+            .encode_frame()
+            .is_ok());
         for n in [MAX_BATCH + 1, 65_535, 65_536] {
             match Request::Predict(vec![item; n]).encode_frame() {
                 Err(WireError::BatchTooLarge(m)) => assert_eq!(m, n),
@@ -1137,7 +1184,9 @@ mod tests {
             ticket: 0,
             prediction: MemDepPrediction::NoDependence,
         };
-        assert!(Response::Predict(vec![reply; MAX_BATCH]).encode_frame().is_ok());
+        assert!(Response::Predict(vec![reply; MAX_BATCH])
+            .encode_frame()
+            .is_ok());
         assert!(matches!(
             Response::Predict(vec![reply; 65_536]).encode_frame(),
             Err(WireError::BatchTooLarge(65_536))
@@ -1153,9 +1202,12 @@ mod tests {
 
     #[test]
     fn rejects_truncation_and_close() {
-        let frame = Request::Predict(vec![PredictItem { pc: 1, store_seq: 2 }])
-            .encode_frame()
-            .unwrap();
+        let frame = Request::Predict(vec![PredictItem {
+            pc: 1,
+            store_seq: 2,
+        }])
+        .encode_frame()
+        .unwrap();
         for cut in [1, HEADER_LEN - 1, HEADER_LEN + 3, frame.len() - 1] {
             assert!(
                 read_frame(&mut &frame[..cut]).is_err(),
@@ -1218,8 +1270,14 @@ mod tests {
             request(Opcode::Predict, &[1, 0]),
             "corrupt frame: batch length mismatch"
         );
-        assert_eq!(request(Opcode::Train, &[1]), "corrupt frame: truncated payload");
-        assert_eq!(request(Opcode::Stats, &[0]), "corrupt frame: trailing bytes");
+        assert_eq!(
+            request(Opcode::Train, &[1]),
+            "corrupt frame: truncated payload"
+        );
+        assert_eq!(
+            request(Opcode::Stats, &[0]),
+            "corrupt frame: trailing bytes"
+        );
         assert_eq!(
             stats(&u32::MAX.to_le_bytes()),
             "corrupt frame: shard count exceeds limit"

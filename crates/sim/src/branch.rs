@@ -322,7 +322,10 @@ mod tests {
         let mut p = TagePredictor::default();
         assert!(!p.predict_indirect_and_train(0x500, 0x1000), "cold miss");
         assert!(p.predict_indirect_and_train(0x500, 0x1000), "repeat hit");
-        assert!(!p.predict_indirect_and_train(0x500, 0x2000), "target change");
+        assert!(
+            !p.predict_indirect_and_train(0x500, 0x2000),
+            "target change"
+        );
         assert!(p.predict_indirect_and_train(0x500, 0x2000));
         assert_eq!(p.stats.indirect, 4);
         assert_eq!(p.stats.indirect_mispredicts, 2);
@@ -340,7 +343,12 @@ mod tests {
         let mut q = p.clone();
         // p takes wrong-path history then rewinds; q never diverges.
         for i in 0..4u64 {
-            p.on_branch(&event_for(0x900 + i * 4, BranchKind::Conditional, true, 0xa00));
+            p.on_branch(&event_for(
+                0x900 + i * 4,
+                BranchKind::Conditional,
+                true,
+                0xa00,
+            ));
         }
         p.rewind_history(&log);
         // Both must produce identical predictions afterwards.

@@ -466,7 +466,8 @@ mod tests {
         // 64 sets: lines k*64 all map to set 0).
         for k in 0..13u64 {
             let addr = k * 64 * 64;
-            h.access_data(0x100 + k, addr, 1000 * (k + 1), false).unwrap();
+            h.access_data(0x100 + k, addr, 1000 * (k + 1), false)
+                .unwrap();
         }
         // Line 0 was evicted from L1 but lives in L2.
         let t = h.access_data(0x100, 0, 100_000, false).unwrap();
@@ -482,7 +483,10 @@ mod tests {
         assert!(h.access_data(1, 0x10000, 0, false).is_some());
         assert!(h.access_data(2, 0x20000, 0, false).is_some());
         assert!(h.access_data(3, 0x30000, 0, false).is_none(), "MSHRs full");
-        assert!(h.access_data(4, 0x40000, 0, true).is_some(), "stores do not stall");
+        assert!(
+            h.access_data(4, 0x40000, 0, true).is_some(),
+            "stores do not stall"
+        );
         // After the fills complete, MSHRs free up.
         assert!(h.access_data(3, 0x30000, 200, false).is_some());
     }

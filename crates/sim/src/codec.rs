@@ -165,7 +165,10 @@ pub fn decode(bytes: &[u8]) -> Result<Trace, CodecError> {
     // `Vec::with_capacity` beyond the input's own size.
     const MIN_UOP_BYTES: u64 = 13;
     let remaining = r.remaining() as u64;
-    if count.checked_mul(MIN_UOP_BYTES).is_none_or(|need| need > remaining) {
+    if count
+        .checked_mul(MIN_UOP_BYTES)
+        .is_none_or(|need| need > remaining)
+    {
         return Err(CodecError::Corrupt("count exceeds payload"));
     }
     let mut uops = UopBuf::with_capacity(count as usize);
@@ -297,10 +300,7 @@ mod tests {
     #[test]
     fn roundtrip_generated_workload() {
         // A realistic trace (exercises every uop kind and dep class).
-        let t = crate::uop::Trace::new(
-            "mix",
-            sample().uops.iter().cycle().take(1000).collect(),
-        );
+        let t = crate::uop::Trace::new("mix", sample().uops.iter().cycle().take(1000).collect());
         let back = decode(&encode(&t)).unwrap();
         assert_eq!(t.uops, back.uops);
     }

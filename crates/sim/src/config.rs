@@ -141,7 +141,7 @@ impl CoreConfig {
             load_ports: 3,
             store_ports: 3,
             alu_ports: 8,
-            redirect_penalty: 13, // slightly deeper pipeline
+            redirect_penalty: 13,  // slightly deeper pipeline
             store_drain_delay: 60, // larger post-retirement store buffering
             ..Self::golden_cove()
         }

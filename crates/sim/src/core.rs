@@ -35,8 +35,8 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use mascot::history::{BranchEvent, BranchKind};
 use mascot::prediction::{
-    GroundTruth, LoadOutcome, MemDepPredictor, MemDepPrediction, ObservedDependence,
-    PredictReq, StoreDistance,
+    GroundTruth, LoadOutcome, MemDepPrediction, MemDepPredictor, ObservedDependence, PredictReq,
+    StoreDistance,
 };
 
 use crate::branch::TagePredictor;
@@ -1016,7 +1016,8 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
         // Memory-order violations: stale loads younger than this store.
         if let Some(loads) = self.violations.remove(&store_seq) {
             if let Some(&victim) = loads.iter().min() {
-                self.pending_squashes.push((victim, SquashReason::MemoryOrder));
+                self.pending_squashes
+                    .push((victim, SquashReason::MemoryOrder));
             }
             self.recycle_list(loads);
         }
@@ -1410,10 +1411,8 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
         let delay = u64::from(self.cfg.store_drain_delay);
         while budget > 0 {
             let Some(front) = self.sb.front() else { break };
-            let eligible = front.issued
-                && front
-                    .committed_at
-                    .is_some_and(|c| self.now >= c + delay);
+            let eligible =
+                front.issued && front.committed_at.is_some_and(|c| self.now >= c + delay);
             if !eligible {
                 break;
             }
@@ -1570,7 +1569,9 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
             }
         }
         for &writer in &writers[..n_writers] {
-            let Some(pos) = self.pos_of(writer) else { continue };
+            let Some(pos) = self.pos_of(writer) else {
+                continue;
+            };
             if self.rob[pos].dependents.capacity() == 0 {
                 self.rob[pos].dependents = self.list_pool.pop().unwrap_or_default();
             }
@@ -1678,7 +1679,7 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
                                 deps += 1;
                             }
                             Some(_) => {} // source store already resolved
-                            None => {} // source store drained or out of range
+                            None => {}    // source store drained or out of range
                         }
                     }
                 }
@@ -1793,7 +1794,11 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
                 if e.id != base + i as u64 {
                     self.audit_fail(
                         "rob ids contiguous",
-                        format!("position {i} holds id {}, expected {}", e.id, base + i as u64),
+                        format!(
+                            "position {i} holds id {}, expected {}",
+                            e.id,
+                            base + i as u64
+                        ),
                     );
                 }
                 if e.dispatch_cycle < prev_dispatch {
@@ -1820,7 +1825,10 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
                 if e.state == State::Done && e.complete_at.is_none_or(|c| c > self.now) {
                     self.audit_fail(
                         "done implies completed",
-                        format!("id {} Done with complete_at {:?} at now {}", e.id, e.complete_at, self.now),
+                        format!(
+                            "id {} Done with complete_at {:?} at now {}",
+                            e.id, e.complete_at, self.now
+                        ),
                     );
                 }
                 if matches!(e.state, State::Waiting | State::Ready) {
@@ -1912,7 +1920,11 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
                 if s.store_seq != sbase + i as u64 {
                     self.audit_fail(
                         "sb seqs contiguous",
-                        format!("position {i} holds seq {}, expected {}", s.store_seq, sbase + i as u64),
+                        format!(
+                            "position {i} holds seq {}, expected {}",
+                            s.store_seq,
+                            sbase + i as u64
+                        ),
                     );
                 }
                 for &w in &s.waiting_loads {
@@ -2402,8 +2414,16 @@ mod tests {
         let trace = Trace::new("chain", uops);
         let mut p = always_no_dep();
         let stats = simulate(&trace, &golden(), &mut p);
-        assert!(stats.ipc() <= 1.05, "serial chain cannot beat 1 IPC, got {}", stats.ipc());
-        assert!(stats.ipc() > 0.8, "chain should sustain ~1 IPC, got {}", stats.ipc());
+        assert!(
+            stats.ipc() <= 1.05,
+            "serial chain cannot beat 1 IPC, got {}",
+            stats.ipc()
+        );
+        assert!(
+            stats.ipc() > 0.8,
+            "chain should sustain ~1 IPC, got {}",
+            stats.ipc()
+        );
     }
 
     #[test]
@@ -2414,7 +2434,11 @@ mod tests {
         assert_eq!(stats.committed_uops, trace.len() as u64);
         assert_eq!(stats.mem_order_squashes, 0);
         assert_eq!(stats.smb_squashes, 0);
-        assert!(stats.loads_forwarded > 400, "forwarded {}", stats.loads_forwarded);
+        assert!(
+            stats.loads_forwarded > 400,
+            "forwarded {}",
+            stats.loads_forwarded
+        );
         assert_eq!(stats.missed_dependencies, 0);
         assert_eq!(stats.false_dependencies, 0);
     }
@@ -2462,7 +2486,11 @@ mod tests {
         let mut p = always_no_dep();
         let stats = simulate(&trace, &golden(), &mut p);
         assert_eq!(stats.committed_uops, trace.len() as u64);
-        assert!(stats.mem_order_squashes > 100, "squashes {}", stats.mem_order_squashes);
+        assert!(
+            stats.mem_order_squashes > 100,
+            "squashes {}",
+            stats.mem_order_squashes
+        );
         // Replayed loads commit with the dependence observed: the predictor
         // kept predicting no-dep, so they count as missed dependencies.
         assert!(stats.missed_dependencies > 100);
@@ -2481,7 +2509,14 @@ mod tests {
             let mut dep = dep1().unwrap();
             dep.store_pc = 0x410;
             uops.push(Uop::load(0x420, base, 8, None, 2, Some(dep)));
-            uops.push(Uop::load((1 << 34) | 0x420, 0x9000_0000 + i * 64, 8, None, 3, None));
+            uops.push(Uop::load(
+                (1 << 34) | 0x420,
+                0x9000_0000 + i * 64,
+                8,
+                None,
+                3,
+                None,
+            ));
         }
         let trace = Trace::new("tenants", uops);
         let mut p = always_no_dep();
@@ -2561,7 +2596,11 @@ mod tests {
         let mut byp = always_bypass(1);
         let stats_byp = simulate(&trace, &golden(), &mut byp);
         assert_eq!(stats_byp.smb_squashes, 0, "all bypasses are correct");
-        assert!(stats_byp.loads_bypassed > 300, "bypassed {}", stats_byp.loads_bypassed);
+        assert!(
+            stats_byp.loads_bypassed > 300,
+            "bypassed {}",
+            stats_byp.loads_bypassed
+        );
         assert!(
             stats_byp.ipc() > ipc_wait,
             "bypassing {} should beat waiting {}",
@@ -2584,7 +2623,11 @@ mod tests {
         let mut p = always_bypass(1);
         let stats = simulate(&trace, &golden(), &mut p);
         assert_eq!(stats.committed_uops, trace.len() as u64);
-        assert!(stats.smb_squashes > 50, "smb squashes {}", stats.smb_squashes);
+        assert!(
+            stats.smb_squashes > 50,
+            "smb squashes {}",
+            stats.smb_squashes
+        );
         assert!(stats.smb_errors + stats.false_dependencies + stats.correct_no_dep > 0);
     }
 
@@ -2620,7 +2663,12 @@ mod tests {
         for i in 0..n {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             uops.push(Uop::alu(0x100, [None, None], Some(1), 1));
-            uops.push(Uop::branch(0x1000 + (i % 997) * 4, (state >> 33) & 1 == 1, 0x200, Some(1)));
+            uops.push(Uop::branch(
+                0x1000 + (i % 997) * 4,
+                (state >> 33) & 1 == 1,
+                0x200,
+                Some(1),
+            ));
         }
         uops
     }
@@ -2631,7 +2679,11 @@ mod tests {
     fn only_squashes_rewind_history() {
         let mut p = RewindCounter::default();
         let stats = simulate(&Trace::new("branchy", branch_run(3000)), &golden(), &mut p);
-        assert!(stats.branch_mispredicts > 1000, "{}", stats.branch_mispredicts);
+        assert!(
+            stats.branch_mispredicts > 1000,
+            "{}",
+            stats.branch_mispredicts
+        );
         assert_eq!(stats.mem_order_squashes + stats.smb_squashes, 0);
         assert!(p.rewinds.is_empty(), "{} rewinds", p.rewinds.len());
 
@@ -2649,7 +2701,11 @@ mod tests {
         let branches: Vec<BranchEvent> = uops
             .iter()
             .filter_map(|u| match u.kind {
-                UopKind::Branch { kind, taken, target } => Some(BranchEvent {
+                UopKind::Branch {
+                    kind,
+                    taken,
+                    target,
+                } => Some(BranchEvent {
                     pc: u.pc,
                     kind,
                     taken,
@@ -2664,7 +2720,11 @@ mod tests {
         let mut sim = Simulator::new(&trace, &cfg, &mut p);
         while sim.committed < trace.len() as u64 {
             sim.step();
-            assert!(sim.branch_log.len() <= BRANCH_LOG_TRIM_AT, "{}", sim.branch_log.len());
+            assert!(
+                sim.branch_log.len() <= BRANCH_LOG_TRIM_AT,
+                "{}",
+                sim.branch_log.len()
+            );
             // Every event a squash of the ROB head would read is retained.
             if let Some(head) = sim.rob.front() {
                 assert!(sim.branch_log_base <= head.branch_log_len.saturating_sub(REWIND_WINDOW));
@@ -2868,7 +2928,16 @@ mod tests {
         cfg.lq_entries = 2;
         // Loads with long memory latency keep the LQ full.
         let uops: Vec<Uop> = (0..600)
-            .map(|i| Uop::load(0x100 + (i % 8) * 16, 0x100_0000 + i * 4096, 8, None, 1, None))
+            .map(|i| {
+                Uop::load(
+                    0x100 + (i % 8) * 16,
+                    0x100_0000 + i * 4096,
+                    8,
+                    None,
+                    1,
+                    None,
+                )
+            })
             .collect();
         let trace = Trace::new("lq", uops);
         let mut p = always_no_dep();
@@ -2966,8 +3035,7 @@ mod tests {
                 2 if front < next_id => {
                     let step = 1 + (rng() % 8);
                     let new_front = (front + step).min(next_id);
-                    let evict: Vec<u64> =
-                        model.range(..new_front).copied().collect();
+                    let evict: Vec<u64> = model.range(..new_front).copied().collect();
                     for id in evict {
                         mask.remove(id);
                         model.remove(&id);
@@ -2979,8 +3047,7 @@ mod tests {
                     let k = (rng() as usize) % 8;
                     scratch.clear();
                     mask.pick_oldest(front, k, &mut scratch);
-                    let want: Vec<u64> =
-                        model.iter().copied().take(k.min(model.len())).collect();
+                    let want: Vec<u64> = model.iter().copied().take(k.min(model.len())).collect();
                     assert_eq!(scratch, want, "round {round} front {front}");
                 }
             }
@@ -3004,9 +3071,7 @@ mod tests {
             (store_load_trace(300, 6), always_dep(1)),
         ];
         for (trace, mut p) in cases {
-            let stats = Simulator::new(&trace, &golden(), &mut p)
-                .with_audit()
-                .run();
+            let stats = Simulator::new(&trace, &golden(), &mut p).with_audit().run();
             assert_eq!(stats.committed_uops, trace.len() as u64);
         }
     }
@@ -3133,7 +3198,12 @@ mod tests {
                 .with_tuning_period(period)
                 .run();
             let by_modulo = (1..=stats.cycles).filter(|c| c % period == 0).count() as u64;
-            assert_eq!(p.0, by_modulo + 1, "period {period}, {} cycles", stats.cycles);
+            assert_eq!(
+                p.0,
+                by_modulo + 1,
+                "period {period}, {} cycles",
+                stats.cycles
+            );
         }
     }
 }

@@ -123,6 +123,9 @@ mod tests {
     #[test]
     fn byte_slices_hash_by_content() {
         assert_eq!(hash_of([1u8, 2, 3].as_slice()), hash_of(vec![1u8, 2, 3]));
-        assert_ne!(hash_of([1u8, 2, 3].as_slice()), hash_of([3u8, 2, 1].as_slice()));
+        assert_ne!(
+            hash_of([1u8, 2, 3].as_slice()),
+            hash_of([3u8, 2, 1].as_slice())
+        );
     }
 }

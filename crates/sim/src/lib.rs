@@ -35,11 +35,11 @@ pub mod stats;
 pub mod uop;
 
 pub use branch::{BranchPredictorConfig, BranchStats, TagePredictor};
-pub use codec::CodecError;
 pub use cache::{CacheLevel, CacheStats, Hierarchy};
+pub use codec::CodecError;
 pub use config::{CacheConfig, CoreConfig};
-pub use fxhash::{FxHashMap, FxHashSet};
 pub use core::{simulate, Fault, FunctionalWarmer, Simulator};
+pub use fxhash::{FxHashMap, FxHashSet};
 pub use stats::{SimStats, TenantCounters};
 pub use uop::{ArchReg, Trace, TraceDep, Uop, UopBuf, UopIter, UopKind, UopSlice};
 

@@ -746,7 +746,10 @@ mod tests {
         t.validate().unwrap();
         // Only a record written around `push` can hold one.
         t.uops.recs[0].srcs[1] = 100;
-        assert_eq!(t.validate(), Err("uop 0: register 100 out of range".to_string()));
+        assert_eq!(
+            t.validate(),
+            Err("uop 0: register 100 out of range".to_string())
+        );
     }
 
     #[test]
@@ -771,7 +774,11 @@ mod tests {
         }
         let tail = t.uops.slice(2..);
         assert_eq!(tail.len(), 2);
-        assert_eq!(tail.iter().collect::<Vec<_>>(), uops[2..], "a sub-view keeps its dependences");
+        assert_eq!(
+            tail.iter().collect::<Vec<_>>(),
+            uops[2..],
+            "a sub-view keeps its dependences"
+        );
         assert_ne!(t.uops, Trace::new("v", uops[..3].to_vec()).uops);
     }
 

@@ -519,14 +519,20 @@ mod tests {
         w.u32(u32::MAX); // claims 4 GiB
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        assert_eq!(r.len_bytes(1 << 20, "blob"), Err(SnapError::TooLarge("blob")));
+        assert_eq!(
+            r.len_bytes(1 << 20, "blob"),
+            Err(SnapError::TooLarge("blob"))
+        );
         // Claim within the limit but beyond the buffer: truncated.
         let mut w = SnapWriter::new();
         w.u32(100);
         w.bytes(&[0; 10]);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
-        assert_eq!(r.len_bytes(1 << 20, "blob"), Err(SnapError::Truncated("blob")));
+        assert_eq!(
+            r.len_bytes(1 << 20, "blob"),
+            Err(SnapError::Truncated("blob"))
+        );
     }
 
     #[test]

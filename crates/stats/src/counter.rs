@@ -45,7 +45,10 @@ impl SaturatingCounter {
         assert!(bits > 0 && bits <= 7, "counter width must be in 1..=7 bits");
         let max = (1u8 << bits) - 1;
         assert!(initial <= max, "initial value {initial} exceeds max {max}");
-        Self { value: initial, max }
+        Self {
+            value: initial,
+            max,
+        }
     }
 
     /// Current counter value.

@@ -40,7 +40,10 @@
 /// assert!((n - 1625.0).abs() < 1.0);
 /// ```
 pub fn expected_predictions_to_zero(bits: u8, start: u8, p_correct: f64) -> f64 {
-    assert!((1..=7).contains(&bits), "counter width must be in 1..=7 bits");
+    assert!(
+        (1..=7).contains(&bits),
+        "counter width must be in 1..=7 bits"
+    );
     let max = (1u16 << bits) - 1;
     assert!(
         u16::from(start) <= max,
@@ -83,7 +86,10 @@ pub fn expected_predictions_to_zero(bits: u8, start: u8, p_correct: f64) -> f64 
 /// assert!(n > 2.0 && n < 3.0);
 /// ```
 pub fn expected_predictions_to_saturate(bits: u8, start: u8, p_correct: f64) -> f64 {
-    assert!((1..=7).contains(&bits), "counter width must be in 1..=7 bits");
+    assert!(
+        (1..=7).contains(&bits),
+        "counter width must be in 1..=7 bits"
+    );
     let max = (1u16 << bits) - 1;
     assert!(
         u16::from(start) <= max,
@@ -163,7 +169,9 @@ mod tests {
         // Cheap deterministic LCG so the test has no external dependencies.
         let mut state = 0x1234_5678_9abc_def0u64;
         let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (state >> 33) as f64 / (1u64 << 31) as f64
         };
         let p = 0.6;

@@ -223,7 +223,12 @@ fn victim_alias_block(b: &mut TraceBuilder, iter: u64) {
     // last writer at all.
     let addr = V_QUIET_BASE + (iter % 4096) * 64;
     b.load(V_PC + 0x60, addr, 8, V_DST_REG, None);
-    b.alu(V_PC + 0x70, [Some(V_DST_REG), None], Some(V_CONSUMER_REG), 1);
+    b.alu(
+        V_PC + 0x70,
+        [Some(V_DST_REG), None],
+        Some(V_CONSUMER_REG),
+        1,
+    );
 }
 
 /// Flood-attack victim: a genuinely dependent distance-1 pair the
@@ -254,7 +259,12 @@ fn victim_hammock_block(b: &mut TraceBuilder, iter: u64) {
         b.store(V_PC + 0x14, slot, 8, V_DATA_REG);
     }
     b.load(V_PC + 0x60, slot, 8, V_DST_REG, None);
-    b.alu(V_PC + 0x70, [Some(V_DST_REG), None], Some(V_CONSUMER_REG), 1);
+    b.alu(
+        V_PC + 0x70,
+        [Some(V_DST_REG), None],
+        Some(V_CONSUMER_REG),
+        1,
+    );
 }
 
 // -------------------------------------------------------------- attacker
@@ -374,7 +384,10 @@ mod tests {
                 }
             }
             assert!(victim_loads > 100, "{kind}: victim loads {victim_loads}");
-            assert!(attacker_loads > 100, "{kind}: attacker loads {attacker_loads}");
+            assert!(
+                attacker_loads > 100,
+                "{kind}: attacker loads {attacker_loads}"
+            );
         }
     }
 

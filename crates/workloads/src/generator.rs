@@ -118,7 +118,8 @@ impl TraceBuilder {
 
     /// Emits a store and records it as the last writer of its bytes.
     pub fn store(&mut self, pc: u64, addr: u64, size: u8, data_reg: u8) {
-        self.uops.push(Uop::store(pc, addr, size, None, Some(data_reg)));
+        self.uops
+            .push(Uop::store(pc, addr, size, None, Some(data_reg)));
         self.stores.push(StoreRec {
             addr,
             size,
@@ -134,7 +135,8 @@ impl TraceBuilder {
     /// Emits a load annotated with its ground-truth dependence.
     pub fn load(&mut self, pc: u64, addr: u64, size: u8, dst: u8, addr_reg: Option<u8>) {
         let dep = self.dep_for(addr, size);
-        self.uops.push(Uop::load(pc, addr, size, addr_reg, dst, dep));
+        self.uops
+            .push(Uop::load(pc, addr, size, addr_reg, dst, dep));
     }
 
     /// The youngest prior store writing any byte of `[addr, addr+size)`.
@@ -324,7 +326,12 @@ pub fn generate(profile: &WorkloadProfile, seed: u64, target_uops: usize) -> Tra
         // Region offsets are chosen so no two region base lines share an
         // L1I set (they are NOT multiples of the 4 KiB way size).
         // A cheap value available for any leftover consumers.
-        b.alu(ctx + PC_BASE - 0x40, [None, None], Some(SCRATCH_DATA_REG), 1);
+        b.alu(
+            ctx + PC_BASE - 0x40,
+            [None, None],
+            Some(SCRATCH_DATA_REG),
+            1,
+        );
 
         // Context/noise branches.
         for (n, &pattern) in noise_pattern.iter().enumerate() {
@@ -392,16 +399,25 @@ pub fn generate(profile: &WorkloadProfile, seed: u64, target_uops: usize) -> Tra
                 let _ = &mut taken;
                 b.branch(pc, taken, None);
                 if taken {
-                    let scratch =
-                        SCRATCH_BASE + (site.index as u64) * 1024 + (g as u64) * 64;
-                    b.alu(pc + 4, [None, None], Some(SCRATCH_DATA_REG), profile.store_data_latency);
+                    let scratch = SCRATCH_BASE + (site.index as u64) * 1024 + (g as u64) * 64;
+                    b.alu(
+                        pc + 4,
+                        [None, None],
+                        Some(SCRATCH_DATA_REG),
+                        profile.store_data_latency,
+                    );
                     b.store(pc + 8, scratch, 8, SCRATCH_DATA_REG);
                 }
             }
             // Address generation for the pair load: a late-arriving address
             // stalls the MDP forwarding path but not a speculative bypass.
             let addr_reg = if profile.load_addr_latency > 0 {
-                b.alu(site_pc + 0x5c, [None, None], Some(ADDR_REG), profile.load_addr_latency);
+                b.alu(
+                    site_pc + 0x5c,
+                    [None, None],
+                    Some(ADDR_REG),
+                    profile.load_addr_latency,
+                );
                 Some(ADDR_REG)
             } else {
                 None
@@ -409,8 +425,17 @@ pub fn generate(profile: &WorkloadProfile, seed: u64, target_uops: usize) -> Tra
             b.load(site_pc + 0x60, l_addr, l_size, site.dst_reg, addr_reg);
             // Consumer chain.
             for c in 0..profile.load_consumers {
-                let src = if c == 0 { site.dst_reg } else { site.consumer_reg };
-                b.alu(site_pc + 0x70 + (c as u64) * 4, [Some(src), None], Some(site.consumer_reg), 1);
+                let src = if c == 0 {
+                    site.dst_reg
+                } else {
+                    site.consumer_reg
+                };
+                b.alu(
+                    site_pc + 0x70 + (c as u64) * 4,
+                    [Some(src), None],
+                    Some(site.consumer_reg),
+                    1,
+                );
             }
             // A branch on the loaded value, right after the chain: when it
             // mispredicts, fetch stalls until the load value arrives, so the
@@ -464,14 +489,17 @@ pub fn generate(profile: &WorkloadProfile, seed: u64, target_uops: usize) -> Tra
         // Streaming loads (independent, prefetch-friendly).
         for k in 0..profile.stream_loads {
             let pc = ctx + PC_BASE + 0x8440 + (k as u64) * 0x10;
-            let addr = STREAM_BASE + ((iter * 64 + (k as u64) * footprint_bytes / 4) % footprint_bytes);
+            let addr =
+                STREAM_BASE + ((iter * 64 + (k as u64) * footprint_bytes / 4) % footprint_bytes);
             b.load(pc, addr, 8, STREAM_DST_REG, None);
         }
 
         // Pointer-chase loads (serialising chain through CHASE_REG).
         for k in 0..profile.chase_loads {
             let pc = ctx + PC_BASE + 0x92c0 + (k as u64) * 0x10;
-            chase_addr = CHASE_BASE + (chase_addr.wrapping_mul(25214903917).wrapping_add(11)) % (footprint_bytes.max(4096));
+            chase_addr = CHASE_BASE
+                + (chase_addr.wrapping_mul(25214903917).wrapping_add(11))
+                    % (footprint_bytes.max(4096));
             chase_addr &= !7;
             b.load(pc, chase_addr, 8, CHASE_REG, Some(CHASE_REG));
         }

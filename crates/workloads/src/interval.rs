@@ -124,9 +124,9 @@ mod tests {
         // The slice must actually keep some dependences (the profile is
         // dependence-heavy); a slicer that dropped everything would pass
         // the subset check vacuously.
-        assert!(sub.uops.iter().any(|u| matches!(
-            u.kind,
-            mascot_sim::UopKind::Load { dep: Some(_), .. }
-        )));
+        assert!(sub
+            .uops
+            .iter()
+            .any(|u| matches!(u.kind, mascot_sim::UopKind::Load { dep: Some(_), .. })));
     }
 }

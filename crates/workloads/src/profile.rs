@@ -118,7 +118,10 @@ impl WorkloadProfile {
 
     /// Loads emitted per iteration.
     pub fn loads_per_iter(&self) -> usize {
-        self.hammocks + self.spill_fills + self.stream_loads + self.chase_loads
+        self.hammocks
+            + self.spill_fills
+            + self.stream_loads
+            + self.chase_loads
             + (self.hammocks + self.spill_fills) * self.coupled_loads
             + self.store_chase
     }
@@ -153,7 +156,10 @@ impl WorkloadProfile {
         }
         let sum: f64 = self.class_mix.iter().sum();
         if sum <= 0.0 || self.class_mix.iter().any(|&w| w < 0.0) {
-            return Err(format!("{}: class_mix must be non-negative and non-zero", self.name));
+            return Err(format!(
+                "{}: class_mix must be non-negative and non-zero",
+                self.name
+            ));
         }
         if self.footprint_lines == 0 {
             return Err(format!("{}: footprint must be non-zero", self.name));

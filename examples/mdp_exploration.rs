@@ -11,7 +11,9 @@ use mascot_sim::CoreConfig;
 use mascot_workloads::spec;
 
 fn main() {
-    let arg = std::env::args().nth(1).unwrap_or_else(|| "perlbench2".into());
+    let arg = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "perlbench2".into());
     if arg == "--list" {
         for p in spec::all_profiles() {
             println!("{}", p.name);
@@ -40,7 +42,14 @@ fn main() {
         profile.expected_dependent_fraction() * 100.0
     );
     let mut t = TextTable::new([
-        "predictor", "KiB", "IPC", "missed", "false", "wrong-store", "smb-err", "squashes",
+        "predictor",
+        "KiB",
+        "IPC",
+        "missed",
+        "false",
+        "wrong-store",
+        "smb-err",
+        "squashes",
         "bypassed",
     ]);
     let mut base_ipc = None;
@@ -51,7 +60,11 @@ fn main() {
         t.row([
             r.predictor.clone(),
             format!("{:.1}", r.storage_kib),
-            format!("{:.3} ({:+.2}%)", s.ipc(), (s.ipc() / base_ipc.unwrap() - 1.0) * 100.0),
+            format!(
+                "{:.3} ({:+.2}%)",
+                s.ipc(),
+                (s.ipc() / base_ipc.unwrap() - 1.0) * 100.0
+            ),
             s.missed_dependencies.to_string(),
             s.false_dependencies.to_string(),
             s.wrong_store.to_string(),

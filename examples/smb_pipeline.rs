@@ -35,8 +35,11 @@ fn main() {
         ..WorkloadProfile::base("smb-demo")
     };
     let core = CoreConfig::golden_cove();
-    println!("workload: {} (dependent-load fraction {:.0}%)\n", profile.name,
-        profile.expected_dependent_fraction() * 100.0);
+    println!(
+        "workload: {} (dependent-load fraction {:.0}%)\n",
+        profile.name,
+        profile.expected_dependent_fraction() * 100.0
+    );
 
     let mdp = run_one(&profile, PredictorKind::MascotMdp, &core, 120_000, 7);
     let smb = run_one(&profile, PredictorKind::Mascot, &core, 120_000, 7);
@@ -44,12 +47,18 @@ fn main() {
     for r in [&mdp, &smb] {
         let s = &r.stats;
         println!("{:<12} IPC {:.3}", r.predictor, s.ipc());
-        println!("  loads: {} bypassed, {} forwarded, {} from cache",
-            s.loads_bypassed, s.loads_forwarded, s.loads_from_cache);
-        println!("  avg dispatch->issue wait of load consumers: {:.1} cycles",
-            s.avg_dependent_wait());
-        println!("  squashes: {} memory-order, {} bypass\n",
-            s.mem_order_squashes, s.smb_squashes);
+        println!(
+            "  loads: {} bypassed, {} forwarded, {} from cache",
+            s.loads_bypassed, s.loads_forwarded, s.loads_from_cache
+        );
+        println!(
+            "  avg dispatch->issue wait of load consumers: {:.1} cycles",
+            s.avg_dependent_wait()
+        );
+        println!(
+            "  squashes: {} memory-order, {} bypass\n",
+            s.mem_order_squashes, s.smb_squashes
+        );
     }
     let speedup = (smb.stats.ipc() / mdp.stats.ipc() - 1.0) * 100.0;
     let wait_cut = (1.0 - smb.stats.avg_dependent_wait() / mdp.stats.avg_dependent_wait()) * 100.0;

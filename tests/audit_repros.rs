@@ -36,7 +36,11 @@ fn committed_repros_are_valid_and_normal() {
     for name in FAULT_REPROS {
         let trace = load_repro(name);
         trace.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(trace.len() < 100, "{name}: shrinker output grew to {} uops", trace.len());
+        assert!(
+            trace.len() < 100,
+            "{name}: shrinker output grew to {} uops",
+            trace.len()
+        );
         let renorm = renormalize(&trace);
         assert_eq!(trace.uops, renorm.uops, "{name}");
     }
@@ -50,7 +54,11 @@ fn engine_is_clean_on_repro_shapes() {
     let cfg = CoreConfig::golden_cove();
     for name in FAULT_REPROS {
         let trace = load_repro(name);
-        for kind in [PredictorKind::Mascot, PredictorKind::NoSq, PredictorKind::StoreSets] {
+        for kind in [
+            PredictorKind::Mascot,
+            PredictorKind::NoSq,
+            PredictorKind::StoreSets,
+        ] {
             run_audited(&trace, &cfg, kind, None)
                 .unwrap_or_else(|e| panic!("{name} under {kind:?}: {e}"));
         }

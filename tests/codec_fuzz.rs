@@ -191,7 +191,13 @@ fn out_of_range_register_is_rejected() {
     let regs_at = 4 + 1 + 2 + 1 + 8 + 8;
     assert_eq!(&base[regs_at..regs_at + 3], &[1, 2, 3]);
     for slot in 0..3 {
-        for (byte, ok) in [(63, true), (0xff, true), (64, false), (100, false), (0xfe, false)] {
+        for (byte, ok) in [
+            (63, true),
+            (0xff, true),
+            (64, false),
+            (100, false),
+            (0xfe, false),
+        ] {
             let mut buf = base.clone();
             buf[regs_at + slot] = byte;
             match decode(&buf) {
@@ -200,7 +206,10 @@ fn out_of_range_register_is_rejected() {
                     back.validate().expect("a decoded trace validates");
                     let uop = back.uops.iter().next().expect("one uop");
                     let regs = [uop.srcs[0], uop.srcs[1], uop.dst];
-                    assert!(regs.iter().flatten().all(|&r| usize::from(r) < NUM_ARCH_REGS));
+                    assert!(regs
+                        .iter()
+                        .flatten()
+                        .all(|&r| usize::from(r) < NUM_ARCH_REGS));
                 }
                 Err(e) => {
                     assert!(!ok, "slot {slot}: register {byte} rejected: {e}");

@@ -60,9 +60,17 @@ fn all_predictors_complete_all_benchmarks() {
 fn oracles_never_squash() {
     let results = quick_results(&[PredictorKind::PerfectMdp, PredictorKind::PerfectMdpSmb]);
     for r in &results {
-        assert_eq!(r.stats.mem_order_squashes, 0, "{}/{}", r.benchmark, r.predictor);
+        assert_eq!(
+            r.stats.mem_order_squashes, 0,
+            "{}/{}",
+            r.benchmark, r.predictor
+        );
         assert_eq!(r.stats.smb_squashes, 0, "{}/{}", r.benchmark, r.predictor);
-        assert_eq!(r.stats.missed_dependencies, 0, "{}/{}", r.benchmark, r.predictor);
+        assert_eq!(
+            r.stats.missed_dependencies, 0,
+            "{}/{}",
+            r.benchmark, r.predictor
+        );
     }
 }
 
@@ -94,7 +102,11 @@ fn mascot_beats_phast_and_respects_oracle_bounds() {
 /// PHAST's and NoSQ's, with false dependencies cut the hardest.
 #[test]
 fn mascot_slashes_mispredictions() {
-    let kinds = [PredictorKind::NoSq, PredictorKind::Phast, PredictorKind::Mascot];
+    let kinds = [
+        PredictorKind::NoSq,
+        PredictorKind::Phast,
+        PredictorKind::Mascot,
+    ];
     let results = quick_results(&kinds);
     let total = |p: &str| -> u64 {
         results
@@ -212,8 +224,7 @@ fn dependence_census_separates_benchmarks() {
     );
     // DirectBypass dominates the dependent classes (Fig. 2's shape).
     assert!(
-        heavy.stats.class_direct_bypass
-            > heavy.stats.class_offset + heavy.stats.class_mdp_only
+        heavy.stats.class_direct_bypass > heavy.stats.class_offset + heavy.stats.class_mdp_only
     );
 }
 

@@ -76,7 +76,10 @@ fn stats_match_golden_snapshot() {
 const SQUASH_UOPS: usize = 150_000;
 
 fn squash_matrix() -> Vec<(&'static str, PredictorKind)> {
-    vec![("bwaves", PredictorKind::NoSq), ("bwaves", PredictorKind::Mascot)]
+    vec![
+        ("bwaves", PredictorKind::NoSq),
+        ("bwaves", PredictorKind::Mascot),
+    ]
 }
 
 fn run_squash_cell(profile: &str, kind: PredictorKind) -> SimStats {
@@ -187,7 +190,10 @@ fn mistrain_stats_match_golden() {
     // Invariants the pins must keep encoding: the alias attack really
     // poisons baseline mascot, and the randomized defense really blanks it.
     let baseline = &golden[0].3; // (Alias, Mascot) victim
-    assert!(baseline.false_bypasses > 0, "alias attack lost its bypasses");
+    assert!(
+        baseline.false_bypasses > 0,
+        "alias attack lost its bypasses"
+    );
     assert!(
         baseline.false_dependencies > 0,
         "alias attack lost its false dependencies"

@@ -7,12 +7,12 @@
 //! seeded deterministic RNG (fixed case counts, reproducible failures — the
 //! failing seed is part of the assertion message).
 
+use mascot::history::BranchKind;
 use mascot::{
-    BypassClass, LoadOutcome, Mascot, MascotConfig, MemDepPredictor, MemDepPrediction,
+    BypassClass, LoadOutcome, Mascot, MascotConfig, MemDepPrediction, MemDepPredictor,
     ObservedDependence, StoreDistance,
 };
 use mascot_predictors::{NoSq, Phast, StoreSets};
-use mascot::history::BranchKind;
 use mascot_sim::{simulate, CoreConfig, Trace, TraceDep, Uop, UopKind};
 use mascot_workloads::{generate, WorkloadProfile};
 use rand::rngs::StdRng;
@@ -64,8 +64,16 @@ fn simulator_commits_every_wellformed_trace() {
         let mut p = Mascot::new(MascotConfig::default()).unwrap();
         let stats = simulate(&trace, &core, &mut p);
         assert_eq!(stats.committed_uops, trace.len() as u64, "case {case}");
-        assert_eq!(stats.committed_loads, trace.num_loads() as u64, "case {case}");
-        assert_eq!(stats.committed_stores, trace.num_stores() as u64, "case {case}");
+        assert_eq!(
+            stats.committed_loads,
+            trace.num_loads() as u64,
+            "case {case}"
+        );
+        assert_eq!(
+            stats.committed_stores,
+            trace.num_stores() as u64,
+            "case {case}"
+        );
         assert_eq!(
             stats.committed_branches,
             trace.num_branches() as u64,
@@ -198,7 +206,9 @@ fn generator_is_total_over_profiles() {
         }
         let trace = generate(&profile, below(&mut rng, 1000), 3_000);
         assert!(trace.len() >= 3_000, "case {case}");
-        trace.validate().unwrap_or_else(|e| panic!("case {case}: {e}"));
+        trace
+            .validate()
+            .unwrap_or_else(|e| panic!("case {case}: {e}"));
     }
 }
 
@@ -214,8 +224,7 @@ fn codec_roundtrips_generated_traces() {
         };
         let trace = generate(&profile, below(&mut rng, 500), 2_000);
         let bytes = mascot_sim::codec::encode(&trace);
-        let back = mascot_sim::codec::decode(&bytes)
-            .unwrap_or_else(|e| panic!("case {case}: {e}"));
+        let back = mascot_sim::codec::decode(&bytes).unwrap_or_else(|e| panic!("case {case}: {e}"));
         assert_eq!(trace.name, back.name, "case {case}");
         assert_eq!(trace.uops, back.uops, "case {case}");
     }
@@ -383,9 +392,15 @@ fn packed_trace_roundtrips_every_field() {
             );
         }
     }
-    assert!(classes.iter().all(|&c| c), "every bypass class: {classes:?}");
+    assert!(
+        classes.iter().all(|&c| c),
+        "every bypass class: {classes:?}"
+    );
     assert!(branch_kinds.iter().all(|&k| k), "both branch kinds");
     assert!(no_reg && reg_63, "None and register 63");
-    assert!(wide.iter().all(|&w| w), "every wide field at its maximum: {wide:?}");
+    assert!(
+        wide.iter().all(|&w| w),
+        "every wide field at its maximum: {wide:?}"
+    );
     assert!(bytes.iter().all(|&b| b), "latency 0 and 255");
 }

@@ -448,10 +448,7 @@ fn bank_matches_the_reference_on_every_user_shape() {
     for (i, (name, shapes)) in user_shapes().into_iter().enumerate() {
         let cov = differential(name, &shapes, 0x5eed_0000 + i as u64, 3000);
         assert!(cov.lookups > 800 && cov.hits > 400, "{name}: {cov:?}");
-        assert!(
-            cov.rewinds > 200 && cov.tail_rewinds > 5,
-            "{name}: {cov:?}"
-        );
+        assert!(cov.rewinds > 200 && cov.tail_rewinds > 5, "{name}: {cov:?}");
         assert!(cov.round_trips > 20, "{name}: {cov:?}");
     }
 }
@@ -461,9 +458,6 @@ fn bank_matches_the_reference_on_edge_shapes() {
     for (i, (name, shapes)) in edge_shapes().into_iter().enumerate() {
         let cov = differential(name, &shapes, 0xed6e_0000 + i as u64, 4000);
         assert!(cov.lookups > 1000 && cov.hits > 500, "{name}: {cov:?}");
-        assert!(
-            cov.rewinds > 200 && cov.tail_rewinds > 5,
-            "{name}: {cov:?}"
-        );
+        assert!(cov.rewinds > 200 && cov.tail_rewinds > 5, "{name}: {cov:?}");
     }
 }

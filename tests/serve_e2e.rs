@@ -10,6 +10,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use mascot::prediction::{
+    BypassClass, LoadOutcome, MemDepPrediction, ObservedDependence, StoreDistance,
+};
 use mascot_predictors::{AnyPredictor, PredictorKind};
 use mascot_serve::router::{self, RouterConfig};
 use mascot_serve::shard::ShardPoolConfig;
@@ -18,9 +21,6 @@ use mascot_serve::wire::{
 };
 use mascot_serve::{Client, ServeConfig, Server};
 use mascot_snapshot::SnapshotFile;
-use mascot::prediction::{
-    BypassClass, LoadOutcome, MemDepPrediction, ObservedDependence, StoreDistance,
-};
 
 fn spawn_server(shards: usize) -> (String, JoinHandle<wire::StatsReport>) {
     let cfg = ServeConfig {
@@ -347,7 +347,10 @@ fn bad_magic_is_rejected_without_killing_the_server() {
     // A fresh, well-behaved client still gets service.
     let mut client = Client::connect(&addr).expect("connect after abuse");
     let replies = client
-        .predict(vec![PredictItem { pc: 0x40, store_seq: 1 }])
+        .predict(vec![PredictItem {
+            pc: 0x40,
+            store_seq: 1,
+        }])
         .expect("predict");
     assert_eq!(replies.len(), 1);
 
@@ -397,7 +400,10 @@ fn malformed_payload_keeps_the_connection_alive() {
     assert!(matches!(resp, Response::Error(_)), "got {resp:?}");
 
     // Same socket, valid request: still served.
-    let req = wire::Request::Predict(vec![PredictItem { pc: 0x80, store_seq: 7 }]);
+    let req = wire::Request::Predict(vec![PredictItem {
+        pc: 0x80,
+        store_seq: 7,
+    }]);
     raw.write_all(&req.encode_frame().expect("encodable batch"))
         .expect("write valid");
     let (code, payload) = wire::read_frame(&mut raw)

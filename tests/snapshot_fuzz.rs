@@ -12,8 +12,7 @@
 
 use mascot::history::{BranchEvent, BranchKind};
 use mascot::prediction::{
-    BypassClass, LoadOutcome, MemDepPredictor, MemDepPrediction, ObservedDependence,
-    StoreDistance,
+    BypassClass, LoadOutcome, MemDepPrediction, MemDepPredictor, ObservedDependence, StoreDistance,
 };
 use mascot_predictors::{AnyPredictor, PredictorKind};
 use mascot_serve::predictors_from_snapshot;
@@ -121,7 +120,11 @@ fn sample_indices(len: usize) -> Vec<usize> {
 fn container_over_real_state_fails_closed_on_any_corruption() {
     let (_, file) = warm_container(PredictorKind::Mascot);
     let bytes = file.encode();
-    assert_eq!(SnapshotFile::decode(&bytes).unwrap(), file, "clean roundtrip");
+    assert_eq!(
+        SnapshotFile::decode(&bytes).unwrap(),
+        file,
+        "clean roundtrip"
+    );
 
     // Wrong magic and wrong version are named errors, not generic ones.
     let mut magic = bytes.clone();
