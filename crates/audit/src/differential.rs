@@ -13,15 +13,15 @@
 //!    in lockstep over the same lookup/train stream, the two must therefore
 //!    agree on every prediction modulo [`MemDepPrediction::demote_bypass`].
 //! 3. **Batch equivalence** — `predict_batch`/`train_batch` promise strict
-//!    sequential equivalence with per-request scalar calls; the sim issue
-//!    loop and the serve shard drain both lean on it. A scalar and a
-//!    batched instance driven over the same seeded stream must agree on
-//!    every prediction, every piece of metadata, and the final state.
+//!    sequential equivalence with per-request scalar calls; the serve
+//!    shard drain leans on it. A scalar and a batched instance driven over
+//!    the same seeded stream must agree on every prediction, every piece
+//!    of metadata, and the final state.
 //!
-//! Predictor state is compared behaviorally: serde in this build is a
-//! vendored stub, so instead of serialising tables we clone the predictor
-//! and probe it with every distinct load PC in the trace ("what would you
-//! predict now?"). Two predictors that answer every probe identically are
+//! Predictor state is compared behaviorally, the same way for every kind:
+//! instead of comparing encoded tables we clone the predictor and probe it
+//! with every distinct load PC in the trace ("what would you predict
+//! now?"). Two predictors that answer every probe identically are
 //! interchangeable for any continuation of the run.
 
 use mascot::config::MascotConfig;

@@ -148,7 +148,7 @@ fn to_json(rows: &[RunResult], aggregate: f64) -> String {
 
 /// Pulls `"aggregate_uops_per_sec": <number>` out of the baseline file.
 /// The file is machine-written by this binary, so a field scan is enough —
-/// no JSON parser in the tree (offline build, no serde_json).
+/// no JSON parser in the tree (offline build).
 fn baseline_aggregate(json: &str) -> Option<f64> {
     scan_f64_field(json, "aggregate_uops_per_sec")
 }

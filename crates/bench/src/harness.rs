@@ -14,7 +14,6 @@ pub use mascot_sampling::SamplingConfig;
 use mascot_sampling::{ClusterPlan, WarmSet};
 use mascot_sim::{simulate, CoreConfig, SimStats, Trace};
 use mascot_workloads::{generate, WorkloadProfile};
-use serde::{Deserialize, Serialize};
 
 /// Default trace length per benchmark (micro-ops).
 pub const DEFAULT_TRACE_UOPS: usize = 150_000;
@@ -197,7 +196,7 @@ pub fn cached_sampling_prep(
 }
 
 /// The outcome of one simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     /// Benchmark name.
     pub benchmark: String,

@@ -9,10 +9,9 @@
 use crate::prediction::StoreDistance;
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
 use mascot_stats::SaturatingCounter;
-use serde::{Deserialize, Serialize};
 
 /// One MASCOT predictor entry payload (everything but the tag).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MascotEntry {
     /// 0 = non-dependence; otherwise the store distance (1..=127).
     distance: u8,

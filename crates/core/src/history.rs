@@ -48,14 +48,13 @@
 //! shift-and-rotate formulation.
 
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 use crate::tagged::MAX_TABLES;
 
 /// Control-flow class of a history event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BranchKind {
     /// Direction-predicted branch: contributes its taken bit.
     Conditional,
@@ -64,7 +63,7 @@ pub enum BranchKind {
 }
 
 /// One committed-path branch, as recorded in global history.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BranchEvent {
     /// PC of the branch instruction.
     pub pc: u64,
@@ -157,7 +156,7 @@ fn fold_table(bits: u32, rot: u32) -> &'static [u64; 32] {
 /// most half its capacity (the bank sizes the log at twice its longest
 /// window). Within that reach the ring mirrors the log, and holds `[0, 0]`
 /// past the oldest retained event.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct GlobalHistory {
     events: VecDeque<BranchEvent>,
     capacity: usize,
@@ -427,8 +426,7 @@ pub(crate) fn advance_hashers(
 /// divide, no variable-count shift and no data-dependent branch: the
 /// rotation and masks are derived once from `bits` and `window` (see the
 /// module docs).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(from = "FoldedWire", into = "FoldedWire")]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct FoldedHistory {
     bits: u32,
     window: u32,
@@ -440,34 +438,6 @@ pub(crate) struct FoldedHistory {
     /// Per chunk, what an outgoing event XORs out (rotation `window %
     /// bits`).
     outgoing: &'static [u64; 32],
-}
-
-/// Serialized image of [`FoldedHistory`]; the rotation and mask constants
-/// are derived, so only the defining fields cross (de)serialization.
-#[derive(Serialize, Deserialize)]
-struct FoldedWire {
-    bits: u32,
-    window: u32,
-    reg: u64,
-}
-
-impl From<FoldedWire> for FoldedHistory {
-    fn from(w: FoldedWire) -> Self {
-        Self {
-            reg: w.reg,
-            ..Self::new(w.bits, w.window)
-        }
-    }
-}
-
-impl From<FoldedHistory> for FoldedWire {
-    fn from(f: FoldedHistory) -> Self {
-        Self {
-            bits: f.bits,
-            window: f.window,
-            reg: f.reg,
-        }
-    }
 }
 
 impl FoldedHistory {
@@ -586,7 +556,7 @@ fn shr_multiplier(s: u32) -> u64 {
 /// Produces the set index and tag for one tagged table given a load PC, per
 /// §IV-B ("the index and tag are computed by folding the load PC and
 /// increasing lengths of the global branch and path history").
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct TableHasher {
     history_len: u32,
     tag_bits: u32,
@@ -1079,21 +1049,5 @@ mod tests {
         };
         // Two targets whose 5-bit folds differ.
         assert_ne!(build(0x1000), build(0x1004));
-    }
-
-    /// A (de)serialization round-trip must reconstruct the cached rotation
-    /// state exactly (it is derived, not serialized — see [`FoldedWire`]).
-    #[test]
-    fn folded_history_wire_round_trip() {
-        let mut f = FoldedHistory::new(9, 7);
-        let mut hist = GlobalHistory::new(64);
-        for i in 0..20u64 {
-            let ev = cond(i * 4, i % 3 == 0);
-            let outgoing = hist.event_at_age(6).map_or(0, BranchEvent::chunk);
-            f.push(ev.chunk(), outgoing);
-            hist.push(ev);
-        }
-        let back = FoldedHistory::from(FoldedWire::from(f.clone()));
-        assert_eq!(back, f);
     }
 }

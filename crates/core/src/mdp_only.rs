@@ -4,7 +4,6 @@
 use crate::history::BranchEvent;
 use crate::prediction::{GroundTruth, LoadOutcome, MemDepPrediction, MemDepPredictor, PredictReq};
 use crate::predictor::{Mascot, MascotMeta};
-use serde::{Deserialize, Serialize};
 
 /// MASCOT used solely as a memory-dependence predictor.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let (pred, _meta) = p.predict(0x400, 0, None);
 /// assert!(!pred.is_bypass());
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MascotMdpOnly {
     inner: Mascot,
 }
@@ -43,7 +42,7 @@ impl MascotMdpOnly {
         &self.inner
     }
 
-    /// Serializes the wrapped predictor's state ([`Mascot::snap_encode`]).
+    /// Encodes the wrapped predictor's state ([`Mascot::snap_encode`]).
     pub fn snap_encode(&self, w: &mut mascot_snapshot::SnapWriter) {
         self.inner.snap_encode(w);
     }

@@ -5,7 +5,6 @@
 //! either independent, dependent on a specific prior store (MDP), or
 //! dependent with a bypassable value (SMB).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::history::BranchEvent;
@@ -26,7 +25,7 @@ use crate::history::BranchEvent;
 /// assert!(StoreDistance::new(0).is_none());
 /// assert!(StoreDistance::new(128).is_none());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StoreDistance(u8);
 
 impl StoreDistance {
@@ -60,7 +59,7 @@ impl fmt::Display for StoreDistance {
 /// Each class has one frozen byte code, its discriminant: `.mtrc` traces
 /// and the `MSRV` wire protocol both carry it, and per-class counters index
 /// by it. Reordering the variants changes both formats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum BypassClass {
     /// Same address, same size: the value can be bypassed verbatim.
@@ -106,7 +105,7 @@ impl BypassClass {
 }
 
 /// The three-way prediction MASCOT makes for each load (Fig. 5, left).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemDepPrediction {
     /// The load does not depend on any in-flight prior store; issue as soon
     /// as its address is ready.
@@ -162,7 +161,7 @@ impl MemDepPrediction {
 
 /// The dependence a load was *observed* to have when it executed: the
 /// youngest older in-flight store whose bytes overlap the load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObservedDependence {
     /// Program-order store distance to the conflicting store.
     pub distance: StoreDistance,
@@ -176,7 +175,7 @@ pub struct ObservedDependence {
 }
 
 /// The commit-time training record for one load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LoadOutcome {
     /// The observed in-flight dependence, or `None` if the load had no
     /// conflict with any in-flight store.
@@ -205,7 +204,7 @@ impl LoadOutcome {
 
 /// Static, trace-level ground truth about a load's memory dependence,
 /// supplied to oracle ("perfect") predictors only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroundTruth {
     /// Program-order distance to the youngest prior store writing any byte
     /// the load reads, if within the encodable window.
@@ -217,7 +216,7 @@ pub struct GroundTruth {
 /// One prediction request of a batch (see
 /// [`MemDepPredictor::predict_batch_into`]). Mirrors the arguments of
 /// [`MemDepPredictor::predict`] exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PredictReq {
     /// Load PC.
     pub pc: u64,

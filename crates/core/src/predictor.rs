@@ -12,7 +12,6 @@
 //! confidence counter to decay (§III-A).
 
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 use crate::config::MascotConfig;
 use crate::entry::MascotEntry;
@@ -27,7 +26,7 @@ use crate::tuning::TuningState;
 /// Per-prediction metadata carried in the load's ROB entry and handed back
 /// at commit, so training uses exactly the speculative-history hashes the
 /// prediction used (as the hardware would).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MascotMeta {
     lookups: [TableLookup; MAX_TABLES],
     num_tables: u8,
@@ -51,7 +50,7 @@ impl MascotMeta {
 }
 
 /// Aggregate counters exposed for the Figs. 8, 10 and 13 analyses.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MascotStats {
     /// Predictions provided by each tagged table (Fig. 13).
     pub table_predictions: Vec<u64>,
@@ -91,7 +90,7 @@ enum EntryProto {
 /// assert_eq!(pred, MemDepPrediction::NoDependence); // cold predictor
 /// assert!((p.storage_kib() - 14.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Mascot {
     cfg: MascotConfig,
     bank: TaggedTables<MascotEntry>,
@@ -104,7 +103,6 @@ pub struct Mascot {
     updates_since_decay: u32,
     /// Scratch for the table-major batched probe (not part of the
     /// architectural state).
-    #[serde(skip, default)]
     batch_scratch: Vec<BatchSlot>,
 }
 
@@ -186,12 +184,6 @@ impl Mascot {
     /// Aggregate prediction/allocation counters.
     pub fn stats(&self) -> &MascotStats {
         &self.stats
-    }
-
-    /// Whether non-dependence entries are allocated (false for the Fig. 11
-    /// ablation).
-    pub fn allocates_non_dependencies(&self) -> bool {
-        self.allocate_non_dependencies
     }
 
     /// The tuning state (per-slot F1 accounting), if enabled in the config.
@@ -311,7 +303,7 @@ impl Mascot {
         self.bank.entry_count()
     }
 
-    /// Serializes the full architectural state: configuration, tables,
+    /// Encodes the full architectural state: configuration, tables,
     /// global history, decay phase and aggregate stats.
     ///
     /// The table hashers are *not* serialized — they are a pure function of
@@ -1063,7 +1055,6 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes);
         let q = Mascot::snap_decode(&mut r).unwrap();
-        assert!(!q.allocates_non_dependencies());
         assert_eq!(q.name(), "tage-no-nd");
         let mut w2 = SnapWriter::new();
         q.snap_encode(&mut w2);

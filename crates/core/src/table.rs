@@ -22,7 +22,6 @@
 //! unreachable by construction.
 
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 /// Tag lane value marking an invalid (empty) way.
 ///
@@ -54,7 +53,7 @@ fn lane_tag(tag: u64) -> u32 {
 /// t.try_insert(3, 0x7, 9, |_| false).unwrap();
 /// assert_eq!(*t.find(3, 0x7).unwrap().1, 9);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AssocTable<P> {
     sets: usize,
     assoc: usize,

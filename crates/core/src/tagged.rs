@@ -10,7 +10,6 @@
 //! allocation policy stay with each predictor.
 
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 use crate::history::{
     advance_hashers, rewind_hashers, BranchEvent, GlobalHistory, TableHasher, WindowEdges,
@@ -25,7 +24,7 @@ use crate::table::AssocTable;
 pub const MAX_TABLES: usize = 8;
 
 /// One table's lookup coordinates, captured at prediction time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TableLookup {
     /// Set index within the table.
     pub index: u32,
@@ -62,7 +61,7 @@ pub struct TableShape {
 /// assert_eq!(bank.lookup(0, 0x40_1000), before[0]); // PC only
 /// assert_ne!(bank.lookup(1, 0x40_1000), before[1]); // PC + 8 branches
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TaggedTables<E> {
     tables: Vec<AssocTable<E>>,
     /// One hasher per table, in table order.

@@ -18,7 +18,6 @@ use mascot::prediction::{
 };
 use mascot::predictor::{Mascot, MascotMeta};
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 use crate::mdp_tage::{MdpTage, MdpTageMeta};
 use crate::nosq::{NoSq, NoSqMeta};
@@ -28,7 +27,7 @@ use crate::randomized::RandomizedMascot;
 use crate::store_sets::StoreSets;
 
 /// Metadata variants for [`AnyPredictor`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AnyMeta {
     /// MASCOT-family metadata.
     Mascot(MascotMeta),
@@ -74,7 +73,7 @@ macro_rules! unwrap_meta {
 macro_rules! any_predictor {
     ($($(#[$doc:meta])* $v:ident($ty:ident) = $tag:literal, meta: $kind:ident;)*) => {
         /// A runtime-selected predictor, wrapping every kind evaluated in §VI.
-        #[derive(Debug, Clone, Serialize, Deserialize)]
+        #[derive(Debug, Clone)]
         #[allow(clippy::large_enum_variant)]
         pub enum AnyPredictor {
             $($(#[$doc])* $v($ty),)*
@@ -90,7 +89,7 @@ macro_rules! any_predictor {
                 }
             }
 
-            /// Serializes the predictor to an opaque snapshot payload: a
+            /// Encodes the predictor to an opaque snapshot payload: a
             /// one-byte variant tag followed by the wrapped predictor's own
             /// encoding (empty for the stateless oracles).
             pub fn snapshot_bytes(&self) -> Vec<u8> {

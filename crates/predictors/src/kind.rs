@@ -13,7 +13,6 @@ use std::str::FromStr;
 use mascot::config::MascotConfig;
 use mascot::mdp_only::MascotMdpOnly;
 use mascot::predictor::Mascot;
-use serde::{Deserialize, Serialize};
 
 use crate::any::AnyPredictor;
 use crate::mdp_tage::MdpTage;
@@ -24,7 +23,7 @@ use crate::randomized::RandomizedMascot;
 use crate::store_sets::StoreSets;
 
 /// Every predictor configuration evaluated across the paper's figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PredictorKind {
     /// MASCOT, default 14 KiB geometry, MDP + SMB.
     Mascot,

@@ -15,10 +15,9 @@ use mascot::prediction::{
 };
 use mascot::tagged::{TableLookup, TableShape, TaggedTables, MAX_TABLES};
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`MdpTage`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MdpTageConfig {
     /// History length per table (branches), starting at 0.
     pub history_lengths: Vec<u32>,
@@ -110,7 +109,7 @@ impl MdpTageConfig {
 }
 
 /// Entry payload; the tag lives in the table's SoA tag lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct MdpTageEntry {
     /// The repurposed 3-bit counter: store distance 1..=7.
     distance: u8,
@@ -137,7 +136,7 @@ impl MdpTageEntry {
 }
 
 /// Per-prediction metadata for [`MdpTage`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MdpTageMeta {
     lookups: [TableLookup; MAX_TABLES],
     num_tables: u8,
@@ -156,7 +155,7 @@ pub struct MdpTageMeta {
 /// // 4K entries × (16-bit tag + 3-bit distance + 1 u bit) = 10 KiB.
 /// assert!((p.storage_kib() - 10.0).abs() < 0.01);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MdpTage {
     cfg: MdpTageConfig,
     bank: TaggedTables<MdpTageEntry>,
@@ -235,7 +234,7 @@ impl MdpTage {
         self.bank.entry_count()
     }
 
-    /// Serializes the full state (configuration, tables, history). Hashers
+    /// Encodes the full state (configuration, tables, history). Hashers
     /// are recomputed from the history on decode.
     pub fn snap_encode(&self, w: &mut SnapWriter) {
         self.cfg.snap_encode(w);

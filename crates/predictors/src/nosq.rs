@@ -21,10 +21,9 @@ use mascot::table::AssocTable;
 use mascot::tagged::{TableLookup, TableShape, TaggedTables};
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
 use mascot_stats::SaturatingCounter;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`NoSq`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NoSqConfig {
     /// Entries per table (Table II: 2048 each, 4096 total).
     pub entries_per_table: u32,
@@ -93,7 +92,7 @@ impl NoSqConfig {
 }
 
 /// Entry payload; the tag lives in the table's SoA tag lane.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct NoSqEntry {
     distance: u8,
     confidence: SaturatingCounter,
@@ -131,7 +130,7 @@ const PATH_DEP: usize = 0;
 const PATH_INDEP: usize = 1;
 
 /// Per-prediction metadata for [`NoSq`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NoSqMeta {
     /// Coordinates in the path-dependent and path-independent tables.
     lookups: [TableLookup; 2],
@@ -151,7 +150,7 @@ pub struct NoSqMeta {
 /// assert!((p.storage_kib() - 19.0).abs() < 0.01); // Table II
 /// assert!(p.bypass_supports_offset());
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NoSq {
     cfg: NoSqConfig,
     /// Tables `PATH_DEP` and `PATH_INDEP`, in snapshot order.
@@ -260,7 +259,7 @@ impl NoSq {
         self.bank.entry_count()
     }
 
-    /// Serializes the full state (configuration, history, both tables).
+    /// Encodes the full state (configuration, history, both tables).
     /// Hashers are recomputed from the history on decode.
     pub fn snap_encode(&self, w: &mut SnapWriter) {
         self.cfg.snap_encode(w);

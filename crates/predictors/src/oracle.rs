@@ -11,7 +11,6 @@
 use mascot::history::BranchEvent;
 use mascot::prediction::{GroundTruth, LoadOutcome, MemDepPrediction, MemDepPredictor};
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 /// The constructor plus the snapshot and merge surface that every
 /// [`crate::AnyPredictor`] variant forwards to, for a stateless oracle: no
@@ -55,7 +54,7 @@ stateless_oracle!(PerfectMdp, PerfectMdpSmb);
 /// *optimal prediction* but not always optimal performance: stalling for a
 /// store that would have resolved in time costs a cycle that an "incorrect"
 /// speculation would have saved.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PerfectMdp;
 
 impl MemDepPredictor for PerfectMdp {
@@ -95,7 +94,7 @@ impl MemDepPredictor for PerfectMdp {
 /// A perfect memory-dependence *and* bypassing predictor (Fig. 12's upper
 /// bound): bypasses every dependence whose value the store fully provides,
 /// including offset cases.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PerfectMdpSmb;
 
 impl MemDepPredictor for PerfectMdpSmb {

@@ -21,10 +21,9 @@ use mascot::table::AssocTable;
 use mascot::tagged::{TableLookup, TableShape, TaggedTables, MAX_TABLES};
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
 use mascot_stats::SaturatingCounter;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`Phast`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhastConfig {
     /// History length per table (branches), starting at 0.
     pub history_lengths: Vec<u32>,
@@ -132,7 +131,7 @@ impl PhastConfig {
 }
 
 /// Entry payload; the tag lives in the table's SoA tag lane.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct PhastEntry {
     distance: u8,
     usefulness: SaturatingCounter,
@@ -167,7 +166,7 @@ impl PhastEntry {
 }
 
 /// Per-prediction metadata for [`Phast`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhastMeta {
     lookups: [TableLookup; MAX_TABLES],
     num_tables: u8,
@@ -192,7 +191,7 @@ impl PhastMeta {
 /// let p = Phast::default();
 /// assert!((p.storage_kib() - 14.5).abs() < 0.01); // Table II
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Phast {
     cfg: PhastConfig,
     bank: TaggedTables<PhastEntry>,
@@ -316,7 +315,7 @@ impl Phast {
         self.bank.entry_count()
     }
 
-    /// Serializes the full state (configuration, tables, history). Hashers
+    /// Encodes the full state (configuration, tables, history). Hashers
     /// are recomputed from the history on decode.
     pub fn snap_encode(&self, w: &mut SnapWriter) {
         self.cfg.snap_encode(w);

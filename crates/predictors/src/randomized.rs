@@ -32,7 +32,6 @@ use mascot::history::BranchEvent;
 use mascot::prediction::{GroundTruth, LoadOutcome, MemDepPrediction, MemDepPredictor, PredictReq};
 use mascot::predictor::{Mascot, MascotMeta};
 use mascot_snapshot::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 /// Deployment-default scramble key.
 ///
@@ -82,7 +81,7 @@ fn apply_noise(key: u64, ctr: &mut u64, pred: MemDepPrediction) -> MemDepPredict
 }
 
 /// MASCOT behind keyed index randomization and noisy bypass confidence.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RandomizedMascot {
     inner: Mascot,
     key: u64,
@@ -91,7 +90,6 @@ pub struct RandomizedMascot {
     /// instance continues the exact same coin sequence).
     noise_ctr: u64,
     /// Scratch for the batched probe (scrambled request copies).
-    #[serde(skip, default)]
     batch_scratch: Vec<PredictReq>,
 }
 
@@ -134,7 +132,7 @@ impl RandomizedMascot {
         self.inner.entry_count()
     }
 
-    /// Serializes key, noise phase and the wrapped predictor's state.
+    /// Encodes key, noise phase and the wrapped predictor's state.
     pub fn snap_encode(&self, w: &mut SnapWriter) {
         w.u64(self.key);
         w.u64(self.noise_ctr);

@@ -65,7 +65,7 @@ use mascot_serve::metrics::Histogram;
 use mascot_serve::poll::{Event, Poller};
 use mascot_serve::shard::ShardPoolConfig;
 use mascot_serve::wire::{
-    Opcode, PredictItem, Request, Response, StatsReport, TrainItem, MAX_BATCH,
+    Direction, Opcode, PredictItem, Request, Response, StatsReport, TrainItem, MAX_BATCH,
 };
 use mascot_serve::{Client, ServeConfig, Server};
 use rand::rngs::StdRng;
@@ -364,7 +364,7 @@ impl LoadConn {
     fn new(stream: TcpStream) -> Self {
         Self {
             stream,
-            rd: RecvBuf::new(),
+            rd: RecvBuf::new(Direction::Response),
             wr: SendBuf::new(),
             phase: Phase::Idle,
             txns: 0,

@@ -121,7 +121,7 @@ impl Client {
         }
     }
 
-    /// Serializes the server's full predictor state into a snapshot
+    /// Encodes the server's full predictor state into a snapshot
     /// container.
     ///
     /// # Errors

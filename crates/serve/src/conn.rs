@@ -27,7 +27,7 @@
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 
-use crate::wire::{parse_header, WireError, HEADER_LEN};
+use crate::wire::{parse_header, Direction, WireError, HEADER_LEN};
 
 /// Bytes read from a connection per readiness event. Bounding the chunk —
 /// and leaving the rest in the kernel buffer for level-triggered epoll to
@@ -48,17 +48,25 @@ pub const WRITE_BUF_PAUSE: usize = 256 * 1024;
 /// `buf.len()` is the initialized length, never shortened: a fill reads
 /// straight into the bytes past `end`, so only capacity the buffer grows
 /// into is ever zeroed — once, not on every read.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct RecvBuf {
     buf: Vec<u8>,
     start: usize,
     end: usize,
+    /// Which way the frames travel: it decides the codes a header may
+    /// carry and their payload caps.
+    dir: Direction,
 }
 
 impl RecvBuf {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty buffer for frames travelling in direction `dir`.
+    pub fn new(dir: Direction) -> Self {
+        Self {
+            buf: Vec::new(),
+            start: 0,
+            end: 0,
+            dir,
+        }
     }
 
     /// Bytes buffered and not yet consumed.
@@ -91,9 +99,9 @@ impl RecvBuf {
     /// Checks whether a complete frame is buffered. `Ok(Some((code,
     /// payload_len)))` means header *and* payload are fully resident;
     /// `Ok(None)` means more bytes are needed. Header validation (magic,
-    /// version, per-opcode payload cap) happens here, before any payload
-    /// arrives, so a hostile header is rejected without buffering its
-    /// claimed payload.
+    /// version, a code of this direction, its payload cap) happens here,
+    /// before any payload arrives, so a hostile header is rejected without
+    /// buffering its claimed payload.
     ///
     /// # Errors
     ///
@@ -104,7 +112,7 @@ impl RecvBuf {
             return Ok(None);
         }
         let header: [u8; HEADER_LEN] = avail[..HEADER_LEN].try_into().expect("length checked");
-        let (code, len) = parse_header(&header)?;
+        let (code, len) = parse_header(&header, self.dir)?;
         if avail.len() < HEADER_LEN + len {
             return Ok(None);
         }
@@ -217,7 +225,7 @@ impl Conn {
     pub fn new(stream: TcpStream) -> Self {
         Self {
             stream,
-            rd: RecvBuf::new(),
+            rd: RecvBuf::new(Direction::Request),
             wr: SendBuf::new(),
             eof: false,
             poisoned: false,
@@ -266,7 +274,7 @@ mod tests {
     fn reassembles_frames_from_single_byte_writes() {
         let (mut client, mut server) = pair();
         let frame = Request::Stats.encode_frame().unwrap();
-        let mut rd = RecvBuf::new();
+        let mut rd = RecvBuf::new(Direction::Request);
         for (i, byte) in frame.iter().enumerate() {
             client.write_all(std::slice::from_ref(byte)).unwrap();
             client.flush().unwrap();
@@ -302,7 +310,7 @@ mod tests {
         client.write_all(&a).unwrap();
         client.write_all(&b).unwrap();
         client.flush().unwrap();
-        let mut rd = RecvBuf::new();
+        let mut rd = RecvBuf::new(Direction::Request);
         let mut seen = Vec::new();
         while seen.len() < 2 {
             match rd.fill(&mut server, READ_CHUNK) {
@@ -321,18 +329,35 @@ mod tests {
 
     #[test]
     fn bad_header_is_rejected_before_payload_arrives() {
-        let mut rd = RecvBuf::new();
+        let mut rd = RecvBuf::new(Direction::Request);
         // A corrupt header on its own: the claimed payload is never needed.
         let mut header = b"XSRV".to_vec();
         header.extend_from_slice(&[2, 1]);
         header.extend_from_slice(&u32::MAX.to_le_bytes());
         rd.fill(&mut header.as_slice(), READ_CHUNK).unwrap();
         assert!(matches!(rd.peek_frame(), Err(WireError::BadMagic)));
-        let mut rd = RecvBuf::new();
+        let mut rd = RecvBuf::new(Direction::Request);
         let mut frame = encode_frame(Opcode::Predict as u8, &[]);
         frame[6..10].copy_from_slice(&u32::MAX.to_le_bytes());
         rd.fill(&mut &frame[..HEADER_LEN], READ_CHUNK).unwrap();
         assert!(matches!(rd.peek_frame(), Err(WireError::TooLarge(_))));
+    }
+
+    /// A request header with code 0 (`Ok`, a response status whose replies
+    /// carry snapshots) claiming 60 MiB fails at once: it never earns the
+    /// snapshot cap, so not a byte of its payload is buffered. A response
+    /// buffer, by contrast, waits for that payload.
+    #[test]
+    fn response_code_in_a_request_fails_before_its_payload() {
+        let mut header = encode_frame(Opcode::Stats as u8, &[]);
+        header[5] = 0;
+        header[6..10].copy_from_slice(&(60u32 << 20).to_le_bytes());
+        let mut rd = RecvBuf::new(Direction::Request);
+        rd.fill(&mut header.as_slice(), READ_CHUNK).unwrap();
+        assert!(matches!(rd.peek_frame(), Err(WireError::BadOpcode(0))));
+        let mut rd = RecvBuf::new(Direction::Response);
+        rd.fill(&mut header.as_slice(), READ_CHUNK).unwrap();
+        assert!(matches!(rd.peek_frame(), Ok(None)));
     }
 
     /// Takes the complete frame at the front of `rd` and decodes it.
@@ -371,7 +396,7 @@ mod tests {
             train.encode_frame().unwrap(),
         );
         let half = b.len() / 2;
-        let mut rd = RecvBuf::new();
+        let mut rd = RecvBuf::new(Direction::Request);
         let first = [&a[..], &b[..half]].concat();
         assert_eq!(
             rd.fill(&mut first.as_slice(), READ_CHUNK).unwrap(),
@@ -402,7 +427,7 @@ mod tests {
         let restore = Request::Restore(blob);
         let frame = restore.encode_frame().unwrap();
         let mut src = frame.as_slice();
-        let mut rd = RecvBuf::new();
+        let mut rd = RecvBuf::new(Direction::Request);
         let mut fills = 0;
         let req = loop {
             let want = READ_CHUNK.min(src.len());

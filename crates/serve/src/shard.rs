@@ -451,7 +451,7 @@ impl ShardPool {
         }
     }
 
-    /// Serializes every shard's predictor state, in shard order.
+    /// Encodes every shard's predictor state, in shard order.
     pub fn snapshot_shards(&self) -> Vec<Vec<u8>> {
         (0..self.shards.len())
             .map(|shard| self.run(shard, |s| s.predictor.snapshot_bytes()))

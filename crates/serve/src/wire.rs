@@ -57,15 +57,47 @@ pub const MAX_BATCH: usize = 4096;
 /// Upper bound on shards a `Stats` response may describe.
 pub const MAX_SHARDS: usize = 1024;
 
-/// The payload cap for a frame with the given code byte. Snapshot bytes
-/// flow in `Restore` requests (code 6) and `Ok` responses (code 0, which is
-/// also every `Snapshot` reply); those get the larger cap, everything else
-/// keeps the tight one.
-pub fn max_payload(code: u8) -> usize {
-    match code {
-        0 | 6 => MAX_SNAPSHOT_FRAME_PAYLOAD,
-        _ => MAX_FRAME_PAYLOAD,
+/// Which way a frame travels. The code byte is an [`Opcode`] on a request
+/// and a [`Status`] on a response, and codes of the two kinds overlap, so a
+/// header can only be checked against its direction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Direction {
+    /// Client to server: the code is an [`Opcode`].
+    Request,
+    /// Server to client: the code is a [`Status`].
+    Response,
+}
+
+impl Direction {
+    /// The payload cap for a frame with `code` travelling this way.
+    /// Snapshot bytes flow in `Restore` requests and `Ok` responses (which
+    /// include every `Snapshot` reply); those get the larger cap, every
+    /// other code keeps the tight one.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError::BadOpcode`] or [`WireError::BadStatus`] for a code this
+    /// direction does not carry.
+    pub fn max_payload(self, code: u8) -> Result<usize, WireError> {
+        match self {
+            Direction::Request => Ok(match Opcode::from_code(code)? {
+                Opcode::Restore => MAX_SNAPSHOT_FRAME_PAYLOAD,
+                _ => MAX_FRAME_PAYLOAD,
+            }),
+            Direction::Response => match code {
+                c if c == Status::Ok as u8 => Ok(MAX_SNAPSHOT_FRAME_PAYLOAD),
+                c if c == Status::Error as u8 => Ok(MAX_FRAME_PAYLOAD),
+                other => Err(WireError::BadStatus(other)),
+            },
+        }
     }
+}
+
+/// The largest payload either direction accepts for `code`. An encoder
+/// asserts it: the code byte alone does not say which way a frame goes.
+fn encode_cap(code: u8) -> usize {
+    let cap = |dir: Direction| dir.max_payload(code).unwrap_or(0);
+    cap(Direction::Request).max(cap(Direction::Response))
 }
 
 /// Request opcodes.
@@ -80,7 +112,7 @@ pub enum Opcode {
     Stats = 3,
     /// Graceful shutdown: drain in-flight batches, then exit.
     Shutdown = 4,
-    /// Serialize the full predictor state of every shard (v2).
+    /// Encode the full predictor state of every shard (v2).
     Snapshot = 5,
     /// Replace the predictor state of every shard from a snapshot (v2).
     Restore = 6,
@@ -347,7 +379,7 @@ pub enum Request {
     Stats,
     /// Graceful shutdown.
     Shutdown,
-    /// Serialize the full predictor state of every shard.
+    /// Encode the full predictor state of every shard.
     Snapshot,
     /// Replace every shard's predictor state from an encoded
     /// `mascot_snapshot::SnapshotFile` container (opaque at this layer).
@@ -611,7 +643,7 @@ fn put_frame(out: &mut Vec<u8>, code: u8, len: usize, put: impl FnOnce(&mut Snap
     put(&mut w);
     *out = w.into_bytes();
     let len = out.len() - at - HEADER_LEN;
-    assert!(len <= max_payload(code), "payload exceeds limit");
+    assert!(len <= encode_cap(code), "payload exceeds limit");
     out[at + 6..at + HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
@@ -664,18 +696,19 @@ fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<bool, WireError> {
     Ok(true)
 }
 
-/// Validates a frame header and returns its `(code, payload_len)`. The
-/// single source of truth for header checks — the blocking reader
-/// ([`read_frame`]) and the event loop's incremental parser
-/// ([`crate::conn::RecvBuf`]) both call it, so a malformed stream fails
-/// identically whichever front end reads it.
+/// Validates a frame header travelling in direction `dir` and returns its
+/// `(code, payload_len)`. The single source of truth for header checks —
+/// the blocking reader ([`read_frame`]) and the event loop's incremental
+/// parser ([`crate::conn::RecvBuf`]) both call it, so a malformed stream
+/// fails identically whichever front end reads it.
 ///
 /// # Errors
 ///
-/// [`WireError::BadMagic`], [`WireError::BadVersion`], or
-/// [`WireError::TooLarge`] when the claimed payload exceeds
-/// [`max_payload`] for the code byte.
-pub fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, usize), WireError> {
+/// [`WireError::BadMagic`], [`WireError::BadVersion`], the
+/// [`WireError::BadOpcode`] or [`WireError::BadStatus`] of a code `dir`
+/// does not carry, or [`WireError::TooLarge`] when the claimed payload
+/// exceeds [`Direction::max_payload`] for the code.
+pub fn parse_header(header: &[u8; HEADER_LEN], dir: Direction) -> Result<(u8, usize), WireError> {
     if header[..4] != MAGIC {
         return Err(WireError::BadMagic);
     }
@@ -684,14 +717,15 @@ pub fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, usize), WireError>
     }
     let code = header[5];
     let len = u32::from_le_bytes(header[6..10].try_into().expect("4 bytes"));
-    if len as usize > max_payload(code) {
+    if len as usize > dir.max_payload(code)? {
         return Err(WireError::TooLarge(len));
     }
     Ok((code, len as usize))
 }
 
-/// Reads one frame, blocking until it arrives. `None` means the peer
-/// closed between frames — a clean end of stream.
+/// Reads one response frame, blocking until it arrives: the client side of
+/// the wire. `None` means the peer closed between frames — a clean end of
+/// stream.
 ///
 /// # Errors
 ///
@@ -700,11 +734,16 @@ pub fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u8, usize), WireError>
 /// including the expiry of a read timeout set on the stream — as
 /// [`WireError::Io`].
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<(u8, Vec<u8>)>, WireError> {
+    read_frame_in(r, Direction::Response)
+}
+
+/// [`read_frame`] for a frame travelling in direction `dir`.
+fn read_frame_in<R: Read>(r: &mut R, dir: Direction) -> Result<Option<(u8, Vec<u8>)>, WireError> {
     let mut header = [0u8; HEADER_LEN];
     if !read_full(r, &mut header)? {
         return Ok(None);
     }
-    let (code, len) = parse_header(&header)?;
+    let (code, len) = parse_header(&header, dir)?;
     let mut payload = vec![0u8; len];
     if !read_full(r, &mut payload)? {
         return Err(WireError::Corrupt("connection closed mid-frame"));
@@ -877,7 +916,9 @@ mod tests {
 
     fn roundtrip_request(req: Request) -> Request {
         let frame = req.encode_frame().unwrap();
-        let (code, payload) = read_frame(&mut frame.as_slice()).unwrap().unwrap();
+        let (code, payload) = read_frame_in(&mut frame.as_slice(), Direction::Request)
+            .unwrap()
+            .unwrap();
         Request::decode(code, &payload).unwrap()
     }
 
@@ -998,11 +1039,21 @@ mod tests {
         );
         // Snapshot frames get the larger cap; a predict frame does not.
         assert_eq!(
-            max_payload(Opcode::Restore as u8),
+            Direction::Request
+                .max_payload(Opcode::Restore as u8)
+                .unwrap(),
             MAX_SNAPSHOT_FRAME_PAYLOAD
         );
-        assert_eq!(max_payload(Status::Ok as u8), MAX_SNAPSHOT_FRAME_PAYLOAD);
-        assert_eq!(max_payload(Opcode::Predict as u8), MAX_FRAME_PAYLOAD);
+        assert_eq!(
+            Direction::Response.max_payload(Status::Ok as u8).unwrap(),
+            MAX_SNAPSHOT_FRAME_PAYLOAD
+        );
+        assert_eq!(
+            Direction::Request
+                .max_payload(Opcode::Predict as u8)
+                .unwrap(),
+            MAX_FRAME_PAYLOAD
+        );
         assert!(matches!(
             Request::Restore(vec![0; MAX_SNAPSHOT_FRAME_PAYLOAD + 1]).encode_frame(),
             Err(WireError::TooLarge(_))
@@ -1147,7 +1198,7 @@ mod tests {
         let mut frame = encode_frame(Opcode::Stats as u8, &[]);
         frame[6..10].copy_from_slice(&(MAX_FRAME_PAYLOAD as u32 + 1).to_le_bytes());
         assert!(matches!(
-            read_frame(&mut frame.as_slice()),
+            read_frame_in(&mut frame.as_slice(), Direction::Request),
             Err(WireError::TooLarge(_))
         ));
     }
@@ -1210,7 +1261,10 @@ mod tests {
         .unwrap();
         for cut in [1, HEADER_LEN - 1, HEADER_LEN + 3, frame.len() - 1] {
             assert!(
-                read_frame(&mut &frame[..cut]).is_err(),
+                matches!(
+                    read_frame_in(&mut &frame[..cut], Direction::Request),
+                    Err(WireError::Corrupt(_))
+                ),
                 "truncation at {cut} must fail"
             );
         }
@@ -1305,26 +1359,73 @@ mod tests {
     /// `read_frame`).
     #[test]
     fn parse_header_matches_reader_checks() {
+        let req = Direction::Request;
         let frame = Request::Snapshot.encode_frame().unwrap();
         let header: [u8; HEADER_LEN] = frame[..HEADER_LEN].try_into().unwrap();
-        assert_eq!(parse_header(&header).unwrap(), (Opcode::Snapshot as u8, 0));
+        assert_eq!(
+            parse_header(&header, req).unwrap(),
+            (Opcode::Snapshot as u8, 0)
+        );
         let mut bad = header;
         bad[0] = b'Z';
-        assert!(matches!(parse_header(&bad), Err(WireError::BadMagic)));
+        assert!(matches!(parse_header(&bad, req), Err(WireError::BadMagic)));
         let mut bad = header;
         bad[4] = 1;
-        assert!(matches!(parse_header(&bad), Err(WireError::BadVersion(1))));
+        assert!(matches!(
+            parse_header(&bad, req),
+            Err(WireError::BadVersion(1))
+        ));
         // The per-code payload cap: a predict frame may not claim a
         // snapshot-sized payload, but a restore frame may.
         let mut big = header;
         big[5] = Opcode::Predict as u8;
         big[6..10].copy_from_slice(&((MAX_FRAME_PAYLOAD + 1) as u32).to_le_bytes());
-        assert!(matches!(parse_header(&big), Err(WireError::TooLarge(_))));
+        assert!(matches!(
+            parse_header(&big, req),
+            Err(WireError::TooLarge(_))
+        ));
         big[5] = Opcode::Restore as u8;
         assert_eq!(
-            parse_header(&big).unwrap(),
+            parse_header(&big, req).unwrap(),
             (Opcode::Restore as u8, MAX_FRAME_PAYLOAD + 1)
         );
+    }
+
+    /// A code the direction does not carry fails at the header, whatever
+    /// length it claims: a request with a response code (0 is `Ok`, whose
+    /// replies carry snapshots) must not earn the snapshot cap, and a
+    /// response may only carry `Ok` (snapshot cap) or `Error`.
+    #[test]
+    fn header_codes_are_checked_per_direction() {
+        let header = |code: u8, len: usize| {
+            let mut h = [0u8; HEADER_LEN];
+            h[..4].copy_from_slice(&MAGIC);
+            h[4] = VERSION;
+            h[5] = code;
+            h[6..10].copy_from_slice(&(len as u32).to_le_bytes());
+            h
+        };
+        let (req, resp) = (Direction::Request, Direction::Response);
+        let big = 60 << 20;
+        assert!(matches!(
+            parse_header(&header(0, big), req),
+            Err(WireError::BadOpcode(0))
+        ));
+        assert!(matches!(
+            parse_header(&header(7, 0), req),
+            Err(WireError::BadOpcode(7))
+        ));
+        assert_eq!(parse_header(&header(0, big), resp).unwrap(), (0, big));
+        assert!(matches!(
+            parse_header(&header(Status::Error as u8, MAX_FRAME_PAYLOAD + 1), resp),
+            Err(WireError::TooLarge(_))
+        ));
+        for code in [1, Opcode::Restore as u8, 7] {
+            assert!(matches!(
+                parse_header(&header(code, 0), resp),
+                Err(WireError::BadStatus(c)) if c == code
+            ));
+        }
     }
 
     #[test]

@@ -8,13 +8,12 @@
 //! with the architectural outcome; a mispredicted branch stalls fetch until
 //! the branch resolves plus the redirect penalty.
 
-use mascot::history::{BranchEvent, BranchKind};
+use mascot::history::BranchEvent;
 use mascot::tagged::{TableShape, TaggedTables};
 use mascot_stats::SaturatingCounter;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`TagePredictor`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BranchPredictorConfig {
     /// Bimodal (base) predictor entries (power of two).
     pub bimodal_entries: usize,
@@ -45,7 +44,7 @@ impl Default for BranchPredictorConfig {
 }
 
 /// Entry payload; the tag lives in the table's SoA tag lane.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct TageEntry {
     /// 3-bit direction counter; taken when >= 4.
     ctr: SaturatingCounter,
@@ -54,7 +53,7 @@ struct TageEntry {
 }
 
 /// A TAGE branch-direction predictor with an indirect-target side table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TagePredictor {
     bimodal: Vec<SaturatingCounter>,
     bank: TaggedTables<TageEntry>,
@@ -66,7 +65,7 @@ pub struct TagePredictor {
 }
 
 /// Branch predictor statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BranchStats {
     /// Conditional branches predicted.
     pub conditional: u64,
@@ -241,19 +240,20 @@ impl TagePredictor {
     }
 }
 
-/// Helper: the history event for a decoded branch.
-pub fn event_for(pc: u64, kind: BranchKind, taken: bool, target: u64) -> BranchEvent {
-    BranchEvent {
-        pc,
-        kind,
-        taken,
-        target,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mascot::history::BranchKind;
+
+    /// The history event for a decoded branch.
+    fn event_for(pc: u64, kind: BranchKind, taken: bool, target: u64) -> BranchEvent {
+        BranchEvent {
+            pc,
+            kind,
+            taken,
+            target,
+        }
+    }
 
     fn run_pattern<F>(p: &mut TagePredictor, pc: u64, n: usize, mut outcome: F) -> f64
     where

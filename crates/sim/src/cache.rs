@@ -10,10 +10,9 @@
 //! in flight (e.g. behind a prefetch) merge with the existing MSHR.
 
 use crate::config::{CacheConfig, CoreConfig};
-use serde::{Deserialize, Serialize};
 
 /// Hit/miss counters for one cache level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Demand accesses that hit.
     pub hits: u64,
@@ -24,7 +23,7 @@ pub struct CacheStats {
 }
 
 /// One cache level: a tag array with per-set LRU.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CacheLevel {
     cfg: CacheConfig,
     sets: u64,
@@ -140,7 +139,7 @@ impl CacheLevel {
 }
 
 /// An outstanding miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Mshr {
     line: u64,
     ready: u64,
@@ -151,7 +150,7 @@ struct Mshr {
 const STRIDE_ENTRIES: usize = 256;
 
 /// IP-stride prefetcher state for one load PC.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 struct StrideEntry {
     pc: u64,
     last_addr: u64,
@@ -160,7 +159,7 @@ struct StrideEntry {
 }
 
 /// The full data/instruction hierarchy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Hierarchy {
     /// L1 instruction cache.
     pub l1i: CacheLevel,

@@ -5,10 +5,8 @@
 //! share). [`CoreConfig::lion_cove`] scales the out-of-order structures for
 //! the §VI-C future-architecture study.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry and latency of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -30,7 +28,7 @@ impl CacheConfig {
 }
 
 /// Full single-core configuration (Table I).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoreConfig {
     /// Human-readable name (`"golden-cove"`, `"lion-cove"`).
     pub name: String,

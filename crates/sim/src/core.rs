@@ -35,8 +35,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use mascot::history::{BranchEvent, BranchKind};
 use mascot::prediction::{
-    GroundTruth, LoadOutcome, MemDepPrediction, MemDepPredictor, ObservedDependence, PredictReq,
-    StoreDistance,
+    GroundTruth, LoadOutcome, MemDepPrediction, MemDepPredictor, ObservedDependence, StoreDistance,
 };
 
 use crate::branch::TagePredictor;
@@ -416,9 +415,6 @@ pub struct Simulator<'a, P: MemDepPredictor> {
     /// Issue-stage scratch, reused every cycle: this cycle's issue
     /// candidates (at most one port-width per class).
     scratch_issue: Vec<u64>,
-    /// Dispatch-stage scratch for batched prediction of consecutive loads.
-    batch_reqs: Vec<PredictReq>,
-    batch_out: Vec<(MemDepPrediction, P::Meta)>,
     /// Recycled `Vec` allocations for dependent/waiter lists, and recycled
     /// `LoadInfo` boxes: the per-uop bookkeeping otherwise costs a handful
     /// of allocator round-trips per dispatched micro-op.
@@ -517,8 +513,6 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
                     .max(u64::from(cfg.l3.hit_latency)),
             ),
             scratch_issue: Vec::new(),
-            batch_reqs: Vec::new(),
-            batch_out: Vec::new(),
             list_pool: Vec::new(),
             load_pool: Vec::new(),
             violations: FxHashMap::default(),
@@ -1460,65 +1454,13 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
                 }
                 _ => {}
             }
-            if matches!(uop.kind, UopKind::Load { .. }) {
-                // Batched path: a maximal run of consecutive loads shares one
-                // predictor probe. No store, branch, or memory access happens
-                // between consecutive load dispatches, so a single
-                // `predict_batch` is sequentially identical to per-load
-                // `predict` calls (and all loads in the run see the same
-                // store count).
-                let max_n = (budget as usize)
-                    .min(self.cfg.rob_entries as usize - self.rob.len())
-                    .min((self.cfg.iq_entries - self.iq_count) as usize)
-                    .min((self.cfg.lq_entries - self.lq_count) as usize);
-                let store_count = self.store_seq_next;
-                self.batch_reqs.clear();
-                let mut stalled_at: Option<u64> = None;
-                while self.batch_reqs.len() < max_n {
-                    let idx = self.fetch_idx + self.batch_reqs.len();
-                    if idx >= self.trace.len() {
-                        break;
-                    }
-                    let u = self.trace.uops.get(idx);
-                    let UopKind::Load { dep, .. } = u.kind else {
-                        break;
-                    };
-                    let avail = self.mem.access_inst(u.pc, self.now);
-                    if avail > self.now {
-                        stalled_at = Some(avail);
-                        break;
-                    }
-                    self.batch_reqs.push(PredictReq {
-                        pc: u.pc,
-                        store_seq: store_count,
-                        oracle: ground_truth(dep),
-                    });
-                }
-                let mut out = std::mem::take(&mut self.batch_out);
-                self.pred.predict_batch(&self.batch_reqs, &mut out);
-                for pm in out.drain(..) {
-                    let u = self.trace.uops.get(self.fetch_idx);
-                    let stall = self.dispatch_one(u, Some(pm));
-                    debug_assert!(!stall, "loads never stall the frontend");
-                    budget -= 1;
-                    dispatched += 1;
-                    self.fetch_idx += 1;
-                }
-                self.batch_out = out;
-                if let Some(avail) = stalled_at {
-                    self.fetch_resume_at = avail;
-                    blocker = Some("frontend");
-                    break;
-                }
-                continue;
-            }
             let avail = self.mem.access_inst(uop.pc, self.now);
             if avail > self.now {
                 self.fetch_resume_at = avail;
                 blocker = Some("frontend");
                 break;
             }
-            let stall = self.dispatch_one(uop, None);
+            let stall = self.dispatch_one(uop);
             budget -= 1;
             dispatched += 1;
             self.fetch_idx += 1;
@@ -1539,10 +1481,9 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
     }
 
     /// Dispatches one micro-op; returns true when the frontend must stall
-    /// (mispredicted branch). A load carries its prediction, made for its
-    /// whole run of loads by one `predict_batch`; other micro-ops pass
-    /// `None`.
-    fn dispatch_one(&mut self, uop: Uop, load_pred: Option<(MemDepPrediction, P::Meta)>) -> bool {
+    /// (mispredicted branch). A load consults the predictor here, as it
+    /// dispatches (Fig. 4).
+    fn dispatch_one(&mut self, uop: Uop) -> bool {
         let id = self.next_id;
         self.next_id += 1;
         self.audit_dispatched += 1;
@@ -1642,11 +1583,12 @@ impl<'a, P: MemDepPredictor> Simulator<'a, P> {
                 self.pred.on_store_dispatch(uop.pc, store_seq);
                 payload = Payload::Store { store_seq };
             }
-            UopKind::Load { .. } => {
+            UopKind::Load { dep, .. } => {
                 self.lq_count += 1;
                 let conservative = self.conservative.contains(&trace_idx);
                 let (prediction, meta) =
-                    load_pred.expect("every load is predicted through predict_batch");
+                    self.pred
+                        .predict(uop.pc, store_count, ground_truth(dep).as_ref());
 
                 let mut effective_bypass = false;
                 match prediction {

@@ -2,14 +2,13 @@
 //! counts and the per-class dependence census used by Fig. 2.
 
 use mascot::prediction::BypassClass;
-use serde::{Deserialize, Serialize};
 
 /// Per-tenant misprediction taxonomy for cross-context pollution analysis
 /// (DESIGN.md §12). Attribution is by load PC against
 /// [`SimStats::tenant_boundary`]; every counter here mirrors a subset of
 /// the corresponding global counter, so the per-tenant pair sums back to
 /// the global total (checked by [`SimStats::check_identities`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantCounters {
     /// Committed loads attributed to this tenant.
     pub loads: u64,
@@ -48,7 +47,7 @@ impl TenantCounters {
 }
 
 /// Counters produced by one simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimStats {
     /// Total simulated cycles.
     pub cycles: u64,

@@ -16,7 +16,6 @@ use std::ops::RangeBounds;
 
 use mascot::history::BranchKind;
 use mascot::prediction::{BypassClass, LoadOutcome, ObservedDependence, StoreDistance};
-use serde::{Deserialize, Serialize};
 
 /// An architectural register name (the generator uses 0..=63).
 pub type ArchReg = u8;
@@ -25,7 +24,7 @@ pub type ArchReg = u8;
 pub const NUM_ARCH_REGS: usize = 64;
 
 /// Static ground truth about a load's memory dependence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceDep {
     /// Program-order store distance to the youngest prior store writing any
     /// byte this load reads (1 = immediately preceding store). May exceed
@@ -60,7 +59,7 @@ impl TraceDep {
 }
 
 /// The operation class of a micro-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UopKind {
     /// An arithmetic/logic operation (execution latency in [`Uop::latency`]).
     Alu,
@@ -94,24 +93,14 @@ pub enum UopKind {
 }
 
 impl UopKind {
-    /// True for loads.
-    pub fn is_load(&self) -> bool {
-        matches!(self, UopKind::Load { .. })
-    }
-
     /// True for stores.
     pub fn is_store(&self) -> bool {
         matches!(self, UopKind::Store { .. })
     }
-
-    /// True for branches.
-    pub fn is_branch(&self) -> bool {
-        matches!(self, UopKind::Branch { .. })
-    }
 }
 
 /// One micro-op of the committed path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Uop {
     /// Instruction address.
     pub pc: u64,
@@ -553,7 +542,7 @@ impl Iterator for UopIter<'_> {
 }
 
 /// A committed-path micro-op trace with a name for reporting.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// Workload name (e.g. `"perlbench2"`).
     pub name: String,
@@ -668,13 +657,13 @@ mod tests {
     #[test]
     fn constructors_set_kinds() {
         let l = Uop::load(0x10, 0x1000, 8, Some(1), 2, None);
-        assert!(l.kind.is_load());
+        assert!(matches!(l.kind, UopKind::Load { .. }));
         assert_eq!(l.dst, Some(2));
         let s = Uop::store(0x14, 0x1000, 8, Some(1), Some(3));
         assert!(s.kind.is_store());
         assert_eq!(s.srcs, [Some(1), Some(3)]);
         let b = Uop::branch(0x18, true, 0x30, None);
-        assert!(b.kind.is_branch());
+        assert!(matches!(b.kind, UopKind::Branch { .. }));
         let a = Uop::alu(0x1c, [None, None], Some(4), 3);
         assert_eq!(a.latency, 3);
     }

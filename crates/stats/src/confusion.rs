@@ -6,8 +6,6 @@
 //! per-entry bookkeeping object; [`ConfusionMatrix`] is the general-purpose
 //! matrix also used for predictor-level accuracy reporting (Fig. 8).
 
-use serde::{Deserialize, Serialize};
-
 /// A binary confusion matrix with true/false positive/negative counts.
 ///
 /// For memory-dependence prediction the convention throughout this
@@ -29,10 +27,9 @@ use serde::{Deserialize, Serialize};
 /// m.record(true, true);   // predicted dependent, was dependent
 /// m.record(true, false);  // false dependence
 /// m.record(false, false); // correctly independent
-/// assert_eq!(m.false_positives(), 1);
 /// assert!((m.precision() - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     tp: u64,
     fp: u64,
@@ -55,21 +52,6 @@ impl ConfusionMatrix {
             (false, true) => self.fn_ += 1,
             (false, false) => self.tn += 1,
         }
-    }
-
-    /// Count of true positives.
-    pub fn true_positives(&self) -> u64 {
-        self.tp
-    }
-
-    /// Count of false positives (false dependencies for MDP).
-    pub fn false_positives(&self) -> u64 {
-        self.fp
-    }
-
-    /// Count of false negatives (missed dependencies for MDP).
-    pub fn false_negatives(&self) -> u64 {
-        self.fn_
     }
 
     /// Total number of recorded events.
@@ -141,7 +123,7 @@ fn ratio(num: u64, den: u64) -> f64 {
 /// matrix, exactly as the tuning methodology describes ("the values are
 /// recorded and the F1 scores are reset. The recording from each period is
 /// averaged together").
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct F1Accumulator {
     current: ConfusionMatrix,
     f1_sum: f64,
@@ -245,9 +227,7 @@ mod tests {
         b.record(false, true);
         b.record(true, false);
         a.merge(&b);
-        assert_eq!(a.true_positives(), 1);
-        assert_eq!(a.false_negatives(), 1);
-        assert_eq!(a.false_positives(), 1);
+        assert_eq!((a.tp, a.fn_, a.fp), (1, 1, 1));
         assert_eq!(a.total(), 3);
     }
 

@@ -102,19 +102,6 @@ pub fn normalize(value: f64, baseline: f64) -> Option<f64> {
     }
 }
 
-/// Percentage change of `value` relative to `baseline`, in percent.
-///
-/// # Examples
-///
-/// ```
-/// use mascot_stats::summary::percent_change;
-///
-/// assert!((percent_change(1.019, 1.0).unwrap() - 1.9).abs() < 1e-9);
-/// ```
-pub fn percent_change(value: f64, baseline: f64) -> Option<f64> {
-    normalize(value, baseline).map(|r| (r - 1.0) * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,12 +134,5 @@ mod tests {
     #[test]
     fn mpki_zero_instructions() {
         assert_eq!(mpki(100, 0), 0.0);
-    }
-
-    #[test]
-    fn percent_change_roundtrip() {
-        let p = percent_change(2.0, 1.0).unwrap();
-        assert!((p - 100.0).abs() < 1e-12);
-        assert!(percent_change(1.0, 0.0).is_none());
     }
 }

@@ -4,8 +4,9 @@
 #   scripts/check.sh            # offline build + tests + perf checks
 #   CARGO_FLAGS= scripts/check.sh   # allow network (e.g. first-time fetch)
 #
-# Fails if the build, rustdoc or clippy (warnings are errors in all three)
-# or any test fails (the repository benchmark's own tests under perfbench/
+# Fails if the workspace is not formatted (`cargo fmt --check`), if the
+# build, rustdoc or clippy (warnings are errors in all three) or any test
+# fails (the repository benchmark's own tests under perfbench/
 # included), if the seeded audit soak (cycle-granular invariant checks, the
 # batch-vs-scalar prediction differential over every registered
 # predictor kind, and differential runs across every workload profile and
@@ -45,6 +46,10 @@ wait_ready() {
     echo "daemon behind $1 never became ready"
     return 1
 }
+
+echo "== format (cargo fmt --check over the workspace members) =="
+# perfbench/ is its own workspace and is not checked here.
+cargo fmt --check
 
 echo "== tier-1: release build (warnings are errors) =="
 # --workspace: the root is a real package, so a bare `cargo build` would

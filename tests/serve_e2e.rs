@@ -383,6 +383,45 @@ fn bad_version_is_rejected() {
     handle.join().expect("server thread");
 }
 
+/// A request header carrying a response code is rejected at the header:
+/// code 0 (`Ok`) claiming 60 MiB gets an `Error` at once, with no payload
+/// sent, and the connection is dropped. The server keeps serving.
+#[test]
+fn response_code_in_a_request_header_is_rejected() {
+    let (addr, handle) = spawn_server(2);
+
+    let mut raw = TcpStream::connect(&addr).expect("raw connect");
+    let mut frame = vec![0u8; HEADER_LEN];
+    frame[..4].copy_from_slice(&MAGIC);
+    frame[4] = wire::VERSION;
+    frame[5] = 0;
+    frame[6..10].copy_from_slice(&(60u32 << 20).to_le_bytes());
+    raw.write_all(&frame).expect("write header");
+    // A server that waits for the payload instead never answers.
+    raw.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let (code, payload) = wire::read_frame(&mut raw)
+        .expect("error reply is well-framed")
+        .expect("reply before close");
+    let resp = Response::decode(Opcode::Predict, code, &payload).expect("decode");
+    let Response::Error(msg) = resp else {
+        panic!("expected Error, got {resp:?}");
+    };
+    assert!(msg.contains("opcode 0"), "unhelpful error: {msg}");
+    assert!(matches!(wire::read_frame(&mut raw), Ok(None)));
+
+    let mut client = Client::connect(&addr).expect("connect after abuse");
+    let replies = client
+        .predict(vec![PredictItem {
+            pc: 0x40,
+            store_seq: 1,
+        }])
+        .expect("predict");
+    assert_eq!(replies.len(), 1);
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread");
+}
+
 /// A well-framed but malformed payload answers `Error` and the connection
 /// stays usable — the stream is still in sync.
 #[test]

@@ -12,8 +12,8 @@ use mascot::prediction::{
     BypassClass, LoadOutcome, MemDepPrediction, ObservedDependence, StoreDistance,
 };
 use mascot_serve::wire::{
-    encode_frame, parse_header, Opcode, PredictItem, PredictReply, Request, Response, ShardStats,
-    StatsReport, TrainItem, WireError, HEADER_LEN,
+    encode_frame, parse_header, Direction, Opcode, PredictItem, PredictReply, Request, Response,
+    ShardStats, StatsReport, TrainItem, WireError, HEADER_LEN,
 };
 use mascot_snapshot::fnv1a64;
 
@@ -183,6 +183,15 @@ fn frames() -> Vec<(Opcode, bool, Vec<u8>)> {
     out
 }
 
+/// The direction of a request (`true`) or a response frame.
+fn direction(request: bool) -> Direction {
+    if request {
+        Direction::Request
+    } else {
+        Direction::Response
+    }
+}
+
 /// Decodes `frame` as a request or as the response to `op`, then encodes
 /// the result again, returning the bytes the frame took up and their
 /// re-encoding. `Ok(None)` means the frame was rejected cleanly.
@@ -192,7 +201,7 @@ fn decode_and_reencode(
     frame: &[u8],
 ) -> Result<Option<(usize, Vec<u8>)>, WireError> {
     let header: &[u8; HEADER_LEN] = frame[..HEADER_LEN].try_into().expect("header");
-    let (code, len) = match parse_header(header) {
+    let (code, len) = match parse_header(header, direction(request)) {
         Ok(parsed) => parsed,
         Err(_) => return Ok(None),
     };
@@ -255,7 +264,8 @@ fn frames_are_frozen() {
 fn every_truncation_and_bit_flip_fails_closed_or_is_canonical() {
     let mut decoded = 0usize;
     for (op, request, frame) in frames() {
-        let (code, len) = parse_header(frame[..HEADER_LEN].try_into().unwrap()).unwrap();
+        let header = frame[..HEADER_LEN].try_into().unwrap();
+        let (code, len) = parse_header(header, direction(request)).unwrap();
         let payload = &frame[HEADER_LEN..];
         assert_eq!(payload.len(), len);
         // Every shorter payload, re-framed with a matching length so the
