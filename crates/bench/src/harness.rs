@@ -25,9 +25,10 @@ const TRACE_CACHE_MAX_ENTRIES: usize = 48;
 /// Total requested-uop budget for the process-wide trace cache. Long-trace
 /// sweeps (sampled-simulation gates run 10× traces) would otherwise pin
 /// tens of millions of uops per distinct key for the process lifetime.
-/// A packed trace takes 32.6–34.4 bytes per uop (32-byte records plus the
-/// dependence table; 56 bytes before packing), so a full cache holds about
-/// 0.73–0.77 GiB of traces, not 1.25 GiB.
+/// A generated trace takes 16.6–18.5 bytes per uop (16-byte records, each
+/// distinct static uop once, and the dependence table; 32.6–34.4 with
+/// 32-byte records, 56 unpacked), so a full cache holds about 0.37–0.41
+/// GiB of traces, not 1.25 GiB.
 const TRACE_CACHE_MAX_UOPS: usize = 24_000_000;
 /// Entry cap for the process-wide sampling-prep cache. Each entry holds one
 /// warm-up checkpoint per cluster (~1–2 MiB of cache tags and predictor

@@ -8,9 +8,11 @@
 //! reads — which the simulator uses both to model memory-order violations
 //! and to implement the perfect-predictor oracles.
 //!
-//! A [`Trace`] stores its micro-ops packed ([`UopBuf`]): 32 bytes a uop,
-//! with the dependence that only a few loads carry kept in a side table.
-//! Readers get each micro-op as a by-value [`Uop`] view.
+//! A [`Trace`] stores its micro-ops packed ([`UopBuf`]): each distinct
+//! static micro-op (PC, kind, size, registers, latency) once, then 16 bytes
+//! a uop for what varies per instance (address or target, direction, a
+//! reference to the dependence that only a few loads carry, kept in a side
+//! table). Readers get each micro-op as a by-value [`Uop`] view.
 
 use std::ops::RangeBounds;
 
@@ -193,43 +195,54 @@ impl Uop {
     }
 }
 
-/// The register byte that means "no register", in a packed record and in
+/// The register byte that means "no register", in a static entry and in
 /// the `.mtrc` codec alike.
 pub(crate) const NO_REG: u8 = 0xff;
 
-/// A packed record's dependence index when the uop carries none.
+/// A load record's `aux` when the load carries no dependence.
 const NO_DEP: u32 = u32::MAX;
 
-/// A packed record's tag byte: the low two bits hold the kind, then a
-/// branch's kind and direction.
+/// An empty slot of [`UopBuf`]'s intern index; never a static's index.
+const NO_OP: u32 = u32::MAX;
+
+/// A static entry's tag byte: the low two bits hold the kind, then a
+/// branch's kind. A branch's direction varies per instance and lives in its
+/// record's `aux`.
 const TAG_KIND: u8 = 0b11;
 const TAG_ALU: u8 = 0;
 const TAG_LOAD: u8 = 1;
 const TAG_STORE: u8 = 2;
 const TAG_BRANCH: u8 = 3;
 const TAG_INDIRECT: u8 = 1 << 2;
-const TAG_TAKEN: u8 = 1 << 3;
 
-/// One micro-op as a trace stores it: the fields of [`Uop`] in 32 bytes,
-/// with a load's (rare) dependence moved out of line into
-/// [`UopBuf`]'s dependence table.
-#[derive(Debug, Clone, Copy)]
-struct Record {
+/// The part of a micro-op that stays the same across its dynamic
+/// instances: everything but the address or target, a branch's direction
+/// and a load's dependence. [`UopBuf`] stores each distinct one once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Static {
     pc: u64,
-    /// A load's or store's address, a branch's target; zero for an ALU op.
-    addr: u64,
-    /// Index into the dependence table, or [`NO_DEP`].
-    dep: u32,
-    /// Access size of a load or store; zero otherwise.
-    size: u8,
-    /// Source and destination registers, [`NO_REG`] for `None`.
-    srcs: [u8; 2],
-    dst: u8,
-    latency: u8,
-    tag: u8,
+    /// One byte each, in order: the access size of a load or store (zero
+    /// otherwise), the two sources and the destination ([`NO_REG`] for
+    /// `None`), the latency and the tag; then two zero bytes. One word, so
+    /// interning compares and hashes a static in two.
+    bytes: [u8; 8],
 }
 
-const _: () = assert!(std::mem::size_of::<Record>() == 32);
+/// One dynamic micro-op as a trace stores it: 16 bytes that name its
+/// [`Static`] entry and hold what varies per instance.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    /// A load's or store's address, a branch's target; zero for an ALU op.
+    addr: u64,
+    /// Index into the static table.
+    op: u32,
+    /// A load's index into the dependence table or [`NO_DEP`]; a branch's
+    /// direction (1 = taken); zero otherwise.
+    aux: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Record>() == 16);
+const _: () = assert!(std::mem::size_of::<Static>() == 16);
 
 /// Packs a register name; a name outside the trace format's 64 registers
 /// would index past the simulator's register tables.
@@ -250,58 +263,104 @@ fn unpack_reg(reg: u8) -> Option<ArchReg> {
     (reg != NO_REG).then_some(reg)
 }
 
-impl Record {
-    fn kind_tag(&self) -> u8 {
-        self.tag & TAG_KIND
+impl Static {
+    fn new(pc: u64, size: u8, srcs: [u8; 2], dst: u8, latency: u8, tag: u8) -> Self {
+        Self {
+            pc,
+            bytes: [size, srcs[0], srcs[1], dst, latency, tag, 0, 0],
+        }
     }
 
-    /// The by-value view of this record; `deps` is its buffer's dependence
-    /// table.
+    fn size(&self) -> u8 {
+        self.bytes[0]
+    }
+
+    fn srcs(&self) -> [u8; 2] {
+        [self.bytes[1], self.bytes[2]]
+    }
+
+    fn dst(&self) -> u8 {
+        self.bytes[3]
+    }
+
+    fn latency(&self) -> u8 {
+        self.bytes[4]
+    }
+
+    fn tag(&self) -> u8 {
+        self.bytes[5]
+    }
+
+    fn kind_tag(&self) -> u8 {
+        self.tag() & TAG_KIND
+    }
+
+    /// The intern index's slot for this static in an index of `mask + 1`
+    /// slots: both words, multiply-mixed; the product's upper half picks.
     #[inline]
-    fn unpack(&self, deps: &[TraceDep]) -> Uop {
-        let kind = match self.kind_tag() {
+    fn slot(&self, mask: usize) -> usize {
+        const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+        let h = (self.pc.wrapping_mul(K) ^ u64::from_le_bytes(self.bytes)).wrapping_mul(K);
+        h.rotate_left(32) as usize & mask
+    }
+}
+
+impl Record {
+    /// The by-value view of this record; `statics` and `deps` are its
+    /// buffer's static and dependence tables.
+    #[inline]
+    fn unpack(&self, statics: &[Static], deps: &[TraceDep]) -> Uop {
+        let s = &statics[self.op as usize];
+        let kind = match s.kind_tag() {
             TAG_ALU => UopKind::Alu,
             TAG_LOAD => UopKind::Load {
                 addr: self.addr,
-                size: self.size,
-                dep: (self.dep != NO_DEP).then(|| deps[self.dep as usize]),
+                size: s.size(),
+                dep: (self.aux != NO_DEP).then(|| deps[self.aux as usize]),
             },
             TAG_STORE => UopKind::Store {
                 addr: self.addr,
-                size: self.size,
+                size: s.size(),
             },
             _ => UopKind::Branch {
-                kind: if self.tag & TAG_INDIRECT != 0 {
+                kind: if s.tag() & TAG_INDIRECT != 0 {
                     BranchKind::Indirect
                 } else {
                     BranchKind::Conditional
                 },
-                taken: self.tag & TAG_TAKEN != 0,
+                taken: self.aux != 0,
                 target: self.addr,
             },
         };
         Uop {
-            pc: self.pc,
+            pc: s.pc,
             kind,
-            srcs: [unpack_reg(self.srcs[0]), unpack_reg(self.srcs[1])],
-            dst: unpack_reg(self.dst),
-            latency: self.latency,
+            srcs: s.srcs().map(unpack_reg),
+            dst: unpack_reg(s.dst()),
+            latency: s.latency(),
         }
     }
 }
 
-/// A trace's micro-ops, packed: one 32-byte record per uop plus a table of
-/// the dependences that only a few loads carry. Reading hands out [`Uop`]
-/// by value ([`get`](Self::get), [`iter`](Self::iter), `for uop in &buf`);
-/// nothing outside this module sees the records.
+/// A trace's micro-ops, packed: a table of the distinct static micro-ops,
+/// one 16-byte record per dynamic uop naming its static entry, and a table
+/// of the dependences that only a few loads carry. Reading hands out
+/// [`Uop`] by value ([`get`](Self::get), [`iter`](Self::iter),
+/// `for uop in &buf`); nothing outside this module sees the tables.
 #[derive(Clone, Default)]
 pub struct UopBuf {
     recs: Vec<Record>,
+    statics: Vec<Static>,
     deps: Vec<TraceDep>,
+    /// Open-addressed (linear-probing) index from a static's contents to
+    /// its position in `statics`, [`NO_OP`] for an empty slot: empty, or a
+    /// power of two at least four times as long as `statics`, so most
+    /// lookups read one slot.
+    index: Vec<u32>,
 }
 
 impl UopBuf {
-    /// Bytes one record takes, dependence table aside.
+    /// Bytes one record takes, the static and dependence tables aside.
     pub const RECORD_BYTES: usize = std::mem::size_of::<Record>();
 
     /// An empty buffer.
@@ -313,7 +372,7 @@ impl UopBuf {
     pub fn with_capacity(uops: usize) -> Self {
         Self {
             recs: Vec::with_capacity(uops),
-            deps: Vec::new(),
+            ..Self::default()
         }
     }
 
@@ -322,11 +381,18 @@ impl UopBuf {
     /// # Panics
     ///
     /// Panics if a register is outside `0..NUM_ARCH_REGS`.
+    #[inline(always)] // see `intern`
     pub fn push(&mut self, uop: Uop) {
-        let (tag, addr, size, dep) = match uop.kind {
-            UopKind::Alu => (TAG_ALU, 0, 0, None),
-            UopKind::Load { addr, size, dep } => (TAG_LOAD, addr, size, dep),
-            UopKind::Store { addr, size } => (TAG_STORE, addr, size, None),
+        let (tag, addr, size, aux) = match uop.kind {
+            UopKind::Alu => (TAG_ALU, 0, 0, 0),
+            UopKind::Load { addr, size, dep } => {
+                let aux = match dep {
+                    None => NO_DEP,
+                    Some(d) => self.push_dep(d),
+                };
+                (TAG_LOAD, addr, size, aux)
+            }
+            UopKind::Store { addr, size } => (TAG_STORE, addr, size, 0),
             UopKind::Branch {
                 kind,
                 taken,
@@ -337,31 +403,78 @@ impl UopBuf {
                 } else {
                     0
                 };
-                let taken = if taken { TAG_TAKEN } else { 0 };
-                (TAG_BRANCH | indirect | taken, target, 0, None)
+                (TAG_BRANCH | indirect, target, 0, u32::from(taken))
             }
         };
-        let dep = match dep {
-            None => NO_DEP,
-            Some(d) => {
-                let index = u32::try_from(self.deps.len())
-                    .ok()
-                    .filter(|&i| i != NO_DEP)
-                    .expect("dependence table outgrew its 32-bit index");
-                self.deps.push(d);
-                index
-            }
-        };
-        self.recs.push(Record {
-            pc: uop.pc,
-            addr,
-            dep,
+        let op = self.intern(Static::new(
+            uop.pc,
             size,
-            srcs: [pack_reg(uop.srcs[0]), pack_reg(uop.srcs[1])],
-            dst: pack_reg(uop.dst),
-            latency: uop.latency,
+            uop.srcs.map(pack_reg),
+            pack_reg(uop.dst),
+            uop.latency,
             tag,
-        });
+        ));
+        self.recs.push(Record { addr, op, aux });
+    }
+
+    fn push_dep(&mut self, dep: TraceDep) -> u32 {
+        let index = u32::try_from(self.deps.len())
+            .ok()
+            .filter(|&i| i != NO_DEP)
+            .expect("dependence table outgrew its 32-bit index");
+        self.deps.push(dep);
+        index
+    }
+
+    /// The static table's index of `s`, appending it if it is new. It and
+    /// `push` are always inlined into each producer's call sites: left to
+    /// the compiler, `generate` kept some pushes out of line, and trace
+    /// generation measured slower than with 32-byte records (EXPERIMENTS.md,
+    /// "Static uop table").
+    #[inline(always)]
+    fn intern(&mut self, s: Static) -> u32 {
+        let mask = self.index.len().wrapping_sub(1);
+        let mut slot = s.slot(mask);
+        while let Some(&op) = self.index.get(slot) {
+            match self.statics.get(op as usize) {
+                Some(key) if *key == s => return op,
+                None => break,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+        self.insert(s)
+    }
+
+    /// Appends `s` to the static table and files it in the index, which
+    /// doubles (64 slots at first) to stay at most a quarter full.
+    #[cold]
+    fn insert(&mut self, s: Static) -> u32 {
+        let op = u32::try_from(self.statics.len())
+            .ok()
+            .filter(|&i| i != NO_OP)
+            .expect("static table outgrew its 32-bit index");
+        self.statics.push(s);
+        if self.index.len() < 4 * self.statics.len() {
+            let len = (self.index.len() * 2).max(64);
+            self.index = vec![NO_OP; len];
+            for (op, s) in self.statics.iter().enumerate() {
+                Self::file(&mut self.index, s, op as u32);
+            }
+        } else {
+            Self::file(&mut self.index, &s, op);
+        }
+        op
+    }
+
+    /// Files static `op`, whose contents are `s`, in the first empty slot
+    /// of its probe sequence.
+    fn file(index: &mut [u32], s: &Static, op: u32) {
+        let mask = index.len() - 1;
+        let mut slot = s.slot(mask);
+        while index[slot] != NO_OP {
+            slot = (slot + 1) & mask;
+        }
+        index[slot] = op;
     }
 
     /// Number of micro-ops.
@@ -379,10 +492,28 @@ impl UopBuf {
         self.deps.len()
     }
 
+    /// Number of distinct static micro-ops: everything of a [`Uop`] but
+    /// its address or target, its branch direction and its dependence.
+    pub fn static_count(&self) -> usize {
+        self.statics.len()
+    }
+
+    /// Bytes the buffer's contents take: records, static entries,
+    /// dependences and the intern index's slots, by length (spare capacity
+    /// aside).
+    pub fn packed_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.recs.len() * size_of::<Record>()
+            + self.statics.len() * size_of::<Static>()
+            + self.deps.len() * size_of::<TraceDep>()
+            + self.index.len() * size_of::<u32>()
+    }
+
     /// The whole buffer as a borrowed view.
     pub fn as_slice(&self) -> UopSlice<'_> {
         UopSlice {
             recs: &self.recs,
+            statics: &self.statics,
             deps: &self.deps,
         }
     }
@@ -403,19 +534,25 @@ impl UopBuf {
     /// Panics if `i >= len()`.
     #[inline]
     pub fn get(&self, i: usize) -> Uop {
-        self.recs[i].unpack(&self.deps)
+        self.recs[i].unpack(&self.statics, &self.deps)
+    }
+
+    /// Micro-op `i`'s static entry.
+    #[inline]
+    fn static_of(&self, i: usize) -> &Static {
+        &self.statics[self.recs[i].op as usize]
     }
 
     /// Micro-op `i`'s PC, without building the whole view.
     #[inline]
     pub fn pc(&self, i: usize) -> u64 {
-        self.recs[i].pc
+        self.static_of(i).pc
     }
 
     /// Micro-op `i`'s execution latency, without building the whole view.
     #[inline]
     pub fn latency(&self, i: usize) -> u8 {
-        self.recs[i].latency
+        self.static_of(i).latency()
     }
 
     /// The micro-ops in order, by value.
@@ -425,7 +562,10 @@ impl UopBuf {
 
     /// Number of micro-ops of the kind whose tag is `tag`.
     fn count_kind(&self, tag: u8) -> usize {
-        self.recs.iter().filter(|r| r.kind_tag() == tag).count()
+        self.recs
+            .iter()
+            .filter(|r| self.statics[r.op as usize].kind_tag() == tag)
+            .count()
     }
 }
 
@@ -475,7 +615,9 @@ impl<'a> IntoIterator for &'a UopBuf {
 #[derive(Debug, Clone, Copy)]
 pub struct UopSlice<'a> {
     recs: &'a [Record],
-    /// The whole buffer's dependence table: records index it absolutely.
+    /// The whole buffer's static and dependence tables: records index
+    /// them absolutely.
+    statics: &'a [Static],
     deps: &'a [TraceDep],
 }
 
@@ -499,7 +641,7 @@ impl<'a> UopSlice<'a> {
         let bounds = (range.start_bound().cloned(), range.end_bound().cloned());
         UopSlice {
             recs: &self.recs[bounds],
-            deps: self.deps,
+            ..self
         }
     }
 
@@ -507,6 +649,7 @@ impl<'a> UopSlice<'a> {
     pub fn iter(self) -> UopIter<'a> {
         UopIter {
             recs: self.recs.iter(),
+            statics: self.statics,
             deps: self.deps,
         }
     }
@@ -525,6 +668,7 @@ impl<'a> IntoIterator for UopSlice<'a> {
 #[derive(Debug, Clone)]
 pub struct UopIter<'a> {
     recs: std::slice::Iter<'a, Record>,
+    statics: &'a [Static],
     deps: &'a [TraceDep],
 }
 
@@ -533,7 +677,7 @@ impl Iterator for UopIter<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<Uop> {
-        self.recs.next().map(|r| r.unpack(self.deps))
+        self.recs.next().map(|r| r.unpack(self.statics, self.deps))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -733,8 +877,8 @@ mod tests {
     fn validate_reports_out_of_range_registers() {
         let mut t = Trace::new("r", vec![Uop::alu(0x10, [Some(1), None], Some(2), 1)]);
         t.validate().unwrap();
-        // Only a record written around `push` can hold one.
-        t.uops.recs[0].srcs[1] = 100;
+        // Only a static entry written around `push` can hold one.
+        t.uops.statics[0].bytes[2] = 100;
         assert_eq!(
             t.validate(),
             Err("uop 0: register 100 out of range".to_string())
@@ -769,6 +913,113 @@ mod tests {
             "a sub-view keeps its dependences"
         );
         assert_ne!(t.uops, Trace::new("v", uops[..3].to_vec()).uops);
+    }
+
+    /// Every field of a static part keys its entry: one PC with two
+    /// latencies, two sizes, two register sets, and a load and a store
+    /// makes one entry each, and a repeat makes none.
+    #[test]
+    fn one_pc_interns_each_static_part_apart() {
+        let uops = [
+            Uop::alu(0x40, [Some(1), None], Some(2), 1),
+            Uop::alu(0x40, [Some(1), None], Some(2), 4),
+            Uop::alu(0x40, [Some(3), Some(4)], Some(2), 1),
+            Uop::alu(0x40, [Some(1), None], None, 1),
+            Uop::load(0x40, 0x100, 8, Some(1), 2, None),
+            Uop::load(0x40, 0x100, 4, Some(1), 2, None),
+            Uop::store(0x40, 0x100, 8, Some(1), Some(2)),
+            Uop::branch(0x40, true, 0x80, Some(1)),
+            Uop::indirect_branch(0x40, 0x80, Some(1)),
+        ];
+        let mut buf: UopBuf = uops.iter().copied().collect();
+        assert_eq!(buf.static_count(), uops.len());
+        buf.extend(uops.iter().rev().copied());
+        assert_eq!(buf.static_count(), uops.len(), "a repeat reuses its entry");
+        let back: Vec<Uop> = buf.iter().collect();
+        let expected: Vec<Uop> = uops.iter().chain(uops.iter().rev()).copied().collect();
+        assert_eq!(back, expected);
+    }
+
+    /// A branch's direction and target, a load's address and dependence
+    /// and a store's address live in the record: one static serves every
+    /// instance.
+    #[test]
+    fn per_instance_fields_share_one_static() {
+        let dep = TraceDep {
+            distance: 1,
+            class: BypassClass::NoOffset,
+            store_pc: 0x10,
+            branches_between: 3,
+        };
+        let mut uops = Vec::new();
+        for i in 0..8u64 {
+            uops.push(Uop::branch(0x8, i % 3 == 0, 0x100 + 64 * i, Some(5)));
+            uops.push(Uop::store(0x10, 0x1000 + 8 * i, 8, Some(1), Some(2)));
+            let dep = (i % 2 == 1).then_some(TraceDep {
+                distance: 1 + i as u32,
+                ..dep
+            });
+            uops.push(Uop::load(0x14, 0x1000 + 8 * i, 8, Some(1), 3, dep));
+        }
+        let t = Trace::new("b", uops.clone());
+        assert_eq!(t.uops.static_count(), 3);
+        assert_eq!(t.uops.dep_count(), 4);
+        for (i, &u) in uops.iter().enumerate() {
+            assert_eq!(t.uops.get(i), u, "uop {i}");
+        }
+    }
+
+    /// Static indices are 32-bit: more than 65,536 distinct statics read
+    /// back as pushed, and each repeat finds its own.
+    #[test]
+    fn more_than_65536_statics_read_back() {
+        const N: u64 = 70_000;
+        let uop = |i: u64| Uop::alu(0x1000 + 4 * i, [None, None], Some((i % 64) as u8), 1);
+        let buf: UopBuf = (0..N).chain(0..N).map(uop).collect();
+        assert_eq!(buf.static_count(), N as usize);
+        assert_eq!(buf.len(), 2 * N as usize);
+        for (i, u) in buf.iter().enumerate() {
+            assert_eq!(u, uop(i as u64 % N), "uop {i}");
+        }
+        assert_eq!(buf.recs[N as usize].op, 0);
+        assert_eq!(buf.recs[2 * N as usize - 1].op, N as u32 - 1);
+    }
+
+    /// A sub-view read into another buffer is interned there: `slice`,
+    /// `extend` and `collect` across buffers keep every field.
+    #[test]
+    fn slices_extend_and_collect_across_buffers() {
+        let dep = TraceDep {
+            distance: 1,
+            class: BypassClass::DirectBypass,
+            store_pc: 0x4,
+            branches_between: 0,
+        };
+        let a_uops = vec![
+            Uop::store(0x4, 0x100, 8, Some(1), Some(2)),
+            Uop::load(0x8, 0x100, 8, Some(1), 3, Some(dep)),
+            Uop::branch(0xc, true, 0x4, Some(3)),
+            Uop::alu(0x10, [Some(3), None], Some(4), 3),
+        ];
+        let b_uops = vec![
+            Uop::alu(0x10, [Some(3), None], Some(4), 1),
+            Uop::branch(0xc, false, 0x4, Some(3)),
+        ];
+        let a = Trace::new("a", a_uops.clone()).uops;
+        let mut b = Trace::new("b", b_uops.clone()).uops;
+        b.extend(a.slice(1..3));
+        let mut expected = b_uops.clone();
+        expected.extend_from_slice(&a_uops[1..3]);
+        assert_eq!(b.iter().collect::<Vec<_>>(), expected);
+        assert_eq!(b.static_count(), 3, "the branch's static is shared");
+        assert_eq!(b.dep_count(), 1);
+        let c: UopBuf = a.slice(1..).iter().chain(&b).collect();
+        let expected: Vec<Uop> = a_uops[1..].iter().chain(&expected).copied().collect();
+        assert_eq!(c.iter().collect::<Vec<_>>(), expected);
+        assert_eq!(
+            a.slice(1..).iter().collect::<UopBuf>(),
+            Trace::new("a1", a_uops[1..].to_vec()).uops
+        );
     }
 
     #[test]

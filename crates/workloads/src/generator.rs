@@ -650,22 +650,24 @@ mod tests {
         assert_ne!(a.uops, b.uops);
     }
 
-    /// A generated trace stays packed: 32-byte records plus a dependence
-    /// table that only dependent loads fill, at most 34.5 bytes per uop on
-    /// the benchmark's three profiles (the dependence-heaviest is
-    /// perlbench2, ~10% of uops). A field added to the record, or a
-    /// dependence stored inline again, fails here.
+    /// A generated trace stays packed: 16-byte records plus static,
+    /// dependence and intern tables, at most 18.5 bytes per uop on every
+    /// profile at 200k uops (the dependence-heaviest, perlbench2, reads 18.45:
+    /// its dependence table adds ~2.4). A field added to the record, a
+    /// dependence stored inline again, or a static part stored per uop
+    /// fails here.
     #[test]
-    fn traces_stay_within_34_5_bytes_per_uop() {
-        assert_eq!(UopBuf::RECORD_BYTES, 32);
-        for name in ["perlbench2", "mcf", "bwaves"] {
-            let profile = crate::spec::profile(name).expect("known profile");
+    fn traces_stay_within_18_5_bytes_per_uop() {
+        assert_eq!(UopBuf::RECORD_BYTES, 16);
+        let mut worst = (0.0f64, "");
+        for profile in crate::spec::all_profiles() {
             let t = generate(&profile, 2025, 200_000);
-            let bytes = t.len() * UopBuf::RECORD_BYTES
-                + t.uops.dep_count() * std::mem::size_of::<TraceDep>();
-            let per_uop = bytes as f64 / t.len() as f64;
-            assert!(per_uop <= 34.5, "{name}: {per_uop:.2} bytes per uop");
+            let per_uop = t.uops.packed_bytes() as f64 / t.len() as f64;
+            if per_uop > worst.0 {
+                worst = (per_uop, profile.name);
+            }
         }
+        assert!(worst.0 <= 18.5, "{}: {:.2} bytes per uop", worst.1, worst.0);
     }
 
     #[test]

@@ -7,13 +7,15 @@
 //! seeded deterministic RNG (fixed case counts, reproducible failures — the
 //! failing seed is part of the assertion message).
 
+use std::collections::HashSet;
+
 use mascot::history::BranchKind;
 use mascot::{
     BypassClass, LoadOutcome, Mascot, MascotConfig, MemDepPrediction, MemDepPredictor,
     ObservedDependence, StoreDistance,
 };
 use mascot_predictors::{NoSq, Phast, StoreSets};
-use mascot_sim::{simulate, CoreConfig, Trace, TraceDep, Uop, UopKind};
+use mascot_sim::{simulate, CoreConfig, Trace, TraceDep, Uop, UopBuf, UopKind};
 use mascot_workloads::{generate, WorkloadProfile};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -335,9 +337,25 @@ fn reference_slice(uops: &[Uop]) -> Vec<Uop> {
         .collect()
 }
 
+/// The part of a uop a trace stores once per distinct value: everything
+/// but the address or target, the branch direction and the dependence.
+fn static_part(u: &Uop) -> (u64, u8, u8, [Option<u8>; 2], Option<u8>, u8) {
+    let (kind, size) = match u.kind {
+        UopKind::Alu => (0, 0),
+        UopKind::Load { size, .. } => (1, size),
+        UopKind::Store { size, .. } => (2, size),
+        UopKind::Branch { kind, .. } => (3 + u8::from(kind == BranchKind::Indirect), 0),
+    };
+    (u.pc, kind, size, u.srcs, u.dst, u.latency)
+}
+
 /// Packing a trace loses nothing: every field of every uop kind reads back
 /// as written, edge values included, and `slice` over the packed trace
-/// matches the per-uop rule applied to the unpacked uops.
+/// matches the per-uop rule applied to the unpacked uops. Half the cases
+/// draw PCs from a pool of three, so most uops share a PC with others of
+/// other kinds, sizes, registers, latencies, directions and targets: the
+/// trace keeps one static entry per distinct static part, and a sub-view
+/// extended into, or collected as, another buffer reads back the same.
 #[test]
 fn packed_trace_roundtrips_every_field() {
     // Which edges the cases reached: classes, branch kinds, `None` and
@@ -350,7 +368,16 @@ fn packed_trace_roundtrips_every_field() {
     for case in 0..64u64 {
         let mut rng = StdRng::seed_from_u64(0x9AC4 + case);
         let len = 1 + below(&mut rng, 300) as usize;
-        let uops: Vec<Uop> = (0..len).map(|_| arb_uop(&mut rng)).collect();
+        let pooled = case % 2 == 0;
+        let uops: Vec<Uop> = (0..len)
+            .map(|_| {
+                let mut u = arb_uop(&mut rng);
+                if pooled {
+                    u.pc = [0x40, 0x44, u64::MAX][below(&mut rng, 3) as usize];
+                }
+                u
+            })
+            .collect();
         for u in &uops {
             let regs = [u.srcs[0], u.srcs[1], u.dst];
             no_reg |= regs.contains(&None);
@@ -381,6 +408,18 @@ fn packed_trace_roundtrips_every_field() {
         for (i, &u) in uops.iter().enumerate() {
             assert_eq!(trace.uops.get(i), u, "case {case} uop {i}");
         }
+        let statics: HashSet<_> = uops.iter().map(static_part).collect();
+        assert_eq!(trace.uops.static_count(), statics.len(), "case {case}");
+        let mid = below(&mut rng, len as u64 + 1) as usize;
+        let mut joined: UopBuf = trace.uops.slice(mid..).iter().collect();
+        joined.extend(trace.uops.slice(..mid));
+        let rotated: Vec<Uop> = uops[mid..].iter().chain(&uops[..mid]).copied().collect();
+        assert_eq!(
+            joined.iter().collect::<Vec<_>>(),
+            rotated,
+            "case {case} at {mid}"
+        );
+        assert_eq!(joined.static_count(), statics.len(), "case {case}");
         for _ in 0..4 {
             let start = below(&mut rng, len as u64 + 1) as usize;
             let end = start + below(&mut rng, (len - start) as u64 + 1) as usize;
